@@ -1486,8 +1486,8 @@ let fuzz_cmd =
   let fuel =
     Arg.(value & opt int 100_000
          & info [ "fuel" ] ~docv:"N"
-             ~doc:"Base-instruction budget per page (both sides out of fuel \
-                   counts as a hang, not a failure).")
+             ~doc:"Base-instruction budget per page (the reference running \
+                   out of fuel counts as a hang, not a failure).")
   in
   let out =
     Arg.(value & opt string "fuzz-failures"
@@ -1616,7 +1616,7 @@ let fuzz_cmd =
         report_shadow ();
         cleanup_storage ()
       | Hang ->
-        Printf.printf "%s: hang (both sides out of fuel)\n" path;
+        Printf.printf "%s: hang (reference out of fuel)\n" path;
         report_shadow ();
         cleanup_storage ()
       | Mismatch m ->

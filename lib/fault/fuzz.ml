@@ -36,7 +36,7 @@ let nop = Insn.Ori (0, 0, 0)
 
 type verdict =
   | Match            (** ran to completion, every comparison passed *)
-  | Hang             (** both sides exhausted fuel: no verification point *)
+  | Hang             (** the reference ran out of fuel: nothing to verify *)
   | Mismatch of string
 
 type outcome = {
@@ -424,7 +424,7 @@ let fuzz ?faults ?storage ?attach_extra ?on_mismatch ?out_dir ?(insns = 96)
     | Match -> incr matched
     | Hang ->
       incr hung;
-      log (Printf.sprintf "page %d: hang (both sides out of fuel)" index)
+      log (Printf.sprintf "page %d: hang (reference out of fuel)" index)
     | Mismatch m ->
       incr mismatched;
       log (Printf.sprintf "page %d: MISMATCH: %s" index m);

@@ -398,56 +398,60 @@ let ablations () =
     ~header:[ "Variant"; "Mean ILP"; "Total aliases" ]
     rows
 
+(** The S/390 program of the retargetability experiment: seed a 128-byte
+    buffer, then 200 rounds of copy, scan and checksum through a
+    subroutine; halts through the MMIO word at 0x100. *)
+let s390_program a =
+  let module A = S390.Asm in
+  A.org a 0x100;
+  A.word a Ppc.Mem.mmio_halt;
+  A.org a 0x800;
+  A.label a "main";
+  A.set_base a "base";
+  A.la a 10 0x200;
+  A.ins a (SLL (10, 4));
+  (* seed 128 bytes *)
+  A.la a 5 128;
+  A.la a 7 0;
+  A.label a "seed";
+  A.lr a 8 7;
+  A.ins a (SLL (8, 3));
+  A.ins a (RX (STC, 8, 7, 10, 0));
+  A.la a 9 1;
+  A.ar a 7 9;
+  A.bct a 5 "seed";
+  (* 200 outer iterations: copy, scan, checksum *)
+  A.la a 11 200;
+  A.la a 2 0;
+  A.label a "outer";
+  A.ins a (MVC (11, 256, 10, 0, 10));
+  A.la a 5 32;
+  A.la a 7 0;
+  A.label a "sum";
+  A.ins a (RX (IC, 8, 7, 10, 0));
+  A.ar a 2 8;
+  A.la a 9 1;
+  A.ar a 7 9;
+  A.bct a 5 "sum";
+  A.bal a 14 "mix";
+  A.bct a 11 "outer";
+  A.ins a (RX (L, 3, 0, 0, 0x100));
+  A.ins a (RX (ST_, 2, 0, 3, 0));
+  A.label a "mix";
+  A.ins a (SRL (2, 1));
+  A.la a 9 7;
+  A.ar a 2 9;
+  A.br a 14
+
 (** Retargetability (Section 2.2 / Appendix E): the same machinery runs
     an S/390 binary; reports ILP with and without the Chapter 6 guarded
     inlining of its register-indirect branches. *)
 let s390_retarget () =
   let module A = S390.Asm in
-  let build a =
-    A.org a 0x100;
-    A.word a Ppc.Mem.mmio_halt;
-    A.org a 0x800;
-    A.label a "main";
-    A.set_base a "base";
-    A.la a 10 0x200;
-    A.ins a (SLL (10, 4));
-    (* seed 128 bytes *)
-    A.la a 5 128;
-    A.la a 7 0;
-    A.label a "seed";
-    A.lr a 8 7;
-    A.ins a (SLL (8, 3));
-    A.ins a (RX (STC, 8, 7, 10, 0));
-    A.la a 9 1;
-    A.ar a 7 9;
-    A.bct a 5 "seed";
-    (* 200 outer iterations: copy, scan, checksum *)
-    A.la a 11 200;
-    A.la a 2 0;
-    A.label a "outer";
-    A.ins a (MVC (11, 256, 10, 0, 10));
-    A.la a 5 32;
-    A.la a 7 0;
-    A.label a "sum";
-    A.ins a (RX (IC, 8, 7, 10, 0));
-    A.ar a 2 8;
-    A.la a 9 1;
-    A.ar a 7 9;
-    A.bct a 5 "sum";
-    A.bal a 14 "mix";
-    A.bct a 11 "outer";
-    A.ins a (RX (L, 3, 0, 0, 0x100));
-    A.ins a (RX (ST_, 2, 0, 3, 0));
-    A.label a "mix";
-    A.ins a (SRL (2, 1));
-    A.la a 9 7;
-    A.ar a 2 9;
-    A.br a 14
-  in
   let measure params =
     let mem = Ppc.Mem.create 0x40000 in
     let a = A.create () in
-    build a;
+    s390_program a;
     let labels = A.assemble a mem in
     let st0 = Ppc.Machine.create () in
     st0.pc <- A.resolve labels "main";
@@ -455,7 +459,7 @@ let s390_retarget () =
     let rcode = S390.Interp.run it ~fuel:2_000_000 in
     let mem2 = Ppc.Mem.create 0x40000 in
     let a2 = A.create () in
-    build a2;
+    s390_program a2;
     let labels2 = A.assemble a2 mem2 in
     let vmm = Vmm.Monitor.create ~params ~frontend:S390.Frontend.s390 mem2 in
     let dcode =

@@ -131,25 +131,130 @@ let has_entry t addr =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
+(* Decoded instructions                                                *)
+
+(* Temporary ids are below [max_tmp] (the crackers use 0..9).  Scratch
+   slots index TmpG k at k and TmpC k at [max_tmp + k]. *)
+let max_tmp = 16
+
+(* What the scheduler needs of one primitive, derived once from its
+   {!Crack.shape}: the resources it reads, its slot class, and its
+   destination classified as architected resource, temporary or none. *)
+type info = {
+  srcs : int array;   (* architected resources read, CA/SO/slow included *)
+  tsrcs : int array;  (* temporaries read, as scratch slots *)
+  load : bool;
+  store : bool;
+  serial : bool;
+  w_ca : bool;
+  dst_g : Crack.operand option;
+  dst_c : Crack.crf_operand option;
+  res_g : int;        (* architected gpr-space destination, or -1 *)
+  res_c : int;        (* architected CR-field destination, or -1 *)
+  tmp_g : int;        (* TmpG destination slot, or -1 *)
+  tmp_c : int;        (* TmpC destination slot, or -1 *)
+}
+
+(* The architected resource an operand names, or -1. *)
+let res_of_operand : Crack.operand -> int = function
+  | Gpr i -> Res.gpr i
+  | Lr -> Res.lr
+  | Ctr -> Res.ctr
+  | Zero | TmpG _ -> -1
+
+let info_of_prim prim =
+  let sh = Crack.shape prim in
+  let srcs = ref [] and tsrcs = ref [] in
+  List.iter
+    (fun (o : Crack.operand) ->
+      match o with
+      | TmpG k -> tsrcs := k :: !tsrcs
+      | Zero -> ()
+      | o -> srcs := res_of_operand o :: !srcs)
+    sh.srcs_g;
+  List.iter
+    (fun (c : Crack.crf_operand) ->
+      match c with
+      | Crf f -> srcs := Res.crf f :: !srcs
+      | TmpC k -> tsrcs := (max_tmp + k) :: !tsrcs)
+    sh.srcs_c;
+  if sh.r_ca then srcs := Res.ca :: !srcs;
+  if sh.r_so then srcs := Res.so :: !srcs;
+  if sh.serial then srcs := Res.slow :: !srcs;
+  { srcs = Array.of_list !srcs; tsrcs = Array.of_list !tsrcs;
+    load = sh.mem = `Load; store = sh.mem = `Store; serial = sh.serial;
+    w_ca = sh.w_ca; dst_g = sh.dst_g; dst_c = sh.dst_c;
+    res_g = (match sh.dst_g with Some o -> res_of_operand o | None -> -1);
+    res_c = (match sh.dst_c with Some (Crf f) -> Res.crf f | _ -> -1);
+    tmp_g = (match sh.dst_g with Some (TmpG k) -> k | _ -> -1);
+    tmp_c = (match sh.dst_c with Some (TmpC k) -> max_tmp + k | _ -> -1) }
+
+(* One base instruction, decoded, cracked and summarised the first time
+   an [entry] call schedules its address; re-scheduling it (joins, both
+   sides of a branch) reuses this. *)
+type dinsn = {
+  prims : Crack.prim array;
+  control : Crack.control;
+  infos : info array;
+  len : int;
+  reads : int;       (* bitmask of architected resources read *)
+  force : bool;      (* reads a resource it also writes: staged commits *)
+  mutable visits : int;  (* times scheduled in group [vgroup] *)
+  mutable vgroup : int;
+}
+
+let dinsn_of ((cracked : Crack.cracked), len) =
+  let prims = Array.of_list cracked.prims in
+  let infos = Array.map info_of_prim prims in
+  let bit m r = if r >= 0 then m lor (1 lsl r) else m in
+  let reads =
+    Array.fold_left (fun m i -> Array.fold_left bit m i.srcs) 0 infos
+  in
+  let writes =
+    Array.fold_left
+      (fun m i ->
+        let m = bit (bit m i.res_g) i.res_c in
+        if i.w_ca then bit m Res.ca else m)
+      0 infos
+  in
+  { prims; control = cracked.control; infos; len; reads;
+    force = reads land writes <> 0;
+    visits = 0; vgroup = -1 }
+
+type memo = Unseen | Illegal | Decoded of dinsn
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+  let equal (a : int) b = a = b
+  let hash (x : int) = (x * 0x9E3779B97F4A7C1) lsr 20
+end)
+
+(* ------------------------------------------------------------------ *)
 (* Paths                                                               *)
+
+(* A path's renaming state: five per-resource arrays.  There are no
+   per-VLIW map rows: for a read at VLIW index [v] (always at or after
+   the resource's [avail]), the location is the renamed [cur_loc] unless
+   the value's commit landed before [v] ({!loc_at}).  Forks share the
+   state copy-on-write ({!own}), so a fork costs O(VLIWs on the path)
+   and a fork whose side closes before writing never copies it. *)
+type regs = {
+  avail : int array;      (* resource -> first VLIW index where readable *)
+  commit_at : int array;  (* resource -> VLIW index of pending/last commit *)
+  defgen : int array;     (* resource -> definition counter, for
+                             value-identity stamps *)
+  consts : int array;     (* resource -> known constant value or -1, for
+                             indirect->direct branch conversion ("crucial
+                             for S/390", Chapter 2) *)
+  cur_loc : Op.loc array; (* resource -> location holding its most recent
+                             value *)
+  mutable sharers : int;  (* open paths holding this state *)
+}
 
 type path = {
   mutable vliws_on : T.t Vec.t;      (* VLIWs along this path, root..last *)
   mutable tips : T.node Vec.t;       (* this path's tip in each VLIW *)
-  mutable maps : Op.loc array Vec.t; (* per VLIW: resource -> location *)
-  avail : int array;                 (* resource -> first VLIW index where readable *)
-  commit_at : int array;             (* resource -> VLIW index of pending/last commit *)
-  defgen : int array;                (* resource -> definition counter, for
-                                        value-identity stamps *)
-  consts : int option array;         (* resource -> known constant value, for
-                                        indirect->direct branch conversion
-                                        ("crucial for S/390", Chapter 2) *)
-  cur_loc : Op.loc array;            (* resource -> location holding its most
-                                        recent value; seeds the map rows of
-                                        newly opened VLIWs (the map rows
-                                        themselves only cover VLIWs that
-                                        already existed when the rename
-                                        happened) *)
+  mutable st : regs;
   mutable continuation : int;
   mutable prob : float;
   mutable budget : int;
@@ -180,11 +285,53 @@ and fwd_info = {
 
 and fwd_off = FImm of int | FReg of int * int  (* resource, defgen stamp *)
 
+(* Scratch shared by every group of one [entry] call, sized by the work
+   done (never by the page size: a tier-2 unit is all of memory). *)
+type scratch = {
+  decoded : memo Itbl.t;     (* base address -> decoded instruction *)
+  tloc : int array;          (* temporaries of the current instruction: *)
+  tav : int array;           (*   location, first VLIW index readable, *)
+  tgen : int array;          (*   and the [gen] that set them *)
+  tconst : int array;        (* known constant of a TmpG, or -1 ... *)
+  tcgen : int array;         (*   valid when set under the current [gen] *)
+  mutable gen : int;         (* bumped per scheduled instruction *)
+  mutable group : int;       (* bumped per group, stamps [visits] *)
+  mutable suffix : int array;  (* slot search: pool masks, suffix-ANDed *)
+  paths : path Vec.t;        (* open paths of the group, most probable last *)
+  spare : regs Vec.t;        (* states no open path holds, for reuse *)
+}
+
+let new_scratch () =
+  { decoded = Itbl.create 64; tloc = Array.make (2 * max_tmp) 0;
+    tav = Array.make (2 * max_tmp) 0; tgen = Array.make (2 * max_tmp) (-1);
+    tconst = Array.make max_tmp (-1); tcgen = Array.make max_tmp (-1);
+    gen = 0; group = 0; suffix = Array.make 64 0; paths = Vec.create ();
+    spare = Vec.create () }
+
+let tmp_mem s k = s.tgen.(k) = s.gen
+
+let tmp_check s k = if not (tmp_mem s k) then raise Not_found
+
+let tmp_av s k = tmp_check s k; s.tav.(k)
+
+let tmp_loc s k = tmp_check s k; s.tloc.(k)
+
+let tmp_set s k loc av =
+  s.tloc.(k) <- loc;
+  s.tav.(k) <- av;
+  s.tgen.(k) <- s.gen
+
+let tconst s k = if s.tcgen.(k) = s.gen then s.tconst.(k) else -1
+
+let set_tconst s k c =
+  s.tconst.(k) <- c;
+  s.tcgen.(k) <- s.gen
+
 type group = {
   tr : t;
   page : xpage;
-  mutable paths : path list;              (* sorted by decreasing prob *)
-  visits : (int, int) Hashtbl.t;          (* base addr -> times scheduled *)
+  s : scratch;
+  load_spec : bool;                       (* loads may move above stores *)
   mutable seq : int;                      (* program-order numbering *)
   mutable pending : int list;             (* page offsets needing entries *)
   first_vliw : int;                       (* id of first VLIW of this group *)
@@ -194,11 +341,17 @@ type group = {
          worklist see stale state and must not plant guards *)
 }
 
-let identity_map () = Array.init Res.count Res.identity_loc
-
 let last_index p = Vec.length p.vliws_on - 1
 let last_vliw p = Vec.last p.vliws_on
 let cur_tip p = Vec.last p.tips
+
+(* Where resource [r]'s value is read in VLIW [v].  Every write of [r]
+   moves [avail] to at least the VLIW after the write and sets
+   [commit_at] to the commit's index (or max_int while staged), so
+   readers at [v >= avail] see the renamed register up to the commit and
+   the architected register after it. *)
+let loc_at p v r =
+  if p.st.commit_at.(r) < v then Res.identity_loc r else p.st.cur_loc.(r)
 
 let new_vliw g precise =
   let id = Vec.length g.page.vliws in
@@ -220,27 +373,21 @@ let open_vliw g p =
   v.free_gprs <- v.free_gprs land lnot p.live_tg;
   v.free_crs <- v.free_crs land lnot p.live_tc;
   Vec.push p.vliws_on v;
-  Vec.push p.tips v.root;
-  let row =
-    if l = 0 then identity_map ()
-    else
-      Array.init Res.count (fun r ->
-          if p.commit_at.(r) < l && Res.renameable r then Res.identity_loc r
-          else p.cur_loc.(r))
-  in
-  Vec.push p.maps row
+  Vec.push p.tips v.root
 
 let ensure_last g p v =
   while last_index p < v do
     open_vliw g p
   done
 
+let initial_regs () =
+  { avail = Array.make Res.count 0; commit_at = Array.make Res.count (-1);
+    defgen = Array.make Res.count 0; consts = Array.make Res.count (-1);
+    cur_loc = Array.init Res.count Res.identity_loc; sharers = 1 }
+
 let init_path g addr window =
   let p =
-    { vliws_on = Vec.create (); tips = Vec.create (); maps = Vec.create ();
-      avail = Array.make Res.count 0; commit_at = Array.make Res.count (-1);
-      defgen = Array.make Res.count 0; consts = Array.make Res.count None;
-      cur_loc = Array.init Res.count Res.identity_loc;
+    { vliws_on = Vec.create (); tips = Vec.create (); st = initial_regs ();
       continuation = addr; prob = 1.0;
       budget = window; floor = 0; last_store = -1; fwd = None; live_tg = 0;
       live_tc = 0; force_rename = false; staged = []; closed = false }
@@ -249,55 +396,68 @@ let init_path g addr window =
   p
 
 let clone p =
-  { vliws_on = Vec.copy p.vliws_on; tips = Vec.copy p.tips;
-    maps = Vec.map_copy Array.copy p.maps; avail = Array.copy p.avail;
-    commit_at = Array.copy p.commit_at; defgen = Array.copy p.defgen;
-    consts = Array.copy p.consts; cur_loc = Array.copy p.cur_loc;
-    continuation = p.continuation;
-    prob = p.prob; budget = p.budget; floor = p.floor;
-    last_store = p.last_store; fwd = p.fwd; live_tg = p.live_tg;
-    live_tc = p.live_tc; force_rename = p.force_rename; staged = p.staged;
-    closed = p.closed }
+  p.st.sharers <- p.st.sharers + 1;
+  { p with vliws_on = Vec.copy p.vliws_on; tips = Vec.copy p.tips }
+
+(* [p]'s state, copied first if another open path still shares it.
+   Copies reuse the states of closed paths. *)
+let own g p =
+  let st = p.st in
+  if st.sharers = 1 then st
+  else begin
+    st.sharers <- st.sharers - 1;
+    let st' =
+      if Vec.length g.s.spare > 0 then Vec.pop g.s.spare else initial_regs ()
+    in
+    let blit a a' = Array.blit a 0 a' 0 Res.count in
+    blit st.avail st'.avail;
+    blit st.commit_at st'.commit_at;
+    blit st.defgen st'.defgen;
+    blit st.consts st'.consts;
+    blit st.cur_loc st'.cur_loc;
+    st'.sharers <- 1;
+    p.st <- st';
+    st'
+  end
+
+(* A new definition of resource [r], readable from VLIW [avail] on,
+   held in [loc] until its commit at VLIW [commit]. *)
+let define g p r ~avail ~commit ~loc =
+  let st = own g p in
+  st.avail.(r) <- avail;
+  st.commit_at.(r) <- commit;
+  st.defgen.(r) <- st.defgen.(r) + 1;
+  st.cur_loc.(r) <- loc
+
+let set_commit g p r c = (own g p).commit_at.(r) <- c
 
 (* ------------------------------------------------------------------ *)
 (* Operand resolution                                                  *)
 
-type temps = (int, Op.loc * int) Hashtbl.t  (* temp id -> (loc, avail) *)
-
-let res_of_operand : Crack.operand -> int option = function
-  | Gpr i -> Some (Res.gpr i)
-  | Lr -> Some Res.lr
-  | Ctr -> Some Res.ctr
-  | Zero | TmpG _ -> None
-
-let operand_avail p (tg : temps) = function
-  | Crack.Zero -> 0
-  | TmpG k -> snd (Hashtbl.find tg k)
-  | o -> p.avail.(Option.get (res_of_operand o))
-
-let operand_loc p (tg : temps) v = function
+(* Where an operand is read in VLIW [v]. *)
+let gloc g p v = function
   | Crack.Zero -> Op.zero
-  | TmpG k -> fst (Hashtbl.find tg k)
-  | o -> (Vec.get p.maps v).(Option.get (res_of_operand o))
+  | TmpG k -> tmp_loc g.s k
+  | o -> loc_at p v (res_of_operand o)
 
-let crf_res = function Crack.Crf f -> Some (Res.crf f) | TmpC _ -> None
+let crf_avail g p = function
+  | Crack.Crf f -> p.st.avail.(Res.crf f)
+  | TmpC k -> tmp_av g.s (max_tmp + k)
 
-let crf_avail p (tc : temps) = function
-  | Crack.Crf f -> p.avail.(Res.crf f)
-  | TmpC k -> snd (Hashtbl.find tc k)
+let cloc g p v = function
+  | Crack.Crf f -> loc_at p v (Res.crf f)
+  | TmpC k -> tmp_loc g.s (max_tmp + k)
 
-let crf_loc p (tc : temps) v = function
-  | Crack.Crf f -> (Vec.get p.maps v).(Res.crf f)
-  | TmpC k -> fst (Hashtbl.find tc k)
-
-(* Earliest VLIW index where all of [prim]'s inputs are readable. *)
-let sources_avail p tg tc (sh : Crack.shape) =
-  let a = List.fold_left (fun acc o -> max acc (operand_avail p tg o)) 0 sh.srcs_g in
-  let a = List.fold_left (fun acc c -> max acc (crf_avail p tc c)) a sh.srcs_c in
-  let a = if sh.r_ca then max a p.avail.(Res.ca) else a in
-  let a = if sh.r_so then max a p.avail.(Res.so) else a in
-  let a = if sh.serial then max a p.avail.(Res.slow) else a in
-  a
+(* Earliest VLIW index where all of a primitive's inputs are readable. *)
+let sources_avail g p (i : info) =
+  let a = ref 0 in
+  for k = 0 to Array.length i.srcs - 1 do
+    a := Int.max !a p.st.avail.(i.srcs.(k))
+  done;
+  for k = 0 to Array.length i.tsrcs - 1 do
+    a := Int.max !a (tmp_av g.s i.tsrcs.(k))
+  done;
+  !a
 
 (* ------------------------------------------------------------------ *)
 (* Register pools                                                      *)
@@ -306,75 +466,98 @@ let sources_avail p tg tc (sh : Crack.shape) =
    8+k.  A register picked at VLIW [v] must be free from [v] to the end
    of the path. *)
 
-let free_gprs_until_end p v =
-  let m = ref 0xFFFF_FFFF in
+let free_until_end p v ~cr =
+  let m = ref (if cr then 0xFF else 0xFFFF_FFFF) in
   for i = v to last_index p do
-    m := !m land (Vec.get p.vliws_on i).free_gprs
-  done;
-  !m
-
-let free_crs_until_end p v =
-  let m = ref 0xFF in
-  for i = v to last_index p do
-    m := !m land (Vec.get p.vliws_on i).free_crs
+    let w = Vec.get p.vliws_on i in
+    m := !m land if cr then w.T.free_crs else w.T.free_gprs
   done;
   !m
 
 let lowest_bit m =
-  let rec go k = if m land (1 lsl k) <> 0 then k else go (k + 1) in
-  go 0
+  let k = ref 0 in
+  while m land (1 lsl !k) = 0 do
+    incr k
+  done;
+  !k
 
-let claim_gpr p v bit =
+exception No_pool  (* no free non-architected register anywhere *)
+
+(* The VLIW a pool register is allocated in: [v] if the pool has a
+   register free from [v] to the end of the path, else a fresh VLIW. *)
+let pool_index g p v ~cr =
+  if free_until_end p v ~cr <> 0 then v
+  else (
+    open_vliw g p;
+    last_index p)
+
+(* Claim a non-architected GPR (or CR field) free from [v] (a
+   {!pool_index}) to the end of the path.  Temporaries stay claimed in
+   VLIWs opened until the end of the current instruction. *)
+let alloc p v ~cr ~temp =
+  let m = free_until_end p v ~cr in
+  if m = 0 then raise No_pool;
+  let bit = lowest_bit m in
   for i = v to last_index p do
     let w = Vec.get p.vliws_on i in
-    w.free_gprs <- w.free_gprs land lnot (1 lsl bit)
-  done
-
-let claim_cr p v bit =
-  for i = v to last_index p do
-    let w = Vec.get p.vliws_on i in
-    w.free_crs <- w.free_crs land lnot (1 lsl bit)
-  done
+    if cr then w.free_crs <- w.free_crs land lnot (1 lsl bit)
+    else w.free_gprs <- w.free_gprs land lnot (1 lsl bit)
+  done;
+  if cr then (
+    if temp then p.live_tc <- p.live_tc lor (1 lsl bit);
+    8 + bit)
+  else (
+    if temp then p.live_tg <- p.live_tg lor (1 lsl bit);
+    32 + bit)
 
 (* ------------------------------------------------------------------ *)
 (* Building concrete ops from primitives                               *)
 
-let build_op p tg tc v ~spec ~passed ~dst_g ~dst_c (prim : Crack.prim) : Op.t =
-  let lg o = operand_loc p tg v o in
-  let lc c = crf_loc p tc v c in
-  let off = function Crack.OffImm i -> Op.OImm i | OffReg r -> Op.OReg (lg r) in
+let off_loc g p v = function
+  | Crack.OffImm i -> Op.OImm i
+  | OffReg r -> Op.OReg (gloc g p v r)
+
+let build_op g p v ~spec ~passed ~dst_g ~dst_c (prim : Crack.prim) : Op.t =
   match prim with
   | PBin { op; a; b; _ } ->
-    let ca = if op = Insn.Adde then (Vec.get p.maps v).(Res.ca) else Op.ca_loc in
-    Op.Bin { op; rt = dst_g; ra = lg a; rb = lg b; ca; spec }
-  | PBinI { op; a; imm; _ } -> Op.BinI { op; rt = dst_g; ra = lg a; imm; spec }
-  | PLogic { op; a; b; _ } -> Op.Logic { op; rt = dst_g; ra = lg a; rb = lg b; spec }
-  | PUn { op; a; _ } -> Op.Un { op; rt = dst_g; ra = lg a; spec }
-  | PSrawi { a; sh; _ } -> Op.SrawiOp { rt = dst_g; ra = lg a; sh; spec }
+    let ca = match op with Insn.Adde -> loc_at p v Res.ca | _ -> Op.ca_loc in
+    Op.Bin { op; rt = dst_g; ra = gloc g p v a; rb = gloc g p v b; ca; spec }
+  | PBinI { op; a; imm; _ } ->
+    Op.BinI { op; rt = dst_g; ra = gloc g p v a; imm; spec }
+  | PLogic { op; a; b; _ } ->
+    Op.Logic { op; rt = dst_g; ra = gloc g p v a; rb = gloc g p v b; spec }
+  | PUn { op; a; _ } -> Op.Un { op; rt = dst_g; ra = gloc g p v a; spec }
+  | PSrawi { a; sh; _ } ->
+    Op.SrawiOp { rt = dst_g; ra = gloc g p v a; sh; spec }
   | PRlwinm { a; sh; mb; me; _ } ->
-    Op.RlwinmOp { rt = dst_g; ra = lg a; sh; mb; me; spec }
+    Op.RlwinmOp { rt = dst_g; ra = gloc g p v a; sh; mb; me; spec }
   | PCmp { signed; a; b; _ } ->
-    Op.CmpOp { signed; crt = dst_c; ra = lg a; rb = lg b; spec }
+    Op.CmpOp { signed; crt = dst_c; ra = gloc g p v a; rb = gloc g p v b; spec }
   | PCmpI { signed; a; imm; _ } ->
-    Op.CmpIOp { signed; crt = dst_c; ra = lg a; imm; spec }
-  | PLoad { w; alg; base; off = o; _ } ->
-    Op.LoadOp { w; alg; rt = dst_g; base = lg base; off = off o; spec; passed }
-  | PStore { w; src; base; off = o } ->
-    Op.StoreOp { w; rs = lg src; base = lg base; off = off o }
+    Op.CmpIOp { signed; crt = dst_c; ra = gloc g p v a; imm; spec }
+  | PLoad { w; alg; base; off; _ } ->
+    Op.LoadOp
+      { w; alg; rt = dst_g; base = gloc g p v base; off = off_loc g p v off;
+        spec; passed }
+  | PStore { w; src; base; off } ->
+    Op.StoreOp
+      { w; rs = gloc g p v src; base = gloc g p v base;
+        off = off_loc g p v off }
   | PCrop { op; t = tf, tb; a = af, ab; b = bf, bb } ->
-    let old = match tf with Crack.Crf _ -> lc tf | TmpC _ -> Op.zero in
-    Op.CropOp { op; bt = (dst_c * 4) + tb; ba = (lc af * 4) + ab;
-                bb = (lc bf * 4) + bb; old; spec }
-  | PMcrf { src; _ } -> Op.McrfOp { dst = dst_c; src = lc src; spec }
+    let old = match tf with Crack.Crf _ -> cloc g p v tf | TmpC _ -> Op.zero in
+    Op.CropOp { op; bt = (dst_c * 4) + tb; ba = (cloc g p v af * 4) + ab;
+                bb = (cloc g p v bf * 4) + bb; old; spec }
+  | PMcrf { src; _ } -> Op.McrfOp { dst = dst_c; src = cloc g p v src; spec }
   | PMfcr _ ->
-    Op.MfcrOp { rt = dst_g; srcs = Array.init 8 (fun f -> lc (Crf f)) }
-  | PCrSet { field; src } -> Op.CrSetOp { crt = dst_c; rs = lg src; pos = field }
+    Op.MfcrOp { rt = dst_g; srcs = Array.init 8 (fun f -> cloc g p v (Crf f)) }
+  | PCrSet { field; src } ->
+    Op.CrSetOp { crt = dst_c; rs = gloc g p v src; pos = field }
   | PGetXer _ -> Op.GetXer { rt = dst_g }
-  | PSetXer { src } -> Op.SetXer { rs = lg src }
+  | PSetXer { src } -> Op.SetXer { rs = gloc g p v src }
   | PGetSpr { spr; _ } -> Op.GetSpr { rt = dst_g; spr }
-  | PSetSpr { spr; src } -> Op.SetSpr { spr; rs = lg src }
+  | PSetSpr { spr; src } -> Op.SetSpr { spr; rs = gloc g p v src }
   | PGetMsr _ -> Op.GetMsr { rt = dst_g }
-  | PSetMsr { src } -> Op.SetMsr { rs = lg src }
+  | PSetMsr { src } -> Op.SetMsr { rs = gloc g p v src }
 
 (* The location an architected gpr-space destination writes when placed
    in order. *)
@@ -393,11 +576,11 @@ let inorder_dst_loc = function
 (* Make sure the last VLIW can accept the op (ALU or memory slot). *)
 let ensure_room g p ~mem_slot =
   let cfg = g.tr.params.config in
-  let ok () =
-    let v = last_vliw p in
-    if mem_slot then Cfg.mem_ok cfg v else Cfg.alu_ok cfg v
-  in
-  while not (ok ()) do
+  while
+    not
+      (let v = last_vliw p in
+       if mem_slot then Cfg.mem_ok cfg v else Cfg.alu_ok cfg v)
+  do
     open_vliw g p
   done
 
@@ -418,229 +601,151 @@ let commit_op r src : Op.t =
 let place_commit g p r src =
   ensure_room g p ~mem_slot:false;
   let l = last_index p in
-  let commit = commit_op r src in
-  T.add_op (cur_tip p) g.seq commit;
+  T.add_op (cur_tip p) g.seq (commit_op r src);
   bump (last_vliw p) ~mem_slot:false;
   l
 
-(* After a rename of resource [r] into [dst] placed at index [v]:
-   update maps (v+1 .. last), availability, and append the commit — or,
-   when the current instruction's commits are staged (it reads a
-   register it also writes), defer the commit to the end-of-instruction
-   flush so a rollback can never observe it half-committed. *)
+(* After a rename of resource [r] into [dst] placed at index [v]: update
+   availability and append the commit — or, when the current
+   instruction's commits are staged (it reads a register it also
+   writes), defer the commit to the end-of-instruction flush so a
+   rollback can never observe it half-committed. *)
 let finish_rename g p r dst v =
-  for i = v + 1 to last_index p do
-    (Vec.get p.maps i).(r) <- dst
-  done;
-  p.avail.(r) <- v + 1;
-  p.commit_at.(r) <- max_int;
-  p.defgen.(r) <- p.defgen.(r) + 1;
-  p.cur_loc.(r) <- dst;
+  define g p r ~avail:(v + 1) ~commit:max_int ~loc:dst;
   if p.force_rename then begin
     (* keep the staged source claimed in VLIWs opened before the flush *)
     if Op.is_nonarch_gpr dst then p.live_tg <- p.live_tg lor (1 lsl (dst - 32))
     else if Op.is_nonarch_cr dst then p.live_tc <- p.live_tc lor (1 lsl (dst - 8));
     p.staged <- (r, dst) :: p.staged
   end
-  else (
-    let c = place_commit g p r dst in
-    p.commit_at.(r) <- c)
+  else set_commit g p r (place_commit g p r dst)
 
 (* In-order bookkeeping for resource [r] written at index [l]. *)
-let finish_inorder p r l =
-  p.avail.(r) <- l + 1;
-  p.commit_at.(r) <- l;
-  p.defgen.(r) <- p.defgen.(r) + 1;
-  p.cur_loc.(r) <- Res.identity_loc r
+let finish_inorder g p r l =
+  define g p r ~avail:(l + 1) ~commit:l ~loc:(Res.identity_loc r)
 
-exception No_pool  (* no free non-architected register anywhere *)
+(* An out-of-order slot strictly before the last VLIW (or at it, when
+   [last_ok]), from [v0] on, with a free unit and — when [pool] — a pool
+   register free to the end of the path; -1 if none.  Pool availability
+   uses suffix-AND masks computed once (the naive free-until-end
+   recomputation per candidate is quadratic in the window, which the
+   traditional-compiler configuration exposes). *)
+let find_slot g p v0 ~mem_slot ~pool ~cr ~last_ok =
+  let cfg = g.tr.params.config in
+  let l = last_index p in
+  if v0 > l then -1
+  else begin
+    let n = l - v0 + 1 in
+    if Array.length g.s.suffix <= n then
+      g.s.suffix <- Array.make (2 * (n + 1)) 0;
+    let suffix = g.s.suffix in
+    suffix.(n) <- 0xFFFF_FFFF;
+    if pool then
+      for v = l downto v0 do
+        let w = Vec.get p.vliws_on v in
+        let m = if cr then w.T.free_crs else w.T.free_gprs in
+        suffix.(v - v0) <- suffix.(v - v0 + 1) land m
+      done;
+    let v = ref v0 and found = ref (-1) in
+    while !found < 0 && (!v < l || (!v = l && last_ok)) do
+      let w = Vec.get p.vliws_on !v in
+      let res_ok = if mem_slot then Cfg.mem_ok cfg w else Cfg.alu_ok cfg w in
+      if res_ok && ((not pool) || suffix.(!v - v0) <> 0) then found := !v
+      else incr v
+    done;
+    !found
+  end
 
-(* Allocate a non-architected GPR free from [v] to the end of the path,
-   opening a fresh VLIW if the pool is exhausted.  Temporaries stay
-   claimed in VLIWs opened until the end of the current instruction. *)
-let alloc_gpr g p v ~temp =
-  let pick v =
-    let m = free_gprs_until_end p v in
-    if m = 0 then None
-    else (
-      let bit = lowest_bit m in
-      claim_gpr p v bit;
-      if temp then p.live_tg <- p.live_tg lor (1 lsl bit);
-      Some (32 + bit, v))
+(* Place [prim] out of order at VLIW [v] (or a fresh VLIW, when the
+   register pool is exhausted from [v] on), into a renamed register or
+   temporary. *)
+let place_out g p (i : info) prim v ~mem_slot ~wants_cr ~wants_pool =
+  let v = if wants_pool then pool_index g p v ~cr:wants_cr else v in
+  let dst_g_loc =
+    if wants_pool && not wants_cr then alloc p v ~cr:false ~temp:(i.tmp_g >= 0)
+    else Op.zero
   in
-  match pick v with
-  | Some r -> r
-  | None -> (
-    open_vliw g p;
-    match pick (last_index p) with Some r -> r | None -> raise No_pool)
-
-let alloc_cr g p v ~temp =
-  let pick v =
-    let m = free_crs_until_end p v in
-    if m = 0 then None
-    else (
-      let bit = lowest_bit m in
-      claim_cr p v bit;
-      if temp then p.live_tc <- p.live_tc lor (1 lsl bit);
-      Some (8 + bit, v))
+  let dst_c_loc =
+    if wants_cr then alloc p v ~cr:true ~temp:(i.tmp_c >= 0) else 0
   in
-  match pick v with
-  | Some r -> r
-  | None -> (
-    open_vliw g p;
-    match pick (last_index p) with Some r -> r | None -> raise No_pool)
+  let passed = i.load && p.last_store >= v in
+  let op =
+    build_op g p v ~spec:true ~passed ~dst_g:dst_g_loc ~dst_c:dst_c_loc prim
+  in
+  T.add_op (Vec.get p.tips v) g.seq op;
+  bump (Vec.get p.vliws_on v) ~mem_slot;
+  if i.tmp_g >= 0 then tmp_set g.s i.tmp_g dst_g_loc (v + 1)
+  else if i.tmp_c >= 0 then tmp_set g.s i.tmp_c dst_c_loc (v + 1)
+  else begin
+    if i.res_g >= 0 then finish_rename g p i.res_g dst_g_loc v;
+    if i.res_c >= 0 then finish_rename g p i.res_c dst_c_loc v;
+    (* the carry travels in the extender bit of the renamed gpr *)
+    if i.w_ca then finish_rename g p Res.ca dst_g_loc v
+  end
 
 (* Place one primitive on path [p] (the heart of ScheduleThreeRegOp
    and friends). *)
-let place_prim_raw g p (tg : temps) (tc : temps) (prim : Crack.prim) =
+let place_prim_raw g p (i : info) (prim : Crack.prim) =
   let params = g.tr.params in
-  let cfg = params.config in
-  let sh = Crack.shape prim in
-  let mem_slot = sh.mem <> `No in
-  let is_load = sh.mem = `Load in
-  let is_store = sh.mem = `Store in
-  let v0 = max (sources_avail p tg tc sh) p.floor in
-  let load_spec =
-    params.load_spec && not (Hashtbl.mem g.tr.load_spec_off g.page.base)
+  let mem_slot = i.load || i.store in
+  let v0 = Int.max (sources_avail g p i) p.floor in
+  let v0 =
+    if i.load && not g.load_spec then Int.max v0 (p.last_store + 1) else v0
   in
-  let v0 = if is_load && not load_spec then max v0 (p.last_store + 1) else v0 in
-  if sh.serial then begin
+  if i.serial then begin
     (* Serialized system state: always alone at the start of a fresh
        VLIW, reading and writing machine state directly. *)
     open_vliw g p;
     ensure_last g p v0;
     let l = last_index p in
-    let dst_g = inorder_dst_loc sh.dst_g in
-    let op = build_op p tg tc l ~spec:false ~passed:false ~dst_g ~dst_c:0 prim in
+    let dst_g = inorder_dst_loc i.dst_g in
+    let op = build_op g p l ~spec:false ~passed:false ~dst_g ~dst_c:0 prim in
     T.add_op (cur_tip p) g.seq op;
     bump (last_vliw p) ~mem_slot:false;
     p.floor <- l + 1;
-    (match sh.dst_g with
-    | Some o -> finish_inorder p (Option.get (res_of_operand o)) l
-    | None -> ());
-    if sh.w_ca then (
-      finish_inorder p Res.ca l;
-      finish_inorder p Res.ov l;
-      finish_inorder p Res.so l);
-    finish_inorder p Res.slow l
+    if i.res_g >= 0 then finish_inorder g p i.res_g l;
+    if i.w_ca then (
+      finish_inorder g p Res.ca l;
+      finish_inorder g p Res.ov l;
+      finish_inorder g p Res.so l);
+    finish_inorder g p Res.slow l
   end
   else begin
     ensure_last g p v0;
-    (* destination classification *)
-    let dst_res_g = Option.bind sh.dst_g res_of_operand in
-    let dst_res_c = Option.bind sh.dst_c crf_res in
-    let dst_tmp_g =
-      match sh.dst_g with Some (TmpG k) -> Some k | _ -> None
-    in
-    let dst_tmp_c =
-      match sh.dst_c with Some (TmpC k) -> Some k | _ -> None
-    in
-    let is_temp = dst_tmp_g <> None || dst_tmp_c <> None in
-    let wants_cr = sh.dst_c <> None in
+    let is_temp = i.tmp_g >= 0 || i.tmp_c >= 0 in
+    let wants_cr = Option.is_some i.dst_c in
+    let wants_pool = wants_cr || Option.is_some i.dst_g in
     (* a self-updating instruction must not write architected registers
        in place: force its register effects through the rename+staged
        commit path (memory and serial effects stay in order; their
        re-execution from the instruction start is idempotent) *)
     let forced =
-      p.force_rename && (not is_store) && not sh.serial
-      && (dst_res_g <> None || dst_res_c <> None || sh.w_ca)
+      p.force_rename && (not i.store)
+      && (i.res_g >= 0 || i.res_c >= 0 || i.w_ca)
     in
-    (* find an out-of-order slot strictly before the last VLIW; pool
-       availability uses suffix-AND masks computed once (the naive
-       free-until-end recomputation per candidate is quadratic in the
-       window, which the traditional-compiler configuration exposes) *)
     let slot =
-      if is_store || ((not params.rename) && not forced) then None
-      else (
-        let l = last_index p in
-        if v0 > l then None
-        else (
-          let n = l - v0 + 1 in
-          let suffix = Array.make (n + 1) 0xFFFF_FFFF in
-          let want_pool = wants_cr || sh.dst_g <> None in
-          if want_pool then
-            for v = l downto v0 do
-              let w = Vec.get p.vliws_on v in
-              let m = if wants_cr then w.T.free_crs else w.T.free_gprs in
-              suffix.(v - v0) <- suffix.(v - v0 + 1) land m
-            done;
-          let last_ok = is_temp || forced in
-          let rec search v =
-            if v >= l && not last_ok then None
-            else if v > l then None
-            else (
-              let w = Vec.get p.vliws_on v in
-              let res_ok =
-                if mem_slot then Cfg.mem_ok cfg w else Cfg.alu_ok cfg w
-              in
-              let pool_ok = (not want_pool) || suffix.(v - v0) <> 0 in
-              if res_ok && pool_ok then Some v else search (v + 1))
-          in
-          search v0))
+      if i.store || ((not params.rename) && not forced) then -1
+      else
+        find_slot g p v0 ~mem_slot ~pool:wants_pool ~cr:wants_cr
+          ~last_ok:(is_temp || forced)
     in
-    let place_out v =
-      let dst_g_loc, dst_c_loc, v =
-        if wants_cr then (
-          let loc, v = alloc_cr g p v ~temp:(dst_tmp_c <> None) in
-          (Op.zero, loc, v))
-        else if sh.dst_g <> None then (
-          let loc, v = alloc_gpr g p v ~temp:(dst_tmp_g <> None) in
-          (loc, 0, v))
-        else (Op.zero, 0, v)
-      in
-      let passed = is_load && p.last_store >= v in
-      let op =
-        build_op p tg tc v ~spec:true ~passed ~dst_g:dst_g_loc ~dst_c:dst_c_loc
-          prim
-      in
-      T.add_op (Vec.get p.tips v) g.seq op;
-      bump (Vec.get p.vliws_on v) ~mem_slot;
-      (match (dst_tmp_g, dst_tmp_c) with
-      | Some k, _ -> Hashtbl.replace tg k (dst_g_loc, v + 1)
-      | _, Some k -> Hashtbl.replace tc k (dst_c_loc, v + 1)
-      | None, None -> (
-        (match dst_res_g with
-        | Some r -> finish_rename g p r dst_g_loc v
-        | None -> ());
-        (match dst_res_c with
-        | Some r -> finish_rename g p r dst_c_loc v
-        | None -> ());
-        if sh.w_ca then (
-          (* the carry travels in the extender bit of the renamed gpr *)
-          for i = v + 1 to last_index p do
-            (Vec.get p.maps i).(Res.ca) <- dst_g_loc
-          done;
-          p.avail.(Res.ca) <- v + 1;
-          p.commit_at.(Res.ca) <- max_int;
-          p.defgen.(Res.ca) <- p.defgen.(Res.ca) + 1;
-          p.cur_loc.(Res.ca) <- dst_g_loc;
-          if p.force_rename then begin
-            if Op.is_nonarch_gpr dst_g_loc then
-              p.live_tg <- p.live_tg lor (1 lsl (dst_g_loc - 32));
-            p.staged <- (Res.ca, dst_g_loc) :: p.staged
-          end
-          else (
-            let c = place_commit g p Res.ca dst_g_loc in
-            p.commit_at.(Res.ca) <- c))))
-    in
-    match slot with
-    | Some v -> place_out v
-    | None when is_temp || forced ->
+    if slot >= 0 then place_out g p i prim slot ~mem_slot ~wants_cr ~wants_pool
+    else if is_temp || forced then (
       (* a pool register is required; a fresh VLIW always has both a
          slot and a free register *)
       open_vliw g p;
-      place_out (last_index p)
-    | None ->
+      place_out g p i prim (last_index p) ~mem_slot ~wants_cr ~wants_pool)
+    else begin
       (* in-order placement in the last VLIW *)
       ensure_room g p ~mem_slot;
       let l = last_index p in
-      let dst_g = inorder_dst_loc sh.dst_g in
-      let dst_c = match sh.dst_c with Some (Crf f) -> f | _ -> 0 in
-      let passed = is_load && p.last_store >= l in
-      let op = build_op p tg tc l ~spec:false ~passed ~dst_g ~dst_c prim in
+      let dst_g = inorder_dst_loc i.dst_g in
+      let dst_c = match i.dst_c with Some (Crf f) -> f | _ -> 0 in
+      let passed = i.load && p.last_store >= l in
+      let op = build_op g p l ~spec:false ~passed ~dst_g ~dst_c prim in
       T.add_op (cur_tip p) g.seq op;
       bump (last_vliw p) ~mem_slot;
-      if is_store then begin
+      if i.store then begin
         p.last_store <- l;
         p.fwd <-
           (match prim with
@@ -649,175 +754,164 @@ let place_prim_raw g p (tg : temps) (tc : temps) (prim : Crack.prim) =
               match off with
               | Crack.OffImm i -> Some (FImm i)
               | Crack.OffReg (Gpr i) ->
-                Some (FReg (Res.gpr i, p.defgen.(Res.gpr i)))
+                Some (FReg (Res.gpr i, p.st.defgen.(Res.gpr i)))
               | Crack.OffReg _ -> None
             in
             match (base, off_info) with
             | Crack.Gpr i, Some f_off ->
               Some { f_width = w; f_base = Res.gpr i;
-                     f_base_avail = p.defgen.(Res.gpr i); f_off;
+                     f_base_avail = p.st.defgen.(Res.gpr i); f_off;
                      f_src = Res.gpr srcr;
-                     f_src_avail = p.defgen.(Res.gpr srcr) }
+                     f_src_avail = p.st.defgen.(Res.gpr srcr) }
             | Crack.Zero, Some f_off ->
               Some { f_width = w; f_base = -1; f_base_avail = 0; f_off;
                      f_src = Res.gpr srcr;
-                     f_src_avail = p.defgen.(Res.gpr srcr) }
+                     f_src_avail = p.st.defgen.(Res.gpr srcr) }
             | _ -> None)
           | _ -> None)
       end;
-      (match dst_res_g with Some r -> finish_inorder p r l | None -> ());
-      (match dst_res_c with Some r -> finish_inorder p r l | None -> ());
-      if sh.w_ca then finish_inorder p Res.ca l
+      if i.res_g >= 0 then finish_inorder g p i.res_g l;
+      if i.res_c >= 0 then finish_inorder g p i.res_c l;
+      if i.w_ca then finish_inorder g p Res.ca l
+    end
   end
 
 (* Constant tracking over the primitives that base-register idioms are
    made of (li/la/balr-link, address masking, shifts-as-rotates, adds of
-   constants).  Temp constants live in [tconsts] for one instruction. *)
-let const_operand p (tconsts : (int, int) Hashtbl.t) : Crack.operand -> int option
-    = function
-  | Crack.Zero -> Some 0
-  | TmpG k -> Hashtbl.find_opt tconsts k
-  | o -> (
-    match res_of_operand o with Some r -> p.consts.(r) | None -> None)
+   constants).  Constants are non-negative; -1 is unknown.  Temp
+   constants live in the scratch for one instruction. *)
+let const_operand g p : Crack.operand -> int = function
+  | Crack.Zero -> 0
+  | TmpG k -> tconst g.s k
+  | o -> p.st.consts.(res_of_operand o)
 
-let track_consts p (tconsts : (int, int) Hashtbl.t) (prim : Crack.prim) =
-  let set_dst (dst : Crack.operand) v =
-    match dst with
-    | Crack.TmpG k -> (
-      match v with
-      | Some c -> Hashtbl.replace tconsts k c
-      | None -> Hashtbl.remove tconsts k)
-    | o -> (
-      match res_of_operand o with
-      | Some r -> p.consts.(r) <- v
-      | None -> ())
-  in
+let set_const g p (dst : Crack.operand) c =
+  match dst with
+  | Crack.TmpG k -> set_tconst g.s k c
+  | o ->
+    let r = res_of_operand o in
+    if r >= 0 && p.st.consts.(r) <> c then (own g p).consts.(r) <- c
+
+let track_consts g p (i : info) (prim : Crack.prim) =
   let u32 = Ppc.Interp.u32 in
   match prim with
   | Crack.PBinI { op = IAdd; dst; a; imm } ->
-    set_dst dst
-      (Option.map (fun c -> u32 (c + imm)) (const_operand p tconsts a))
-  | PBin { op = Ppc.Insn.Add; dst; a; b } -> (
-    match (const_operand p tconsts a, const_operand p tconsts b) with
-    | Some x, Some y -> set_dst dst (Some (u32 (x + y)))
-    | _ -> set_dst dst None)
+    let c = const_operand g p a in
+    set_const g p dst (if c < 0 then -1 else u32 (c + imm))
+  | PBin { op = Ppc.Insn.Add; dst; a; b } ->
+    let x = const_operand g p a and y = const_operand g p b in
+    set_const g p dst (if x < 0 || y < 0 then -1 else u32 (x + y))
   | PRlwinm { dst; a; sh; mb; me } ->
-    set_dst dst
-      (Option.map
-         (fun c ->
-           Ppc.Interp.rotl32 c sh land Ppc.Interp.mask_mb_me mb me)
-         (const_operand p tconsts a))
-  | other -> (
+    let c = const_operand g p a in
+    set_const g p dst
+      (if c < 0 then -1
+       else Ppc.Interp.rotl32 c sh land Ppc.Interp.mask_mb_me mb me)
+  | _ -> (
     (* anything else clobbers its destination's constant *)
-    let sh = Crack.shape other in
-    match sh.dst_g with Some o -> set_dst o None | None -> ())
+    match i.dst_g with Some o -> set_const g p o (-1) | None -> ())
 
-(** Place one primitive, first applying the must-alias store-to-load
-    forwarding of Section 5: a load that provably reads the most recent
-    store's bytes becomes a register copy of the stored value. *)
-let place_prim g p (tg : temps) (tc : temps) tconsts (prim : Crack.prim) =
-  let prim =
-    if not g.tr.params.store_forward then prim
-    else
-      let off_matches f = function
-        | Crack.OffImm i -> f.f_off = FImm i
-        | Crack.OffReg (Gpr i) ->
-          f.f_off = FReg (Res.gpr i, p.defgen.(Res.gpr i))
-        | Crack.OffReg _ -> false
-      in
-      match (prim, p.fwd) with
-      | Crack.PLoad { w; alg; dst; base; off }, Some f
-        when f.f_width = w && off_matches f off
-             && (match base with
-                | Crack.Gpr i ->
-                  f.f_base = Res.gpr i
-                  && p.defgen.(Res.gpr i) = f.f_base_avail
-                | Crack.Zero -> f.f_base = -1
-                | Lr | Ctr | TmpG _ -> false)
-             && p.defgen.(f.f_src) = f.f_src_avail ->
-        let src = Crack.Gpr f.f_src in
-        (match (w, alg) with
-        | Ppc.Insn.Word, _ -> Crack.PBinI { op = IAdd; dst; a = src; imm = 0 }
-        | Byte, _ -> Crack.PBinI { op = IAnd; dst; a = src; imm = 0xFF }
-        | Half, false -> Crack.PBinI { op = IAnd; dst; a = src; imm = 0xFFFF }
-        | Half, true -> Crack.PUn { op = Extsh; dst; a = src })
-      | _ -> prim
-  in
-  place_prim_raw g p tg tc prim;
-  track_consts p tconsts prim
+(* Does a load's offset provably equal the last store's? *)
+let fwd_off_matches p f = function
+  | Crack.OffImm i -> ( match f.f_off with FImm j -> i = j | FReg _ -> false)
+  | Crack.OffReg (Gpr i) -> (
+    match f.f_off with
+    | FReg (r, stamp) -> r = Res.gpr i && stamp = p.st.defgen.(Res.gpr i)
+    | FImm _ -> false)
+  | Crack.OffReg _ -> false
+
+(* The must-alias store-to-load forwarding of Section 5: a load that
+   provably reads the most recent store's bytes becomes a register copy
+   of the stored value. *)
+let forwarded p (prim : Crack.prim) =
+  match (prim, p.fwd) with
+  | Crack.PLoad { w; alg; dst; base; off }, Some f
+    when f.f_width = w && fwd_off_matches p f off
+         && (match base with
+            | Crack.Gpr i ->
+              f.f_base = Res.gpr i && p.st.defgen.(Res.gpr i) = f.f_base_avail
+            | Crack.Zero -> f.f_base = -1
+            | Lr | Ctr | TmpG _ -> false)
+         && p.st.defgen.(f.f_src) = f.f_src_avail ->
+    let src = Crack.Gpr f.f_src in
+    Some
+      (match (w, alg) with
+      | Ppc.Insn.Word, _ -> Crack.PBinI { op = IAdd; dst; a = src; imm = 0 }
+      | Byte, _ -> Crack.PBinI { op = IAnd; dst; a = src; imm = 0xFF }
+      | Half, false -> Crack.PBinI { op = IAnd; dst; a = src; imm = 0xFFFF }
+      | Half, true -> Crack.PUn { op = Extsh; dst; a = src })
+  | _ -> None
+
+(** Place one primitive, first applying store-to-load forwarding. *)
+let place_prim g p (i : info) (prim : Crack.prim) =
+  match if g.tr.params.store_forward then forwarded p prim else None with
+  | None ->
+    place_prim_raw g p i prim;
+    track_consts g p i prim
+  | Some q ->
+    let i = info_of_prim q in
+    place_prim_raw g p i q;
+    track_consts g p i q
 
 (* Speculatively evaluate the target snapshot (TmpG 0) of an indirect
    branch, plugging in run-time values from [hint] for unknown
    architected registers.  Returns the would-be target together with
-   the set of registers whose hinted values it depends on; a one-element
-   set can be turned into a guard. *)
-let spec_eval_target p (prims : Crack.prim list) hint =
-  let module IS = Set.Make (Int) in
-  let tmp : (int, int * IS.t) Hashtbl.t = Hashtbl.create 4 in
+   the set (a resource bitmask) of registers whose hinted values it
+   depends on; a one-element set can be turned into a guard. *)
+let spec_eval_target p (d : dinsn) hint =
+  let tmp = Array.make max_tmp None in
   let u32 = Ppc.Interp.u32 in
-  let operand : Crack.operand -> (int * IS.t) option = function
-    | Crack.Zero -> Some (0, IS.empty)
-    | TmpG k -> Hashtbl.find_opt tmp k
-    | o -> (
-      let r = Option.get (res_of_operand o) in
-      match p.consts.(r) with
-      | Some c -> Some (c, IS.empty)
-      | None -> Some (hint r, IS.singleton r))
+  let operand : Crack.operand -> (int * int) option = function
+    | Crack.Zero -> Some (0, 0)
+    | TmpG k -> tmp.(k)
+    | o ->
+      let r = res_of_operand o in
+      if p.st.consts.(r) >= 0 then Some (p.st.consts.(r), 0)
+      else Some (hint r, 1 lsl r)
   in
   let set_dst (dst : Crack.operand) v =
-    match dst with
-    | Crack.TmpG k -> (
-      match v with
-      | Some x -> Hashtbl.replace tmp k x
-      | None -> Hashtbl.remove tmp k)
-    | _ -> ()
+    match dst with Crack.TmpG k -> tmp.(k) <- v | _ -> ()
   in
-  let killed = ref IS.empty in
-  List.iter
-    (fun (prim : Crack.prim) ->
+  let killed = ref 0 in
+  Array.iteri
+    (fun k (prim : Crack.prim) ->
+      let i = d.infos.(k) in
       (match prim with
       | Crack.PBinI { op = IAdd; dst; a; imm } ->
         set_dst dst
-          (Option.map (fun (c, d) -> (u32 (c + imm), d)) (operand a))
+          (Option.map (fun (c, deps) -> (u32 (c + imm), deps)) (operand a))
       | PBin { op = Ppc.Insn.Add; dst; a; b } -> (
         match (operand a, operand b) with
         | Some (x, dx), Some (y, dy) ->
-          set_dst dst (Some (u32 (x + y), IS.union dx dy))
+          set_dst dst (Some (u32 (x + y), dx lor dy))
         | _ -> set_dst dst None)
       | PRlwinm { dst; a; sh; mb; me } ->
         set_dst dst
           (Option.map
-             (fun (c, d) ->
-               (Ppc.Interp.rotl32 c sh land Ppc.Interp.mask_mb_me mb me, d))
+             (fun (c, deps) ->
+               (Ppc.Interp.rotl32 c sh land Ppc.Interp.mask_mb_me mb me, deps))
              (operand a))
-      | other -> set_dst (match (Crack.shape other).dst_g with Some o -> o | None -> Crack.Zero) None);
+      | _ -> set_dst (Option.value i.dst_g ~default:Crack.Zero) None);
       (* a write to an architected register invalidates hints taken
          from it earlier in this instruction *)
-      match (Crack.shape prim).dst_g with
-      | Some o -> (
-        match res_of_operand o with
-        | Some r -> killed := IS.add r !killed
-        | None -> ())
-      | None -> ())
-    prims;
-  (!killed, Hashtbl.find_opt tmp 0)
+      if i.res_g >= 0 then killed := !killed lor (1 lsl i.res_g))
+    d.prims;
+  (!killed, tmp.(0))
 
 (* The would-be target and its single register dependency, either from
    the cracked snapshot expression or synthesized for a bare LR/CTR
    branch using the front end's architected target masking. *)
-let spec_target g p prims (target : Crack.target) hint =
-  let module IS = Set.Make (Int) in
-  let killed, snap = spec_eval_target p prims hint in
+let spec_target g p d (target : Crack.target) hint =
+  let killed, snap = spec_eval_target p d hint in
   match snap with
-  | Some (v, deps) when IS.is_empty (IS.inter deps killed) -> (
-    match IS.elements deps with
-    | [] -> None  (* pure constant: rewrite_target already covers it *)
-    | [ r ] -> Some (v land lnot 1, r)
-    | _ -> None)
+  | Some (v, deps) when deps land killed = 0 ->
+    (* a pure constant (no deps) is already covered by rewrite_target *)
+    if deps <> 0 && deps land (deps - 1) = 0 then
+      Some (v land lnot 1, lowest_bit deps)
+    else None
   | Some _ -> None
   | None -> (
     let bare r =
-      if IS.mem r killed || p.consts.(r) <> None then None
+      if killed land (1 lsl r) <> 0 || p.st.consts.(r) >= 0 then None
       else Some (hint r land g.tr.fe.Frontend.target_mask, r)
     in
     match target with
@@ -829,23 +923,21 @@ let spec_target g p prims (target : Crack.target) hint =
    the snapshot temporary the cracker computed the target into) holds a
    known constant on this path, the branch becomes direct — without
    this, S/390 code never straightens (all its branches are indirect). *)
-let rewrite_target p (tconsts : (int, int) Hashtbl.t) (target : Crack.target) =
+let rewrite_target g p (target : Crack.target) =
   match target with
   | Crack.Direct _ -> target
   | ViaReg _ | ViaLr | ViaCtr -> (
-    let v =
-      match Hashtbl.find_opt tconsts 0 with
-      | Some c -> Some c
-      | None -> (
+    let c =
+      let snap = tconst g.s 0 in
+      if snap >= 0 then snap
+      else
         match target with
-        | Crack.ViaReg r -> p.consts.(Res.gpr r)
-        | ViaLr -> p.consts.(Res.lr)
-        | ViaCtr -> p.consts.(Res.ctr)
-        | Direct _ -> None)
+        | Crack.ViaReg r -> p.st.consts.(Res.gpr r)
+        | ViaLr -> p.st.consts.(Res.lr)
+        | ViaCtr -> p.st.consts.(Res.ctr)
+        | Direct _ -> -1
     in
-    match v with
-    | Some c -> Crack.Direct (c land lnot 1)
-    | None -> target)
+    if c >= 0 then Crack.Direct (c land lnot 1) else target)
 
 (* ------------------------------------------------------------------ *)
 (* Control flow                                                        *)
@@ -865,7 +957,10 @@ let close_tip g p exit =
       g.pending <- off :: g.pending
   | _ -> ());
   T.close (cur_tip p) exit;
-  p.closed <- true
+  p.closed <- true;
+  (* a closed path is never read again: its state may be reused *)
+  p.st.sharers <- p.st.sharers - 1;
+  if p.st.sharers = 0 then Vec.push g.s.spare p.st
 
 (* Close [p] jumping to base address [addr] (on- or off-page). *)
 let close_to g p addr =
@@ -874,7 +969,7 @@ let close_to g p addr =
 
 (* Close with an indirect branch through LR or CTR (or a temporary
    holding the pre-link value). *)
-let close_indirect g p (tg : temps) target =
+let close_indirect g p target =
   let r, kind =
     match target with
     | Crack.ViaLr -> (Res.lr, `Lr)
@@ -882,17 +977,17 @@ let close_indirect g p (tg : temps) target =
     | ViaReg i -> (Res.gpr i, `Gpr)
     | Direct _ -> invalid_arg "close_indirect"
   in
-  match Hashtbl.find_opt tg 0 with
-  | Some (loc, av) when kind <> `Ctr ->
+  match kind with
+  | (`Lr | `Gpr) when tmp_mem g.s 0 ->
     (* branch-and-link through the target register: the pre-link value
        was snapshotted into temp 0 by the cracker *)
-    ensure_last g p (av - 1);
-    close_tip g p (T.Indirect (loc, kind))
+    ensure_last g p (g.s.tav.(0) - 1);
+    close_tip g p (T.Indirect (g.s.tloc.(0), kind))
   | _ ->
     (* all commits for r must have landed *)
-    if p.commit_at.(r) <> -1 && p.commit_at.(r) <> max_int then
-      ensure_last g p p.commit_at.(r);
-    ensure_last g p (p.avail.(r) - 1);
+    if p.st.commit_at.(r) <> -1 && p.st.commit_at.(r) <> max_int then
+      ensure_last g p p.st.commit_at.(r);
+    ensure_last g p (p.st.avail.(r) - 1);
     close_tip g p (T.Indirect (Res.identity_loc r, kind))
 
 let guess_prob params ~hint ~backward ~pc =
@@ -913,21 +1008,22 @@ let guess_prob params ~hint ~backward ~pc =
     else params.Params.prob_forward
 
 (* Schedule a conditional branch: split the tree at the last VLIW and
-   fork the path (ScheduleBranchCond).  [ctr_commit] places the commit
+   fork the path (ScheduleBranchCond).  [late_commit] places the commit
    of the decremented CTR (left in TmpG Crack.ctr_tmp) in the branch's
    own VLIW, above the split, so the branch instruction commits
    atomically with respect to precise points. *)
-let sched_cond_branch ?(close_taken = true) g p (tg : temps) (tc : temps)
-    ~test:(cop, bitpos) ~sense ~target ~hint ~late_commit ~len pc =
+let sched_cond_branch ?(close_taken = true) g p ~test:(cop, bitpos) ~sense
+    ~target ~hint ~late_commit ~len pc =
   let params = g.tr.params in
-  ensure_last g p (crf_avail p tc cop);
-  if late_commit <> None then
-    ensure_last g p (snd (Hashtbl.find tg Crack.ctr_tmp) - 1);
-  let room_ok () =
-    Cfg.br_ok params.config (last_vliw p)
-    && (late_commit = None || Cfg.alu_ok params.config (last_vliw p))
-  in
-  while not (room_ok ()) do
+  let cfg = params.config in
+  ensure_last g p (crf_avail g p cop);
+  if Option.is_some late_commit then
+    ensure_last g p (tmp_av g.s Crack.ctr_tmp - 1);
+  while
+    not
+      (Cfg.br_ok cfg (last_vliw p)
+      && (Option.is_none late_commit || Cfg.alu_ok cfg (last_vliw p)))
+  do
     open_vliw g p
   done;
   (match late_commit with
@@ -935,21 +1031,14 @@ let sched_cond_branch ?(close_taken = true) g p (tg : temps) (tc : temps)
   | Some operand ->
     (* the decremented register is committed in the branch's own VLIW
        so the instruction commits atomically at precise points *)
-    let r = Option.get (res_of_operand operand) in
-    let loc, av = Hashtbl.find tg Crack.ctr_tmp in
+    let r = res_of_operand operand in
+    let loc = tmp_loc g.s Crack.ctr_tmp and av = g.s.tav.(Crack.ctr_tmp) in
     T.add_op (cur_tip p) g.seq (commit_op r loc);
     bump (last_vliw p) ~mem_slot:false;
-    let l = last_index p in
-    for i = av to l do
-      (Vec.get p.maps i).(r) <- loc
-    done;
-    p.avail.(r) <- av;
-    p.commit_at.(r) <- l;
-    p.defgen.(r) <- p.defgen.(r) + 1;
-    p.cur_loc.(r) <- loc;
-    p.consts.(r) <- None);
+    define g p r ~avail:av ~commit:(last_index p) ~loc;
+    (own g p).consts.(r) <- -1);
   let l = last_index p in
-  let floc = crf_loc p tc l cop in
+  let floc = cloc g p l cop in
   let test : T.test = { bit = (floc * 4) + bitpos; sense } in
   let taken, fall = T.split (cur_tip p) test in
   (last_vliw p).br <- (last_vliw p).br + 1;
@@ -966,7 +1055,7 @@ let sched_cond_branch ?(close_taken = true) g p (tg : temps) (tc : temps)
     p2.continuation <- t;
     if not (in_page g t) then close_tip g p2 (T.OffPage t)
   | ViaLr | ViaCtr | ViaReg _ ->
-    if close_taken then close_indirect g p2 tg target);
+    if close_taken then close_indirect g p2 target);
   if not params.multipath then begin
     (* keep only the more probable side *)
     let keep_taken = pt >= 0.5 in
@@ -980,51 +1069,52 @@ let sched_cond_branch ?(close_taken = true) g p (tg : temps) (tc : temps)
    spill across VLIWs (re-execution from the instruction start is then
    idempotent), but every input-modifying commit lands in one final
    VLIW, so no precise point ever sees the instruction half-applied. *)
-let flush_staged g p (reads : int list) =
+(* Commit, in staging order ([staged] is reversed), the staged writes
+   whose resource the instruction reads ([inputs]) or does not. *)
+let rec commit_staged g p ~reads ~inputs = function
+  | [] -> ()
+  | (r, src) :: rest ->
+    commit_staged g p ~reads ~inputs rest;
+    if reads land (1 lsl r) <> 0 = inputs then
+      set_commit g p r (place_commit g p r src)
+
+let flush_staged g p ~reads =
   match p.staged with
   | [] -> ()
   | staged ->
-    let staged = List.rev staged in
-    let ready =
-      List.fold_left (fun acc (r, _) -> max acc p.avail.(r)) 0 staged
-    in
-    ensure_last g p ready;
-    let safe, unsafe = List.partition (fun (r, _) -> not (List.mem r reads)) staged in
+    let ready = ref 0 and inputs = ref 0 in
     List.iter
-      (fun (r, src) ->
-        let c = place_commit g p r src in
-        p.commit_at.(r) <- c)
-      safe;
-    (match unsafe with
-    | [] -> ()
-    | _ ->
-      let n = List.length unsafe in
+      (fun (r, _) ->
+        ready := Int.max !ready p.st.avail.(r);
+        if reads land (1 lsl r) <> 0 then incr inputs)
+      staged;
+    ensure_last g p !ready;
+    commit_staged g p ~reads ~inputs:false staged;
+    if !inputs > 0 then begin
       let cfg = g.tr.params.config in
-      let fits_block () =
-        let v = last_vliw p in
-        Vliw.Config.fits cfg ~alu:(v.T.alu + n) ~mem:v.T.mem ~br:v.T.br
-      in
-      while not (fits_block ()) do
+      while
+        not
+          (let v = last_vliw p in
+           Vliw.Config.fits cfg ~alu:(v.T.alu + !inputs) ~mem:v.T.mem
+             ~br:v.T.br)
+      do
         open_vliw g p
       done;
-      List.iter
-        (fun (r, src) ->
-          let c = place_commit g p r src in
-          p.commit_at.(r) <- c)
-        unsafe);
+      commit_staged g p ~reads ~inputs:true staged
+    end;
     p.staged <- []
 
 (* Guarded inlining of an indirect branch (Chapter 6): compare the one
    register the target depends on against its value observed at
    translation time; on a match continue straight-line at the observed
    target, otherwise exit indirect.  Returns the matching-side path. *)
-let try_guard g p (tg : temps) (tc : temps) tconsts prims target pc =
+let try_guard g p d target pc =
   if (not g.tr.params.guard_indirect) || (not g.hint_ok) || p.closed then None
   else
     match g.tr.guard_hint with
     | None -> None
     | Some hint -> (
-      match spec_target g p prims target hint with
+      match spec_target g p d target hint with
       | None -> None
       | Some (tgt_val, dep) ->
         if not (in_page g tgt_val) then None
@@ -1034,183 +1124,166 @@ let try_guard g p (tg : temps) (tc : temps) tconsts prims target pc =
             else if dep = Res.lr then Crack.Lr
             else Crack.Ctr
           in
-          if Sys.getenv_opt "DAISY_DEBUG_GUARD" <> None then
-            Printf.printf "GUARD pc=%x dep=%d imm=%x tgt=%x\n%!" pc dep
-              (hint dep) tgt_val;
-          match
-            place_prim g p tg tc tconsts
-              (Crack.PCmpI
-                 { signed = true; dst = TmpC 2; a = dep_operand; imm = hint dep })
-          with
+          let cmp =
+            Crack.PCmpI
+              { signed = true; dst = TmpC 2; a = dep_operand; imm = hint dep }
+          in
+          match place_prim g p (info_of_prim cmp) cmp with
           | exception No_pool -> None
           | () ->
             if p.closed then None
             else begin
               let p3 =
-                sched_cond_branch g p tg tc
+                sched_cond_branch g p
                   ~test:(Crack.TmpC 2, Ppc.Insn.Crbit.eq) ~sense:true
                   ~target:(Crack.Direct tgt_val) ~hint:true ~late_commit:None
                   ~len:0 pc
               in
               (* [p] is now the mismatch side *)
-              if not p.closed then close_indirect g p tg target;
+              if not p.closed then close_indirect g p target;
               Some p3
             end))
 
 (* ------------------------------------------------------------------ *)
 (* Per-instruction driver                                              *)
 
+let find_memo g pc =
+  match Itbl.find g.s.decoded pc with m -> m | exception Not_found -> Unseen
+
+let decode g pc =
+  let m =
+    match g.tr.fe.decode_crack g.tr.mem pc with
+    | None -> Illegal
+    | Some dl -> Decoded (dinsn_of dl)
+  in
+  Itbl.add g.s.decoded pc m;
+  m
+
 (* Schedule the instruction at the continuation of [p]; may close [p]
    and may return a freshly forked path. *)
 let step g p : path option =
   let params = g.tr.params in
+  let s = g.s in
   let pc = p.continuation in
   if not (in_page g pc) then (
     close_tip g p (T.OffPage pc);
     None)
-  else if
-    (match Hashtbl.find_opt g.visits pc with Some n -> n | None -> 0)
-    > params.join_limit
-  then (
-    close_to g p pc;
-    None)
-  else if p.budget <= 0 then (
-    close_to g p pc;
-    None)
-  else begin
-    match g.tr.fe.decode_crack g.tr.mem pc with
-    | None ->
-      close_tip g p (T.Trap (Tillegal pc));
-      None
-    | Some (cracked, len) ->
-      (* temporaries of the previous instruction are dead now *)
-      p.live_tg <- 0;
-      p.live_tc <- 0;
-      (* does this instruction read any architected register it also
-         writes?  then its commits must be staged (precise exceptions) *)
-      let reads, writes =
-        List.fold_left
-          (fun (rs, ws) prim ->
-            let sh = Crack.shape prim in
-            let rs =
-              List.fold_left
-                (fun acc o ->
-                  match res_of_operand o with Some r -> r :: acc | None -> acc)
-                rs sh.srcs_g
-            in
-            let rs =
-              List.fold_left
-                (fun acc c ->
-                  match crf_res c with Some r -> r :: acc | None -> acc)
-                rs sh.srcs_c
-            in
-            let rs = if sh.r_ca then Res.ca :: rs else rs in
-            let ws =
-              match Option.bind sh.dst_g res_of_operand with
-              | Some r -> r :: ws
-              | None -> ws
-            in
-            let ws =
-              match Option.bind sh.dst_c crf_res with
-              | Some r -> r :: ws
-              | None -> ws
-            in
-            let ws = if sh.w_ca then Res.ca :: ws else ws in
-            (rs, ws))
-          ([], []) cracked.prims
-      in
-      p.force_rename <- List.exists (fun w -> List.mem w reads) writes;
-      p.staged <- [];
-      Hashtbl.replace g.visits pc
-        (1 + match Hashtbl.find_opt g.visits pc with Some n -> n | None -> 0);
-      p.budget <- p.budget - 1;
-      g.seq <- g.seq + 1;
-      g.tr.totals.insns <- g.tr.totals.insns + 1;
-      g.page.insns_scheduled <- g.page.insns_scheduled + 1;
-      let tg : temps = Hashtbl.create 4 and tc : temps = Hashtbl.create 4 in
-      let tconsts : (int, int) Hashtbl.t = Hashtbl.create 4 in
-      (try
-         List.iter (place_prim g p tg tc tconsts) cracked.prims;
-         flush_staged g p reads;
-         p.force_rename <- false
-       with No_pool ->
-         (* pool exhausted even in a fresh VLIW: give up on this path *)
-         p.staged <- [];
-         p.force_rename <- false;
-         close_to g p pc);
-      if p.closed then None
-      else (
-        match cracked.control with
-        | Fallthru ->
-          p.continuation <- pc + len;
-          None
-        | Jump target -> (
-          match rewrite_target p tconsts target with
-          | Direct t ->
-            if in_page g t then (
-              p.continuation <- t;
-              None)
-            else (
-              close_tip g p (T.OffPage t);
-              None)
-          | target -> (
-            match try_guard g p tg tc tconsts cracked.prims target pc with
-            | Some p3 -> Some p3
-            | None ->
-              close_indirect g p tg target;
-              None))
-        | CondJump { test; sense; target; hint; late_commit } -> (
-          let target = rewrite_target p tconsts target in
-          match target with
-          | Direct _ ->
-            Some
-              (sched_cond_branch g p tg tc ~test ~sense ~target ~hint
-                 ~late_commit ~len pc)
-          | _ when late_commit <> None ->
-            (* no guarding for decrement-and-branch: the decrement is
-               committed above the split, so any VLIW opened while
-               composing the guard would carry a stale precise point
-               and a rollback there would re-decrement *)
-            Some
-              (sched_cond_branch g p tg tc ~test ~sense ~target ~hint
-                 ~late_commit ~len pc)
-          | _ ->
-            let p2 =
-              sched_cond_branch ~close_taken:false g p tg tc ~test ~sense
-                ~target ~hint ~late_commit ~len pc
-            in
-            if p2.closed then Some p2
-            else (
-              match
-                try_guard g p2 tg tc tconsts cracked.prims target pc
-              with
-              | Some p3 ->
-                (* the mismatch side p2 was closed by try_guard *)
-                Some p3
+  else
+    let m = find_memo g pc in
+    let visits =
+      match m with Decoded d when d.vgroup = s.group -> d.visits | _ -> 0
+    in
+    if visits > params.join_limit || p.budget <= 0 then (
+      close_to g p pc;
+      None)
+    else
+      match (match m with Unseen -> decode g pc | m -> m) with
+      | Unseen | Illegal ->
+        close_tip g p (T.Trap (Tillegal pc));
+        None
+      | Decoded d ->
+        (* temporaries of the previous instruction are dead now *)
+        p.live_tg <- 0;
+        p.live_tc <- 0;
+        s.gen <- s.gen + 1;
+        (* does this instruction read any architected register it also
+           writes?  then its commits must be staged (precise exceptions) *)
+        p.force_rename <- d.force;
+        p.staged <- [];
+        d.visits <- visits + 1;
+        d.vgroup <- s.group;
+        p.budget <- p.budget - 1;
+        g.seq <- g.seq + 1;
+        g.tr.totals.insns <- g.tr.totals.insns + 1;
+        g.page.insns_scheduled <- g.page.insns_scheduled + 1;
+        (try
+           for k = 0 to Array.length d.prims - 1 do
+             place_prim g p d.infos.(k) d.prims.(k)
+           done;
+           flush_staged g p ~reads:d.reads;
+           p.force_rename <- false
+         with No_pool ->
+           (* pool exhausted even in a fresh VLIW: give up on this path *)
+           p.staged <- [];
+           p.force_rename <- false;
+           close_to g p pc);
+        if p.closed then None
+        else (
+          match d.control with
+          | Fallthru ->
+            p.continuation <- pc + d.len;
+            None
+          | Jump target -> (
+            match rewrite_target g p target with
+            | Direct t ->
+              if in_page g t then (
+                p.continuation <- t;
+                None)
+              else (
+                close_tip g p (T.OffPage t);
+                None)
+            | target -> (
+              match try_guard g p d target pc with
+              | Some p3 -> Some p3
               | None ->
-                close_indirect g p2 tg target;
-                Some p2))
-        | TrapC trap ->
-          close_tip g p (T.Trap trap);
-          None)
-  end
+                close_indirect g p target;
+                None))
+          | CondJump { test; sense; target; hint; late_commit } -> (
+            let len = d.len in
+            match rewrite_target g p target with
+            | Direct _ as target ->
+              Some
+                (sched_cond_branch g p ~test ~sense ~target ~hint ~late_commit
+                   ~len pc)
+            | target when Option.is_some late_commit ->
+              (* no guarding for decrement-and-branch: the decrement is
+                 committed above the split, so any VLIW opened while
+                 composing the guard would carry a stale precise point
+                 and a rollback there would re-decrement *)
+              Some
+                (sched_cond_branch g p ~test ~sense ~target ~hint ~late_commit
+                   ~len pc)
+            | target ->
+              let p2 =
+                sched_cond_branch ~close_taken:false g p ~test ~sense ~target
+                  ~hint ~late_commit ~len pc
+              in
+              if p2.closed then Some p2
+              else (
+                match try_guard g p2 d target pc with
+                | Some p3 ->
+                  (* the mismatch side p2 was closed by try_guard *)
+                  Some p3
+                | None ->
+                  close_indirect g p2 target;
+                  Some p2))
+          | TrapC trap ->
+            close_tip g p (T.Trap trap);
+            None)
 
 (* ------------------------------------------------------------------ *)
 (* Groups, entries, worklist                                           *)
 
-let insert_sorted paths p =
-  let rec go = function
-    | [] -> [ p ]
-    | q :: rest when q.prob >= p.prob -> q :: go rest
-    | rest -> p :: rest
-  in
-  go paths
+(* Queue [p] behind the open paths at least as probable. *)
+let enqueue g p =
+  let q = g.s.paths in
+  Vec.push q p;
+  let i = ref (Vec.length q - 2) in
+  while !i >= 0 && (Vec.get q !i).prob >= p.prob do
+    Vec.set q (!i + 1) (Vec.get q !i);
+    decr i
+  done;
+  Vec.set q (!i + 1) p
 
 (* CreateVLIWGroupForEntry. *)
-let translate_group ?(hint_ok = false) t page off =
+let translate_group ~hint_ok t s page off =
+  s.group <- s.group + 1;
   let g =
-    { tr = t; page; paths = []; visits = Hashtbl.create 64; seq = 0;
-      pending = []; first_vliw = Vec.length page.vliws; hint_ok }
+    { tr = t; page; s;
+      load_spec =
+        t.params.load_spec && not (Hashtbl.mem t.load_spec_off page.base);
+      seq = 0; pending = []; first_vliw = Vec.length page.vliws;
+      hint_ok }
   in
   let p0 = init_path g (page.base + off) t.params.window in
   let root = Vec.get p0.vliws_on 0 in
@@ -1218,20 +1291,17 @@ let translate_group ?(hint_ok = false) t page off =
   Hashtbl.replace page.entries off root.id;
   t.totals.entry_points <- t.totals.entry_points + 1;
   t.totals.groups <- t.totals.groups + 1;
-  g.paths <- [ p0 ];
-  let rec loop () =
-    match g.paths with
-    | [] -> ()
-    | p :: rest ->
-      g.paths <- rest;
-      let forked = step g p in
-      if not p.closed then g.paths <- insert_sorted g.paths p;
-      (match forked with
-      | Some p2 when not p2.closed -> g.paths <- insert_sorted g.paths p2
-      | _ -> ());
-      loop ()
-  in
-  loop ();
+  (* the most probable open path is scheduled one instruction at a
+     time, then re-queued with any path it forked *)
+  enqueue g p0;
+  while Vec.length s.paths > 0 do
+    let p = Vec.pop s.paths in
+    let forked = step g p in
+    if not p.closed then enqueue g p;
+    match forked with
+    | Some p2 when not p2.closed -> enqueue g p2
+    | _ -> ()
+  done;
   (* lay the new VLIWs out in the translated-code area *)
   for id = g.first_vliw to Vec.length page.vliws - 1 do
     let v = Vec.get page.vliws id in
@@ -1250,18 +1320,17 @@ let translate_group ?(hint_ok = false) t page off =
 let entry t addr =
   let page = page_of t addr in
   let off = addr - page.base in
-  (match Hashtbl.find_opt page.entries off with
-  | Some _ -> ()
-  | None ->
+  if not (Hashtbl.mem page.entries off) then begin
+    let s = new_scratch () in
     let wl = Queue.create () in
     Queue.add off wl;
-    let first = ref true in
+    let hint_ok = ref true in
     while not (Queue.is_empty wl) do
       let o = Queue.pop wl in
-      let hint_ok = !first in
-      first := false;
       if not (Hashtbl.mem page.entries o) then
         List.iter (fun o' -> Queue.add o' wl)
-          (translate_group ~hint_ok t page o)
-    done);
+          (translate_group ~hint_ok:!hint_ok t s page o);
+      hint_ok := false
+    done
+  end;
   (page, Hashtbl.find page.entries off)

@@ -25,11 +25,14 @@ let push v x =
 
 let last v = get v (v.len - 1)
 
+(** Remove and return the last element. *)
+let pop v =
+  let x = last v in
+  v.len <- v.len - 1;
+  x
+
 (** Shallow copy (elements shared). *)
 let copy v = { data = Array.sub v.data 0 v.len; len = v.len }
-
-(** Copy with a per-element transform (for deep copies). *)
-let map_copy f v = { data = Array.init v.len (fun i -> f v.data.(i)); len = v.len }
 
 let iter f v =
   for i = 0 to v.len - 1 do

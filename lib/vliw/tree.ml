@@ -66,14 +66,17 @@ let add_op (tip : node) seq op = tip.ops <- (seq, op) :: tip.ops
 
 let ops_in_order (n : node) = List.rev n.ops
 
+let assert_open (tip : node) =
+  match tip.kind with Open -> () | Exit _ | Branch _ -> assert false
+
 (** Close a tip with an exit. *)
 let close (tip : node) exit =
-  assert (tip.kind = Open);
+  assert_open tip;
   tip.kind <- Exit exit
 
 (** Split a tip with a conditional test; returns [(taken, fall)] tips. *)
 let split (tip : node) test =
-  assert (tip.kind = Open);
+  assert_open tip;
   let taken = new_node () and fall = new_node () in
   tip.kind <- Branch { test; taken; fall };
   (taken, fall)

@@ -450,6 +450,10 @@ let tcache_key t store base =
   let len = min t.tr.params.page_size (Mem.size t.mem - base) in
   Tcache.Store.key store ~base (Mem.read_string t.mem base len)
 
+(* The store, for a page that has bytes to key: a page past the end of
+   memory bypasses the cache (all it translates to is the fetch trap). *)
+let tcache_for t base = if base < Mem.size t.mem then t.tcache else None
+
 (* The store degrades to its in-memory overlay silently (it must never
    raise into a guest run); the monitor mirrors the store's degraded
    count into the stats after every cache operation so each absorbed
@@ -468,10 +472,10 @@ let tcache_sync_degraded t store base =
    retranslation by the gate winner instead of a corrupt-parse per
    session per probe, and the winner's persist heals the key. *)
 let tcache_probe t addr =
-  match t.tcache with
+  let base = Translate.page_base t.tr addr in
+  match tcache_for t base with
   | None -> ()
   | Some store ->
-    let base = Translate.page_base t.tr addr in
     let key = tcache_key t store base in
     let t0 = Sys.time () in
     let corrupt reason =
@@ -507,7 +511,7 @@ let tcache_probe t addr =
 (* Write [page]'s translation out (also after an extension of an
    already-persisted page: same key, superset entry, plain overwrite). *)
 let tcache_persist t (page : Translate.xpage) =
-  match t.tcache with
+  match tcache_for t page.base with
   | None -> ()
   | Some store ->
     let key = tcache_key t store page.base in
@@ -529,7 +533,7 @@ let tcache_persist t (page : Translate.xpage) =
    evict: a translation dropped only for code-cache capacity is still
    correct, and the refill becomes a cache hit. *)
 let tcache_evict t base =
-  match t.tcache with
+  match tcache_for t base with
   | None -> ()
   | Some store ->
     let key = tcache_key t store base in
@@ -1103,7 +1107,7 @@ let run t ~entry ~fuel =
          that merely lacks this entry point gets extended in place *)
       let gate_key = ref None in
       if
-        t.tcache <> None
+        Option.is_some (tcache_for t base)
         && (not (Translate.has_entry t.tr addr))
         && not (Translate.translated t.tr addr)
       then begin
@@ -1113,7 +1117,7 @@ let run t ~entry ~fuel =
            key once instead of once per session.  A single attempt, no
            retry loop: if the winner failed to install we translate
            locally — a rare duplicate beats a livelock. *)
-        match (t.translate_gate, t.tcache) with
+        match (t.translate_gate, tcache_for t base) with
         | Some gate, Some store
           when (not (Translate.has_entry t.tr addr))
                && not (Translate.translated t.tr addr) -> (

@@ -13,6 +13,8 @@ open Ppc
 type result = {
   name : string;
   exit_code : int option;
+      (** [None] when the reference interpreter ran out of fuel: the run
+          has no verification point *)
   base_insns : int;        (** dynamic base instructions (reference run) *)
   static_insns : int;      (** distinct static instructions executed *)
   vliws : int;             (** tree VLIWs executed *)
@@ -137,14 +139,17 @@ let run ?(params = Params.default) ?engine ?hierarchy ?instrument ?prepare
       match f vmm with None -> (entry, w.fuel * 2) | Some ef -> ef)
   in
   let dcode = Monitor.run vmm ~entry ~fuel in
-  if rcode <> dcode then
+  (* When the reference ran out of fuel there is no verification point:
+     the VMM's run (given twice the fuel) was cut elsewhere or halted
+     later, so the two are incomparable.  Such a run reports no exit
+     code, like one where both sides ran out; the fuzzer reports it as a
+     hang. *)
+  let verified = Option.is_some rcode in
+  if verified && rcode <> dcode then
     raise (Mismatch (Printf.sprintf "%s: exit %s vs %s" w.name
                        (match rcode with Some c -> string_of_int c | None -> "fuel")
                        (match dcode with Some c -> string_of_int c | None -> "fuel")));
-  (* When both sides ran out of fuel there is no verification point: the
-     two executions were cut at unrelated places, so their intermediate
-     states are incomparable.  The fuzzer reports such runs as hangs. *)
-  if rcode <> None then begin
+  if verified then begin
     if not (Machine.equal rst vmm.st.m) then
       raise (Mismatch (w.name ^ ": architected state diverged"));
     if not (mem_equal ~ignore_mem rmem.bytes mem.bytes) then
@@ -167,7 +172,7 @@ let run ?(params = Params.default) ?engine ?hierarchy ?instrument ?prepare
         Some (Memsys.Hierarchy.joint h) )
   in
   { name = w.name;
-    exit_code = dcode;
+    exit_code = (if verified then dcode else None);
     base_insns = it.icount;
     static_insns = Interp.static_touched it;
     vliws = s.vliws;

@@ -597,6 +597,22 @@ let test_open_sweeps_orphan_tmp () =
   Sys.remove (Filename.concat dir "README");
   ignore (Store.clear_dir dir)
 
+(* A guest branch to a pc past the end of memory must take the
+   instruction storage interrupt with a cache attached too: the page
+   there has no bytes to key, so it bypasses the cache.  Fuzz page
+   (seed 1, index 137) jumps there; the reference interpreter's mini OS
+   halts with 0xDEAD0400. *)
+let test_pc_past_memory () =
+  let dir = fresh_dir () in
+  let index = 137 in
+  let rng = Random.State.make [| 1; index; 0 |] in
+  let slots = Fault.Fuzz.gen_slots rng ~insns:96 ~allow_raw:true in
+  let w = Fault.Fuzz.wl_of ~seed:1 ~index ~fuel:100_000 slots in
+  let r = Vmm.Run.run ~tcache_dir:dir w in
+  Alcotest.(check (option int)) "agrees with the reference" (Some 0xDEAD0400)
+    r.exit_code;
+  ignore (Store.clear_dir dir)
+
 let () =
   Alcotest.run "tcache"
     [ ( "codec",
@@ -621,4 +637,6 @@ let () =
           Alcotest.test_case "corrupt entry" `Quick
             test_warm_survives_corrupt_entry;
           Alcotest.test_case "skipped entry" `Quick test_warm_counts_skipped;
-          Alcotest.test_case "self-modifying" `Quick test_selfmod_evicts ] ) ]
+          Alcotest.test_case "self-modifying" `Quick test_selfmod_evicts;
+          Alcotest.test_case "pc past the end of memory" `Quick
+            test_pc_past_memory ] ) ]

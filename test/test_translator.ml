@@ -270,6 +270,106 @@ let test_profile_probabilities () =
   Alcotest.(check (float 1e-9)) "hint" p.prob_hint
     (Translate.guess_prob p ~hint:true ~backward:false ~pc:0x2000)
 
+(* ------------------------------------------------------------------ *)
+(* Byte-identity oracle                                                *)
+
+(* Translation is a pure function of the page bytes, the entry points
+   and the parameters, so the encoded images of a fixed corpus pin the
+   scheduler's output exactly.  The digest below covers:
+   - every page image the VMM translates (or extends) while running
+     each registry workload and the S/390 experiment program under the
+     defaults;
+   - the entry page of the first 128 seed-1 fuzz programs;
+   - the tier-2 region images promoted while running c_sieve and
+     compress with inline compiles.
+   A change to the scheduler's data structures must leave it unchanged;
+   a change that means to alter translations must re-record it. *)
+
+let digest_corpus ?(params = Params.default) ~fuzz_pages add =
+  let run_vmm ?frontend mem ~entry ~fuel =
+    let vmm = Vmm.Monitor.create ~params ?frontend mem in
+    vmm.install_hook <- Some add;
+    ignore (Vmm.Monitor.run vmm ~entry ~fuel)
+  in
+  List.iter
+    (fun (w : Workloads.Wl.t) ->
+      let mem, entry = Workloads.Wl.instantiate w in
+      run_vmm mem ~entry ~fuel:(2 * w.fuel))
+    Workloads.Registry.all;
+  (let mem = Mem.create 0x40000 in
+   let a = S390.Asm.create () in
+   Stats.Experiments.s390_program a;
+   let labels = S390.Asm.assemble a mem in
+   run_vmm ~frontend:S390.Frontend.s390 mem
+     ~entry:(S390.Asm.resolve labels "main") ~fuel:4_000_000);
+  for index = 0 to fuzz_pages - 1 do
+    let rng = Random.State.make [| 1; index; 0 |] in
+    let slots = Fault.Fuzz.gen_slots rng ~insns:96 ~allow_raw:true in
+    let w = Fault.Fuzz.wl_of ~seed:1 ~index ~fuel:20_000 slots in
+    let mem, entry = Workloads.Wl.instantiate w in
+    let tr = Translate.create params mem in
+    add (fst (Translate.entry tr entry))
+  done
+
+let digest_of f =
+  let acc = Buffer.create 4096 in
+  f (fun (p : Translate.xpage) ->
+      Buffer.add_string acc (Digest.string (Tcache.Codec.encode_xpage p)));
+  Digest.to_hex (Digest.string (Buffer.contents acc))
+
+let oracle_digest () =
+  digest_of @@ fun add ->
+  digest_corpus ~fuzz_pages:128 add;
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.by_name name in
+      let mem, entry = Workloads.Wl.instantiate w in
+      let vmm = Vmm.Monitor.create mem in
+      let tier = Obs.Tier.attach ~cfg:{ Obs.Tier.default with submit = None } vmm in
+      ignore (Vmm.Monitor.run vmm ~entry ~fuel:(2 * w.fuel));
+      Obs.Tier.finish tier;
+      Hashtbl.fold (fun _ (r : Vmm.Monitor.region) acc -> r :: acc) vmm.regions []
+      |> List.sort_uniq (fun (a : Vmm.Monitor.region) b -> compare a.r_id b.r_id)
+      |> List.iter (fun (r : Vmm.Monitor.region) ->
+             Hashtbl.iter (fun _ p -> add p) r.r_tr.pages))
+    [ "c_sieve"; "compress" ]
+
+let test_byte_identity () =
+  Alcotest.(check string) "translation digest"
+    "e8e96621384014e618f5e12d748d3655" (oracle_digest ())
+
+(* The same corpus (64 fuzz pages) under the parameter switches the
+   defaults leave off, so the rarely taken scheduler paths — guarded
+   indirect inlining, in-order-only placement, single-path scheduling,
+   small pages, a tiny machine, the traditional compiler's whole-memory
+   unit — are pinned too. *)
+let variant_params =
+  let d = Params.default in
+  [ ("guarded", { d with guard_indirect = true; adaptive_alias = true });
+    ("no rename", { d with rename = false });
+    ("one path", { d with multipath = false });
+    ("no speculation", { d with load_spec = false; store_forward = false });
+    ("small pages", { d with page_size = 512 });
+    ("tiny machine", { d with config = Vliw.Config.figure_5_1.(0) });
+    ("traditional", Params.traditional ()) ]
+
+let test_byte_identity_variants () =
+  let got =
+    List.map
+      (fun (name, params) ->
+        (name, digest_of (digest_corpus ~params ~fuzz_pages:64)))
+      variant_params
+  in
+  Alcotest.(check (list (pair string string))) "variant digests"
+    [ ("guarded", "1121af573e763b02f5c1f5c8b17ab170");
+      ("no rename", "140f3ca0c79e48f5fb097d0ae0cc8010");
+      ("one path", "f880269c9720212bf86cd493130a78c0");
+      ("no speculation", "602caa5d4e09277cfcdf06e50ce26f68");
+      ("small pages", "d5d1019b880efd165285b3042dd67358");
+      ("tiny machine", "447165f409a908ae495c37cf0bd56f17");
+      ("traditional", "332ca388d5d564231d7110a8d83b0ba4") ]
+    got
+
 let () =
   Alcotest.run "translator"
     [ ( "crack",
@@ -292,4 +392,9 @@ let () =
           Alcotest.test_case "profile probabilities" `Quick
             test_profile_probabilities;
           Alcotest.test_case "store-to-load forwarding" `Quick
-            test_store_forwarding ] ) ]
+            test_store_forwarding ] );
+      ( "oracle",
+        [ Alcotest.test_case "byte-identical translations" `Quick
+            test_byte_identity;
+          Alcotest.test_case "byte-identical under variant parameters" `Quick
+            test_byte_identity_variants ] ) ]

@@ -218,6 +218,28 @@ let test_hang_semantics () =
   Alcotest.(check bool) "hang is not degradation" false
     (Run.degraded r.stats)
 
+(* The reference running out of fuel leaves no verification point even
+   when the VMM, given twice the fuel, halts: [Run.run] reports [None]
+   as for a hang instead of raising [Mismatch] on "fuel vs exit". *)
+let test_reference_out_of_fuel () =
+  let count =
+    { Workloads.Wl.name = "count";
+      description = "counts past the reference's fuel";
+      build =
+        (fun a ->
+          Ppc.Asm.label a "main";
+          Ppc.Asm.li a 3 0;
+          Ppc.Asm.label a "loop";
+          Ppc.Asm.addi a 3 3 1;
+          Ppc.Asm.cmpwi a 3 2000;
+          Ppc.Asm.bc a Ppc.Asm.Lt "loop";
+          Workloads.Wl.sys_exit a);
+      init = (fun _ _ -> ());
+      mem_size = Workloads.Wl.default_mem_size; fuel = 5_000 }
+  in
+  let r = Run.run count in
+  Alcotest.(check (option int)) "no verification point" None r.exit_code
+
 let () =
   Alcotest.run "vmm"
     [ ( "workloads",
@@ -249,4 +271,6 @@ let () =
           Alcotest.test_case "cast-out pool" `Quick test_castout_pool;
           Alcotest.test_case "itlb" `Quick test_itlb_counts;
           Alcotest.test_case "console via syscall" `Quick test_console_via_syscall;
-          Alcotest.test_case "hang semantics" `Quick test_hang_semantics ] ) ]
+          Alcotest.test_case "hang semantics" `Quick test_hang_semantics;
+          Alcotest.test_case "reference out of fuel" `Quick
+            test_reference_out_of_fuel ] ) ]
