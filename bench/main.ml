@@ -621,80 +621,59 @@ let tier_promotion_series () =
   in
   J.Arr rows
 
-(* Host-throughput series: wall-clock speed of the two VLIW execution
-   engines over the whole registry.  This is the fleet-migration metric
-   — nanoseconds of host time per emulated base instruction — measured
-   (best of three) rather than asserted, for the tree walker and the
-   staged closure engine side by side. *)
+(* Host-throughput series: wall-clock speed of staged execution over
+   the whole registry.  This is the fleet-migration metric —
+   nanoseconds of host time per emulated base instruction — measured
+   (best of three) rather than asserted. *)
 let host_throughput_series () =
   print_newline ();
-  print_endline "Host throughput: tree walker vs staged closures";
-  print_endline "-----------------------------------------------";
+  print_endline "Host throughput: staged closures";
+  print_endline "--------------------------------";
   let module J = Obs.Json in
-  let engines = [ ("tree", Vmm.Monitor.Tree); ("compiled", Vmm.Monitor.Compiled) ] in
-  let speedups = ref [] in
   let rows =
-    List.concat_map
+    List.map
       (fun (w : Workloads.Wl.t) ->
         (* base-instruction count from the reference interpreter; the
            VMM runs below skip re-verification timing noise by timing
            only create + execute *)
         let _, _, _, it = Vmm.Run.reference w in
         let base_insns = it.Ppc.Interp.icount in
-        let per_engine =
-          List.map
-            (fun (ename, engine) ->
-              let best = ref infinity in
-              let stats = ref None in
-              for _ = 1 to 3 do
-                let mem, entry = Workloads.Wl.instantiate w in
-                let vmm = Vmm.Monitor.create ~engine mem in
-                let t0 = Unix.gettimeofday () in
-                ignore (Vmm.Monitor.run vmm ~entry ~fuel:(w.fuel * 2));
-                let dt = Unix.gettimeofday () -. t0 in
-                if dt < !best then best := dt;
-                stats := Some vmm.stats
-              done;
-              let s = Option.get !stats in
-              let seconds = !best in
-              let ns_per_insn = seconds *. 1e9 /. float_of_int (max 1 base_insns) in
-              let mips = float_of_int base_insns /. (seconds *. 1e6) in
-              let compile_ms_per_page =
-                if s.compiled_pages > 0 then
-                  s.compile_seconds *. 1000. /. float_of_int s.compiled_pages
-                else 0.
-              in
-              Printf.printf
-                "%-10s %-8s %8.3f ms   %7.1f ns/insn   %7.2f MIPS   %d pages staged (%.3f ms/page)\n"
-                w.name ename (seconds *. 1000.) ns_per_insn mips
-                s.compiled_pages compile_ms_per_page;
-              ( ename, ns_per_insn,
-                J.Obj
-                  [ ("name", J.Str w.name);
-                    ("engine", J.Str ename);
-                    ("seconds", J.Float seconds);
-                    ("base_insns", J.Int base_insns);
-                    ("ns_per_base_insn", J.Float ns_per_insn);
-                    ("emulated_mips", J.Float mips);
-                    ("compiled_pages", J.Int s.compiled_pages);
-                    ("direct_link_hits", J.Int s.direct_link_hits);
-                    ("compile_ms_per_page", J.Float compile_ms_per_page) ] ))
-            engines
+        let best = ref infinity in
+        let stats = ref None in
+        for _ = 1 to 3 do
+          let mem, entry = Workloads.Wl.instantiate w in
+          let vmm = Vmm.Monitor.create mem in
+          let t0 = Unix.gettimeofday () in
+          ignore (Vmm.Monitor.run vmm ~entry ~fuel:(w.fuel * 2));
+          let dt = Unix.gettimeofday () -. t0 in
+          if dt < !best then best := dt;
+          stats := Some vmm.stats
+        done;
+        let s = Option.get !stats in
+        let seconds = !best in
+        let ns_per_insn = seconds *. 1e9 /. float_of_int (max 1 base_insns) in
+        let mips = float_of_int base_insns /. (seconds *. 1e6) in
+        let compile_ms_per_page =
+          if s.compiled_pages > 0 then
+            s.compile_seconds *. 1000. /. float_of_int s.compiled_pages
+          else 0.
         in
-        (match per_engine with
-        | [ (_, tree_ns, _); (_, compiled_ns, _) ] when compiled_ns > 0. ->
-          speedups := (tree_ns /. compiled_ns) :: !speedups
-        | _ -> ());
-        List.map (fun (_, _, row) -> row) per_engine)
+        Printf.printf
+          "%-10s %8.3f ms   %7.1f ns/insn   %7.2f MIPS   %d pages staged (%.3f ms/page)\n"
+          w.name (seconds *. 1000.) ns_per_insn mips s.compiled_pages
+          compile_ms_per_page;
+        J.Obj
+          [ ("name", J.Str w.name);
+            ("seconds", J.Float seconds);
+            ("base_insns", J.Int base_insns);
+            ("ns_per_base_insn", J.Float ns_per_insn);
+            ("emulated_mips", J.Float mips);
+            ("compiled_pages", J.Int s.compiled_pages);
+            ("direct_link_hits", J.Int s.direct_link_hits);
+            ("compile_ms_per_page", J.Float compile_ms_per_page) ])
       Workloads.Registry.all
   in
-  let mean_speedup =
-    match !speedups with
-    | [] -> 0.
-    | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-  in
-  Printf.printf "mean speedup (tree -> compiled): %.2fx\n" mean_speedup;
-  (J.Arr rows, mean_speedup)
+  J.Arr rows
 
 (* Machine-readable results: every workload's headline series (infinite
    and finite cache) plus the translator's raw speed, for trend tracking
@@ -752,12 +731,12 @@ let write_bench_json path micro =
       Printf.printf "tcache series skipped: %s\n" (Printexc.to_string e);
       J.Null
   in
-  let host_throughput, mean_speedup =
+  let host_throughput =
     try host_throughput_series ()
     with e ->
       Printf.printf "host-throughput series skipped: %s\n"
         (Printexc.to_string e);
-      (J.Null, 0.)
+      J.Null
   in
   let checkpoint, mean_ck_overhead =
     try checkpoint_series ()
@@ -799,13 +778,12 @@ let write_bench_json path micro =
   in
   let j =
     J.Obj
-      [ ("schema", J.Str "daisy-bench-v9");
+      [ ("schema", J.Str "daisy-bench-v10");
         ("workloads", J.Arr (List.map workload ws));
         ("mean_ilp_inf", J.Float mean_ilp);
         ("translator", translator);
         ("tcache", tcache);
         ("host_throughput", host_throughput);
-        ("mean_engine_speedup", J.Float mean_speedup);
         ("checkpoint", checkpoint);
         ("checkpoint_overhead_default_mean", J.Float mean_ck_overhead);
         ("obs_overhead", obs_overhead);

@@ -206,8 +206,9 @@ let guard_term =
   let wd_compile =
     Arg.(value & opt (some float) None
          & info [ "watchdog-compile" ] ~docv:"SECONDS"
-             ~doc:"Wall-clock budget per page staging in the compiled \
-                   engine.")
+             ~doc:"Wall-clock budget per page staging into closures; an \
+                   overrun takes a ladder strike like a translation \
+                   overrun.")
   in
   let wd_progress =
     Arg.(value & opt (some int) None
@@ -396,15 +397,6 @@ let run_cmd =
                    (under the same parameters) are installed from disk \
                    instead of being retranslated.")
   in
-  let engine =
-    Arg.(value
-         & opt (enum [ ("tree", Vmm.Monitor.Tree); ("compiled", Vmm.Monitor.Compiled) ])
-             Vmm.Monitor.Compiled
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"VLIW execution engine: $(b,compiled) (the default; pages \
-                   staged into closures with direct-linked dispatch) or \
-                   $(b,tree) (the interpretive tree walker).")
-  in
   let profile_dir =
     Arg.(value & opt (some string) None
          & info [ "profile-dir" ] ~docv:"DIR"
@@ -431,7 +423,7 @@ let run_cmd =
                    keeps the last $(docv) events.")
   in
   let w = Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD") in
-  let run (w : Workloads.Wl.t) params engine finite trace_out trace_format
+  let run (w : Workloads.Wl.t) params finite trace_out trace_format
       trace_cap metrics_out tcache_dir profile_dir crash_dump_dir no_flight
       flight_cap faults guard tier2 =
     if trace_cap <= 0 then begin
@@ -539,7 +531,7 @@ let run_cmd =
       | _ -> []
     in
     let r =
-      try Vmm.Run.run ~params ~engine ?hierarchy ?instrument ?tcache_dir ~ignore_mem w
+      try Vmm.Run.run ~params ?hierarchy ?instrument ?tcache_dir ~ignore_mem w
       with
       | Vmm.Run.Mismatch msg ->
         (* differential verification against the reference interpreter
@@ -657,7 +649,7 @@ let run_cmd =
     end
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ w $ params_term $ engine $ finite $ trace_out
+    Term.(const run $ w $ params_term $ finite $ trace_out
           $ trace_format $ trace_cap $ metrics_out $ tcache_dir $ profile_dir
           $ crash_dump_dir $ no_flight $ flight_cap $ fault_term $ guard_term
           $ tier2_term)
@@ -700,7 +692,7 @@ let resume_cmd =
       Guard.Supervise.install_sigterm ();
       let r =
         try
-          Vmm.Run.run ~params ~engine:snap.s_engine
+          Vmm.Run.run ~params
             ~prepare:(fun vmm ->
               (* restore first, then attach the supervisor: the
                  checkpointer's cadence baseline must be the restored
@@ -1298,13 +1290,6 @@ let serve_cmd =
              ~doc:"Give each session its own checkpoint directory \
                    $(docv)/session-<id>.")
   in
-  let engine =
-    Arg.(value
-         & opt (enum [ ("tree", Vmm.Monitor.Tree); ("compiled", Vmm.Monitor.Compiled) ])
-             Vmm.Monitor.Compiled
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"VLIW execution engine for every session.")
-  in
   let queue_cap =
     Arg.(value & opt (some int) None
          & info [ "queue-cap" ] ~docv:"N"
@@ -1337,7 +1322,7 @@ let serve_cmd =
                    overlays, never crash or mismatch; HEALTH reports \
                    storage_injected / tcache_degraded / storage_faults.")
   in
-  let run dir socket_path domains budget checkpoint_root engine queue_cap
+  let run dir socket_path domains budget checkpoint_root queue_cap
       chaos_cocktail chaos_seed chaos_storage params tier2 =
     if domains <= 0 then begin
       Printf.eprintf "daisy serve: --domains must be positive\n";
@@ -1378,7 +1363,7 @@ let serve_cmd =
       else None
     in
     match
-      Serve.Server.serve ~params ~engine ?budget ?checkpoint_root ~domains
+      Serve.Server.serve ~params ?budget ?checkpoint_root ~domains
         ?queue_cap ?session_instrument ?tier2 ?storage
         ~ignore_mem:
           (if chaos_cocktail then [ Workloads.Wl.interrupt_count_addr ]
@@ -1393,7 +1378,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ dir $ socket_arg $ domains $ budget $ checkpoint_root
-          $ engine $ queue_cap $ chaos_cocktail $ chaos_seed $ chaos_storage
+          $ queue_cap $ chaos_cocktail $ chaos_seed $ chaos_storage
           $ params_term $ tier2_term)
 
 let client_cmd =

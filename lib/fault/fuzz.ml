@@ -236,78 +236,59 @@ let wl_of ~seed ~index ~fuel slots =
 (* ------------------------------------------------------------------ *)
 (* Differential run                                                    *)
 
-(** Run one page through reference interpreter and VMM — once per
-    execution engine, so the tree walker and the staged closure engine
-    are both held to the reference semantics on every page; [faults],
-    when given, attaches every configured injector class (with a
-    per-page derived seed, so page verdicts are independent of each
-    other).  Each engine run gets its own freshly-seeded injector:
-    injectors are stateful RNGs, and sharing one would entangle the two
-    runs' fault schedules.  [storage] additionally runs the page
-    against a persistent translation cache in the given directory,
-    through a seeded disk-fault backend — the verdict must still be
-    [Match]: a lying disk may cost retranslation, never correctness.
-    [storage_fired] accumulates how many disk faults actually fired.
-    [attach_extra] attaches additional instrumentation after the
-    injector (the guard's shadow verifier, observability sinks). *)
+(** Run one page through reference interpreter and VMM; [faults], when
+    given, attaches every configured injector class (with a per-page
+    derived seed, so page verdicts are independent of each other).
+    [storage] additionally runs the page against a persistent
+    translation cache in the given directory, through a seeded
+    disk-fault backend — the verdict must still be [Match]: a lying
+    disk may cost retranslation, never correctness.  [storage_fired]
+    accumulates how many disk faults actually fired.  [attach_extra]
+    attaches additional instrumentation after the injector (the
+    guard's shadow verifier, observability sinks). *)
 let run_slots ?faults ?storage ?storage_fired ?attach_extra ~seed ~index ~fuel
     slots =
   let w = wl_of ~seed ~index ~fuel slots in
-  let run_engine (engine : Vmm.Monitor.engine) =
-    let label =
-      match engine with Vmm.Monitor.Tree -> "tree" | Compiled -> "compiled"
-    in
-    let ignore_mem, inject =
-      match faults with
-      | None -> ([], None)
-      | Some (cfg : Inject.config) ->
-        let inj =
-          Inject.create { cfg with seed = cfg.seed lxor (index * 2654435761) }
-        in
-        ( (if cfg.interrupt_rate > 0. then [ Wl.interrupt_count_addr ] else []),
-          Some (Inject.attach inj) )
-    in
-    (* like the fault injector: a fresh per-engine backend, seeded from
-       the page index, so the two engine runs' fault schedules stay
-       independent and any page replays exactly *)
-    let tcache_dir, tcache_io, storage_inj =
-      match storage with
-      | None -> (None, None, None)
-      | Some (dir, (fc : Fsio.fault_config)) ->
-        let io, inj =
-          Fsio.faulty { fc with seed = fc.seed lxor (index * 2654435761) }
-        in
-        (Some dir, Some io, Some inj)
-    in
-    let instrument =
-      match (inject, attach_extra) with
-      | None, None -> None
-      | _ ->
-        Some
-          (fun vmm ->
-            (match inject with Some f -> f vmm | None -> ());
-            match attach_extra with Some f -> f vmm | None -> ())
-    in
-    let v =
-      match Vmm.Run.run ~engine ?instrument ~ignore_mem ?tcache_dir ?tcache_io w with
-      | r -> if r.exit_code = None then Hang else Match
-      | exception Vmm.Run.Mismatch m -> Mismatch (label ^ ": " ^ m)
-      | exception e ->
-        Mismatch (label ^ ": crash: " ^ Printexc.to_string e)
-    in
-    (match (storage_fired, storage_inj) with
-    | Some acc, Some inj -> acc := !acc + Fsio.faults_fired inj
-    | _ -> ());
-    v
+  let ignore_mem, inject =
+    match faults with
+    | None -> ([], None)
+    | Some (cfg : Inject.config) ->
+      let inj =
+        Inject.create { cfg with seed = cfg.seed lxor (index * 2654435761) }
+      in
+      ( (if cfg.interrupt_rate > 0. then [ Wl.interrupt_count_addr ] else []),
+        Some (Inject.attach inj) )
   in
-  match run_engine Vmm.Monitor.Tree with
-  | Mismatch _ as v -> v
-  | tree_v -> (
-    match run_engine Vmm.Monitor.Compiled with
-    | Mismatch _ as v -> v
-    | compiled_v ->
-      (* either engine hanging means no verification point for the page *)
-      if tree_v = Hang || compiled_v = Hang then Hang else Match)
+  (* like the fault injector: a backend seeded from the page index, so
+     any page replays exactly *)
+  let tcache_dir, tcache_io, storage_inj =
+    match storage with
+    | None -> (None, None, None)
+    | Some (dir, (fc : Fsio.fault_config)) ->
+      let io, inj =
+        Fsio.faulty { fc with seed = fc.seed lxor (index * 2654435761) }
+      in
+      (Some dir, Some io, Some inj)
+  in
+  let instrument =
+    match (inject, attach_extra) with
+    | None, None -> None
+    | _ ->
+      Some
+        (fun vmm ->
+          (match inject with Some f -> f vmm | None -> ());
+          match attach_extra with Some f -> f vmm | None -> ())
+  in
+  let v =
+    match Vmm.Run.run ?instrument ~ignore_mem ?tcache_dir ?tcache_io w with
+    | r -> if r.exit_code = None then Hang else Match
+    | exception Vmm.Run.Mismatch m -> Mismatch m
+    | exception e -> Mismatch ("crash: " ^ Printexc.to_string e)
+  in
+  (match (storage_fired, storage_inj) with
+  | Some acc, Some inj -> acc := !acc + Fsio.faults_fired inj
+  | _ -> ());
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)

@@ -25,7 +25,7 @@
      | payload MD5 (16 raw bytes) | payload
 
    and the payload is: workload str | frontend str | fingerprint str
-   | engine u8 | every vint | seq vint | pc vint | machine
+   | every vint | seq vint | pc vint | machine
    | mem seq vint | console str | timer_count vint | stats
    | health entries | dirty chunks.
 
@@ -48,7 +48,7 @@ module Monitor = Vmm.Monitor
 open Ppc
 
 let magic = "DGCK"
-let version = 1
+let version = 2
 
 (** Dirty-tracking granularity, in bytes.  Independent of the
     translator's page size: this is about snapshot volume, not about
@@ -179,7 +179,6 @@ let write t ~pc =
   Codec.put_str b t.workload;
   Codec.put_str b vmm.fe.name;
   Codec.put_str b (Translator.Params.fingerprint vmm.tr.params);
-  Codec.put_u8 b (match vmm.engine with Tree -> 0 | Compiled -> 1);
   Codec.put_vint b t.every;
   Codec.put_vint b t.seq;
   Codec.put_vint b pc;
@@ -263,7 +262,6 @@ type snapshot = {
   s_workload : string;
   s_frontend : string;
   s_fingerprint : string;
-  s_engine : Monitor.engine;
   s_every : int;
   s_seq : int;
   s_pc : int;
@@ -294,12 +292,6 @@ let parse_snapshot s =
   let s_workload = Codec.get_str r in
   let s_frontend = Codec.get_str r in
   let s_fingerprint = Codec.get_str r in
-  let s_engine =
-    match Codec.get_u8 r with
-    | 0 -> Monitor.Tree
-    | 1 -> Monitor.Compiled
-    | n -> Codec.corrupt "bad engine %d" n
-  in
   let s_every = Codec.get_vint r in
   let s_seq = Codec.get_vint r in
   let s_pc = Codec.get_vint r in
@@ -326,9 +318,8 @@ let parse_snapshot s =
         let bytes = Codec.get_str r in
         (i, bytes))
   in
-  { s_workload; s_frontend; s_fingerprint; s_engine; s_every; s_seq; s_pc;
-    s_machine; s_mem_seq; s_console; s_timer_count; s_stats; s_health;
-    s_chunks }
+  { s_workload; s_frontend; s_fingerprint; s_every; s_seq; s_pc; s_machine;
+    s_mem_seq; s_console; s_timer_count; s_stats; s_health; s_chunks }
 
 (* Whole-file read via the backend; a truncated or torn file yields a
    prefix the checksum ladder rejects. *)

@@ -5,7 +5,7 @@
      the finished translation away, takes a ladder strike and recovers
      by interpretation (the page retries after backoff, so a transient
      host stall heals).
-   - [compile_s]: per page staging in the closure-compiled engine
+   - [compile_s]: per page staging into closures
      ({!Vliw.Compile.stage}'s [?budget]); same recovery, and no partial
      staging is ever installed.
    - [progress]: the runaway-loop detector — this many consecutive

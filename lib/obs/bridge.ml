@@ -2,15 +2,14 @@
    observability sinks.  The VMM publishes {!Vmm.Monitor.event}s through
    its [event_hook]; this module subscribes and fans each event out to
    whichever sinks were requested — the trace ring, the metrics
-   histograms, the per-page hotness profile.  The dependency points
-   obs -> vmm only: the VMM never links against this library. *)
+   histograms, the region profile, the flight recorder.  The dependency
+   points obs -> vmm only: the VMM never links against this library. *)
 
 module Monitor = Vmm.Monitor
 
 type t = {
   tracer : Trace.t option;
   metrics : Metrics.t option;
-  hotness : Hotness.t option;
   profile : Profile.t option;
   flight : Flight.t option;
   h_episode : Metrics.Histogram.t option;
@@ -27,7 +26,7 @@ type t = {
       (** milliseconds to write one supervision checkpoint *)
 }
 
-let create ?tracer ?metrics ?hotness ?profile ?flight () =
+let create ?tracer ?metrics ?profile ?flight () =
   let h name buckets =
     Option.map
       (fun m -> Metrics.histogram m ~buckets name)
@@ -38,7 +37,7 @@ let create ?tracer ?metrics ?hotness ?profile ?flight () =
     Option.iter (Flight.set_metrics f) m;
     Option.iter (Flight.set_profile f) p
   | None, _, _ -> ());
-  { tracer; metrics; hotness; profile; flight;
+  { tracer; metrics; profile; flight;
     h_episode =
       h "interp_episode_insns" [ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. ];
     h_tr_insns =
@@ -83,9 +82,6 @@ let on_event b (ev : Monitor.event) =
   | Translate_end { page; insns; vliws; bytes; _ } ->
     observe b.h_tr_insns insns;
     observe b.h_tr_vliws vliws;
-    (match b.hotness with
-    | Some h -> Hotness.translated h ~page ~insns ~bytes
-    | None -> ());
     (match b.profile with
     | Some p -> Profile.translated p ~page ~insns ~bytes
     | None -> ())
@@ -99,16 +95,9 @@ let on_event b (ev : Monitor.event) =
     | Some p -> Profile.edge p ~src ~dst ~kind:(profile_edge_kind kind)
     | None -> ())
   | Page_enter { page; vliws_so_far; _ } ->
-    (match b.hotness with
-    | Some h -> Hotness.enter h ~page ~vliws_so_far
-    | None -> ());
     (match b.profile with
     | Some p -> Profile.enter p ~page ~vliws_so_far
     | None -> ())
-  | Castout { page; _ } ->
-    (match b.hotness with Some h -> Hotness.castout h ~page | None -> ())
-  | Code_invalidated { page; _ } ->
-    (match b.hotness with Some h -> Hotness.invalidated h ~page | None -> ())
   | Tcache_hit { seconds; _ } ->
     (match b.h_tc_load with
     | Some h -> Metrics.Histogram.observe h (seconds *. 1000.)

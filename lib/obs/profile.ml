@@ -1,9 +1,8 @@
 (* The region profiler: a weighted cross-page control-flow graph.
 
-   Hotness (lib/obs/hotness.ml) answers "which pages are hot";
-   this module additionally answers "how does control move *between*
-   them", which is what the tier-2 region scheduler needs to pick a
-   promotion unit.  Nodes are page bases carrying execution weight
+   It answers "which pages are hot" and "how does control move
+   *between* them", which is what the tier-2 region scheduler needs to
+   pick a promotion unit.  Nodes are page bases carrying execution weight
    (entries, VLIWs, interpreted instructions, translation work); edges
    are {!Vmm.Monitor.Exit_edge} events — one counter per
    (src, dst, kind) triple.
@@ -57,8 +56,9 @@ type t = {
   pages : (int, page) Hashtbl.t;
   edges : (int * int * edge_kind, int ref) Hashtbl.t;
   mutable runs : int;        (** runs merged into this profile *)
-  (* attribution state: VLIWs executed since the last page switch are
-     credited to the page we were on (same scheme as Hotness) *)
+  (* attribution state: the VMM reports the running VLIW count at every
+     page switch, and the VLIWs executed since the last switch are
+     credited to the page we were on *)
   mutable current : int;     (* -1 = none *)
   mutable vliws_at_switch : int;
 }

@@ -75,7 +75,7 @@ type report = {
 (** Run the fleet in-process against cache directory [dir].  Uses its
     own pool and coordinator (sized from [cfg]); returns once every
     session has an outcome and the pool is quiesced. *)
-let run ?params ?engine ?checkpoint_root ~dir (cfg : config) =
+let run ?params ?checkpoint_root ~dir (cfg : config) =
   if cfg.sessions <= 0 then invalid_arg "Chaos.run: sessions must be positive";
   if cfg.workloads = [] then invalid_arg "Chaos.run: no workloads";
   let pool = Pool.create ~queue_cap:cfg.queue_cap ~domains:cfg.domains () in
@@ -118,7 +118,7 @@ let run ?params ?engine ?checkpoint_root ~dir (cfg : config) =
       in
       out.(i) <-
         Some
-          (Session.run ?params ?engine ?checkpoint_root ?deadline_at
+          (Session.run ?params ?checkpoint_root ?deadline_at
              ~instrument:(Fault.Inject.attach injectors.(i))
              ?tier2:cfg.tier2
              ?tcache_io:(session_io i)

@@ -54,7 +54,7 @@ let quantile_ms sorted q =
     storage-chaos harness hands out per-session seeded fault backends
     here.  A session the pool sheds at shutdown surfaces as a
     [Cancelled] outcome, not a silently dropped slot. *)
-let run ?params ?engine ?checkpoint_root ?deadline_at ?instrument ?tier2
+let run ?params ?checkpoint_root ?deadline_at ?instrument ?tier2
     ?session_io ?ignore_mem ?(first_id = 0) ~pool ~shared ~sessions workloads =
   if sessions <= 0 then invalid_arg "Fleet.run: sessions must be positive";
   if workloads = [] then invalid_arg "Fleet.run: no workloads";
@@ -71,7 +71,7 @@ let run ?params ?engine ?checkpoint_root ?deadline_at ?instrument ?tier2
       (fun () ->
         out.(i) <-
           Some
-            (Session.run ?params ?engine ?checkpoint_root ?deadline_at
+            (Session.run ?params ?checkpoint_root ?deadline_at
                ?instrument:(Option.map (fun f -> f ~id) instrument)
                ?tier2
                ?tcache_io:(Option.map (fun f -> f ~id) session_io)

@@ -45,7 +45,6 @@ type t = {
   next_id : int Atomic.t;
   stop : bool Atomic.t;
   params : Translator.Params.t;
-  engine : Vmm.Monitor.engine option;
   checkpoint_root : string option;
   session_instrument : (id:int -> Vmm.Monitor.t -> unit) option;
       (** extra per-session hook — fault injection, extra observers *)
@@ -202,8 +201,8 @@ let run_one t ~workload ~deadline_ms =
        requests never burn ids and sessions_started counts real runs *)
     let id = Atomic.fetch_and_add t.next_id 1 in
     let o =
-      Session.run ~params:t.params ?engine:t.engine
-        ?checkpoint_root:t.checkpoint_root ?deadline_at
+      Session.run ~params:t.params ?checkpoint_root:t.checkpoint_root
+        ?deadline_at
         ?instrument:
           (Option.map (fun f -> f ~id) t.session_instrument)
         ?tier2:t.tier2 ?tcache_io:(fresh_session_io t ~id)
@@ -242,8 +241,7 @@ let run_fleet t ~sessions ~workloads ~deadline_ms =
   else begin
     let first_id = Atomic.fetch_and_add t.next_id sessions in
     match
-      Fleet.run ~params:t.params ?engine:t.engine
-        ?checkpoint_root:t.checkpoint_root
+      Fleet.run ~params:t.params ?checkpoint_root:t.checkpoint_root
         ?deadline_at:(deadline_at deadline_ms)
         ?instrument:t.session_instrument ?tier2:t.tier2
         ?session_io:
@@ -331,7 +329,7 @@ let handle t fd =
     [storage] puts every session's translation cache on a seeded
     disk-fault backend (`--chaos-storage`); HEALTH then reports how
     many faults fired and how many cache ops degraded to memory. *)
-let serve ?(params = Translator.Params.default) ?engine ?budget
+let serve ?(params = Translator.Params.default) ?budget
     ?checkpoint_root ?(domains = 4) ?queue_cap ?session_instrument ?tier2
     ?storage ?(ignore_mem = []) ~socket_path ~dir () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -346,7 +344,7 @@ let serve ?(params = Translator.Params.default) ?engine ?budget
   let t =
     { socket_path; listener; pool = Pool.create ?queue_cap ~domains ();
       shared = Shared.create ?budget ~dir (); next_id = Atomic.make 0;
-      stop = Atomic.make false; params; engine; checkpoint_root;
+      stop = Atomic.make false; params; checkpoint_root;
       session_instrument; tier2; ignore_mem; storage;
       storage_injectors = ref []; storage_lock = Mutex.create ();
       sheds = Atomic.make 0; completed = Atomic.make 0;

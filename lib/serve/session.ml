@@ -91,7 +91,7 @@ let rec rm_rf path =
     [ignore_mem] passes through to {!Vmm.Run.run}'s verifier — word
     addresses whose divergence is expected (the interrupt count under
     injection, say). *)
-let run ?params ?engine ?checkpoint_root ?deadline_at ?instrument ?tier2
+let run ?params ?checkpoint_root ?deadline_at ?instrument ?tier2
     ?tcache_io ?(ignore_mem = []) ~shared ~id name =
   let metrics = Obs.Metrics.create ~label:(Printf.sprintf "session-%d" id) () in
   let touched : (string, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -148,7 +148,7 @@ let run ?params ?engine ?checkpoint_root ?deadline_at ?instrument ?tier2
     else
       match
         let w = Workloads.Registry.by_name name in
-        Vmm.Run.run ?params ?engine ~instrument:instrument_session
+        Vmm.Run.run ?params ~instrument:instrument_session
           ~ignore_mem ~tcache_dir:(Shared.dir shared) ?tcache_io w
       with
       | r -> Ok r

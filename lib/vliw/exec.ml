@@ -1,4 +1,8 @@
-(* Execution of one tree VLIW instruction.
+(* Execution of one tree VLIW instruction: the executable specification.
+
+   This tree walker is the semantics that {!Compile}'s staged closures
+   must reproduce, and the oracle the tests compare them against.  The
+   VMM does not run it; it executes staged VLIWs only.
 
    Semantics (Chapter 2 / Section 3.5 of the paper):
    - all conditional tests read the state at VLIW entry and select one

@@ -72,7 +72,7 @@ type stats = {
   mutable quarantines : int;     (** pages demoted to interpretation *)
   mutable degrade_retries : int; (** re-translations after backoff expiry *)
   mutable interp_pinned : int;   (** pages permanently pinned to interp *)
-  (* --- staged (closure-compiled) execution engine --- *)
+  (* --- staged (closure-compiled) execution --- *)
   mutable compiled_pages : int;      (** pages staged into closures *)
   mutable compile_seconds : float;   (** wall time spent staging *)
   mutable direct_link_hits : int;    (** on-page jumps resolved via the
@@ -168,10 +168,9 @@ type event =
   | Cross_page of { cycle : int; kind : cross_kind; target : int }
   | Exit_edge of { cycle : int; src : int; dst : int; kind : edge_kind }
       (** control moved from page [src] to a different page [dst] (both
-          page bases) by a promotable transfer.  Emitted by the shared
-          exit handlers, so the tree walker and the staged
-          closure-compiled engine produce identical edge streams, and by
-          the interpreter when an episode ends on another page. *)
+          page bases) by a promotable transfer.  Emitted by the exit
+          handlers, and by the interpreter when an episode ends on
+          another page. *)
   | Page_enter of { cycle : int; page : int; vliws_so_far : int }
   | Retranslate_adaptive of { cycle : int; page : int }
   | Castout of { cycle : int; page : int }
@@ -202,7 +201,7 @@ type event =
   | Interp_pinned of { cycle : int; page : int }
       (** failure budget exhausted; page interprets forever *)
   | Vliw_compiled of { cycle : int; page : int; vliws : int; seconds : float }
-      (** a page's trees were staged into closures (compiled engine) *)
+      (** a page's trees were staged into closures *)
   | Deadline of {
       cycle : int;
       page : int;
@@ -260,12 +259,6 @@ type health = {
   mutable pinned_interp : bool;  (** never try translation again *)
 }
 
-(** Which execution engine runs installed translations: the interpretive
-    tree walker ([Exec.run]) or the staged closure-compiled engine
-    ([Vliw.Compile]).  Both produce bit-identical architected state;
-    [Compiled] is the default. *)
-type engine = Tree | Compiled
-
 (* A promoted tier-2 region: a set of tier-1 pages re-translated as one
    translation unit through the superblock scheduler (wide window, high
    join limit, speculation across the former page boundaries).  The
@@ -297,9 +290,8 @@ type t = {
   tcache : Tcache.Store.t option;
       (** the persistent translation cache, when [run --tcache] gave us
           a directory *)
-  mutable engine : engine;
   cscratch : C.scratch;
-      (** shared scratch buffers of the staged engine (one VLIW executes
+      (** shared scratch buffers of staged execution (one VLIW executes
           at a time, so one set serves every staged page) *)
   compiled : (int, Translate.xpage * C.page) Hashtbl.t;
       (** staged pages by base; the source [xpage] is kept so staleness
@@ -403,7 +395,7 @@ type t = {
       (** wall-clock allowance (seconds) per fresh page translation;
           overruns take a ladder strike instead of being absorbed *)
   mutable compile_budget : float option;
-      (** wall-clock allowance per page staging (compiled engine) *)
+      (** wall-clock allowance per page staging *)
   mutable progress_limit : int option;
       (** runaway-loop detector: fire after this many consecutive VLIW
           boundaries at the same precise pc with no interpretation in
@@ -643,7 +635,7 @@ let spec_conflicts t saddr sbytes sseq =
   go 0
 
 let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
-    ?(engine = Compiled) ?tcache_dir ?tcache_io mem =
+    ?tcache_dir ?tcache_io mem =
   let m = Machine.create () in
   let st = Vliw.Vstate.create m in
   let tr = Translate.create ~frontend params mem in
@@ -657,7 +649,7 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
   let t =
     { tr; st; fe = frontend; interp_step = frontend.make_step m mem; mem;
       stats = fresh_stats (); tcache;
-      engine; cscratch = C.create_scratch (); compiled = Hashtbl.create 32;
+      cscratch = C.create_scratch (); compiled = Hashtbl.create 32;
       spec_addr = Array.make 32 0; spec_bytes = Array.make 32 0;
       spec_seq = Array.make 32 0; spec_n = 0;
       current_page = -1; invalidated = false;
@@ -716,9 +708,6 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
               t.invalidated <- true));
   t
 
-let overlap (a : Exec.access) (b : Exec.access) =
-  a.addr < b.addr + b.bytes && b.addr < a.addr + a.bytes
-
 (* Does a store at [addr] hit code of the unit we are executing?  Under
    a promoted region any member page counts: instructions later in the
    VLIW may have been speculated from any of them. *)
@@ -730,36 +719,13 @@ let store_hits_code t addr =
 
 (* The runtime alias check of Section 2.1 / Table 5.7: a store conflicts
    with a speculative load that is later in program order but already
-   executed. *)
-let alias_check t (accesses : Exec.access list) =
+   executed.  The accesses are read by index from the staged VLIW's
+   scratch buffers; no lists are built. *)
+let alias_check t (s : C.scratch) =
+  let n = s.a_n in
   (* a store into the very page we are executing must roll the VLIW
      back: instructions after the store may have been translated from
      the code it just overwrote (Section 3.2) *)
-  if
-    t.tr.params.watch_code
-    && List.exists
-      (fun (a : Exec.access) -> a.store && store_hits_code t a.addr)
-      accesses
-  then (
-    t.pending_selfmod <- true;
-    false)
-  else
-    not
-      (List.exists
-         (fun (s : Exec.access) ->
-           s.store
-           && (List.exists
-                 (fun (l : Exec.access) ->
-                   (not l.store) && l.passed_store && l.seq > s.seq
-                   && overlap l s)
-                 accesses
-              || spec_conflicts t s.addr s.bytes s.seq))
-         accesses)
-
-(* The same check over the staged engine's scratch buffers: no lists
-   are built, every probe is an indexed read. *)
-let alias_check_c t (s : C.scratch) =
-  let n = s.a_n in
   let selfmod =
     t.tr.params.watch_code
     && begin
@@ -936,18 +902,25 @@ let boundary_tick t ~pc =
   (match t.tick_hook with Some f -> f ~pc | None -> ());
   fired
 
-(* Stage (or re-stage) the closure-compiled form of [page], lazily on
-   first dispatch.  Staleness is physical identity plus tree count:
-   invalidation replaces the xpage object in [tr.pages], and an
-   in-place extension grows its [vliws] — either way the staged form
-   is rebuilt here. *)
-let compiled_for t (page : Translate.xpage) : C.page =
-  match Hashtbl.find_opt t.compiled page.base with
-  | Some (src, cp) when src == page && C.n_staged cp = Vec.length page.vliws ->
-    cp
-  | _ ->
+(* Stage (or re-stage) the closure-compiled form of [xp], lazily on
+   first dispatch.  A tier-1 page's staged form is kept in [t.compiled]
+   by base; a region image's in its record, since the region is
+   [active_region] while its image dispatches.  Staleness is physical
+   identity plus tree count: invalidation replaces the xpage object,
+   and an in-place extension grows its [vliws] — either way the staged
+   form is rebuilt here.  The hit path runs on every cross-page
+   dispatch, so it allocates nothing. *)
+let compiled_for t (xp : Translate.xpage) : C.page =
+  match
+    match t.active_region with
+    | None -> Hashtbl.find t.compiled xp.base
+    | Some { r_staged = Some staged; _ } -> staged
+    | Some { r_staged = None; _ } -> raise_notrace Not_found
+  with
+  | src, cp when src == xp && C.n_staged cp = Vec.length xp.vliws -> cp
+  | _ | exception Not_found ->
     let t0 = Sys.time () in
-    let trees = Array.init (Vec.length page.vliws) (Vec.get page.vliws) in
+    let trees = Array.init (Vec.length xp.vliws) (Vec.get xp.vliws) in
     let cp =
       C.stage ?budget:t.compile_budget ~st:t.st ~mem:t.mem ~scratch:t.cscratch
         trees
@@ -955,10 +928,15 @@ let compiled_for t (page : Translate.xpage) : C.page =
     let seconds = Sys.time () -. t0 in
     t.stats.compiled_pages <- t.stats.compiled_pages + 1;
     t.stats.compile_seconds <- t.stats.compile_seconds +. seconds;
-    Hashtbl.replace t.compiled page.base (page, cp);
+    (match t.active_region with
+    | None -> Hashtbl.replace t.compiled xp.base (xp, cp)
+    | Some r ->
+      t.stats.tier2_compile_seconds <-
+        t.stats.tier2_compile_seconds +. seconds;
+      r.r_staged <- Some (xp, cp));
     emit t (fun () ->
         Vliw_compiled
-          { cycle = now t; page = page.base; vliws = Array.length trees;
+          { cycle = now t; page = t.current_page; vliws = Array.length trees;
             seconds });
     cp
 
@@ -1243,71 +1221,48 @@ let run t ~entry ~fuel =
           Translator_fault { cycle = now t; page = base; entry = addr; reason });
       deopt_region t r ~page:base ~reason:("tier-2 extension: " ^ reason);
       goto_base addr
-    | xp, id -> (
+    | xp, id ->
       t.current_page <- base;
       t.active_region <- Some r;
       stats.tier2_entries <- stats.tier2_entries + 1;
       emit t (fun () ->
           Page_enter { cycle = now t; page = base; vliws_so_far = stats.vliws });
-      match t.engine with
-      | Tree -> exec_at xp id
-      | Compiled -> (
-        match region_compiled r xp with
-        | cp -> exec_c xp cp (C.get cp id)
-        | exception ((Mem.Halted _ | Out_of_fuel | Deliver _) as e) -> raise e
-        | exception C.Budget_exceeded seconds ->
-          (* staging the region image blew its budget: demote and run
-             the same address under tier-1 *)
+      dispatch xp id
+  (* Run VLIW [id] of [xp] staged.  Staging fails before any staged code
+     runs, so the VLIW's precise entry state is intact: a blown budget
+     is a [Dcompile] deadline, anything else a malformed tree, counted
+     as an execution fault.  Tier-1 takes a ladder strike and recovers
+     by interpretation; a region image is demoted and the same address
+     re-dispatched under tier-1. *)
+  and dispatch (xp : Translate.xpage) id =
+    match compiled_for t xp with
+    | cp -> exec_c xp cp (C.get cp id)
+    | exception ((Mem.Halted _ | Out_of_fuel | Deliver _) as e) -> raise e
+    | exception exn -> (
+      let page = t.current_page in
+      let precise = (Vec.get xp.vliws id).precise_entry in
+      let reason =
+        match exn with
+        | C.Budget_exceeded seconds ->
           stats.deadline_hits <- stats.deadline_hits + 1;
           emit t (fun () ->
-              Deadline { cycle = now t; page = base; stage = Dcompile; seconds });
-          deopt_region t r ~page:base ~reason:"tier-2 staging deadline";
-          goto_base addr
-        | exception _ ->
-          (* structurally corrupt region tree: the interpretive walker
-             owns error containment, exactly as for tier-1 pages *)
-          exec_at xp id))
-  and region_compiled (r : region) (xp : Translate.xpage) : C.page =
-    match r.r_staged with
-    | Some (src, cp) when src == xp && C.n_staged cp = Vec.length xp.vliws ->
-      cp
-    | _ ->
-      let t0 = Sys.time () in
-      let trees = Array.init (Vec.length xp.vliws) (Vec.get xp.vliws) in
-      let cp =
-        C.stage ?budget:t.compile_budget ~st:t.st ~mem:t.mem
-          ~scratch:t.cscratch trees
+              Deadline { cycle = now t; page; stage = Dcompile; seconds });
+          "staging deadline"
+        | exn ->
+          let reason = "staging: " ^ Printexc.to_string exn in
+          stats.exec_faults <- stats.exec_faults + 1;
+          emit t (fun () ->
+              Exec_fault { cycle = now t; page; pc = precise; reason });
+          if t.active_region = None then tcache_evict t page;
+          reason
       in
-      let seconds = Sys.time () -. t0 in
-      stats.compiled_pages <- stats.compiled_pages + 1;
-      stats.compile_seconds <- stats.compile_seconds +. seconds;
-      stats.tier2_compile_seconds <- stats.tier2_compile_seconds +. seconds;
-      r.r_staged <- Some (xp, cp);
-      emit t (fun () ->
-          Vliw_compiled
-            { cycle = now t; page = t.current_page;
-              vliws = Array.length trees; seconds });
-      cp
-  and dispatch (page : Translate.xpage) id =
-    match t.engine with
-    | Tree -> exec_at page id
-    | Compiled -> (
-      match compiled_for t page with
-      | cp -> exec_c page cp (C.get cp id)
-      | exception ((Mem.Halted _ | Out_of_fuel | Deliver _) as e) -> raise e
-      | exception C.Budget_exceeded seconds ->
-        (* staging blew its wall-clock budget: no partial page was
-           installed, so quarantine and recover by interpretation *)
-        stats.deadline_hits <- stats.deadline_hits + 1;
-        emit t (fun () ->
-            Deadline
-              { cycle = now t; page = page.base; stage = Dcompile; seconds });
-        record_failure t page.base;
-        recover_at (Vec.get page.vliws id).precise_entry
-      | exception _ ->
-        (* staging itself blew up (structurally corrupt tree): the
-           interpretive walker owns error containment for this page *)
-        exec_at page id)
+      match t.active_region with
+      | Some r ->
+        deopt_region t r ~page ~reason:("tier-2 " ^ reason);
+        goto_base precise
+      | None ->
+        record_failure t page;
+        recover_at precise)
   and evict_to budget current =
     (* cast out least-recently-entered translations until within budget *)
     let live () =
@@ -1360,120 +1315,8 @@ let run t ~entry ~fuel =
        was found and repaired back to the pre-packet snapshot — resume
        there by interpretation. *)
     match t.shadow_commit with None -> None | Some f -> f ~next
-  and exec_at (page : Translate.xpage) id =
-    decr fuel_left;
-    let vliw = Vec.get page.vliws id in
-    if !fuel_left <= 0 then begin
-      t.resume_pc <- vliw.precise_entry;
-      raise Out_of_fuel
-    end;
-    if
-      (match (t.tick_hook, t.progress_limit) with
-      | None, None -> false
-      | _ -> boundary_tick t ~pc:vliw.precise_entry)
-    then recover_at vliw.precise_entry
-    else if take_redispatch t ~pc:vliw.precise_entry then
-      (* a region was installed under us: leave the tier-1 chain at
-         this precise boundary and dispatch into the promoted image *)
-      goto_base vliw.precise_entry
-    else if (match t.prefault_hook with Some f -> f () | None -> false)
-    then begin
-      (* injected page-fault storm: the VLIW appears not to have
-         executed, exactly like a real access fault *)
-      stats.rollbacks <- stats.rollbacks + 1;
-      emit t (fun () ->
-          Rolled_back { cycle = now t; pc = vliw.precise_entry; kind = RbFault });
-      recover_at vliw.precise_entry
-    end
-    else begin
-    (match t.boundary_hook with
-    | Some f when t.st.m.msr land Machine.Msr.ee <> 0 ->
-      if f () then begin
-        (* spurious external interrupt: VLIW boundaries are precise *)
-        stats.external_interrupts <- stats.external_interrupts + 1;
-        emit t (fun () -> External_interrupt { cycle = now t });
-        let vliw = Vec.get page.vliws id in
-        Interp.interrupt t.st.m ~return_pc:vliw.precise_entry
-          Interp.Vector.external_;
-        raise (Deliver t.st.m.pc)
-      end
-    | _ -> ());
-    (match t.timer_interval with
-    | Some n ->
-      t.timer_count <- t.timer_count + 1;
-      if t.timer_count >= n && t.st.m.msr land Machine.Msr.ee <> 0 then begin
-        (* external interrupt: state at a VLIW boundary is precise *)
-        t.timer_count <- 0;
-        stats.external_interrupts <- stats.external_interrupts + 1;
-        emit t (fun () -> External_interrupt { cycle = now t });
-        let vliw = Vec.get page.vliws id in
-        Interp.interrupt t.st.m ~return_pc:vliw.precise_entry
-          Interp.Vector.external_;
-        raise (Deliver t.st.m.pc)
-      end
-    | None -> ());
-    if vliw.is_entry then spec_clear t;
-    (match t.fetch_hook with
-    | Some f -> f ~addr:(Vec.get page.addrs id) ~size:(Vec.get page.sizes id)
-    | None -> ());
-    (match t.shadow_arm with Some f -> f ~pc:vliw.precise_entry | None -> ());
-    (match t.active_region with
-    | Some _ ->
-      (* track the tier-1 page each region VLIW was entered from, so
-         ladder strikes, exit edges and deadline events stay
-         page-granular even under a multi-page image *)
-      t.current_page <-
-        vliw.precise_entry land lnot (t.tr.params.page_size - 1);
-      stats.tier2_vliws <- stats.tier2_vliws + 1
-    | None -> ());
-    stats.vliws <- stats.vliws + 1;
-    match Exec.run t.st t.mem ~alias_check:(alias_check t) vliw with
-    | exception Exec.Error reason -> exec_fault_at vliw.precise_entry reason
-    | Rollback reason -> rolled_back_at vliw.precise_entry reason
-    | Done { exit; accesses; nops = _ } ->
-      List.iter
-        (fun (a : Exec.access) ->
-          if a.store then stats.stores <- stats.stores + 1
-          else stats.loads <- stats.loads + 1;
-          match t.access_hook with Some f -> f a | None -> ())
-        accesses;
-      List.iter
-        (fun (a : Exec.access) ->
-          if (not a.store) && a.passed_store then
-            spec_push t a.addr a.bytes a.seq)
-        accesses;
-      (* note: a self-modifying store never reaches this point — the
-         alias/code-mod check rolls the VLIW back first, and the store
-         then happens inside the interpretation episode, where the
-         memory hook invalidates the page before re-entry *)
-      (match exit with
-        | T.Next id' -> (
-          match commit_ck ~next:(Vec.get page.vliws id').precise_entry with
-          | Some p -> recover_at p
-          | None -> exec_at page id')
-        | T.OnPage off -> (
-          stats.onpage_jumps <- stats.onpage_jumps + 1;
-          match commit_ck ~next:(page.base + off) with
-          | Some p -> recover_at p
-          | None -> (
-            match Hashtbl.find_opt page.entries off with
-            | Some id' ->
-              spec_clear t;
-              exec_at page id'
-            | None ->
-              (* invalid entry exception *)
-              emit t (fun () ->
-                  Cross_page
-                    { cycle = now t; kind = Xinvalid_entry;
-                      target = page.base + off });
-              goto_base (page.base + off)))
-        | T.OffPage a -> exit_offpage a
-        | T.Indirect (loc, kind) -> exit_indirect vliw.precise_entry loc kind
-        | T.Trap tr -> exit_trap tr)
-    end
-  (* --- handlers shared by both execution engines.  A VLIW that
-     faulted, rolled back, or exited off-page behaves identically
-     whether the tree walker or the staged engine ran it. *)
+  (* --- handlers [exec_c] calls when a VLIW faulted, rolled back, left
+     the page or trapped. *)
   and exec_fault_at precise reason =
     (* malformed VLIW (corruption, translator bug): no write was
        applied, so the precise entry state is intact — quarantine the
@@ -1618,9 +1461,8 @@ let run t ~entry ~fuel =
          program interrupt here where the base architecture takes
          an instruction-storage interrupt. *)
       (match commit_ck ~next:a with Some p -> recover_at p | None -> recover_at a)
-  (* --- the staged (closure-compiled) engine: one [exec_c] per VLIW,
-     mirroring [exec_at] step for step, with intra-page control flow
-     direct-linked through the staged exits. *)
+  (* --- the dispatch loop: one [exec_c] per staged VLIW, with
+     intra-page control flow direct-linked through the staged exits. *)
   and exec_c (page : Translate.xpage) (cp : C.page) (cv : C.cvliw) =
     decr fuel_left;
     let precise = cv.c_tree.precise_entry in
@@ -1677,11 +1519,14 @@ let run t ~entry ~fuel =
     (match t.shadow_arm with Some f -> f ~pc:precise | None -> ());
     (match t.active_region with
     | Some _ ->
+      (* track the tier-1 page each region VLIW was entered from, so
+         ladder strikes, exit edges and deadline events stay
+         page-granular even under a multi-page image *)
       t.current_page <- precise land lnot (t.tr.params.page_size - 1);
       stats.tier2_vliws <- stats.tier2_vliws + 1
     | None -> ());
     stats.vliws <- stats.vliws + 1;
-    match C.exec_vliw cp cv ~alias_check:(alias_check_c t) with
+    match C.exec_vliw cp cv ~alias_check:(alias_check t) with
     | exception Exec.Error reason -> exec_fault_at precise reason
     | exception Exec.Roll reason -> rolled_back_at precise reason
     | leaf ->
@@ -1709,6 +1554,10 @@ let run t ~entry ~fuel =
               seq = s.a_seq.(i); passed_store = s.a_passed.(i);
               store = s.a_store.(i) }
         done);
+      (* note: a self-modifying store never reaches this point — the
+         alias/code-mod check rolls the VLIW back first, and the store
+         then happens inside the interpretation episode, where the
+         memory hook invalidates the page before re-entry *)
       (match leaf.exit with
       | C.Cnext cv' -> (
         match commit_ck ~next:cv'.c_tree.precise_entry with

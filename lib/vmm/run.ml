@@ -81,12 +81,10 @@ let degraded (s : Monitor.stats) =
      operation, surfaced through stats/HEALTH instead of the verdict. *)
   || s.storage_faults > 0
 
-(** [run ?params ?engine ?hierarchy ?instrument ?prepare ?tcache_dir
-    ?ignore_mem w] executes [w] under DAISY and returns the full set of
-    measurements.  [engine] selects the VLIW execution engine (tree
-    walker or staged closures; defaults to {!Monitor.create}'s default).
-    [instrument] is called with the freshly-created VMM before execution
-    starts, so observability sinks can attach to
+(** [run ?params ?hierarchy ?instrument ?prepare ?tcache_dir ?ignore_mem
+    w] executes [w] under DAISY and returns the full set of
+    measurements.  [instrument] is called with the freshly-created VMM
+    before execution starts, so observability sinks can attach to
     {!Monitor.t.event_hook}.  [prepare] runs after instrumentation and
     may override the start point: returning [Some (entry, fuel)] makes
     the run continue from a restored mid-run state (checkpoint resume)
@@ -100,11 +98,11 @@ let degraded (s : Monitor.stats) =
     (interrupt counters under injected interrupts).  Raises {!Mismatch}
     if the translated execution diverges from the reference interpreter
     in any observable way. *)
-let run ?(params = Params.default) ?engine ?hierarchy ?instrument ?prepare
+let run ?(params = Params.default) ?hierarchy ?instrument ?prepare
     ?tcache_dir ?tcache_io ?(ignore_mem = []) (w : Workloads.Wl.t) =
   let rcode, rst, rmem, it = reference w in
   let mem, entry = Workloads.Wl.instantiate w in
-  let vmm = Monitor.create ~params ?engine ?tcache_dir ?tcache_io mem in
+  let vmm = Monitor.create ~params ?tcache_dir ?tcache_io mem in
   let load_misses = ref 0 and store_misses = ref 0 and imiss = ref 0 in
   let stall = ref 0 in
   (match hierarchy with

@@ -1,15 +1,13 @@
-(* The staged (closure-compiled) VLIW execution engine against the
-   interpretive tree walker.
+(* Staged (closure-compiled) VLIW execution, [Vliw.Compile], against its
+   executable specification, the interpretive tree walker [Vliw.Exec].
 
-   Three layers of evidence that the two engines are the same machine:
+   Three layers of evidence that staging preserves the semantics:
    hand-built trees run through [Exec.run] and [Compile.exec_vliw] on
    identical states (outcome, rollback reason, accesses and final state
    compared field by field), a qcheck differential over random
-   straight-line VLIWs, and whole-workload runs through [Vmm.Run.run] —
-   which already verifies each engine bit-for-bit against the reference
-   interpreter — compared engine against engine, plus seeded fuzz
-   corpora (clean and full fault cocktail) where every page now runs
-   under both engines. *)
+   straight-line VLIWs, and seeded fuzz corpora (clean and the full
+   fault cocktail) run by the VMM, where [Vmm.Run.run] verifies every
+   page bit-for-bit against the reference interpreter. *)
 
 open Vliw
 module T = Tree
@@ -379,35 +377,9 @@ let test_onpage_memo () =
   | _ -> Alcotest.fail "expected OnPage"
 
 (* ------------------------------------------------------------------ *)
-(* Whole workloads: engine vs engine through the verified harness      *)
-
-let test_registry_differential () =
-  List.iter
-    (fun (w : Workloads.Wl.t) ->
-      (* each run is itself verified bit-for-bit against the reference
-         interpreter by Run.run; comparing the two engines' dynamic
-         statistics on top pins them to the same execution path *)
-      let rt = Vmm.Run.run ~engine:Vmm.Monitor.Tree w in
-      let rc = Vmm.Run.run ~engine:Vmm.Monitor.Compiled w in
-      let ci name f = Alcotest.(check int) (w.name ^ ": " ^ name) (f rt) (f rc) in
-      Alcotest.(check bool)
-        (w.name ^ ": exit code") true (rt.exit_code = rc.exit_code);
-      ci "vliws" (fun r -> r.Vmm.Run.vliws);
-      ci "interp insns" (fun r -> r.Vmm.Run.interp_insns);
-      ci "loads" (fun r -> r.Vmm.Run.loads);
-      ci "stores" (fun r -> r.Vmm.Run.stores);
-      ci "rollbacks" (fun r -> r.Vmm.Run.stats.rollbacks);
-      ci "onpage jumps" (fun r -> r.Vmm.Run.stats.onpage_jumps);
-      Alcotest.(check bool)
-        (w.name ^ ": tree engine stages nothing") true
-        (rt.stats.compiled_pages = 0);
-      Alcotest.(check bool)
-        (w.name ^ ": compiled engine staged pages") true
-        (rc.stats.compiled_pages > 0))
-    Workloads.Registry.all
+(* Whole programs through the verified harness                         *)
 
 let test_fuzz_clean () =
-  (* run_slots executes every page under both engines *)
   let s = Fault.Fuzz.fuzz ~seed:7 ~pages:40 () in
   Alcotest.(check int) "clean corpus mismatches" 0 s.mismatched
 
@@ -435,9 +407,7 @@ let () =
       ( "linking",
         [ Alcotest.test_case "Next direct-linked" `Quick test_direct_link_patched;
           Alcotest.test_case "OnPage memoized" `Quick test_onpage_memo ] );
-      ( "engines",
-        [ Alcotest.test_case "registry differential" `Slow
-            test_registry_differential;
-          Alcotest.test_case "fuzz corpus, clean" `Slow test_fuzz_clean;
+      ( "programs",
+        [ Alcotest.test_case "fuzz corpus, clean" `Slow test_fuzz_clean;
           Alcotest.test_case "fuzz corpus, cocktail" `Slow test_fuzz_cocktail ] )
     ]

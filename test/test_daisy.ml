@@ -30,7 +30,7 @@ let run_daisy ?(params = Params.default) build ~entry ~fuel =
   let code = Vmm.Monitor.run vmm ~entry:(Hashtbl.find labels entry) ~fuel in
   (code, vmm.st.m, mem, vmm)
 
-(* Compare a program across the two execution engines. *)
+(* Compare a program's run under DAISY with the reference interpreter's. *)
 let differential ?(params = Params.default) ?(fuel = 2_000_000) name build =
   let rcode, rst, rmem, _ = run_ref build ~entry:"main" ~fuel in
   let dcode, dst, dmem, _ = run_daisy ~params build ~entry:"main" ~fuel in

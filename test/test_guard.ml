@@ -206,6 +206,31 @@ let test_incompatible_params_refused () =
   | _ -> Alcotest.fail "fingerprint mismatch not refused");
   rm_rf dir
 
+(* A snapshot written under another format version is refused.  The
+   checksum covers only the payload, so rewriting the version byte of a
+   valid file exercises exactly the version check. *)
+let test_old_version_refused () =
+  let dir = fresh_dir "version" in
+  let w = Workloads.Registry.by_name "wc" in
+  let mem, _ = Wl.instantiate w in
+  let vmm = Monitor.create mem in
+  let ck = Checkpoint.attach ~dir ~every:1 ~workload:w.name vmm in
+  ignore (Checkpoint.write ck ~pc:0x1000);
+  let path = Filename.concat dir "ck-000000.dgck" in
+  let ic = open_in_bin path in
+  let b = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  let at = String.length Checkpoint.magic in
+  Alcotest.(check int) "written at the current version" Checkpoint.version
+    (Char.code (Bytes.get b at));
+  Bytes.set b at (Char.chr 1);
+  let oc = open_out_bin path in
+  output_bytes oc b;
+  close_out oc;
+  Alcotest.(check bool) "version-1 snapshot refused" true
+    (Checkpoint.load ~dir () = None);
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog deadlines                                                  *)
 
@@ -230,6 +255,26 @@ let test_translate_deadline_degrades () =
   Alcotest.(check bool) "run degraded" true (Run.degraded r.stats);
   Alcotest.(check bool) "fell back to interpretation" true
     (vmm.stats.interp_insns > 0)
+
+(* The same for staging: a budget every page overruns means no page is
+   ever staged.  Each overrun is a [Dcompile] deadline and a ladder
+   strike, and the run completes by interpretation, still verified
+   against the reference. *)
+let test_compile_deadline_degrades () =
+  let w = Workloads.Registry.by_name "wc" in
+  let captured = ref None in
+  let r =
+    Run.run w
+      ~instrument:(fun vmm ->
+        captured := Some vmm;
+        Watchdog.attach { Watchdog.none with compile_s = Some (-1.) } vmm)
+  in
+  let vmm = Option.get !captured in
+  Alcotest.(check (option int)) "still correct" (Some 4691) r.exit_code;
+  Alcotest.(check bool) "deadlines fired" true (vmm.stats.deadline_hits >= 1);
+  Alcotest.(check bool) "pages quarantined" true (vmm.stats.quarantines >= 1);
+  Alcotest.(check int) "nothing staged" 0 vmm.stats.compiled_pages;
+  Alcotest.(check bool) "run degraded" true (Run.degraded r.stats)
 
 (* The runaway-loop detector: a branch-to-self revisits the same commit
    boundary forever with no interpretation in between.  The progress
@@ -349,10 +394,14 @@ let () =
           Alcotest.test_case "graceful termination" `Quick
             test_graceful_termination_and_resume;
           Alcotest.test_case "incompatible params refused" `Quick
-            test_incompatible_params_refused ] );
+            test_incompatible_params_refused;
+          Alcotest.test_case "old version refused" `Quick
+            test_old_version_refused ] );
       ( "watchdog",
         [ Alcotest.test_case "translate deadline degrades" `Quick
             test_translate_deadline_degrades;
+          Alcotest.test_case "compile deadline degrades" `Quick
+            test_compile_deadline_degrades;
           Alcotest.test_case "progress detector" `Quick test_progress_detector ]
       );
       ( "shadow",

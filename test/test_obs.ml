@@ -1,5 +1,5 @@
 (* Tests for the observability layer: JSON round-trips, the metrics
-   registry, the trace ring, per-page hotness accounting, and — most
+   registry, the trace ring, per-page profile accounting, and — most
    importantly — that attaching telemetry to a run changes nothing
    observable while its numbers agree exactly with the VMM's own. *)
 
@@ -99,9 +99,9 @@ let test_ring_bound () =
 
 (* --- Runs with telemetry attached --------------------------------- *)
 
-let run_traced ?metrics ?hotness name =
+let run_traced ?metrics ?profile name =
   let tracer = Trace.create ~capacity:(1 lsl 20) () in
-  let bridge = Obs.Bridge.create ~tracer ?metrics ?hotness () in
+  let bridge = Obs.Bridge.create ~tracer ?metrics ?profile () in
   let w = Workloads.Registry.by_name name in
   let r =
     Vmm.Run.run ~instrument:(fun vmm -> Obs.Bridge.attach bridge vmm) w
@@ -147,18 +147,20 @@ let test_disabled_changes_nothing () =
   Alcotest.(check int) "code bytes" plain.code_bytes traced.code_bytes;
   Alcotest.(check (float 1e-12)) "ilp" plain.ilp_inf traced.ilp_inf
 
-let test_hotness_accounting () =
-  let hotness = Obs.Hotness.create () in
-  let r, _ = run_traced ~hotness "wc" in
-  Obs.Hotness.flush hotness ~vliws_total:r.vliws;
-  let pages = Obs.Hotness.ranked hotness in
+let test_profile_accounting () =
+  let profile =
+    Obs.Profile.create ~page_size:Translator.Params.default.page_size ()
+  in
+  let r, _ = run_traced ~profile "wc" in
+  Obs.Profile.flush profile ~vliws_total:r.vliws;
+  let pages = Obs.Profile.pages_ranked profile in
   Alcotest.(check bool) "pages profiled" true (pages <> []);
   let sum f = List.fold_left (fun acc p -> acc + f p) 0 pages in
   Alcotest.(check int) "VLIWs fully attributed" r.vliws
-    (sum (fun (p : Obs.Hotness.page) -> p.vliws));
+    (sum (fun (p : Obs.Profile.page) -> p.vliws));
   Alcotest.(check int) "translation work fully attributed"
     r.insns_translated
-    (sum (fun (p : Obs.Hotness.page) -> p.insns_scheduled))
+    (sum (fun (p : Obs.Profile.page) -> p.insns_scheduled))
 
 let test_metrics_agree_with_run () =
   let metrics = Metrics.create () in
@@ -198,8 +200,8 @@ let () =
       ( "purity",
         [ Alcotest.test_case "tracing changes nothing" `Quick
             test_disabled_changes_nothing ] );
-      ( "hotness",
-        [ Alcotest.test_case "accounting" `Quick test_hotness_accounting ] );
+      ( "profile",
+        [ Alcotest.test_case "accounting" `Quick test_profile_accounting ] );
       ( "bridge",
         [ Alcotest.test_case "metrics agree with run" `Quick
             test_metrics_agree_with_run ] );

@@ -119,6 +119,39 @@ let test_selfmod_deopt_counted () =
   | Some vmm ->
     Alcotest.(check bool) "deopt recorded" true (vmm.stats.tier2_deopts >= 1)
 
+(* --- staging a region image fails ------------------------------------ *)
+
+(* Once the first region is promoted, every staging overruns its budget.
+   The region image is demoted before any of it runs, and the same
+   address re-dispatches under tier-1, so the run still verifies. *)
+let test_staging_deadline_deopts () =
+  let w = Workloads.Registry.by_name "c_sieve" in
+  let captured = ref None in
+  let reasons = ref [] in
+  let r =
+    Run.run
+      ~instrument:(fun vmm ->
+        captured := Some vmm;
+        ignore (Tier.attach ~cfg:sync_cfg vmm);
+        let prev = vmm.Monitor.event_hook in
+        vmm.Monitor.event_hook <-
+          Some
+            (fun ev ->
+              (match prev with Some h -> h ev | None -> ());
+              match ev with
+              | Monitor.Region_promoted _ when vmm.compile_budget = None ->
+                vmm.compile_budget <- Some (-1.)
+              | Monitor.Region_deopt { reason; _ } ->
+                reasons := reason :: !reasons
+              | _ -> ()))
+      w
+  in
+  Alcotest.(check (option int)) "still bit-exact" (Some 1899) r.Run.exit_code;
+  let vmm = Option.get !captured in
+  Alcotest.(check bool) "deopt recorded" true (vmm.stats.tier2_deopts >= 1);
+  Alcotest.(check bool) "deopt names the staging deadline" true
+    (List.mem "tier-2 staging deadline" !reasons)
+
 (* --- warm start ------------------------------------------------------ *)
 
 let test_warm_start_repromotes () =
@@ -213,7 +246,9 @@ let () =
         [ Alcotest.test_case "selfmod stays bit-exact" `Quick
             test_selfmod_deopts;
           Alcotest.test_case "selfmod counted" `Quick
-            test_selfmod_deopt_counted ] );
+            test_selfmod_deopt_counted;
+          Alcotest.test_case "staging deadline" `Quick
+            test_staging_deadline_deopts ] );
       ( "warm",
         [ Alcotest.test_case "repromotes from cache" `Quick
             test_warm_start_repromotes;

@@ -16,7 +16,9 @@ let test_golden_exit_codes () =
     (fun (name, expect) ->
       let w = Workloads.Registry.by_name name in
       let r = Run.run w in
-      Alcotest.(check (option int)) name (Some expect) r.exit_code)
+      Alcotest.(check (option int)) name (Some expect) r.exit_code;
+      Alcotest.(check bool) (name ^ ": pages staged") true
+        (r.stats.compiled_pages > 0))
     golden
 
 (* Run.run raises Mismatch on any divergence, so these are full
