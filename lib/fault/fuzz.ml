@@ -236,58 +236,61 @@ let wl_of ~seed ~index ~fuel slots =
 (* ------------------------------------------------------------------ *)
 (* Differential run                                                    *)
 
+(** Running totals over the pages run: disk faults the storage backend
+    fired, and shadow divergences the VMM caught and repaired. *)
+type tally = {
+  mutable storage_injected : int;
+  mutable shadow_divergences : int;
+}
+
 (** Run one page through reference interpreter and VMM; [faults], when
     given, attaches every configured injector class (with a per-page
     derived seed, so page verdicts are independent of each other).
     [storage] additionally runs the page against a persistent
     translation cache in the given directory, through a seeded
     disk-fault backend — the verdict must still be [Match]: a lying
-    disk may cost retranslation, never correctness.  [storage_fired]
-    accumulates how many disk faults actually fired.  [attach_extra]
-    attaches additional instrumentation after the injector (the
-    guard's shadow verifier, observability sinks). *)
-let run_slots ?faults ?storage ?storage_fired ?attach_extra ~seed ~index ~fuel
-    slots =
+    disk may cost retranslation, never correctness.  [tally]
+    accumulates the run's disk faults and shadow divergences.
+    [attach_extra] attaches additional instrumentation after the
+    injector (the guard's shadow verifier, observability sinks). *)
+let run_slots ?faults ?storage ?tally ?attach_extra ~seed ~index ~fuel slots =
   let w = wl_of ~seed ~index ~fuel slots in
-  let ignore_mem, inject =
-    match faults with
-    | None -> ([], None)
-    | Some (cfg : Inject.config) ->
-      let inj =
-        Inject.create { cfg with seed = cfg.seed lxor (index * 2654435761) }
-      in
-      ( (if cfg.interrupt_rate > 0. then [ Wl.interrupt_count_addr ] else []),
-        Some (Inject.attach inj) )
+  let inject =
+    Option.map
+      (fun (cfg : Inject.config) ->
+        Inject.create { cfg with seed = cfg.seed lxor (index * 2654435761) })
+      faults
   in
   (* like the fault injector: a backend seeded from the page index, so
      any page replays exactly *)
-  let tcache_dir, tcache_io, storage_inj =
+  let tcache_dir, disk =
     match storage with
-    | None -> (None, None, None)
+    | None -> (None, None)
     | Some (dir, (fc : Fsio.fault_config)) ->
-      let io, inj =
-        Fsio.faulty { fc with seed = fc.seed lxor (index * 2654435761) }
-      in
-      (Some dir, Some io, Some inj)
+      let seed = fc.seed lxor (index * 2654435761) in
+      (Some dir, Some (Fsio.faulty { fc with seed }))
   in
-  let instrument =
-    match (inject, attach_extra) with
-    | None, None -> None
-    | _ ->
-      Some
-        (fun vmm ->
-          (match inject with Some f -> f vmm | None -> ());
-          match attach_extra with Some f -> f vmm | None -> ())
+  let instrument vmm =
+    Option.iter (fun i -> Inject.attach i vmm) inject;
+    Option.iter (fun f -> f vmm) attach_extra
   in
-  let v =
-    match Vmm.Run.run ?instrument ~ignore_mem ?tcache_dir ?tcache_io w with
-    | r -> if r.exit_code = None then Hang else Match
-    | exception Vmm.Run.Mismatch m -> Mismatch m
-    | exception e -> Mismatch ("crash: " ^ Printexc.to_string e)
+  let v, divergences =
+    match
+      Vmm.Run.run ~instrument ?tcache_dir ?tcache_io:(Option.map fst disk) w
+    with
+    | r ->
+      ((if r.exit_code = None then Hang else Match), r.stats.shadow_divergences)
+    | exception Vmm.Run.Mismatch m -> (Mismatch m, 0)
+    | exception e -> (Mismatch ("crash: " ^ Printexc.to_string e), 0)
   in
-  (match (storage_fired, storage_inj) with
-  | Some acc, Some inj -> acc := !acc + Fsio.faults_fired inj
-  | _ -> ());
+  Option.iter
+    (fun t ->
+      t.shadow_divergences <- t.shadow_divergences + divergences;
+      Option.iter
+        (fun (_, inj) ->
+          t.storage_injected <- t.storage_injected + Fsio.faults_fired inj)
+        disk)
+    tally;
   v
 
 (* ------------------------------------------------------------------ *)
@@ -357,9 +360,9 @@ let read_reproducer path =
   | Some (seed, index, fuel) -> (seed, index, fuel, Array.of_list (List.rev !slots))
 
 (** Re-run a reproducer file; returns its verdict. *)
-let replay ?faults ?storage ?attach_extra path =
+let replay ?faults ?storage ?tally ?attach_extra path =
   let seed, index, fuel, slots = read_reproducer path in
-  run_slots ?faults ?storage ?attach_extra ~seed ~index ~fuel slots
+  run_slots ?faults ?storage ?tally ?attach_extra ~seed ~index ~fuel slots
 
 (* ------------------------------------------------------------------ *)
 (* The corpus driver                                                   *)
@@ -370,6 +373,7 @@ type summary = {
   hung : int;
   mismatched : int;
   storage_injected : int;  (** disk faults fired by the [storage] backend *)
+  shadow_divergences : int;  (** caught and repaired by a shadow verifier *)
   outcomes : outcome list;  (** in page order *)
 }
 
@@ -391,15 +395,14 @@ let fuzz ?faults ?storage ?attach_extra ?on_mismatch ?out_dir ?(insns = 96)
     | None -> true
   in
   let matched = ref 0 and hung = ref 0 and mismatched = ref 0 in
-  let storage_fired = ref 0 in
+  let tally = { storage_injected = 0; shadow_divergences = 0 } in
   let outcomes = ref [] in
   for index = 0 to pages - 1 do
     let rng = Random.State.make [| seed; index; 0 |] in
     let slots = gen_slots rng ~insns ~allow_raw in
     let reproducer = ref None in
     let verdict =
-      run_slots ?faults ?storage ~storage_fired ?attach_extra ~seed ~index
-        ~fuel slots
+      run_slots ?faults ?storage ~tally ?attach_extra ~seed ~index ~fuel slots
     in
     (match verdict with
     | Match -> incr matched
@@ -438,4 +441,6 @@ let fuzz ?faults ?storage ?attach_extra ?on_mismatch ?out_dir ?(insns = 96)
     outcomes := { index; verdict; reproducer = !reproducer } :: !outcomes
   done;
   { pages; matched = !matched; hung = !hung; mismatched = !mismatched;
-    storage_injected = !storage_fired; outcomes = List.rev !outcomes }
+    storage_injected = tally.storage_injected;
+    shadow_divergences = tally.shadow_divergences;
+    outcomes = List.rev !outcomes }

@@ -464,7 +464,8 @@ let warm_start t =
 (** Attach the driver: chains the monitor's event hook (heat + deopt
     accounting) and tick hook (periodic policy evaluation that survives
     event-silent steady states), then re-promotes cached regions.
-    Attach AFTER Bridge/Supervise so their hooks stay live. *)
+    It must go on last, after the hooks it chains; {!Guard.Stack.attach}
+    is the code that keeps that order. *)
 let attach ?(cfg = default) vmm =
   let t = create ~cfg vmm in
   let prev_ev = vmm.Monitor.event_hook in

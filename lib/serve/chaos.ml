@@ -1,10 +1,10 @@
 (* The chaos harness: a whole serving fleet under the PR-3 fault
    cocktail, with the failure model's promises checked at the end.
 
-   Each session gets its own seeded {!Fault.Inject} instance (seed
-   derived from the run seed and the session id, so any individual
-   session replays exactly), attached through the session-instrument
-   hook alongside the normal gate/pin wiring.  Admission goes through
+   Every session runs the same {!Guard.Stack}: the injector cocktail,
+   and optionally tier-2 and a lying disk.  Each session seeds its own
+   injector and storage backend from the run seed and its id, so any
+   individual session replays exactly.  Admission goes through
    the bounded pool exactly the way a remote client's would — via
    [try_submit], retrying shed submissions under the shared
    jittered-backoff policy — so the load-shedding path is exercised by
@@ -75,29 +75,20 @@ type report = {
 (** Run the fleet in-process against cache directory [dir].  Uses its
     own pool and coordinator (sized from [cfg]); returns once every
     session has an outcome and the pool is quiesced. *)
-let run ?params ?checkpoint_root ~dir (cfg : config) =
+let run ~dir (cfg : config) =
   if cfg.sessions <= 0 then invalid_arg "Chaos.run: sessions must be positive";
   if cfg.workloads = [] then invalid_arg "Chaos.run: no workloads";
   let pool = Pool.create ~queue_cap:cfg.queue_cap ~domains:cfg.domains () in
   let shared = Shared.create ?budget:cfg.budget ~dir () in
   let wl = Array.of_list cfg.workloads in
   let out : Session.outcome option array = Array.make cfg.sessions None in
-  let injectors =
-    Array.init cfg.sessions (fun id ->
-        Fault.Inject.create
-          { cfg.inject with seed = cfg.seed + (id * 0x9E3779B9) })
-  in
-  (* per-session seeded storage backends, same derivation as the fault
-     injectors so any one session's disk-fault stream replays exactly *)
-  let storage =
-    Option.map
-      (fun (fc : Fsio.fault_config) ->
-        Array.init cfg.sessions (fun id ->
-            Fsio.faulty { fc with seed = cfg.seed + (id * 0x9E3779B9) }))
-      cfg.storage
-  in
-  let session_io id =
-    Option.map (fun arr -> fst arr.(id)) storage
+  let stack =
+    { Guard.Stack.default with
+      faults = Some { cfg.inject with seed = cfg.seed };
+      storage =
+        Option.map (fun (fc : Fsio.fault_config) -> { fc with seed = cfg.seed })
+          cfg.storage;
+      tier2 = cfg.tier2 }
   in
   let sheds = ref 0 and retries = ref 0 in
   let t0 = Unix.gettimeofday () in
@@ -116,19 +107,7 @@ let run ?params ?checkpoint_root ~dir (cfg : config) =
           (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
           cfg.deadline_ms
       in
-      out.(i) <-
-        Some
-          (Session.run ?params ?checkpoint_root ?deadline_at
-             ~instrument:(Fault.Inject.attach injectors.(i))
-             ?tier2:cfg.tier2
-             ?tcache_io:(session_io i)
-             ~ignore_mem:
-               (* delivered interrupts are counted by the mini OS at a
-                  known word the reference interpreter never sees *)
-               (if cfg.inject.interrupt_rate > 0. then
-                  [ Workloads.Wl.interrupt_count_addr ]
-                else [])
-             ~shared ~id:i workload)
+      out.(i) <- Some (Session.run ~stack ?deadline_at ~shared ~id:i workload)
     in
     let cancel () =
       out.(i) <-
@@ -165,11 +144,10 @@ let run ?params ?checkpoint_root ~dir (cfg : config) =
            | Ok _ -> false)
          outcomes)
   in
+  let sum f = List.fold_left (fun n o -> n + f o) 0 outcomes in
   let stat f =
-    List.fold_left
-      (fun n (o : Session.outcome) ->
-        match o.result with Ok r -> n + f r | Error _ -> n)
-      0 outcomes
+    sum (fun (o : Session.outcome) ->
+        match o.result with Ok r -> f r | Error _ -> 0)
   in
   let lat =
     List.map (fun (o : Session.outcome) -> o.seconds) outcomes
@@ -186,13 +164,8 @@ let run ?params ?checkpoint_root ~dir (cfg : config) =
     p50_ms = Fleet.quantile_ms lat 0.5;
     p99_ms = Fleet.quantile_ms lat 0.99;
     wall_seconds;
-    injected =
-      Array.fold_left (fun n inj -> n + Fault.Inject.total inj) 0 injectors;
-    storage_injected =
-      (match storage with
-      | None -> 0
-      | Some arr ->
-        Array.fold_left (fun n (_, inj) -> n + Fsio.faults_fired inj) 0 arr);
+    injected = sum (fun (o : Session.outcome) -> o.injected);
+    storage_injected = sum (fun (o : Session.outcome) -> o.storage_injected);
     tcache_degraded = stat (fun r -> r.stats.tcache_degraded);
     storage_faults = stat (fun r -> r.stats.storage_faults);
     self_heals = stat (fun r -> r.stats.tcache_quarantined);

@@ -47,15 +47,11 @@ let quantile_ms sorted q =
     checkpoint paths.  Gate/eviction numbers are deltas over this fleet
     only, even when [shared] is reused across fleets.
 
-    [deadline_at] passes through to every session; [instrument] is
-    keyed by session id so per-session attachments (fault injectors
-    seeded per id, say) land on the right VMM.  [session_io], also
-    keyed by id, gives each session its own storage backend — the
-    storage-chaos harness hands out per-session seeded fault backends
-    here.  A session the pool sheds at shutdown surfaces as a
-    [Cancelled] outcome, not a silently dropped slot. *)
-let run ?params ?checkpoint_root ?deadline_at ?instrument ?tier2
-    ?session_io ?ignore_mem ?(first_id = 0) ~pool ~shared ~sessions workloads =
+    [stack] and [deadline_at] pass through to every session, which
+    seeds its own injector and storage backend from its id
+    ({!Session.run}).  A session the pool sheds at shutdown surfaces as
+    a [Cancelled] outcome, not a silently dropped slot. *)
+let run ?stack ?deadline_at ?(first_id = 0) ~pool ~shared ~sessions workloads =
   if sessions <= 0 then invalid_arg "Fleet.run: sessions must be positive";
   if workloads = [] then invalid_arg "Fleet.run: no workloads";
   let wl = Array.of_list workloads in
@@ -70,12 +66,7 @@ let run ?params ?checkpoint_root ?deadline_at ?instrument ?tier2
       pool
       (fun () ->
         out.(i) <-
-          Some
-            (Session.run ?params ?checkpoint_root ?deadline_at
-               ?instrument:(Option.map (fun f -> f ~id) instrument)
-               ?tier2
-               ?tcache_io:(Option.map (fun f -> f ~id) session_io)
-               ?ignore_mem ~shared ~id workload))
+          Some (Session.run ?stack ?deadline_at ~shared ~id workload))
   done;
   Pool.drain pool;
   let wall_seconds = Unix.gettimeofday () -. t0 in

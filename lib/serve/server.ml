@@ -44,19 +44,9 @@ type t = {
   shared : Shared.t;
   next_id : int Atomic.t;
   stop : bool Atomic.t;
-  params : Translator.Params.t;
-  checkpoint_root : string option;
-  session_instrument : (id:int -> Vmm.Monitor.t -> unit) option;
-      (** extra per-session hook — fault injection, extra observers *)
-  tier2 : Obs.Tier.config option;
-      (** attach the tier-2 promotion driver to every session *)
-  ignore_mem : int list;
-      (** verifier word addresses expected to diverge (chaos mode) *)
-  storage : Fsio.fault_config option;
-      (** when set, every session's cache runs on a seeded fault
-          backend; seeds derive from the session id so a run replays *)
-  storage_injectors : Fsio.injector list ref;  (* guarded by [storage_lock] *)
-  storage_lock : Mutex.t;
+  stack : Guard.Stack.t;
+      (** what every session runs under; injector and storage seeds
+          derive from the session id, so a run replays *)
   (* vitals, all atomics so HEALTH needs no lock *)
   sheds : int Atomic.t;            (* requests refused with `busy` *)
   completed : int Atomic.t;        (* sessions that ran to an outcome *)
@@ -68,6 +58,7 @@ type t = {
   self_heals : int Atomic.t;       (* corrupt cache entries quarantined *)
   tcache_degraded : int Atomic.t;  (* cache ops parked in memory overlays *)
   storage_faults : int Atomic.t;   (* checkpoint/store disk-fault strikes *)
+  storage_injected : int Atomic.t; (* disk faults session backends fired *)
   avg_ms : float Atomic.t;         (* EWMA session latency, for hints *)
 }
 
@@ -80,6 +71,7 @@ let err cls detail =
    HEALTH sees one consistent set of vitals. *)
 let note_outcome t (o : Session.outcome) =
   Atomic.incr t.completed;
+  ignore (Atomic.fetch_and_add t.storage_injected o.storage_injected);
   (match o.result with
   | Ok r ->
     ignore (Atomic.fetch_and_add t.ladder_strikes r.stats.quarantines);
@@ -123,27 +115,6 @@ let deadline_at = function
   | None -> None
   | Some ms -> Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.))
 
-(* A fresh seeded storage backend for session [id]; the injector is
-   kept so HEALTH can report how many disk faults actually fired. *)
-let fresh_session_io t ~id =
-  Option.map
-    (fun (fc : Fsio.fault_config) ->
-      let io, inj = Fsio.faulty { fc with seed = fc.seed + (id * 0x9E3779B9) } in
-      Mutex.lock t.storage_lock;
-      t.storage_injectors := inj :: !(t.storage_injectors);
-      Mutex.unlock t.storage_lock;
-      io)
-    t.storage
-
-let storage_injected t =
-  Mutex.lock t.storage_lock;
-  let n =
-    List.fold_left (fun n inj -> n + Fsio.faults_fired inj) 0
-      !(t.storage_injectors)
-  in
-  Mutex.unlock t.storage_lock;
-  n
-
 let stats_json t =
   let dir = Shared.dir t.shared in
   let entries = List.length (Tcache.Store.entry_files dir) in
@@ -174,7 +145,7 @@ let health_json t =
       ("crash_failures", Obs.Json.Int (Atomic.get t.f_crash));
       ("ladder_strikes", Obs.Json.Int (Atomic.get t.ladder_strikes));
       ("self_heals", Obs.Json.Int (Atomic.get t.self_heals));
-      ("storage_injected", Obs.Json.Int (storage_injected t));
+      ("storage_injected", Obs.Json.Int (Atomic.get t.storage_injected));
       ("tcache_degraded", Obs.Json.Int (Atomic.get t.tcache_degraded));
       ("storage_faults", Obs.Json.Int (Atomic.get t.storage_faults));
       ("avg_session_ms", Obs.Json.Float (Atomic.get t.avg_ms)) ]
@@ -201,12 +172,7 @@ let run_one t ~workload ~deadline_ms =
        requests never burn ids and sessions_started counts real runs *)
     let id = Atomic.fetch_and_add t.next_id 1 in
     let o =
-      Session.run ~params:t.params ?checkpoint_root:t.checkpoint_root
-        ?deadline_at
-        ?instrument:
-          (Option.map (fun f -> f ~id) t.session_instrument)
-        ?tier2:t.tier2 ?tcache_io:(fresh_session_io t ~id)
-        ~ignore_mem:t.ignore_mem ~shared:t.shared ~id workload
+      Session.run ~stack:t.stack ?deadline_at ~shared:t.shared ~id workload
     in
     note_outcome t o;
     fill (`Outcome o)
@@ -241,15 +207,8 @@ let run_fleet t ~sessions ~workloads ~deadline_ms =
   else begin
     let first_id = Atomic.fetch_and_add t.next_id sessions in
     match
-      Fleet.run ~params:t.params ?checkpoint_root:t.checkpoint_root
-        ?deadline_at:(deadline_at deadline_ms)
-        ?instrument:t.session_instrument ?tier2:t.tier2
-        ?session_io:
-          (Option.map
-             (fun _ ~id -> Option.get (fresh_session_io t ~id))
-             t.storage)
-        ~ignore_mem:t.ignore_mem ~first_id
-        ~pool:t.pool ~shared:t.shared ~sessions workloads
+      Fleet.run ~stack:t.stack ?deadline_at:(deadline_at deadline_ms)
+        ~first_id ~pool:t.pool ~shared:t.shared ~sessions workloads
     with
     | report, outcomes ->
       List.iter (note_outcome t) outcomes;
@@ -322,16 +281,13 @@ let handle t fd =
 
 (** Bind, listen and serve until a SHUTDOWN request.  Blocks the
     calling thread; returns the number of sessions started.
-    [queue_cap] bounds the pool backlog (load shedding past it);
-    [session_instrument] is an extra per-session VMM hook, keyed by
-    session id — the chaos flags use it to attach fault injectors.
-    [tier2] turns on tier-2 region promotion inside every session.
-    [storage] puts every session's translation cache on a seeded
-    disk-fault backend (`--chaos-storage`); HEALTH then reports how
-    many faults fired and how many cache ops degraded to memory. *)
-let serve ?(params = Translator.Params.default) ?budget
-    ?checkpoint_root ?(domains = 4) ?queue_cap ?session_instrument ?tier2
-    ?storage ?(ignore_mem = []) ~socket_path ~dir () =
+    [queue_cap] bounds the pool backlog (load shedding past it).
+    Every session runs under [stack] ({!Session.run}): the chaos flags
+    put a fault injector and a lying disk in it, and HEALTH then
+    reports how many disk faults fired and how many cache ops degraded
+    to memory. *)
+let serve ?(stack = Guard.Stack.default) ?budget ?(domains = 4) ?queue_cap
+    ~socket_path ~dir () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* a stale socket file from a dead daemon blocks bind; take the name *)
   (match Unix.lstat socket_path with
@@ -344,15 +300,13 @@ let serve ?(params = Translator.Params.default) ?budget
   let t =
     { socket_path; listener; pool = Pool.create ?queue_cap ~domains ();
       shared = Shared.create ?budget ~dir (); next_id = Atomic.make 0;
-      stop = Atomic.make false; params; checkpoint_root;
-      session_instrument; tier2; ignore_mem; storage;
-      storage_injectors = ref []; storage_lock = Mutex.create ();
+      stop = Atomic.make false; stack;
       sheds = Atomic.make 0; completed = Atomic.make 0;
       f_mismatch = Atomic.make 0; f_deadline = Atomic.make 0;
       f_cancelled = Atomic.make 0; f_crash = Atomic.make 0;
       ladder_strikes = Atomic.make 0; self_heals = Atomic.make 0;
       tcache_degraded = Atomic.make 0; storage_faults = Atomic.make 0;
-      avg_ms = Atomic.make 0. }
+      storage_injected = Atomic.make 0; avg_ms = Atomic.make 0. }
   in
   let rec accept_loop () =
     if not (Atomic.get t.stop) then begin

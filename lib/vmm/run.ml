@@ -51,22 +51,20 @@ let reference (w : Workloads.Wl.t) =
 
 exception Mismatch of string
 
-(* Memory comparison with an exclusion list: word [addrs] are blanked
-   on both sides first.  Interrupt-injecting runs exclude the mini OS's
-   interrupt counter — the only memory a transparent interrupt touches. *)
-let mem_equal ~ignore_mem (a : Bytes.t) (b : Bytes.t) =
-  match ignore_mem with
-  | [] -> Bytes.equal a b
-  | addrs ->
-    let a = Bytes.copy a and b = Bytes.copy b in
-    List.iter
-      (fun addr ->
-        if addr >= 0 && addr + 4 <= Bytes.length a then begin
-          Bytes.set_int32_be a addr 0l;
-          Bytes.set_int32_be b addr 0l
-        end)
-      addrs;
-    Bytes.equal a b
+(* A delivered interrupt's only architected trace is the mini OS's
+   increment of its counter word, so that word must read exactly the
+   reference's value plus the interrupts the VMM delivered (mod 2^32);
+   the rest of memory must be identical. *)
+let mem_equal ~interrupts (r : Bytes.t) (d : Bytes.t) =
+  let addr = Workloads.Wl.interrupt_count_addr in
+  if interrupts = 0 || addr + 4 > Bytes.length r then Bytes.equal r d
+  else
+    let counted = Bytes.get_int32_be r addr in
+    let rest = Bytes.copy d in
+    Bytes.set_int32_be rest addr counted;
+    Int32.equal (Bytes.get_int32_be d addr)
+      (Int32.add counted (Int32.of_int interrupts))
+    && Bytes.equal r rest
 
 (** Did the degradation ladder engage during this run?  True when any
     translator/execution fault was quarantined — the run still verified
@@ -81,7 +79,7 @@ let degraded (s : Monitor.stats) =
      operation, surfaced through stats/HEALTH instead of the verdict. *)
   || s.storage_faults > 0
 
-(** [run ?params ?hierarchy ?instrument ?prepare ?tcache_dir ?ignore_mem
+(** [run ?params ?hierarchy ?instrument ?prepare ?tcache_dir ?tcache_io
     w] executes [w] under DAISY and returns the full set of
     measurements.  [instrument] is called with the freshly-created VMM
     before execution starts, so observability sinks can attach to
@@ -93,13 +91,11 @@ let degraded (s : Monitor.stats) =
     *complete* execution's architected effects.  [tcache_dir] enables
     the persistent translation cache there; [tcache_io] overrides its
     storage backend (the chaos harnesses inject faults through it).
-    [ignore_mem] lists word
-    addresses excluded from the differential memory comparison
-    (interrupt counters under injected interrupts).  Raises {!Mismatch}
+    Raises {!Mismatch}
     if the translated execution diverges from the reference interpreter
     in any observable way. *)
 let run ?(params = Params.default) ?hierarchy ?instrument ?prepare
-    ?tcache_dir ?tcache_io ?(ignore_mem = []) (w : Workloads.Wl.t) =
+    ?tcache_dir ?tcache_io (w : Workloads.Wl.t) =
   let rcode, rst, rmem, it = reference w in
   let mem, entry = Workloads.Wl.instantiate w in
   let vmm = Monitor.create ~params ?tcache_dir ?tcache_io mem in
@@ -150,7 +146,11 @@ let run ?(params = Params.default) ?hierarchy ?instrument ?prepare
   if verified then begin
     if not (Machine.equal rst vmm.st.m) then
       raise (Mismatch (w.name ^ ": architected state diverged"));
-    if not (mem_equal ~ignore_mem rmem.bytes mem.bytes) then
+    if
+      not
+        (mem_equal ~interrupts:vmm.stats.external_interrupts rmem.bytes
+           mem.bytes)
+    then
       raise (Mismatch (w.name ^ ": memory diverged"));
     if Mem.output rmem <> Mem.output mem then
       raise (Mismatch (w.name ^ ": console output diverged"))

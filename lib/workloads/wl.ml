@@ -22,10 +22,10 @@ open Ppc
 let text_base = 0x1000
 let table_base = 0x1F000
 
-(** Where the mini OS counts external interrupts (one word).  Runs that
-    inject interrupts exclude this word from differential memory
-    comparison — it is the only architected footprint a transparent
-    interrupt leaves. *)
+(** Where the mini OS counts external interrupts (one word).  It is the
+    only architected footprint a transparent interrupt leaves, so the
+    differential check expects it to exceed the reference's by exactly
+    the number of interrupts delivered. *)
 let interrupt_count_addr = table_base + 0xF00
 let data_base = 0x20000
 let data2_base = 0x28000

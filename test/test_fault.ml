@@ -9,7 +9,6 @@
 module Inject = Fault.Inject
 module Fuzz = Fault.Fuzz
 module Run = Vmm.Run
-module Wl = Workloads.Wl
 module T = Vliw.Tree
 
 let fresh_dir =
@@ -29,10 +28,7 @@ let fresh_dir =
    compatibility assertion. *)
 let run_with ?tcache_dir (cfg : Inject.config) w =
   let inj = Inject.create cfg in
-  let ignore_mem =
-    if cfg.interrupt_rate > 0. then [ Wl.interrupt_count_addr ] else []
-  in
-  let r = Run.run ?tcache_dir ~instrument:(Inject.attach inj) ~ignore_mem w in
+  let r = Run.run ?tcache_dir ~instrument:(Inject.attach inj) w in
   (r, inj)
 
 let sum_registry cfg f =

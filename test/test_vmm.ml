@@ -49,8 +49,9 @@ let test_timer_transparency () =
 
 (* External interrupts through the fault hook: delivered at a VLIW-tree
    boundary, they must be architecturally invisible.  [Run.run] diffs
-   registers, memory and console against the pure interpreter; only the
-   mini OS's interrupt counter is allowed to differ.  The hook must not
+   registers, memory and console against the pure interpreter; the mini
+   OS's interrupt counter must exceed the reference's by exactly the
+   interrupts delivered.  The hook must not
    fire on the immediate re-entry after delivery — the interrupted VLIW
    has not executed yet, so re-firing forever would (correctly) starve
    the run.  The toggle interrupts every executed VLIW boundary exactly
@@ -60,7 +61,6 @@ let boundary_run fire =
   let captured = ref None in
   let r =
     Run.run
-      ~ignore_mem:[ Workloads.Wl.interrupt_count_addr ]
       ~instrument:(fun vmm ->
         captured := Some vmm;
         vmm.boundary_hook <- Some fire)
@@ -107,6 +107,24 @@ let prop_boundary_interrupts =
       && vmm.stats.external_interrupts > 0
       && counted = vmm.stats.external_interrupts
       && not (Run.degraded r.stats))
+
+(* The counter check is exact: an increment no delivered interrupt
+   accounts for — one bump of the counter word behind the guest's back,
+   in a run that does take interrupts — fails verification, where the
+   same run unbumped verifies ("interrupt every boundary"). *)
+let test_interrupt_count_exact () =
+  let w = Workloads.Registry.by_name "wc" in
+  let armed = ref false in
+  match
+    Run.run
+      ~instrument:(fun vmm ->
+        vmm.boundary_hook <- Some (fun () -> armed := not !armed; !armed);
+        let b = vmm.mem.bytes and addr = Workloads.Wl.interrupt_count_addr in
+        Bytes.set_int32_be b addr (Int32.succ (Bytes.get_int32_be b addr)))
+      w
+  with
+  | exception Run.Mismatch _ -> ()
+  | _ -> Alcotest.fail "an unaccounted counter increment verified"
 
 let test_adaptive_alias () =
   let w = Workloads.Registry.by_name "sort" in
@@ -263,6 +281,8 @@ let () =
           Alcotest.test_case "timer transparency" `Quick test_timer_transparency;
           Alcotest.test_case "interrupt every boundary" `Quick
             test_interrupt_every_boundary;
+          Alcotest.test_case "interrupt count is exact" `Quick
+            test_interrupt_count_exact;
           QCheck_alcotest.to_alcotest prop_boundary_interrupts;
           Alcotest.test_case "adaptive alias" `Quick test_adaptive_alias;
           Alcotest.test_case "cross-page stats" `Quick test_crosspage_stats;
