@@ -503,9 +503,9 @@ let storage_chaos_series () =
    the hot-region workloads.  Three measured points per workload:
 
      tier1     — the one-pass page translator alone (the baseline);
-     cold      — tier-2 enabled from a cold cache: the background
-                 compile, swap-in and deopt machinery all on the run's
-                 critical path, promotion landing mid-run;
+     cold      — tier-2 enabled from a cold cache: the compile,
+                 swap-in and deopt machinery all on the run's critical
+                 path, promotion landing mid-run;
      warm      — the same run again over the persisted region image:
                  the whole run executes promoted, which is the honest
                  "ILP on promoted regions" number;
@@ -514,14 +514,12 @@ let storage_chaos_series () =
    compilation, the ceiling tier-2 approaches).  The acceptance bar:
    warm ILP strictly above tier-1 on both c_sieve (single hot page,
    wider window) and compress (cross-page SCC, speculation across the
-   former page boundary).  Promotion runs --tier2-sync equivalent
-   (inline compiles) so the series is deterministic. *)
+   former page boundary). *)
 let tier_promotion_series () =
   print_newline ();
   print_endline "Tier-2 promotion: tier-1 vs cold promotion vs warm start";
   print_endline "--------------------------------------------------------";
   let module J = Obs.Json in
-  let sync_cfg = { Obs.Tier.default with submit = None } in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -540,7 +538,7 @@ let tier_promotion_series () =
           fst
             (Guard.Stack.run
                { Guard.Stack.default with
-                 tcache_dir = Some dir; tier2 = Some sync_cfg }
+                 tcache_dir = Some dir; tier2 = Some Obs.Tier.default }
                w)
         in
         let cold, cold_s = time run_tier in
@@ -548,34 +546,7 @@ let tier_promotion_series () =
         let trad = Vmm.Run.run ~params:(Baseline.Tradcomp.params w) w in
         ignore (Tcache.Store.clear_dir dir);
         (try Sys.rmdir dir with Sys_error _ -> ());
-        (* the same cold promotion again, but compiled on a background
-           domain whose minor heap is pre-sized like the daemon's
-           submit pool — async compile latency vs the inline number
-           above is what that GC tuning buys *)
-        let adir =
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "daisy_bench_tier_async.%d.%s" (Unix.getpid ())
-               name)
-        in
-        let apool =
-          Serve.Pool.create ~domains:1 ~minor_heap_words:(1 lsl 22) ()
-        in
-        let async_cfg =
-          { Obs.Tier.default with
-            submit = Some (fun job -> Serve.Pool.submit apool job) }
-        in
-        let async, _ =
-          Guard.Stack.run
-            { Guard.Stack.default with
-              tcache_dir = Some adir; tier2 = Some async_cfg }
-            w
-        in
-        Serve.Pool.drain apool;
-        Serve.Pool.shutdown apool;
-        ignore (Tcache.Store.clear_dir adir);
-        (try Sys.rmdir adir with Sys_error _ -> ());
-        let sync_compile_ms = cold.stats.tier2_compile_seconds *. 1e3 in
-        let async_compile_ms = async.stats.tier2_compile_seconds *. 1e3 in
+        let compile_ms = cold.stats.tier2_compile_seconds *. 1e3 in
         let ns_per_insn r s =
           s *. 1e9 /. float_of_int (max 1 r.Vmm.Run.base_insns)
         in
@@ -586,14 +557,10 @@ let tier_promotion_series () =
         Printf.printf
           "           promotions %d (%.1f ms compile), deopts %d, region \
            VLIWs %d/%d, %.0f -> %.0f emulated KIPS\n"
-          cold.stats.tier2_promotions sync_compile_ms cold.stats.tier2_deopts
+          cold.stats.tier2_promotions compile_ms cold.stats.tier2_deopts
           warm.stats.tier2_vliws warm.vliws
           (mips tier1 tier1_s *. 1e3)
           (mips warm warm_s *. 1e3);
-        Printf.printf
-          "           compile latency: %.1f ms sync -> %.1f ms async \
-           (pre-sized minor heap)\n"
-          sync_compile_ms async_compile_ms;
         J.Obj
           [ ("name", J.Str name);
             ("tier1_ilp_inf", J.Float tier1.ilp_inf);
@@ -602,9 +569,7 @@ let tier_promotion_series () =
             ("tradcomp_ilp_inf", J.Float trad.ilp_inf);
             ("promotions", J.Int cold.stats.tier2_promotions);
             ("deopts", J.Int cold.stats.tier2_deopts);
-            ("compile_ms", J.Float sync_compile_ms);
-            ("sync_compile_ms", J.Float sync_compile_ms);
-            ("async_compile_ms", J.Float async_compile_ms);
+            ("compile_ms", J.Float compile_ms);
             ("cold_region_vliws", J.Int cold.stats.tier2_vliws);
             ("warm_region_vliws", J.Int warm.stats.tier2_vliws);
             ("tier1_ns_per_insn", J.Float (ns_per_insn tier1 tier1_s));
@@ -773,7 +738,7 @@ let write_bench_json path micro =
   in
   let j =
     J.Obj
-      [ ("schema", J.Str "daisy-bench-v10");
+      [ ("schema", J.Str "daisy-bench-v11");
         ("workloads", J.Arr (List.map workload ws));
         ("mean_ilp_inf", J.Float mean_ilp);
         ("translator", translator);

@@ -219,23 +219,8 @@ let shadow_term =
         else None)
     $ shadow_sample $ seed $ out)
 
-(* One background domain for tier-2 region compiles, created on the
-   first compile, so promotion never blocks the execution thread.  The
-   pre-sized minor heap keeps the compile domain from paying the
-   minor-GC latency inline compiles never saw. *)
-let tier2_pool =
-  lazy (Serve.Pool.create ~domains:1 ~minor_heap_words:(1 lsl 22) ())
-
-let finish_tier2_pool () =
-  if Lazy.is_val tier2_pool then begin
-    let pool = Lazy.force tier2_pool in
-    Serve.Pool.drain pool;
-    Serve.Pool.shutdown pool
-  end
-
 (* The --tier2-* flags: the promotion driver (lib/obs Tier), attached
-   only with --tier2.  Compiles go to [tier2_pool] unless --tier2-sync;
-   resume and serve sessions compile inline whatever the flag says. *)
+   only with --tier2. *)
 let tier2_term =
   let enable =
     Arg.(value & flag
@@ -276,26 +261,15 @@ let tier2_term =
              ~doc:"Deopt strikes before a region candidate is blacklisted \
                    for the rest of the run.")
   in
-  let sync =
-    Arg.(value & flag
-         & info [ "tier2-sync" ]
-             ~doc:"Compile promoted regions on the execution thread instead \
-                   of a background domain (deterministic timing; used by \
-                   tests).")
-  in
-  let make enable min_heat edge_threshold max_pages check_every max_deopts
-      sync =
+  let make enable min_heat edge_threshold max_pages check_every max_deopts =
     if not enable then None
     else
       Some
         { Obs.Tier.min_heat; edge_threshold; max_pages; check_every;
-          max_deopts;
-          submit =
-            (if sync then None
-             else Some (fun job -> Serve.Pool.submit (Lazy.force tier2_pool) job)) }
+          max_deopts; submit = None }
   in
   Term.(const make $ enable $ min_heat $ edge_threshold $ max_pages
-        $ check_every $ max_deopts $ sync)
+        $ check_every $ max_deopts)
 
 let finite =
   Arg.(value & flag
@@ -513,7 +487,6 @@ let run_cmd =
                                | None -> "skipped");
         exit 143
     in
-    finish_tier2_pool ();
     (match console_out with
     | Some path -> with_out path (fun oc -> output_string oc r.console)
     | None -> ());
@@ -617,13 +590,10 @@ let resume_cmd =
       Guard.Supervise.install_sigterm ();
       (* promotion is transparent, so a resumed run needs no tier-2
          state from the interrupted one; re-attaching simply lets the
-         continuation climb back to tier 2.  Compiles stay synchronous:
-         resume is a recovery path, determinism beats latency here. *)
+         continuation climb back to tier 2 *)
       let stack =
         { Guard.Stack.default with
-          params;
-          checkpoint = Some { dir; every = snap.s_every };
-          tier2 = Option.map (fun c -> { c with Obs.Tier.submit = None }) tier2 }
+          params; checkpoint = Some { dir; every = snap.s_every }; tier2 }
       in
       let r =
         try fst (Guard.Stack.run ~resume:loaded stack w) with

@@ -14,9 +14,10 @@
    Unlike {!Tradcomp}, no profile pass runs: this is a *runtime* tier,
    so it uses the translator's static branch heuristics plus whatever
    heat the observability layer already collected to pick the region.
-   Guarded indirect inlining is disabled — the compile runs on a
-   background domain where peeking at live register values would race
-   the executing machine. *)
+   The compile runs on the execution thread, between two VLIWs.
+   Guarded indirect inlining and adaptive aliasing stay disabled:
+   turning either on changes the region images, which the translator's
+   oracle digests pin byte for byte. *)
 
 module Params = Translator.Params
 module Translate = Translator.Translate
@@ -67,8 +68,8 @@ type compiled = {
 
 (** Compile the region covering [members], seeding the image from each
     address in [entries] (the entry points tier-1 observed).  Raises
-    whatever the translator raises on undecodable input — callers on
-    the background path drop the candidate rather than crash. *)
+    whatever the translator raises on undecodable input — the tier-2
+    driver drops the candidate rather than crash. *)
 let compile ~(t1 : Params.t) ~frontend mem ~members ~entries =
   let tr = translator ~t1 ~frontend mem ~members in
   let t0 = Sys.time () in

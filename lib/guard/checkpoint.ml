@@ -26,8 +26,8 @@
 
    and the payload is: workload str | frontend str | fingerprint str
    | every vint | seq vint | pc vint | machine
-   | mem seq vint | console str | timer_count vint | stats
-   | health entries | dirty chunks.
+   | mem seq vint | console str | stats | health entries
+   | dirty chunks.
 
    Crash safety mirrors the tcache store: snapshots are installed with
    {!Fsio.commit} (temp write, file fsync, rename, directory fsync), so
@@ -48,7 +48,7 @@ module Monitor = Vmm.Monitor
 open Ppc
 
 let magic = "DGCK"
-let version = 2
+let version = 3
 
 (** Dirty-tracking granularity, in bytes.  Independent of the
     translator's page size: this is about snapshot volume, not about
@@ -185,7 +185,6 @@ let write t ~pc =
   put_machine b vmm.st.m;
   Codec.put_vint b mem.seq;
   Codec.put_str b (Mem.output mem);
-  Codec.put_vint b vmm.timer_count;
   let sf = stats_fields vmm.stats in
   Codec.put_vint b (Array.length sf);
   Array.iter (fun (get, _) -> Codec.put_vint b (get ())) sf;
@@ -268,7 +267,6 @@ type snapshot = {
   s_machine : Machine.t;
   s_mem_seq : int;
   s_console : string;
-  s_timer_count : int;
   s_stats : int array;
   s_health : (int * int * int * bool) list;
   s_chunks : (int * string) list;
@@ -299,7 +297,6 @@ let parse_snapshot s =
   get_machine r s_machine;
   let s_mem_seq = Codec.get_vint r in
   let s_console = Codec.get_str r in
-  let s_timer_count = Codec.get_vint r in
   let nstats = Codec.get_count r "stats" in
   let s_stats = Array.init nstats (fun _ -> Codec.get_vint r) in
   let nhealth = Codec.get_count r "health" in
@@ -319,7 +316,7 @@ let parse_snapshot s =
         (i, bytes))
   in
   { s_workload; s_frontend; s_fingerprint; s_every; s_seq; s_pc; s_machine;
-    s_mem_seq; s_console; s_timer_count; s_stats; s_health; s_chunks }
+    s_mem_seq; s_console; s_stats; s_health; s_chunks }
 
 (* Whole-file read via the backend; a truncated or torn file yields a
    prefix the checksum ladder rejects. *)
@@ -421,7 +418,6 @@ let restore_into (l : loaded) (vmm : Monitor.t) =
   mem.seq <- snap.s_mem_seq;
   Buffer.clear mem.out;
   Buffer.add_string mem.out snap.s_console;
-  vmm.timer_count <- snap.s_timer_count;
   let sf = stats_fields vmm.stats in
   Array.iteri
     (fun i (_, set) -> if i < Array.length snap.s_stats then set snap.s_stats.(i))

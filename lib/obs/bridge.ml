@@ -53,14 +53,6 @@ let create ?tracer ?metrics ?profile ?flight () =
     h_checkpoint =
       h "checkpoint_ms" [ 0.05; 0.1; 0.25; 0.5; 1.; 2.; 5.; 10.; 25. ] }
 
-let profile_edge_kind : Monitor.edge_kind -> Profile.edge_kind = function
-  | Etaken -> Profile.Taken
-  | Efall -> Profile.Fall
-  | Elr -> Profile.Lr
-  | Ectr -> Profile.Ctr
-  | Egpr -> Profile.Gpr
-  | Einterp -> Profile.Interp
-
 (* A trigger event just went into the ring; snapshot everything.  The
    dump is first-wins per reason and best-effort, so this stays cheap
    under failure storms. *)
@@ -78,6 +70,7 @@ let observe h v =
    would have kept. *)
 let on_event b (ev : Monitor.event) =
   (match b.flight with Some f -> Flight.push f ev | None -> ());
+  (match b.profile with Some p -> Profile.feed p ev | None -> ());
   (match ev with
   | Translate_end { page; insns; vliws; bytes; _ } ->
     observe b.h_tr_insns insns;
@@ -85,19 +78,7 @@ let on_event b (ev : Monitor.event) =
     (match b.profile with
     | Some p -> Profile.translated p ~page ~insns ~bytes
     | None -> ())
-  | Interp_end { pc; insns; _ } ->
-    observe b.h_episode insns;
-    (match b.profile with
-    | Some p -> Profile.interp p ~pc ~insns
-    | None -> ())
-  | Exit_edge { src; dst; kind; _ } ->
-    (match b.profile with
-    | Some p -> Profile.edge p ~src ~dst ~kind:(profile_edge_kind kind)
-    | None -> ())
-  | Page_enter { page; vliws_so_far; _ } ->
-    (match b.profile with
-    | Some p -> Profile.enter p ~page ~vliws_so_far
-    | None -> ())
+  | Interp_end { insns; _ } -> observe b.h_episode insns
   | Tcache_hit { seconds; _ } ->
     (match b.h_tc_load with
     | Some h -> Metrics.Histogram.observe h (seconds *. 1000.)

@@ -81,7 +81,7 @@ let page t base =
 
 let page_base t addr = addr land lnot (t.page_size - 1)
 
-(* --- feeding (Bridge calls these from Monitor events) --------------- *)
+(* --- feeding (from Monitor events) ---------------------------------- *)
 
 let enter t ~page:base ~vliws_so_far =
   if t.current >= 0 then begin
@@ -129,6 +129,21 @@ let edge_n t ~src ~dst ~kind n =
     | Some c -> c := !c + n
     | None -> Hashtbl.add t.edges (src, dst, kind) (ref n)
   end
+
+(** The heat a monitor event carries: page enters, exit edges and
+    interpretation episodes.  Every other event is ignored. *)
+let feed t (ev : Vmm.Monitor.event) =
+  match ev with
+  | Page_enter { page; vliws_so_far; _ } -> enter t ~page ~vliws_so_far
+  | Exit_edge { src; dst; kind; _ } ->
+    let kind =
+      match kind with
+      | Etaken -> Taken | Efall -> Fall | Elr -> Lr | Ectr -> Ctr
+      | Egpr -> Gpr | Einterp -> Interp
+    in
+    edge t ~src ~dst ~kind
+  | Interp_end { pc; insns; _ } -> interp t ~pc ~insns
+  | _ -> ()
 
 (* --- aggregate views ------------------------------------------------ *)
 

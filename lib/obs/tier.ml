@@ -1,13 +1,13 @@
-(* The tier-2 promotion driver: policy, background compilation and
-   atomic swap-in of hot regions.
+(* The tier-2 promotion driver: policy, compilation and atomic swap-in
+   of hot regions.
 
    Tier-1 is the page-at-a-time one-pass translator; tier-2 is the
    superblock scheduler ({!Baseline.Region}) applied to a hot page or
    inter-page SCC.  This module owns the loop between them:
 
-     observe -> pick candidates -> compile off the hot path -> verify
-     -> [Monitor.promote] -> (on assumption failure the monitor deopts
-     and we take a strike against the candidate)
+     observe -> pick candidates -> compile -> verify -> [Monitor.promote]
+     -> (on assumption failure the monitor deopts and we take a strike
+     against the candidate)
 
    Heat comes from two sources feeding one {!Profile}: the monitor's
    event stream (page enters, exit edges, interpretation), and — because
@@ -17,16 +17,16 @@
    plus hot single pages; both kinds are worth the superblock
    scheduler's wider window even without cross-page speculation.
 
-   Compilation runs through an injected [submit] closure (the serve
-   layer passes a domain-pool submit; [None] compiles inline).  The
-   background job works on an immutable snapshot (member bytes, entry
-   points) and never touches the VMM; results come back through a
-   mutexed queue drained on the main thread, which re-verifies the
-   member bytes before the swap — a self-modifying store during the
-   compile simply discards the image.  The swap itself is
-   [Monitor.promote]: main-thread table writes consulted only at the
-   next cross-page dispatch, so execution never sees a partial
-   install.
+   Regions compile on the execution thread, at the policy evaluation
+   that picked them, as DAISY's VMM translates a missing page before
+   execution continues: what a run promotes, and when, depends only on
+   the code it executes.  The compile works on a snapshot (member
+   bytes, entry points); its outcome waits on [pending] until the next
+   committed boundary or event, which re-verifies the member bytes
+   before the swap — a self-modifying store in between simply discards
+   the image.  The swap itself is [Monitor.promote]: table writes
+   consulted only at the next cross-page dispatch, so execution never
+   sees a partial install.
 
    Promoted images persist to the translation cache under a key built
    from the member-page *contents* ([Store.region_key]), so warm starts
@@ -34,7 +34,6 @@
 
 module Monitor = Vmm.Monitor
 module Translate = Translator.Translate
-module Params = Translator.Params
 
 type config = {
   min_heat : int;
@@ -48,16 +47,19 @@ type config = {
                             policy evaluations *)
   max_deopts : int;     (** strikes before a candidate is blacklisted *)
   submit : ((unit -> unit) -> unit) option;
-      (** background execution; [None] compiles on the caller's
-          thread (deterministic, used by tests and --tier2-sync) *)
+      (** wraps each compile, which must run before [submit] returns
+          (a timing span, say); [None] runs it bare.  A job [submit]
+          drops leaves the compile [Failed], a strike against the
+          candidate. *)
 }
 
-(* Thresholds are deliberately low: the compile runs off the hot path
-   (a few ms per region) and a mid-run promotion only pays for the
-   VLIWs executed *after* the swap, so waiting for a high bar forfeits
-   most of the win.  Empirically on the seed workloads, promotion at
-   5k heat captures ~95% of the region's steady state; at 100k it
-   captures about half and the end-to-end ILP lands below tier-1. *)
+(* Thresholds are deliberately low: a compile costs a few ms of the
+   execution thread per region, and a mid-run promotion only pays for
+   the VLIWs executed *after* the swap, so waiting for a high bar
+   forfeits most of the win.  Empirically on the seed workloads,
+   promotion at 5k heat captures ~95% of the region's steady state; at
+   100k it captures about half and the end-to-end ILP lands below
+   tier-1. *)
 let default =
   { min_heat = 5_000; edge_threshold = 250; max_pages = 8;
     check_every = 2_048; max_deopts = 3; submit = None }
@@ -85,18 +87,10 @@ type t = {
   mutable ticks : int;
   mutable events : int;
   strikes : (string, int) Hashtbl.t;       (** set key -> deopt strikes *)
-  in_flight : (string, unit) Hashtbl.t;    (** compiles not yet landed *)
   promoted : (int, string) Hashtbl.t;      (** region id -> set key *)
-  results : (snapshot * outcome) Queue.t;  (** background -> main thread *)
-  results_lock : Mutex.t;
-  mutable results_ready : bool;
-      (** set by the background thread after a push; read unlocked on
-          the main thread so every committed boundary can poll for a
-          finished compile without taking the mutex (a one-boundary-
-          late read is harmless, a 2048-boundary install delay is not) *)
-  (* driver-visible counters (the bench and CLI summaries read these) *)
-  mutable considered : int;    (** candidate evaluations *)
-  mutable launched : int;      (** compiles started *)
+  mutable pending : (snapshot * outcome) list;
+      (** compiles of the last evaluation, newest first, installed at
+          the next committed boundary or event *)
   mutable installed : int;     (** images swapped in *)
   mutable rejected_stale : int;
       (** images discarded because member bytes changed under the
@@ -107,10 +101,8 @@ let create ?(cfg = default) vmm =
   { cfg; vmm;
     profile = Profile.create ~page_size:vmm.Monitor.tr.params.page_size ();
     ticks = 0; events = 0; strikes = Hashtbl.create 8;
-    in_flight = Hashtbl.create 8; promoted = Hashtbl.create 8;
-    results = Queue.create (); results_lock = Mutex.create ();
-    results_ready = false;
-    considered = 0; launched = 0; installed = 0; rejected_stale = 0 }
+    promoted = Hashtbl.create 8; pending = []; installed = 0;
+    rejected_stale = 0 }
 
 (* --- promotion verdicts (also used by `daisy profile --regions`) ---- *)
 
@@ -127,10 +119,7 @@ let verdict ~cfg (r : Profile.region) =
 
 (* --- candidate selection ------------------------------------------- *)
 
-let member_bytes t base =
-  let mem = t.vmm.Monitor.mem in
-  let len = min t.vmm.Monitor.tr.params.page_size (Ppc.Mem.size mem - base) in
-  Ppc.Mem.read_string mem base len
+let member_bytes t base = Monitor.member_bytes t.vmm base
 
 (* Entry points tier-1 observed for [base]: the offsets registered in
    its xpage.  A member that was only ever interpreted contributes
@@ -141,15 +130,10 @@ let observed_entries t base =
   | Some (xp : Translate.xpage) ->
     Hashtbl.fold (fun off _ acc -> (base + off) :: acc) xp.entries []
 
-let required_heat t key =
-  let strikes =
-    match Hashtbl.find_opt t.strikes key with Some n -> n | None -> 0
-  in
-  t.cfg.min_heat lsl strikes
-
-let blacklisted t key =
-  (match Hashtbl.find_opt t.strikes key with Some n -> n | None -> 0)
-  >= t.cfg.max_deopts
+let strikes t key = Option.value ~default:0 (Hashtbl.find_opt t.strikes key)
+let strike t key = Hashtbl.replace t.strikes key (1 + strikes t key)
+let required_heat t key = t.cfg.min_heat lsl strikes t key
+let blacklisted t key = strikes t key >= t.cfg.max_deopts
 
 (* Regions may grow: a candidate that covers an installed region's
    every member plus at least one more is an *upgrade* — the old image
@@ -174,7 +158,6 @@ let upgrade_ok t members =
 let eligible t members heat =
   let key = set_key members in
   (not (blacklisted t key))
-  && (not (Hashtbl.mem t.in_flight key))
   && heat >= required_heat t key
   && Array.length members <= t.cfg.max_pages
   && Array.length members > 0
@@ -209,95 +192,84 @@ let candidates t =
   in
   List.filter (fun (ms, heat) -> eligible t ms heat) (sccs @ singles)
 
-(* --- background compile / cached probe ------------------------------ *)
+(* --- compile / cached probe ----------------------------------------- *)
 
-let push_result t snap outcome =
-  Mutex.lock t.results_lock;
-  Queue.push (snap, outcome) t.results;
-  Mutex.unlock t.results_lock;
-  t.results_ready <- true
+(* Region images are keyed on their member pages' contents: the image
+   persisted for [members] holding [bytes], installed into a fresh
+   region translator, if the store has one.  [only] skips the probe
+   unless the key is that one. *)
+let cached_image ?only t ~members ~bytes =
+  match t.vmm.Monitor.tcache with
+  | None -> None
+  | Some store -> (
+    let vmm = t.vmm in
+    let t1 = vmm.Monitor.tr.params in
+    let fingerprint =
+      Baseline.Region.fingerprint ~mem_size:(Ppc.Mem.size vmm.Monitor.mem) t1
+    in
+    let key = Tcache.Store.region_key store ~fingerprint ~members ~bytes in
+    match only with
+    | Some k when k <> key -> None
+    | _ -> (
+      match Tcache.Store.probe_region store ~key ~fingerprint with
+      | `Hit (xp, spec_inhibited, _members) ->
+        let tr =
+          Baseline.Region.translator ~t1 ~frontend:vmm.Monitor.fe
+            vmm.Monitor.mem ~members
+        in
+        Translate.install tr ~spec_inhibited xp;
+        Some (tr, xp)
+      | `Miss | `Corrupt _ | `Skipped _ -> None))
 
-(* Runs off the main thread (or inline under [submit = None]): probe
-   the persistent cache for this exact member-content set, else compile
-   fresh.  Touches only the snapshot, [mem] reads of member bytes the
-   install step re-verifies, and the results queue. *)
-let compile_job t snap () =
+(* The persisted image of this exact member-content set, else a fresh
+   compile.  Never raises: a failure is the outcome. *)
+let compile t snap =
   let vmm = t.vmm in
-  let t1 = vmm.Monitor.tr.params in
-  let outcome =
-    match
-      let cached =
-        match vmm.Monitor.tcache with
-        | None -> None
-        | Some store -> (
-          let fingerprint =
-            Baseline.Region.fingerprint
-              ~mem_size:(Ppc.Mem.size vmm.Monitor.mem) t1
-          in
-          let key =
-            Tcache.Store.region_key store ~fingerprint
-              ~members:snap.s_members ~bytes:snap.s_bytes
-          in
-          match Tcache.Store.probe_region store ~key ~fingerprint with
-          | `Hit (xp, spec_inhibited, _members) ->
-            let tr =
-              Baseline.Region.translator ~t1 ~frontend:vmm.Monitor.fe
-                vmm.Monitor.mem ~members:snap.s_members
-            in
-            Translate.install tr ~spec_inhibited xp;
-            Some (Cached (tr, xp))
-          | `Miss | `Corrupt _ | `Skipped _ -> None)
-      in
-      match cached with
-      | Some c -> c
-      | None ->
-        Compiled
-          (Baseline.Region.compile ~t1 ~frontend:vmm.Monitor.fe
-             vmm.Monitor.mem ~members:snap.s_members
-             ~entries:snap.s_entries)
-    with
-    | outcome -> outcome
-    | exception exn -> Failed (Printexc.to_string exn)
-  in
-  push_result t snap outcome
+  try
+    match cached_image t ~members:snap.s_members ~bytes:snap.s_bytes with
+    | Some (tr, xp) -> Cached (tr, xp)
+    | None ->
+      Compiled
+        (Baseline.Region.compile ~t1:vmm.Monitor.tr.params
+           ~frontend:vmm.Monitor.fe vmm.Monitor.mem ~members:snap.s_members
+           ~entries:snap.s_entries)
+  with exn -> Failed (Printexc.to_string exn)
 
 let launch t members =
-  let key = set_key members in
   (* Seeding is best-effort: the image lazily extends at runtime for
      any address the monitor dispatches into it, and converges to the
      same shape regardless of the seed, so tier-1's observed entries
-     are simply a head start for the background compile. *)
+     are simply a head start for the compile. *)
   let entries =
     Array.to_list members
     |> List.concat_map (observed_entries t)
     |> List.sort_uniq compare
   in
-  if entries = [] then ()
-  else begin
+  if entries <> [] then begin
     let snap =
       { s_members = members;
         s_bytes = Array.to_list (Array.map (member_bytes t) members);
         s_entries = entries }
     in
-    Hashtbl.replace t.in_flight key ();
-    t.launched <- t.launched + 1;
-    match t.cfg.submit with
-    | Some submit -> submit (compile_job t snap)
-    | None -> compile_job t snap ()
+    let outcome = ref (Failed "submit dropped the compile") in
+    let job () = outcome := compile t snap in
+    (match t.cfg.submit with Some submit -> submit job | None -> job ());
+    t.pending <- (snap, !outcome) :: t.pending
   end
 
-(* --- install (main thread) ------------------------------------------ *)
+(* --- install -------------------------------------------------------- *)
 
 let try_install t snap outcome =
   let key = set_key snap.s_members in
-  Hashtbl.remove t.in_flight key;
   match outcome with
   | Failed _ ->
-    (* undecodable entry, injected translator fault…: strike the
-       candidate so a deterministic failure can't relaunch forever *)
-    Hashtbl.replace t.strikes key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.strikes key))
+    (* undecodable entry, injected translator fault, dropped submit…:
+       strike the candidate so a deterministic failure can't relaunch
+       forever *)
+    strike t key
   | Compiled _ | Cached _ ->
+    (* the image describes the snapshot's bytes: a store into a member
+       page between the compile and this install voids it *)
     let fresh =
       List.for_all2
         (fun b bytes -> String.equal (member_bytes t b) bytes)
@@ -335,59 +307,39 @@ let try_install t snap outcome =
         if not cached then Monitor.tcache_persist_region t.vmm r
     end
 
+(* Install the last evaluation's compiles, oldest first.  [pending] is
+   emptied before any install: a swap emits events, and their
+   evaluations queue compiles of their own. *)
 let drain t =
-  let pending = ref [] in
-  t.results_ready <- false;
-  Mutex.lock t.results_lock;
-  while not (Queue.is_empty t.results) do
-    pending := Queue.pop t.results :: !pending
-  done;
-  Mutex.unlock t.results_lock;
-  List.iter (fun (snap, outcome) -> try_install t snap outcome)
-    (List.rev !pending)
+  let ready = List.rev t.pending in
+  t.pending <- [];
+  List.iter (fun (snap, outcome) -> try_install t snap outcome) ready
 
 (* --- the periodic policy evaluation --------------------------------- *)
 
+(* A pending compile is installed before the candidates are picked, so
+   it is never compiled twice. *)
 let consider t =
-  t.considered <- t.considered + 1;
   drain t;
   (* credit the VLIWs the current page accumulated since its enter —
      a loop that never crosses pages is otherwise invisible *)
   Profile.flush t.profile ~vliws_total:t.vmm.Monitor.stats.vliws;
-  let cands = candidates t in
-  if Sys.getenv_opt "DAISY_TIER_DEBUG" <> None then
-    Printf.eprintf "tier: consider #%d: %d sccs, candidates [%s]\n%!"
-      t.considered
-      (List.length (Profile.regions ~threshold:t.cfg.edge_threshold t.profile))
-      (String.concat "; "
-         (List.map (fun (ms, h) -> Printf.sprintf "%s@%d" (set_key ms) h)
-            cands));
-  List.iter (fun (members, _) -> launch t members) cands
+  List.iter (fun (members, _) -> launch t members) (candidates t)
 
 (* --- wiring ---------------------------------------------------------- *)
 
 let on_event t (ev : Monitor.event) =
+  Profile.feed t.profile ev;
   (match ev with
-  | Page_enter { page; vliws_so_far; _ } ->
-    Profile.enter t.profile ~page ~vliws_so_far
-  | Exit_edge { src; dst; kind; _ } ->
-    let kind : Profile.edge_kind =
-      match kind with
-      | Etaken -> Taken | Efall -> Fall | Elr -> Lr | Ectr -> Ctr
-      | Egpr -> Gpr | Einterp -> Interp
-    in
-    Profile.edge t.profile ~src ~dst ~kind
-  | Interp_end { pc; insns; _ } -> Profile.interp t.profile ~pc ~insns
   | Region_deopt { id; _ } -> (
     match Hashtbl.find_opt t.promoted id with
     | None -> ()
     | Some key ->
       Hashtbl.remove t.promoted id;
-      Hashtbl.replace t.strikes key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.strikes key)))
+      strike t key)
   | _ -> ());
   t.events <- t.events + 1;
-  if t.results_ready then drain t;
+  if t.pending <> [] then drain t;
   if t.events >= t.cfg.check_every then begin
     t.events <- 0;
     consider t
@@ -395,7 +347,7 @@ let on_event t (ev : Monitor.event) =
 
 let on_tick t ~pc:_ =
   t.ticks <- t.ticks + 1;
-  if t.results_ready then drain t;
+  if t.pending <> [] then drain t;
   if t.ticks >= t.cfg.check_every then begin
     t.ticks <- 0;
     consider t
@@ -410,12 +362,6 @@ let warm_start t =
   match t.vmm.Monitor.tcache with
   | None -> 0
   | Some store ->
-    let dir = store.Tcache.Store.dir in
-    let t1 = t.vmm.Monitor.tr.params in
-    let fingerprint =
-      Baseline.Region.fingerprint ~mem_size:(Ppc.Mem.size t.vmm.Monitor.mem)
-        t1
-    in
     let infos =
       (* widest image first: overlapping cached regions (a run that
          upgraded leaves both) resolve to the larger one, the smaller
@@ -423,41 +369,29 @@ let warm_start t =
       List.sort
         (fun (a : Tcache.Store.info) (b : Tcache.Store.info) ->
           compare (Array.length b.members) (Array.length a.members))
-        (Tcache.Store.list_dir dir)
+        (Tcache.Store.list_dir store.Tcache.Store.dir)
     in
     List.fold_left
       (fun n (i : Tcache.Store.info) ->
         if i.kind <> `Region || i.status <> `Ok then n
         else begin
           let members = i.members in
-          let bytes =
-            Array.to_list (Array.map (member_bytes t) members)
-          in
-          let key =
-            Tcache.Store.region_key store ~fingerprint ~members ~bytes
-          in
+          let bytes = Array.to_list (Array.map (member_bytes t) members) in
           (* key recomputed from *current* bytes: a stale image (any
              member byte changed since it was persisted) simply fails
              this match and stays on disk for eviction by deopt *)
-          if key <> i.key then n
-          else
-            match Tcache.Store.probe_region store ~key ~fingerprint with
-            | `Hit (xp, spec_inhibited, _) -> (
-              let tr =
-                Baseline.Region.translator ~t1 ~frontend:t.vmm.Monitor.fe
-                  t.vmm.Monitor.mem ~members
-              in
-              Translate.install tr ~spec_inhibited xp;
-              match
-                Monitor.promote t.vmm ~members ~tr
-                  ~insns:xp.insns_scheduled ~cached:true ()
-              with
-              | Ok r ->
-                t.installed <- t.installed + 1;
-                Hashtbl.replace t.promoted r.Monitor.r_id (set_key members);
-                n + 1
-              | Error _ -> n)
-            | `Miss | `Corrupt _ | `Skipped _ -> n
+          match cached_image ~only:i.key t ~members ~bytes with
+          | None -> n
+          | Some (tr, xp) -> (
+            match
+              Monitor.promote t.vmm ~members ~tr ~insns:xp.insns_scheduled
+                ~cached:true ()
+            with
+            | Ok r ->
+              t.installed <- t.installed + 1;
+              Hashtbl.replace t.promoted r.Monitor.r_id (set_key members);
+              n + 1
+            | Error _ -> n)
         end)
       0 infos
 
@@ -483,6 +417,6 @@ let attach ?(cfg = default) vmm =
   ignore (warm_start t);
   t
 
-(** One final drain + install pass (callers that end the run with a
-    compile still in flight call this before reading stats). *)
+(** Install what the last evaluation compiled (callers that read stats
+    right after a run that ended before its next boundary). *)
 let finish t = drain t

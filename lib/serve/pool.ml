@@ -40,14 +40,7 @@ type t = {
   mutable runners : unit Domain.t list;
 }
 
-let runner ?minor_heap_words t () =
-  (* compile-heavy jobs (tier-2 region scheduling) allocate in bursts;
-     a pre-sized minor heap keeps the runner out of back-to-back minor
-     collections contending with the execution domains.  Gc.set on this
-     domain only — OCaml 5 minor heaps are per-domain. *)
-  (match minor_heap_words with
-  | Some w -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = w }
-  | None -> ());
+let runner t () =
   let rec loop () =
     Mutex.lock t.lock;
     while Queue.is_empty t.q && not t.closed do
@@ -71,24 +64,16 @@ let runner ?minor_heap_words t () =
   in
   loop ()
 
-(** [minor_heap_words] pre-sizes each runner domain's minor heap (in
-    words) before it starts draining jobs — the tier-2 submit pool
-    passes ~4 Mwords so background region compiles stop paying minor-GC
-    latency that inline compiles never saw. *)
-let create ?(queue_cap = max_int) ?minor_heap_words ~domains () =
+let create ?(queue_cap = max_int) ~domains () =
   if domains <= 0 then invalid_arg "Pool.create: domains must be positive";
   if queue_cap < 0 then invalid_arg "Pool.create: queue_cap must be >= 0";
-  (match minor_heap_words with
-  | Some w when w <= 0 ->
-    invalid_arg "Pool.create: minor_heap_words must be positive"
-  | _ -> ());
   let t =
     { q = Queue.create (); queue_cap; lock = Mutex.create ();
       nonempty = Condition.create (); all_done = Condition.create ();
       active = 0; closed = false; runners = [] }
   in
   t.runners <-
-    List.init domains (fun _ -> Domain.spawn (runner ?minor_heap_words t));
+    List.init domains (fun _ -> Domain.spawn (runner t));
   t
 
 let size t = List.length t.runners

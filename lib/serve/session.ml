@@ -85,14 +85,13 @@ let rec rm_rf path =
     directory (the stack's [tcache_dir] does not apply, and its
     observers, if any, are shared by every session), a checkpoint
     directory becomes [<dir>/session-<id>] and is removed as the
-    session leaves, tier-2 compiles run inline on the session's own
-    pool domain (a session is already off the accept path), and the
-    injector and storage backend are seeded from [id].  An explicit
-    [tcache_io] overrides the stack's storage backend.  It attaches
-    the stack itself ({!Guard.Stack.attach}) rather than going through
-    {!Guard.Stack.run}: its deadline budget is what is left at attach
-    time, after the reference run, and its outcome reports the faults
-    that fired on every exit path, a raising run included.
+    session leaves, and the injector and storage backend are seeded
+    from [id].  An explicit [tcache_io] overrides the stack's storage
+    backend.  It attaches the stack itself ({!Guard.Stack.attach})
+    rather than going through {!Guard.Stack.run}: its deadline budget
+    is what is left at attach time, after the reference run, and its
+    outcome reports the faults that fired on every exit path, a
+    raising run included.
 
     [deadline_at] is an absolute [Unix.gettimeofday] instant: already
     past, the session fails [Deadline] without running (it expired in
@@ -113,9 +112,7 @@ let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
           (fun (c : Guard.Stack.checkpoint) ->
             { c with
               dir = Filename.concat c.dir (Printf.sprintf "session-%d" id) })
-          stack.checkpoint;
-      tier2 =
-        Option.map (fun c -> { c with Obs.Tier.submit = None }) stack.tier2 }
+          stack.checkpoint }
   in
   let disk =
     match tcache_io with Some _ -> None | None -> Guard.Stack.disk ~id stack

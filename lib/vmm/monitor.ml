@@ -224,7 +224,7 @@ type event =
       pages : int;    (** member tier-1 pages *)
       insns : int;    (** base instructions scheduled into the image *)
       vliws : int;    (** tree VLIWs in the region image *)
-      seconds : float;  (** background compile wall time (0. when cached) *)
+      seconds : float;  (** region compile time (0. when cached) *)
       cached : bool;  (** image came from the persistent cache *)
     }  (** a hot region's superblock image was swapped in atomically *)
   | Region_deopt of { cycle : int; id : int; page : int; reason : string }
@@ -329,9 +329,6 @@ type t = {
       (** D-cache model: called per memory access *)
   mutable interp_fetch_hook : (int -> unit) option;
       (** I-side hook for interpreted instructions *)
-  mutable timer_interval : int option;
-      (** deliver an external interrupt every N VLIWs (when MSR.EE) *)
-  mutable timer_count : int;
   alias_tally : (int, int) Hashtbl.t;  (** alias rollbacks per page *)
   itlb : Memsys.Tlb.t;
       (** backs GO_ACROSS_PAGE (Section 3.4): maps base page numbers to
@@ -367,7 +364,8 @@ type t = {
       (** integrity check on page entry; [Some reason] quarantines *)
   mutable boundary_hook : (unit -> bool) option;
       (** polled at VLIW boundaries while MSR.EE is set; [true] delivers
-          a (spurious) external interrupt there *)
+          an external interrupt there (the fault injector's spurious
+          interrupts, a timer) *)
   mutable prefault_hook : (unit -> bool) option;
       (** polled before each VLIW; [true] forces a fault-style rollback
           and an interpretation episode (page-fault storms) *)
@@ -557,7 +555,7 @@ let member_bytes t base =
 (* The persistent key of a region image: the *set* of member-page
    contents (plus the member bases and the region scheduler's
    fingerprint), so any byte change in any member page — or a different
-   grouping — misses and falls back to a fresh background compile. *)
+   grouping — misses and falls back to a fresh compile. *)
 let tcache_region_key t store (r : region) =
   Tcache.Store.region_key store
     ~fingerprint:(Params.fingerprint r.r_tr.params)
@@ -656,7 +654,7 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
       regions = Hashtbl.create 4; region_seq = 0; active_region = None;
       promote_pending = false;
       pending_selfmod = false; fetch_hook = None; access_hook = None;
-      interp_fetch_hook = None; timer_interval = None; timer_count = 0;
+      interp_fetch_hook = None;
       alias_tally = Hashtbl.create 8;
       itlb = Memsys.Tlb.create ~entries:64 ~assoc:4 (); itlb_miss_cost = 10;
       code_budget = None; pinned = Hashtbl.create 4; lru = Hashtbl.create 32;
@@ -1492,25 +1490,13 @@ let run t ~entry ~fuel =
     (match t.boundary_hook with
     | Some f when t.st.m.msr land Machine.Msr.ee <> 0 ->
       if f () then begin
-        (* spurious external interrupt: VLIW boundaries are precise *)
+        (* external interrupt: state at a VLIW boundary is precise *)
         stats.external_interrupts <- stats.external_interrupts + 1;
         emit t (fun () -> External_interrupt { cycle = now t });
         Interp.interrupt t.st.m ~return_pc:precise Interp.Vector.external_;
         raise (Deliver t.st.m.pc)
       end
     | _ -> ());
-    (match t.timer_interval with
-    | Some n ->
-      t.timer_count <- t.timer_count + 1;
-      if t.timer_count >= n && t.st.m.msr land Machine.Msr.ee <> 0 then begin
-        (* external interrupt: state at a VLIW boundary is precise *)
-        t.timer_count <- 0;
-        stats.external_interrupts <- stats.external_interrupts + 1;
-        emit t (fun () -> External_interrupt { cycle = now t });
-        Interp.interrupt t.st.m ~return_pc:precise Interp.Vector.external_;
-        raise (Deliver t.st.m.pc)
-      end
-    | None -> ());
     if cv.c_tree.is_entry then spec_clear t;
     (match t.fetch_hook with
     | Some f ->

@@ -225,7 +225,7 @@ let test_old_version_refused () =
   let at = String.length Checkpoint.magic in
   Alcotest.(check int) "written at the current version" Checkpoint.version
     (Char.code (Bytes.get b at));
-  Bytes.set b at (Char.chr 1);
+  Bytes.set b at (Char.chr (Checkpoint.version - 1));
   let oc = open_out_bin path in
   output_bytes oc b;
   close_out oc;

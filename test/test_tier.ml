@@ -2,9 +2,11 @@
    promote hot regions without perturbing a single architected bit
    (Run.run diffs registers, memory and console against the reference
    interpreter), a store into a promoted member page must deopt back to
-   tier-1 and still verify, a persisted region image must re-promote on
-   warm start without recompiling, and a hot single page later absorbed
-   into a cross-page SCC must be superseded by the wider image. *)
+   tier-1 and still verify, a store landing between a compile and its
+   install must void the image, a persisted region image must
+   re-promote on warm start without recompiling, and a hot single page
+   later absorbed into a cross-page SCC must be superseded by the wider
+   image. *)
 
 module Params = Translator.Params
 module Run = Vmm.Run
@@ -22,10 +24,9 @@ let fresh_dir =
     Tcache.Store.mkdir_p d;
     d
 
-(* Synchronous, eager promotion: compiles run inline on the execution
-   thread, so every test is deterministic. *)
-let sync_cfg =
-  { Tier.default with min_heat = 2_000; edge_threshold = 50; submit = None }
+(* Eager promotion: thresholds low enough that every workload with a
+   hot loop promotes early. *)
+let eager_cfg = { Tier.default with min_heat = 2_000; edge_threshold = 50 }
 
 let run_with_tier ?cfg ?tcache_dir w =
   let captured = ref None in
@@ -44,7 +45,7 @@ let run_with_tier ?cfg ?tcache_dir w =
 
 let test_promotion_differential () =
   let w = Workloads.Registry.by_name "c_sieve" in
-  let r, vmm, t = run_with_tier ~cfg:sync_cfg w in
+  let r, vmm, t = run_with_tier ~cfg:eager_cfg w in
   Alcotest.(check (option int)) "exit code" (Some 1899) r.Run.exit_code;
   Alcotest.(check bool) "promoted" true (vmm.stats.tier2_promotions >= 1);
   Alcotest.(check bool) "region actually executed" true
@@ -58,7 +59,7 @@ let test_promotion_differential () =
    Mismatch on any divergence). *)
 let test_promotion_differential_all () =
   List.iter
-    (fun w -> ignore (run_with_tier ~cfg:sync_cfg w))
+    (fun w -> ignore (run_with_tier ~cfg:eager_cfg w))
     Workloads.Registry.all
 
 (* --- self-modifying store in a member page deopts ------------------- *)
@@ -69,7 +70,7 @@ let test_selfmod_deopts () =
   let r =
     Run.run
       ~instrument:(fun vmm ->
-        ignore (Tier.attach ~cfg:sync_cfg vmm);
+        ignore (Tier.attach ~cfg:eager_cfg vmm);
         (* after the tier driver: fires at committed boundaries only,
            exactly like the fault injector's selfmod class *)
         let prev = vmm.Monitor.tick_hook in
@@ -99,7 +100,7 @@ let test_selfmod_deopt_counted () =
     Run.run
       ~instrument:(fun vmm ->
         captured := Some vmm;
-        ignore (Tier.attach ~cfg:sync_cfg vmm);
+        ignore (Tier.attach ~cfg:eager_cfg vmm);
         let prev = vmm.Monitor.tick_hook in
         vmm.Monitor.tick_hook <-
           Some
@@ -119,6 +120,51 @@ let test_selfmod_deopt_counted () =
   | Some vmm ->
     Alcotest.(check bool) "deopt recorded" true (vmm.stats.tier2_deopts >= 1)
 
+(* --- the install re-checks the member bytes -------------------------- *)
+
+(* The compile's [submit] runs the job, then changes the last byte of
+   every translated page once, with [Bytes.set]: that bypasses the
+   store hook and leaves the code as it was, so only the install's
+   member-byte check can see it.  The image is discarded; a later
+   compile over the new bytes installs.  [Monitor.run] drives the run,
+   since [Run.run] would report the poked byte as a memory mismatch. *)
+let test_stale_image_discarded () =
+  let w = Workloads.Registry.by_name "c_sieve" in
+  let mem, entry = Workloads.Wl.instantiate w in
+  let vmm = Monitor.create mem in
+  let poked = ref false in
+  let submit job =
+    job ();
+    if not !poked then begin
+      poked := true;
+      let size = vmm.tr.params.page_size in
+      Hashtbl.iter
+        (fun base _ ->
+          let a = base + size - 1 in
+          Bytes.set mem.bytes a
+            (Char.chr (Char.code (Bytes.get mem.bytes a) lxor 0xFF)))
+        vmm.tr.pages
+    end
+  in
+  let t = Tier.attach ~cfg:{ eager_cfg with submit = Some submit } vmm in
+  let code = Monitor.run vmm ~entry ~fuel:(2 * w.fuel) in
+  Tier.finish t;
+  Alcotest.(check (option int)) "exit code" (Some 1899) code;
+  Alcotest.(check bool) "stale image discarded" true (t.Tier.rejected_stale >= 1);
+  Alcotest.(check bool) "recompiled image installed" true
+    (vmm.stats.tier2_promotions >= 1)
+
+(* A [submit] that never runs the job leaves the compile [Failed]:
+   nothing installs, and the run is unaffected. *)
+let test_dropped_compile () =
+  let w = Workloads.Registry.by_name "c_sieve" in
+  let r, vmm, t =
+    run_with_tier ~cfg:{ eager_cfg with submit = Some ignore } w
+  in
+  Alcotest.(check (option int)) "exit code" (Some 1899) r.Run.exit_code;
+  Alcotest.(check int) "nothing installed" 0 t.Tier.installed;
+  Alcotest.(check int) "no promotion" 0 vmm.stats.tier2_promotions
+
 (* --- staging a region image fails ------------------------------------ *)
 
 (* Once the first region is promoted, every staging overruns its budget.
@@ -132,7 +178,7 @@ let test_staging_deadline_deopts () =
     Run.run
       ~instrument:(fun vmm ->
         captured := Some vmm;
-        ignore (Tier.attach ~cfg:sync_cfg vmm);
+        ignore (Tier.attach ~cfg:eager_cfg vmm);
         let prev = vmm.Monitor.event_hook in
         vmm.Monitor.event_hook <-
           Some
@@ -157,7 +203,7 @@ let test_staging_deadline_deopts () =
 let test_warm_start_repromotes () =
   let w = Workloads.Registry.by_name "c_sieve" in
   let dir = fresh_dir () in
-  let _, vmm1, _ = run_with_tier ~cfg:sync_cfg ~tcache_dir:dir w in
+  let _, vmm1, _ = run_with_tier ~cfg:eager_cfg ~tcache_dir:dir w in
   Alcotest.(check bool) "cold run promoted" true
     (vmm1.stats.tier2_promotions >= 1);
   (* the image must come from disk: installed (and counted as a cached
@@ -166,7 +212,7 @@ let test_warm_start_repromotes () =
   let r2 =
     Run.run ~tcache_dir:dir
       ~instrument:(fun vmm ->
-        let t = Tier.attach ~cfg:sync_cfg vmm in
+        let t = Tier.attach ~cfg:eager_cfg vmm in
         at_attach := t.Tier.installed)
       w
   in
@@ -180,7 +226,7 @@ let test_warm_start_repromotes () =
 let test_warm_start_rejects_stale () =
   let w = Workloads.Registry.by_name "c_sieve" in
   let dir = fresh_dir () in
-  let _, vmm1, _ = run_with_tier ~cfg:sync_cfg ~tcache_dir:dir w in
+  let _, vmm1, _ = run_with_tier ~cfg:eager_cfg ~tcache_dir:dir w in
   let base =
     match Monitor.live_regions vmm1 with
     | r :: _ -> r.Monitor.r_members.(0)
@@ -193,13 +239,13 @@ let test_warm_start_rejects_stale () =
   (* pristine bytes: attach re-promotes without running anything *)
   let mem, _ = Workloads.Wl.instantiate w in
   let vmm = Monitor.create ~tcache_dir:dir mem in
-  let t = Tier.attach ~cfg:sync_cfg vmm in
+  let t = Tier.attach ~cfg:eager_cfg vmm in
   Alcotest.(check bool) "pristine bytes re-promote" true (t.Tier.installed >= 1);
   (* one flipped byte in a member page: key misses, nothing installs *)
   let mem, _ = Workloads.Wl.instantiate w in
   Ppc.Mem.store8 mem base (Ppc.Mem.load8 mem base lxor 0xFF);
   let vmm = Monitor.create ~tcache_dir:dir mem in
-  let t = Tier.attach ~cfg:sync_cfg vmm in
+  let t = Tier.attach ~cfg:eager_cfg vmm in
   Alcotest.(check int) "stale bytes do not re-promote" 0 t.Tier.installed
 
 (* --- upgrade: a wider SCC supersedes a hot single page --------------- *)
@@ -209,10 +255,7 @@ let test_upgrade_absorbs_single () =
   (* huge edge threshold first would block the SCC; aggressive single
      promotion plus a reachable edge threshold reproduces the observed
      single-then-SCC sequence *)
-  let cfg =
-    { Tier.default with min_heat = 2_000; edge_threshold = 250;
-      submit = None }
-  in
+  let cfg = { Tier.default with min_heat = 2_000; edge_threshold = 250 } in
   let captured = ref None in
   let r =
     Run.run
@@ -249,6 +292,10 @@ let () =
             test_selfmod_deopt_counted;
           Alcotest.test_case "staging deadline" `Quick
             test_staging_deadline_deopts ] );
+      ( "install",
+        [ Alcotest.test_case "stale image discarded" `Quick
+            test_stale_image_discarded;
+          Alcotest.test_case "dropped compile" `Quick test_dropped_compile ] );
       ( "warm",
         [ Alcotest.test_case "repromotes from cache" `Quick
             test_warm_start_repromotes;

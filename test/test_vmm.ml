@@ -35,18 +35,6 @@ let test_finite_cache_run () =
   Alcotest.(check bool) "finite <= infinite ILP" true (r.ilp_fin <= r.ilp_inf);
   Alcotest.(check bool) "misses counted" true (r.load_misses > 0 || r.imiss > 0)
 
-let test_timer_transparency () =
-  let w = Workloads.Registry.by_name "wc" in
-  let rcode, _, _, _ = Run.reference w in
-  let mem, entry = Workloads.Wl.instantiate w in
-  let vmm = Vmm.Monitor.create mem in
-  vmm.timer_interval <- Some 300;
-  let code = Vmm.Monitor.run vmm ~entry ~fuel:(w.fuel * 2) in
-  Alcotest.(check (option int)) "result undisturbed" rcode code;
-  Alcotest.(check bool) "interrupts fired" true (vmm.stats.external_interrupts > 10);
-  let counted = Ppc.Mem.load32 mem (Workloads.Wl.table_base + 0xF00) in
-  Alcotest.(check int) "handler saw them all" vmm.stats.external_interrupts counted
-
 (* External interrupts through the fault hook: delivered at a VLIW-tree
    boundary, they must be architecturally invisible.  [Run.run] diffs
    registers, memory and console against the pure interpreter; the mini
@@ -278,7 +266,6 @@ let () =
             (workload_differential { Params.default with rename = false }) ] );
       ( "features",
         [ Alcotest.test_case "finite-cache run" `Quick test_finite_cache_run;
-          Alcotest.test_case "timer transparency" `Quick test_timer_transparency;
           Alcotest.test_case "interrupt every boundary" `Quick
             test_interrupt_every_boundary;
           Alcotest.test_case "interrupt count is exact" `Quick
