@@ -243,32 +243,20 @@ type tally = {
   mutable shadow_divergences : int;
 }
 
-(** Run one page through reference interpreter and VMM; [faults], when
-    given, attaches every configured injector class (with a per-page
-    derived seed, so page verdicts are independent of each other).
-    [storage] additionally runs the page against a persistent
-    translation cache in the given directory, through a seeded
-    disk-fault backend — the verdict must still be [Match]: a lying
-    disk may cost retranslation, never correctness.  [tally]
-    accumulates the run's disk faults and shadow divergences.
-    [attach_extra] attaches additional instrumentation after the
-    injector (the guard's shadow verifier, observability sinks). *)
-let run_slots ?faults ?storage ?tally ?attach_extra ~seed ~index ~fuel slots =
-  let w = wl_of ~seed ~index ~fuel slots in
+(* Run [w] through reference interpreter and VMM, with the injector
+   and the storage backend seeded [reseed seed]. *)
+let run_wl ?faults ?storage ?tally ?attach_extra ~reseed w =
   let inject =
     Option.map
       (fun (cfg : Inject.config) ->
-        Inject.create { cfg with seed = cfg.seed lxor (index * 2654435761) })
+        Inject.create { cfg with seed = reseed cfg.seed })
       faults
   in
-  (* like the fault injector: a backend seeded from the page index, so
-     any page replays exactly *)
   let tcache_dir, disk =
     match storage with
     | None -> (None, None)
     | Some (dir, (fc : Fsio.fault_config)) ->
-      let seed = fc.seed lxor (index * 2654435761) in
-      (Some dir, Some (Fsio.faulty { fc with seed }))
+      (Some dir, Some (Fsio.faulty { fc with seed = reseed fc.seed }))
   in
   let instrument vmm =
     Option.iter (fun i -> Inject.attach i vmm) inject;
@@ -292,6 +280,21 @@ let run_slots ?faults ?storage ?tally ?attach_extra ~seed ~index ~fuel slots =
         disk)
     tally;
   v
+
+(** Run one page through reference interpreter and VMM; [faults], when
+    given, attaches every configured injector class (with a per-page
+    derived seed, so page verdicts are independent of each other).
+    [storage] additionally runs the page against a persistent
+    translation cache in the given directory, through a disk-fault
+    backend seeded the same way — the verdict must still be [Match]: a
+    lying disk may cost retranslation, never correctness.  [tally]
+    accumulates the run's disk faults and shadow divergences.
+    [attach_extra] attaches additional instrumentation after the
+    injector (the guard's shadow verifier, observability sinks). *)
+let run_slots ?faults ?storage ?tally ?attach_extra ~seed ~index ~fuel slots =
+  run_wl ?faults ?storage ?tally ?attach_extra
+    ~reseed:(fun s -> s lxor (index * 2654435761))
+    (wl_of ~seed ~index ~fuel slots)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
@@ -319,12 +322,15 @@ let shrink ~still slots =
 
 let slot_word = function Op i -> Encode.encode i | Raw w -> w land 0xFFFF_FFFF
 
-let write_reproducer ~dir ~seed ~index ~fuel ~message slots =
+(* [workload] names the registry workload the page came from; replay
+   then runs that workload instead of the page. *)
+let write_reproducer ?workload ~dir ~seed ~index ~fuel ~message slots =
   Tcache.Store.mkdir_p dir;
   let path = Filename.concat dir (Printf.sprintf "repro-%d-%d.txt" seed index) in
   let oc = open_out path in
   Printf.fprintf oc "# daisy fuzz reproducer: %s\n" message;
   Printf.fprintf oc "# seed %d index %d fuel %d\n" seed index fuel;
+  Option.iter (Printf.fprintf oc "# workload %s\n") workload;
   Array.iter
     (fun s ->
       let w = slot_word s in
@@ -337,13 +343,13 @@ let write_reproducer ~dir ~seed ~index ~fuel ~message slots =
 
 exception Bad_reproducer of string
 
-(** Parse a reproducer back into [(seed, index, fuel, slots)].  The
-    slots come back as raw words — assembling a word or the instruction
-    it decodes to writes the same bytes, so the replayed image is
-    bit-identical to the original. *)
+(** Parse a reproducer back into [(seed, index, fuel, slots,
+    workload)].  The slots come back as raw words — assembling a word
+    or the instruction it decodes to writes the same bytes, so the
+    replayed image is bit-identical to the original. *)
 let read_reproducer path =
   let ic = open_in path in
-  let header = ref None in
+  let header = ref None and workload = ref None in
   let slots = ref [] in
   (try
      while true do
@@ -351,18 +357,27 @@ let read_reproducer path =
        (try Scanf.sscanf line "# seed %d index %d fuel %d"
               (fun s i f -> header := Some (s, i, f))
         with Scanf.Scan_failure _ | Failure _ | End_of_file -> ());
+       (try Scanf.sscanf line "# workload %s" (fun n -> workload := Some n)
+        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ());
        try Scanf.sscanf line "0x%x" (fun w -> slots := Raw w :: !slots)
        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
      done
    with End_of_file -> close_in ic);
   match !header with
   | None -> raise (Bad_reproducer (path ^ ": missing '# seed I index I fuel I' line"))
-  | Some (seed, index, fuel) -> (seed, index, fuel, Array.of_list (List.rev !slots))
+  | Some (seed, index, fuel) ->
+    (seed, index, fuel, Array.of_list (List.rev !slots), !workload)
 
-(** Re-run a reproducer file; returns its verdict. *)
+(** Re-run a reproducer file; returns its verdict.  A file that names a
+    workload runs it with the faults seeded as given, as [daisy run]
+    seeds them. *)
 let replay ?faults ?storage ?tally ?attach_extra path =
-  let seed, index, fuel, slots = read_reproducer path in
-  run_slots ?faults ?storage ?tally ?attach_extra ~seed ~index ~fuel slots
+  match read_reproducer path with
+  | _, _, _, _, Some name ->
+    run_wl ?faults ?storage ?tally ?attach_extra ~reseed:Fun.id
+      (Workloads.Registry.by_name name)
+  | seed, index, fuel, slots, None ->
+    run_slots ?faults ?storage ?tally ?attach_extra ~seed ~index ~fuel slots
 
 (* ------------------------------------------------------------------ *)
 (* The corpus driver                                                   *)

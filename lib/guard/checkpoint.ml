@@ -82,9 +82,8 @@ let mark t addr n =
     done
   end
 
-(** Create a checkpointer over [vmm] and hook dirty-page tracking into
-    the guest store path (composing with whatever hook — the VMM's
-    code-write watcher — is already installed).  [seq] continues an
+(** Create a checkpointer over [vmm] and add dirty-page tracking to
+    the guest store watchers ({!Ppc.Mem.watch}).  [seq] continues an
     existing directory's numbering on resume; the first snapshot of a
     fresh run is made incremental against the *pristine* workload image
     by treating every chunk the run has already dirtied as dirty — for
@@ -98,15 +97,7 @@ let attach ~dir ~every ?(seq = 0) ?(io = Fsio.real) ~workload
       dirty = Bytes.make ((vmm.mem.size + chunk - 1) / chunk) '\000'; seq;
       last_cycle = Monitor.now vmm; io }
   in
-  let mem = vmm.mem in
-  (match mem.on_store with
-  | Some f ->
-    mem.on_store <-
-      Some
-        (fun addr n ->
-          mark t addr n;
-          f addr n)
-  | None -> mem.on_store <- Some (fun addr n -> mark t addr n));
+  Mem.watch vmm.mem (mark t);
   t
 
 let put_machine b (m : Machine.t) =

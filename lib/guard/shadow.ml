@@ -15,7 +15,8 @@
    On divergence the guard
 
    - records the page as an on-disk reproducer in the fuzzer's format
-     (so `daisy fuzz replay` can re-run it standalone),
+     (so `daisy fuzz --replay` can re-run it standalone; the file names
+     a registry workload, whose data the page alone would not carry),
    - repairs architected state back to the pre-packet snapshot,
    - takes a ladder strike on the page (quarantine -> interpretation),
    - and resumes at the packet's entry pc by interpretation — the run
@@ -55,6 +56,7 @@ type t = {
   cfg : config;
   rng : Random.State.t;
   vmm : Monitor.t;
+  workload : string option;  (** the registry workload being run *)
   mutable armed : snap option;
 }
 
@@ -109,8 +111,8 @@ let write_reproducer t snap ~base ~reason =
                           land 0xFFFF_FFFF))
     in
     Some
-      (Fault.Fuzz.write_reproducer ~dir ~seed:t.cfg.seed ~index:base
-         ~fuel:200_000
+      (Fault.Fuzz.write_reproducer ?workload:t.workload ~dir ~seed:t.cfg.seed
+         ~index:base ~fuel:200_000
          ~message:
            (Printf.sprintf "shadow divergence at pc 0x%X: %s" snap.pc0 reason)
          slots)
@@ -204,10 +206,19 @@ let commit t ~next =
     in
     go 0 ~visited:false)
 
-(** Wire a shadow verifier into [vmm]'s arm/abort/commit hooks. *)
-let attach cfg (vmm : Monitor.t) =
+(** Wire a shadow verifier into [vmm]'s arm/abort/commit hooks.
+    [workload] names the run; a registry workload's name goes into the
+    reproducers. *)
+let attach ?workload cfg (vmm : Monitor.t) =
+  let workload =
+    Option.bind workload (fun n ->
+        List.find_map
+          (fun (w : Workloads.Wl.t) -> if w.name = n then Some n else None)
+          Workloads.Registry.all)
+  in
   let t =
-    { cfg; rng = Random.State.make [| cfg.seed; 0x5AD0 |]; vmm; armed = None }
+    { cfg; rng = Random.State.make [| cfg.seed; 0x5AD0 |]; vmm; workload;
+      armed = None }
   in
   vmm.shadow_arm <- Some (fun ~pc -> arm t ~pc);
   vmm.shadow_abort <- Some (fun () -> abort t);

@@ -1,14 +1,13 @@
 (* The run stack: everything a verified run attaches to its VMM, as one
-   value, and the one place that knows the order it goes on in.
+   value, attached in one place.
 
    Six components decorate a run — observers, fault injector,
-   checkpointer, watchdog, shadow verifier and tier-2 driver — and
-   their order is load-bearing: {!Obs.Bridge.attach} overwrites the
-   event hook, so the bridge goes first, and {!Obs.Tier.attach} chains
-   whatever hooks the others installed, so the tier driver goes last.
-   {!attach} is the only code that writes that order down; [daisy run],
+   checkpointer, watchdog, shadow verifier and tier-2 driver.  The
+   monitor composes their event and tick subscribers, so no attach
+   order can unhook one; {!attach} still fixes the order, so
+   subscribers run the same way on every run.  [daisy run],
    [daisy resume], [daisy fuzz], the serve sessions and the bench all
-   describe their stack as a {!t} instead.
+   describe their stack as a {!t} instead of wiring components.
 
    Per-session seeds live here too: given [~id], the injector and the
    storage backend are seeded [seed + id * 0x9E3779B9], so every
@@ -96,7 +95,7 @@ let disk ?id t =
     t.storage
 
 (* [attach], with the checkpointer numbering its snapshots from [seq] *)
-let attach_at ~seq ?id ?instrument ~workload t vmm =
+let attach_at ~seq ?id ~workload t vmm =
   Option.iter (fun b -> Obs.Bridge.attach b vmm) t.observers;
   let inject =
     Option.map
@@ -113,22 +112,19 @@ let attach_at ~seq ?id ?instrument ~workload t vmm =
          ~checkpoint_seq:seq ~watchdog:t.watchdog ?shadow:t.shadow
          ?flight:(if Option.is_some t.checkpoint then flight t else None)
          ~workload vmm);
-  Option.iter (fun f -> f vmm) instrument;
   Option.iter (fun cfg -> ignore (Obs.Tier.attach ~cfg vmm)) t.tier2;
   inject
 
-(** Attach [t] to [vmm], in the one order that keeps every hook live:
-    the observers' bridge (it overwrites the event hook), the fault
-    injector, the supervision stack (watchdog, shadow, checkpoints),
-    the caller's [instrument], and the tier-2 driver, which chains the
-    hooks before it.  With a checkpoint, the flight recorder also dumps
-    on a graceful SIGTERM stop; the caller installs the handler
-    ({!Supervise.install_sigterm}), which is only worth doing when a
-    checkpoint makes the stop resumable.  [workload] names the run in
-    its checkpoints.  Returns the fault injector, if any, so the caller
-    can read how often each class fired. *)
-let attach ?id ?instrument ~workload t vmm =
-  attach_at ~seq:0 ?id ?instrument ~workload t vmm
+(** Attach [t] to [vmm], always in one order: the observers' bridge,
+    the fault injector, the supervision stack (watchdog, shadow,
+    checkpoints) and the tier-2 driver.  With a checkpoint, the flight
+    recorder also dumps on a graceful SIGTERM stop; the caller installs
+    the handler ({!Supervise.install_sigterm}), which is only worth
+    doing when a checkpoint makes the stop resumable.  [workload] names
+    the run in its checkpoints and shadow reproducers.  Returns the
+    fault injector, if any, so the caller can read how often each class
+    fired. *)
+let attach ?id ~workload t vmm = attach_at ~seq:0 ?id ~workload t vmm
 
 (** Run [w] under [t] and verify it against the reference interpreter
     ({!Vmm.Run.run}, which raises its [Mismatch]).  With [resume], the

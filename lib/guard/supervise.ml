@@ -2,14 +2,14 @@
    deadlines and shadow verification into a VMM, and one exception
    carries a graceful SIGTERM shutdown out of it.
 
-   The checkpoint cadence and the termination poll both live on the
-   VMM's [tick_hook], which fires at committed boundaries only — so a
-   snapshot is always of a precise architected state, and a SIGTERM
-   never tears a packet in half: the handler just sets a flag, and the
-   next boundary writes a final snapshot and unwinds with
-   {!Terminated}.  The driver maps that to exit 143 (128+SIGTERM), the
-   code a plainly-killed process would have — except this one left a
-   resumable checkpoint behind. *)
+   The checkpoint cadence and the termination poll both subscribe to
+   the VMM's tick ({!Vmm.Monitor.on_tick}), which fires at committed
+   boundaries only — so a snapshot is always of a precise architected
+   state, and a SIGTERM never tears a packet in half: the handler just
+   sets a flag, and the next boundary writes a final snapshot and
+   unwinds with {!Terminated}.  The driver maps that to exit 143
+   (128+SIGTERM), the code a plainly-killed process would have —
+   except this one left a resumable checkpoint behind. *)
 
 exception Terminated
 (** raised at a commit boundary after the final snapshot is written *)
@@ -39,7 +39,7 @@ let attach ?checkpoint_dir ?(checkpoint_every = 50_000) ?(checkpoint_seq = 0)
     (vmm : Vmm.Monitor.t) =
   Watchdog.attach watchdog vmm;
   (match shadow with
-  | Some cfg -> ignore (Shadow.attach cfg vmm)
+  | Some cfg -> ignore (Shadow.attach ~workload cfg vmm)
   | None -> ());
   let ck =
     match checkpoint_dir with
@@ -52,19 +52,15 @@ let attach ?checkpoint_dir ?(checkpoint_every = 50_000) ?(checkpoint_seq = 0)
   (match (ck, flight) with
   | None, None -> ()
   | _ ->
-    let prev = vmm.tick_hook in
-    vmm.tick_hook <-
-      Some
-        (fun ~pc ->
-          (match prev with Some f -> f ~pc | None -> ());
-          if !terminate then begin
-            (match ck with
-            | Some ck -> ignore (Checkpoint.write ck ~pc)
-            | None -> ());
-            (match flight with
-            | Some f -> ignore (Obs.Flight.dump f ~reason:"sigterm")
-            | None -> ());
-            raise Terminated
-          end;
-          match ck with Some ck -> Checkpoint.maybe ck ~pc | None -> ()));
+    Vmm.Monitor.on_tick vmm (fun ~pc ->
+        if !terminate then begin
+          (match ck with
+          | Some ck -> ignore (Checkpoint.write ck ~pc)
+          | None -> ());
+          (match flight with
+          | Some f -> ignore (Obs.Flight.dump f ~reason:"sigterm")
+          | None -> ());
+          raise Terminated
+        end;
+        match ck with Some ck -> Checkpoint.maybe ck ~pc | None -> ()));
   ck

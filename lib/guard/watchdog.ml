@@ -53,10 +53,6 @@ let attach ?t0 cfg (vmm : Vmm.Monitor.t) =
   | None -> ()
   | Some budget ->
     let t0 = match t0 with Some t -> t | None -> Unix.gettimeofday () in
-    let prev = vmm.tick_hook in
-    vmm.tick_hook <-
-      Some
-        (fun ~pc ->
-          (match prev with Some f -> f ~pc | None -> ());
-          let elapsed = Unix.gettimeofday () -. t0 in
-          if elapsed > budget then raise (Expired elapsed))
+    Vmm.Monitor.on_tick vmm (fun ~pc:_ ->
+        let elapsed = Unix.gettimeofday () -. t0 in
+        if elapsed > budget then raise (Expired elapsed))

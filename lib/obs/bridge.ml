@@ -1,6 +1,6 @@
 (* The bridge between the VMM's instrumentation interface and the
    observability sinks.  The VMM publishes {!Vmm.Monitor.event}s through
-   its [event_hook]; this module subscribes and fans each event out to
+   {!Vmm.Monitor.on_event}; this module subscribes and fans each event out to
    whichever sinks were requested — the trace ring, the metrics
    histograms, the region profile, the flight recorder.  The dependency
    points obs -> vmm only: the VMM never links against this library. *)
@@ -141,7 +141,7 @@ let attach b (vmm : Monitor.t) =
   (match b.flight with
   | Some f -> Flight.set_health f (health_json vmm)
   | None -> ());
-  vmm.event_hook <- Some (on_event b)
+  Monitor.on_event vmm (on_event b)
 
 (** Copy a finished run's measurements into [m] as counters and gauges,
     named after the {!Vmm.Run.result} / {!Vmm.Monitor.stats} fields so
@@ -170,7 +170,6 @@ let record_result m (r : Vmm.Run.result) =
   c "code_invalidations" s.code_invalidations;
   c "stall_cycles" s.stall_cycles;
   c "itlb_misses" s.itlb_misses;
-  c "vliws_with_load_miss" s.vliws_with_load_miss;
   c "tcache_hits" s.tcache_hits;
   c "tcache_misses" s.tcache_misses;
   c "tcache_corrupt" s.tcache_corrupt;

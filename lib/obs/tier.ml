@@ -395,25 +395,14 @@ let warm_start t =
         end)
       0 infos
 
-(** Attach the driver: chains the monitor's event hook (heat + deopt
-    accounting) and tick hook (periodic policy evaluation that survives
-    event-silent steady states), then re-promotes cached regions.
-    It must go on last, after the hooks it chains; {!Guard.Stack.attach}
-    is the code that keeps that order. *)
+(** Attach the driver: subscribes to the monitor's events (heat +
+    deopt accounting) and committed boundaries (periodic policy
+    evaluation that survives event-silent steady states), then
+    re-promotes cached regions. *)
 let attach ?(cfg = default) vmm =
   let t = create ~cfg vmm in
-  let prev_ev = vmm.Monitor.event_hook in
-  vmm.Monitor.event_hook <-
-    Some
-      (fun ev ->
-        (match prev_ev with Some h -> h ev | None -> ());
-        on_event t ev);
-  let prev_tick = vmm.Monitor.tick_hook in
-  vmm.Monitor.tick_hook <-
-    Some
-      (fun ~pc ->
-        (match prev_tick with Some h -> h ~pc | None -> ());
-        on_tick t ~pc);
+  Monitor.on_event vmm (on_event t);
+  Monitor.on_tick vmm (on_tick t);
   ignore (warm_start t);
   t
 

@@ -31,12 +31,18 @@ type t = {
   out : Buffer.t;  (** console output accumulated via [mmio_putchar] *)
   mutable seq : int;
   mutable on_store : (int -> int -> unit) option;
-      (** called as [f addr nbytes] before every ordinary store *)
+      (** called as [f addr nbytes] before every ordinary store; every
+          watcher, composed by {!watch} *)
 }
 
 let create size =
   { bytes = Bytes.make size '\000'; size; out = Buffer.create 256; seq = 0;
     on_store = None }
+
+(** Add a store watcher, called after every earlier one. *)
+let watch t f =
+  t.on_store <-
+    Some (match t.on_store with None -> f | Some g -> fun a n -> g a n; f a n)
 
 let size t = t.size
 let output t = Buffer.contents t.out

@@ -97,8 +97,8 @@ let rec rm_rf path =
     past, the session fails [Deadline] without running (it expired in
     the queue); otherwise the remaining time becomes a
     {!Guard.Watchdog} session budget checked at every commit boundary.
-    [instrument] is an extra hook over the session's own; it runs after
-    the session wires its gate/pin hooks, so it may chain them. *)
+    [instrument] runs after the session wires its gate and pin hooks
+    and before the stack attaches. *)
 let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
     ~shared ~id name =
   let metrics = Obs.Metrics.create ~label:(Printf.sprintf "session-%d" id) () in
@@ -119,7 +119,7 @@ let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
   in
   let tcache_io = match disk with Some (io, _) -> Some io | None -> tcache_io in
   let inject = ref None in
-  let wire (vmm : Vmm.Monitor.t) =
+  let attach (vmm : Vmm.Monitor.t) =
     store := vmm.tcache;
     vmm.translate_gate <- Some (Shared.gate shared);
     vmm.translate_release <- Some (Shared.release shared);
@@ -133,9 +133,7 @@ let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
           if fresh then Hashtbl.add touched key ();
           Mutex.unlock touched_lock;
           if fresh then Shared.pin shared ~key);
-    Option.iter (fun f -> f vmm) instrument
-  in
-  let attach vmm =
+    Option.iter (fun f -> f vmm) instrument;
     let watchdog =
       match deadline_at with
       | None -> stack.watchdog
@@ -143,9 +141,7 @@ let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
         (* session budget = time left from queue admission to now *)
         { stack.watchdog with session_s = Some (d -. Unix.gettimeofday ()) }
     in
-    inject :=
-      Guard.Stack.attach ~id ~instrument:wire ~workload:name
-        { stack with watchdog } vmm
+    inject := Guard.Stack.attach ~id ~workload:name { stack with watchdog } vmm
   in
   let t0 = Unix.gettimeofday () in
   let result =

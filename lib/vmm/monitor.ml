@@ -42,13 +42,17 @@ type stats = {
   mutable onpage_jumps : int;
   mutable loads : int;
   mutable stores : int;
-  mutable vliws_with_load_miss : int;  (** set by the cache hooks *)
   mutable syscalls : int;
   mutable external_interrupts : int;
   mutable adaptive_retranslations : int;
   mutable code_invalidations : int;
-  mutable stall_cycles : int;     (** finite-cache stalls *)
+  mutable stall_cycles : int;     (** ITLB miss stalls *)
   mutable itlb_misses : int;
+  (* --- finite-cache model (only with a [hierarchy]) --- *)
+  mutable cache_stalls : int;     (** stall cycles charged by the hierarchy *)
+  mutable imiss : int;            (** first-level instruction misses *)
+  mutable load_misses : int;      (** first-level data misses on loads *)
+  mutable store_misses : int;
   mutable tcache_hits : int;      (** pages installed from the persistent cache *)
   mutable tcache_misses : int;
   mutable tcache_corrupt : int;   (** entries rejected (truncated, bad version…) *)
@@ -99,9 +103,10 @@ type stats = {
 let fresh_stats () =
   { vliws = 0; interp_insns = 0; interp_episodes = 0; rollbacks = 0;
     aliases = 0; cross_direct = 0; cross_lr = 0; cross_ctr = 0; cross_gpr = 0;
-    onpage_jumps = 0; loads = 0; stores = 0; vliws_with_load_miss = 0;
+    onpage_jumps = 0; loads = 0; stores = 0;
     syscalls = 0; external_interrupts = 0; adaptive_retranslations = 0;
     code_invalidations = 0; stall_cycles = 0; itlb_misses = 0;
+    cache_stalls = 0; imiss = 0; load_misses = 0; store_misses = 0;
     tcache_hits = 0; tcache_misses = 0; tcache_corrupt = 0;
     tcache_quarantined = 0;
     tcache_persists = 0; tcache_evicts = 0; tcache_skipped = 0;
@@ -117,11 +122,14 @@ let fresh_stats () =
 
 (* --- Instrumentation interface -------------------------------------
 
-   The VMM reports its interesting moments through a single optional
-   [event_hook]; the observability layer (lib/obs) subscribes here
-   without the VMM depending on it.  Timestamps are VLIW cycles
-   ([vliws + interp_insns] so far).  With no hook attached the cost of
-   a site is one [None] test and no allocation. *)
+   The VMM reports its interesting moments as {!event}s; the
+   observability layer (lib/obs), the tier-2 driver and the supervisors
+   subscribe through {!on_event} and {!on_tick} without the VMM
+   depending on them.  Subscribers run in the order they subscribed,
+   and the monitor is the only code that composes them, so no attach
+   order can unhook another component.  Timestamps are VLIW cycles
+   ([vliws + interp_insns] so far).  With no subscriber the cost of a
+   site is one [None] test and no allocation. *)
 
 type cross_kind =
   | Xdirect         (** direct cross-page branch *)
@@ -323,12 +331,9 @@ type t = {
           belongs to a region.  One-shot. *)
   mutable pending_selfmod : bool;
       (** the VLIW being checked stores into the page it executes from *)
-  mutable fetch_hook : (addr:int -> size:int -> unit) option;
-      (** I-cache model: called once per VLIW executed *)
-  mutable access_hook : (Exec.access -> unit) option;
-      (** D-cache model: called per memory access *)
-  mutable interp_fetch_hook : (int -> unit) option;
-      (** I-side hook for interpreted instructions *)
+  hierarchy : Memsys.Hierarchy.t option;
+      (** the finite-cache model (Chapter 5): each VLIW fetch, each
+          interpreted instruction and each memory access probes it *)
   alias_tally : (int, int) Hashtbl.t;  (** alias rollbacks per page *)
   itlb : Memsys.Tlb.t;
       (** backs GO_ACROSS_PAGE (Section 3.4): maps base page numbers to
@@ -344,7 +349,7 @@ type t = {
   mutable castouts : int;
   max_episode : int;
   mutable event_hook : (event -> unit) option;
-      (** instrumentation sink (lib/obs subscribes here) *)
+      (** every subscriber, composed by {!on_event} *)
   mutable resume_pc : int;
       (** precise base address to resume from after [run] returns [None]
           on exhausted fuel — the debugger's single-stepping hook *)
@@ -405,8 +410,9 @@ type t = {
   mutable progress_ticks : int;   (** consecutive boundaries at that pc *)
   mutable tick_hook : (pc:int -> unit) option;
       (** called at every committed boundary (VLIW entry, post-episode)
-          with the precise base address; the guard's checkpoint cadence
-          and termination poll live here.  May raise to unwind the run. *)
+          with the precise base address; composed by {!on_tick}.  The
+          guard's checkpoint cadence and termination poll live here.
+          May raise to unwind the run. *)
   mutable shadow_arm : (pc:int -> unit) option;
       (** called immediately before a VLIW executes, with its precise
           entry pc; the shadow verifier snapshots state here when its
@@ -428,6 +434,28 @@ let now t = t.stats.vliws + t.stats.interp_insns
 
 (* [emit] takes a thunk so the disabled path allocates nothing. *)
 let emit t ev = match t.event_hook with Some h -> h (ev ()) | None -> ()
+
+(** Subscribe [f] to [t]'s events, after every earlier subscriber. *)
+let on_event t f =
+  t.event_hook <-
+    Some (match t.event_hook with None -> f | Some g -> fun ev -> g ev; f ev)
+
+(** Call [f] at every committed boundary, after every earlier one. *)
+let on_tick t f =
+  t.tick_hook <-
+    Some (match t.tick_hook with None -> f | Some g -> fun ~pc -> g ~pc; f ~pc)
+
+(* One probe of the finite-cache model: charge the stall cycles and
+   count a first-level miss by its kind. *)
+let probe_cache t h kind ~store addr bytes =
+  let cycles, l1_hit = Memsys.Hierarchy.access h kind addr bytes in
+  let s = t.stats in
+  s.cache_stalls <- s.cache_stalls + cycles;
+  if not l1_hit then
+    match (kind : Memsys.Hierarchy.kind) with
+    | I -> s.imiss <- s.imiss + 1
+    | D when store -> s.store_misses <- s.store_misses + 1
+    | D -> s.load_misses <- s.load_misses + 1
 
 (* --- Persistent translation cache (lib/tcache) ---------------------
 
@@ -633,7 +661,7 @@ let spec_conflicts t saddr sbytes sseq =
   go 0
 
 let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
-    ?tcache_dir ?tcache_io mem =
+    ?hierarchy ?tcache_dir ?tcache_io mem =
   let m = Machine.create () in
   let st = Vliw.Vstate.create m in
   let tr = Translate.create ~frontend params mem in
@@ -653,8 +681,7 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
       current_page = -1; invalidated = false;
       regions = Hashtbl.create 4; region_seq = 0; active_region = None;
       promote_pending = false;
-      pending_selfmod = false; fetch_hook = None; access_hook = None;
-      interp_fetch_hook = None;
+      pending_selfmod = false; hierarchy;
       alias_tally = Hashtbl.create 8;
       itlb = Memsys.Tlb.create ~entries:64 ~assoc:4 (); itlb_miss_cost = 10;
       code_budget = None; pinned = Hashtbl.create 4; lru = Hashtbl.create 32;
@@ -680,30 +707,26 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
         else m.ctr);
   (* the per-unit read-only bit: stores into translated pages invalidate *)
   if params.watch_code then
-    mem.on_store <-
-      Some
-        (fun addr _n ->
-          (* a store into any member page of a promoted region fails the
-             region's whole-unit assumption: deopt before the bytes
-             change (the stale persistent entry is evicted under its
-             still-matching content key) *)
-          (match Hashtbl.find_opt t.regions (Translate.page_base tr addr) with
-          | Some r ->
-            deopt_region t r ~page:(Translate.page_base tr addr)
-              ~reason:"self-modifying code in member page"
-          | None -> ());
-          if Translate.translated tr addr then (
-            (* the hook fires before the bytes change, so the page still
-               digests to the key the stale entry was stored under *)
-            tcache_evict t (Translate.page_base tr addr);
-            Translate.invalidate tr addr;
-            drop_compiled t (Translate.page_base tr addr);
-            t.stats.code_invalidations <- t.stats.code_invalidations + 1;
-            emit t (fun () ->
-                Code_invalidated
-                  { cycle = now t; page = Translate.page_base tr addr });
-            if Translate.page_base tr addr = t.current_page then
-              t.invalidated <- true));
+    Mem.watch mem (fun addr _n ->
+        let base = Translate.page_base tr addr in
+        (* a store into any member page of a promoted region fails the
+           region's whole-unit assumption: deopt before the bytes
+           change (the stale persistent entry is evicted under its
+           still-matching content key) *)
+        (match Hashtbl.find_opt t.regions base with
+        | Some r ->
+          deopt_region t r ~page:base
+            ~reason:"self-modifying code in member page"
+        | None -> ());
+        if Translate.translated tr addr then (
+          (* the watcher fires before the bytes change, so the page
+             still digests to the key the stale entry was stored under *)
+          tcache_evict t base;
+          Translate.invalidate tr addr;
+          drop_compiled t base;
+          t.stats.code_invalidations <- t.stats.code_invalidations + 1;
+          emit t (fun () -> Code_invalidated { cycle = now t; page = base });
+          if base = t.current_page then t.invalidated <- true));
   t
 
 (* Does a store at [addr] hit code of the unit we are executing?  Under
@@ -774,7 +797,9 @@ let interpret_episode t start =
   let rec go n =
     let pc = m.pc in
     let stop_kind = t.fe.is_episode_stop t.mem pc in
-    (match t.interp_fetch_hook with Some f -> f pc | None -> ());
+    (match t.hierarchy with
+    | Some h -> probe_cache t h I ~store:false pc 4
+    | None -> ());
     t.interp_step ();
     t.stats.interp_insns <- t.stats.interp_insns + 1;
     let crossed = m.pc land page_mask <> pc land page_mask in
@@ -1498,9 +1523,10 @@ let run t ~entry ~fuel =
       end
     | _ -> ());
     if cv.c_tree.is_entry then spec_clear t;
-    (match t.fetch_hook with
-    | Some f ->
-      f ~addr:(Vec.get page.addrs cv.c_id) ~size:(Vec.get page.sizes cv.c_id)
+    (match t.hierarchy with
+    | Some h ->
+      probe_cache t h I ~store:false (Vec.get page.addrs cv.c_id)
+        (max 4 (Vec.get page.sizes cv.c_id))
     | None -> ());
     (match t.shadow_arm with Some f -> f ~pc:precise | None -> ());
     (match t.active_region with
@@ -1517,29 +1543,19 @@ let run t ~entry ~fuel =
     | exception Exec.Roll reason -> rolled_back_at precise reason
     | leaf ->
       let s = t.cscratch in
-      (match t.access_hook with
-      | None ->
-        for i = 0 to s.a_n - 1 do
-          if s.a_store.(i) then stats.stores <- stats.stores + 1
-          else begin
-            stats.loads <- stats.loads + 1;
-            if s.a_passed.(i) then
-              spec_push t s.a_addr.(i) s.a_bytes.(i) s.a_seq.(i)
-          end
-        done
-      | Some f ->
-        for i = 0 to s.a_n - 1 do
-          if s.a_store.(i) then stats.stores <- stats.stores + 1
-          else begin
-            stats.loads <- stats.loads + 1;
-            if s.a_passed.(i) then
-              spec_push t s.a_addr.(i) s.a_bytes.(i) s.a_seq.(i)
-          end;
-          f
-            { Exec.addr = s.a_addr.(i); bytes = s.a_bytes.(i);
-              seq = s.a_seq.(i); passed_store = s.a_passed.(i);
-              store = s.a_store.(i) }
-        done);
+      for i = 0 to s.a_n - 1 do
+        let store = s.a_store.(i) in
+        if store then stats.stores <- stats.stores + 1
+        else begin
+          stats.loads <- stats.loads + 1;
+          if s.a_passed.(i) then
+            spec_push t s.a_addr.(i) s.a_bytes.(i) s.a_seq.(i)
+        end;
+        match t.hierarchy with
+        | Some h when not (Mem.is_mmio s.a_addr.(i)) ->
+          probe_cache t h D ~store s.a_addr.(i) s.a_bytes.(i)
+        | _ -> ()
+      done;
       (* note: a self-modifying store never reaches this point — the
          alias/code-mod check rolls the VLIW back first, and the store
          then happens inside the interpretation episode, where the

@@ -81,50 +81,25 @@ let degraded (s : Monitor.stats) =
 
 (** [run ?params ?hierarchy ?instrument ?prepare ?tcache_dir ?tcache_io
     w] executes [w] under DAISY and returns the full set of
-    measurements.  [instrument] is called with the freshly-created VMM
-    before execution starts, so observability sinks can attach to
-    {!Monitor.t.event_hook}.  [prepare] runs after instrumentation and
-    may override the start point: returning [Some (entry, fuel)] makes
-    the run continue from a restored mid-run state (checkpoint resume)
-    instead of the workload's entry — the reference run is unaffected,
-    so the differential verification at the end still checks the
-    *complete* execution's architected effects.  [tcache_dir] enables
-    the persistent translation cache there; [tcache_io] overrides its
-    storage backend (the chaos harnesses inject faults through it).
-    Raises {!Mismatch}
-    if the translated execution diverges from the reference interpreter
-    in any observable way. *)
+    measurements.  [hierarchy] is the finite-cache model the monitor
+    probes ({!Monitor.create}).  [instrument] is called with the
+    freshly-created VMM before execution starts, so components can
+    subscribe ({!Monitor.on_event}).  [prepare] runs after
+    instrumentation and may override the start point: returning
+    [Some (entry, fuel)] makes the run continue from a restored mid-run
+    state (checkpoint resume) instead of the workload's entry — the
+    reference run is unaffected, so the differential verification at
+    the end still checks the *complete* execution's architected
+    effects.  [tcache_dir] enables the persistent translation cache
+    there; [tcache_io] overrides its storage backend (the chaos
+    harnesses inject faults through it).  Raises {!Mismatch} if the
+    translated execution diverges from the reference interpreter in any
+    observable way. *)
 let run ?(params = Params.default) ?hierarchy ?instrument ?prepare
     ?tcache_dir ?tcache_io (w : Workloads.Wl.t) =
   let rcode, rst, rmem, it = reference w in
   let mem, entry = Workloads.Wl.instantiate w in
-  let vmm = Monitor.create ~params ?tcache_dir ?tcache_io mem in
-  let load_misses = ref 0 and store_misses = ref 0 and imiss = ref 0 in
-  let stall = ref 0 in
-  (match hierarchy with
-  | None -> ()
-  | Some h ->
-    vmm.fetch_hook <-
-      Some
-        (fun ~addr ~size ->
-          let cycles, l1_hit = Memsys.Hierarchy.access h I addr (max 4 size) in
-          if not l1_hit then incr imiss;
-          stall := !stall + cycles);
-    vmm.interp_fetch_hook <-
-      Some
-        (fun pc ->
-          let cycles, l1_hit = Memsys.Hierarchy.access h I pc 4 in
-          if not l1_hit then incr imiss;
-          stall := !stall + cycles);
-    vmm.access_hook <-
-      Some
-        (fun (a : Vliw.Exec.access) ->
-          if Mem.is_mmio a.addr then ()
-          else (
-            let cycles, l1_hit = Memsys.Hierarchy.access h D a.addr a.bytes in
-            if not l1_hit then
-              if a.store then incr store_misses else incr load_misses;
-            stall := !stall + cycles)));
+  let vmm = Monitor.create ~params ?hierarchy ?tcache_dir ?tcache_io mem in
   (match instrument with Some f -> f vmm | None -> ());
   let entry, fuel =
     match prepare with
@@ -157,17 +132,11 @@ let run ?(params = Params.default) ?hierarchy ?instrument ?prepare
   end;
   let s = vmm.stats in
   let cycles_inf = s.vliws + s.interp_insns in
-  let cycles_fin = cycles_inf + !stall in
-  let miss_rate (c : Memsys.Cache.t option) =
-    match c with Some c -> Memsys.Cache.miss_rate c | None -> 0.0
-  in
-  let h0i, h0d, hj =
+  let cycles_fin = cycles_inf + s.cache_stalls in
+  let miss_rate level =
     match hierarchy with
-    | None -> (None, None, None)
-    | Some h ->
-      ( Some (Memsys.Hierarchy.l0i h),
-        Some (Memsys.Hierarchy.l0d h),
-        Some (Memsys.Hierarchy.joint h) )
+    | Some h -> Memsys.Cache.miss_rate (level h)
+    | None -> 0.0
   in
   { name = w.name;
     exit_code = (if verified then dcode else None);
@@ -177,17 +146,17 @@ let run ?(params = Params.default) ?hierarchy ?instrument ?prepare
     interp_insns = s.interp_insns;
     cycles_infinite = cycles_inf;
     cycles_finite = cycles_fin;
-    stall_cycles = !stall;
+    stall_cycles = s.cache_stalls;
     ilp_inf = float_of_int it.icount /. float_of_int (max 1 cycles_inf);
     ilp_fin = float_of_int it.icount /. float_of_int (max 1 cycles_fin);
     loads = s.loads;
     stores = s.stores;
-    load_misses = !load_misses;
-    store_misses = !store_misses;
-    imiss = !imiss;
-    miss_l0d = miss_rate h0d;
-    miss_l0i = miss_rate h0i;
-    miss_joint = miss_rate hj;
+    load_misses = s.load_misses;
+    store_misses = s.store_misses;
+    imiss = s.imiss;
+    miss_l0d = miss_rate Memsys.Hierarchy.l0d;
+    miss_l0i = miss_rate Memsys.Hierarchy.l0i;
+    miss_joint = miss_rate Memsys.Hierarchy.joint;
     stats = s;
     totals = vmm.tr.totals;
     code_bytes = vmm.tr.totals.code_bytes;

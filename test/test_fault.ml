@@ -257,10 +257,11 @@ let test_reproducer_roundtrip () =
   let path =
     Fuzz.write_reproducer ~dir ~seed ~index ~fuel ~message:"round-trip" slots
   in
-  let seed', index', fuel', slots' = Fuzz.read_reproducer path in
+  let seed', index', fuel', slots', workload = Fuzz.read_reproducer path in
   Alcotest.(check int) "seed" seed seed';
   Alcotest.(check int) "index" index index';
   Alcotest.(check int) "fuel" fuel fuel';
+  Alcotest.(check (option string)) "no workload" None workload;
   Alcotest.(check bool) "same words" true
     (Array.map Fuzz.slot_word slots = Array.map Fuzz.slot_word slots');
   (* replaying the file reaches the same verdict as the original run *)

@@ -352,7 +352,7 @@ let test_checkpoint_fault_is_a_strike () =
   let mem, _ = Wl.instantiate w in
   let vmm = Monitor.create mem in
   let events = ref [] in
-  vmm.event_hook <- Some (fun ev -> events := ev :: !events);
+  Monitor.on_event vmm (fun ev -> events := ev :: !events);
   let ck = Checkpoint.attach ~dir ~every:1 ~io ~workload:w.name vmm in
   Ppc.Mem.store32 vmm.mem (Wl.scratch_base + 0x40) 0xBEEF;
   Alcotest.(check int) "faulted write reports 0 bytes" 0

@@ -308,13 +308,13 @@ let test_progress_detector () =
    wrong path — no digest or datapath check can see it.  With shadow
    verification at 100% sampling the run must detect every divergence,
    write a reproducer, repair, and complete with the correct result
-   via the ladder. *)
+   via the ladder.  The reproducer names the workload, so it replays on
+   its own: a mismatch without a shadow, a match with one. *)
 let test_shadow_catches_silent_faults () =
   let dir = fresh_dir "shadow" in
   let w = Workloads.Registry.by_name "wc" in
-  let inject =
-    Fault.Inject.create { Fault.Inject.quiet with seed = 7; silent_rate = 1.0 }
-  in
+  let faults = { Fault.Inject.quiet with seed = 7; silent_rate = 1.0 } in
+  let inject = Fault.Inject.create faults in
   let captured = ref None in
   let r =
     Run.run w
@@ -322,7 +322,7 @@ let test_shadow_catches_silent_faults () =
         captured := Some vmm;
         Fault.Inject.attach inject vmm;
         ignore
-          (Shadow.attach
+          (Shadow.attach ~workload:"wc"
              { Shadow.default with sample = 1.0; out_dir = Some dir }
              vmm))
   in
@@ -333,10 +333,23 @@ let test_shadow_catches_silent_faults () =
   Alcotest.(check bool) "every live corruption caught" true
     (vmm.stats.shadow_divergences > 0);
   Alcotest.(check bool) "run degraded" true (Run.degraded r.stats);
-  Alcotest.(check bool) "reproducer written" true
-    (Array.exists
-       (fun f -> Filename.check_suffix f ".txt")
-       (Sys.readdir dir));
+  let repro =
+    match
+      List.find_opt
+        (fun f -> Filename.check_suffix f ".txt")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | Some f -> Filename.concat dir f
+    | None -> Alcotest.fail "no reproducer written"
+  in
+  let replay ?attach_extra () = Fault.Fuzz.replay ~faults ?attach_extra repro in
+  let shadow vmm =
+    ignore (Shadow.attach { Shadow.default with sample = 1.0 } vmm)
+  in
+  Alcotest.(check bool) "replay mismatches" true
+    (match replay () with Mismatch _ -> true | _ -> false);
+  Alcotest.(check bool) "shadowed replay matches" true
+    (replay ~attach_extra:shadow () = Match);
   rm_rf dir
 
 (* Without injected faults the shadow must stay silent: sampled replays
@@ -389,9 +402,8 @@ let test_shadow_divergence_survives_checkpoint () =
 
 (* Every component at once: tracer, metrics, profile and flight
    recorder, 1% injected interrupts, checkpoints, shadow sampling and
-   synchronous tier-2.  The run must verify, and every component must
-   have done work — promotions together with recorder events prove the
-   bridge did not clobber the tier driver's hook. *)
+   tier-2.  The run must verify, and every component must have done
+   work. *)
 let test_composed_stack () =
   let dir = fresh_dir "composed" in
   let w = Workloads.Registry.by_name "c_sieve" in

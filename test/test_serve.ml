@@ -419,12 +419,8 @@ let test_session_typed_failures () =
     Serve.Session.run
       ~deadline_at:(Unix.gettimeofday () +. 0.02)
       ~instrument:(fun vmm ->
-        let prev = vmm.Vmm.Monitor.tick_hook in
-        vmm.Vmm.Monitor.tick_hook <-
-          Some
-            (fun ~pc ->
-              ignore (Unix.select [] [] [] 0.002);
-              match prev with Some f -> f ~pc | None -> ()))
+        Vmm.Monitor.on_tick vmm (fun ~pc:_ ->
+            ignore (Unix.select [] [] [] 0.002)))
       ~shared ~id:2 "wc"
   in
   (match o.result with

@@ -73,20 +73,16 @@ let test_selfmod_deopts () =
         ignore (Tier.attach ~cfg:eager_cfg vmm);
         (* after the tier driver: fires at committed boundaries only,
            exactly like the fault injector's selfmod class *)
-        let prev = vmm.Monitor.tick_hook in
-        vmm.Monitor.tick_hook <-
-          Some
-            (fun ~pc ->
-              (match prev with Some h -> h ~pc | None -> ());
-              if not !poked then
-                match Monitor.live_regions vmm with
-                | r :: _ ->
-                  let base = r.Monitor.r_members.(0) in
-                  (* same-value store: pure code-invalidation signal *)
-                  Ppc.Mem.store8 vmm.Monitor.mem base
-                    (Ppc.Mem.load8 vmm.Monitor.mem base);
-                  poked := true
-                | [] -> ()))
+        Monitor.on_tick vmm (fun ~pc:_ ->
+            if not !poked then
+              match Monitor.live_regions vmm with
+              | r :: _ ->
+                let base = r.Monitor.r_members.(0) in
+                (* same-value store: pure code-invalidation signal *)
+                Ppc.Mem.store8 vmm.Monitor.mem base
+                  (Ppc.Mem.load8 vmm.Monitor.mem base);
+                poked := true
+              | [] -> ()))
       w
   in
   Alcotest.(check bool) "store landed" true !poked;
@@ -101,18 +97,14 @@ let test_selfmod_deopt_counted () =
       ~instrument:(fun vmm ->
         captured := Some vmm;
         ignore (Tier.attach ~cfg:eager_cfg vmm);
-        let prev = vmm.Monitor.tick_hook in
-        vmm.Monitor.tick_hook <-
-          Some
-            (fun ~pc ->
-              (match prev with Some h -> h ~pc | None -> ());
-              if not !poked then
-                match Monitor.live_regions vmm with
-                | r :: _ ->
-                  Ppc.Mem.store8 vmm.Monitor.mem r.Monitor.r_members.(0)
-                    (Ppc.Mem.load8 vmm.Monitor.mem r.Monitor.r_members.(0));
-                  poked := true
-                | [] -> ()))
+        Monitor.on_tick vmm (fun ~pc:_ ->
+            if not !poked then
+              match Monitor.live_regions vmm with
+              | r :: _ ->
+                Ppc.Mem.store8 vmm.Monitor.mem r.Monitor.r_members.(0)
+                  (Ppc.Mem.load8 vmm.Monitor.mem r.Monitor.r_members.(0));
+                poked := true
+              | [] -> ()))
       w
   in
   match !captured with
@@ -179,17 +171,11 @@ let test_staging_deadline_deopts () =
       ~instrument:(fun vmm ->
         captured := Some vmm;
         ignore (Tier.attach ~cfg:eager_cfg vmm);
-        let prev = vmm.Monitor.event_hook in
-        vmm.Monitor.event_hook <-
-          Some
-            (fun ev ->
-              (match prev with Some h -> h ev | None -> ());
-              match ev with
-              | Monitor.Region_promoted _ when vmm.compile_budget = None ->
-                vmm.compile_budget <- Some (-1.)
-              | Monitor.Region_deopt { reason; _ } ->
-                reasons := reason :: !reasons
-              | _ -> ()))
+        Monitor.on_event vmm (function
+          | Monitor.Region_promoted _ when vmm.compile_budget = None ->
+            vmm.compile_budget <- Some (-1.)
+          | Monitor.Region_deopt { reason; _ } -> reasons := reason :: !reasons
+          | _ -> ()))
       w
   in
   Alcotest.(check (option int)) "still bit-exact" (Some 1899) r.Run.exit_code;
@@ -278,6 +264,36 @@ let test_upgrade_absorbs_single () =
     in
     Alcotest.(check bool) "a multi-page region survives" true (widest >= 2)
 
+(* --- attach order ---------------------------------------------------- *)
+
+(* The monitor composes every subscriber, so the driver sees the same
+   events whether it goes on before or after the observers' bridge: the
+   run, its promotions and the bridge's profile come out the same. *)
+let test_attach_either_order () =
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.by_name name in
+      let counts ~tier_first =
+        let profile =
+          Obs.Profile.create ~page_size:Params.default.page_size ()
+        in
+        let bridge = Obs.Bridge.create ~profile () in
+        let r =
+          Run.run w ~instrument:(fun vmm ->
+              if tier_first then ignore (Tier.attach vmm);
+              Obs.Bridge.attach bridge vmm;
+              if not tier_first then ignore (Tier.attach vmm))
+        in
+        [ r.vliws; r.stats.tier2_promotions; Obs.Profile.total_entries profile;
+          Obs.Profile.total_edges profile ]
+      in
+      let tier_last = counts ~tier_first:false in
+      Alcotest.(check (list int)) (name ^ ": same counts") tier_last
+        (counts ~tier_first:true);
+      Alcotest.(check bool) (name ^ ": promoted") true
+        (List.nth tier_last 1 >= 1))
+    [ "c_sieve"; "compress" ]
+
 let () =
   Alcotest.run "tier"
     [ ( "promotion",
@@ -303,4 +319,7 @@ let () =
             test_warm_start_rejects_stale ] );
       ( "upgrade",
         [ Alcotest.test_case "SCC absorbs single" `Quick
-            test_upgrade_absorbs_single ] ) ]
+            test_upgrade_absorbs_single ] );
+      ( "attach",
+        [ Alcotest.test_case "either order" `Quick test_attach_either_order ] )
+    ]
