@@ -110,7 +110,7 @@ let attach_at ~seq ?id ~workload t vmm =
          ?checkpoint_dir:(Option.map (fun c -> c.dir) t.checkpoint)
          ?checkpoint_every:(Option.map (fun c -> c.every) t.checkpoint)
          ~checkpoint_seq:seq ~watchdog:t.watchdog ?shadow:t.shadow
-         ?flight:(if Option.is_some t.checkpoint then flight t else None)
+         ?flight:(flight t)
          ~workload vmm);
   Option.iter (fun cfg -> ignore (Obs.Tier.attach ~cfg vmm)) t.tier2;
   inject
@@ -118,12 +118,11 @@ let attach_at ~seq ?id ~workload t vmm =
 (** Attach [t] to [vmm], always in one order: the observers' bridge,
     the fault injector, the supervision stack (watchdog, shadow,
     checkpoints) and the tier-2 driver.  With a checkpoint, the flight
-    recorder also dumps on a graceful SIGTERM stop; the caller installs
-    the handler ({!Supervise.install_sigterm}), which is only worth
-    doing when a checkpoint makes the stop resumable.  [workload] names
-    the run in its checkpoints and shadow reproducers.  Returns the
-    fault injector, if any, so the caller can read how often each class
-    fired. *)
+    recorder also dumps on a graceful SIGTERM stop ({!Supervise.attach}
+    polls for it only then); the caller installs the handler
+    ({!Supervise.install_sigterm}).  [workload] names the run in its
+    checkpoints and shadow reproducers.  Returns the fault injector, if
+    any, so the caller can read how often each class fired. *)
 let attach ?id ~workload t vmm = attach_at ~seq:0 ?id ~workload t vmm
 
 (** Run [w] under [t] and verify it against the reference interpreter

@@ -31,9 +31,12 @@ let install_sigterm () =
     numbering continues from [checkpoint_seq] on resume); [watchdog]
     sets the deadline budgets; [shadow] enables sampled verification;
     [flight] is dumped (reason ["sigterm"]) before the graceful-stop
-    unwind, so even a killed run leaves its event tail behind.  Returns
-    the checkpointer, if one was created, so callers can force a final
-    snapshot. *)
+    unwind, so even a killed run leaves its event tail behind.  The
+    termination poll rides the checkpoint cadence's tick: only a
+    checkpointed run is worth stopping gracefully (and installing the
+    handler for), so without a checkpoint nothing polls, flight or not.
+    Returns the checkpointer, if one was created, so callers can force a
+    final snapshot. *)
 let attach ?checkpoint_dir ?(checkpoint_every = 50_000) ?(checkpoint_seq = 0)
     ?(watchdog = Watchdog.none) ?shadow ?flight ~workload
     (vmm : Vmm.Monitor.t) =
@@ -49,18 +52,16 @@ let attach ?checkpoint_dir ?(checkpoint_every = 50_000) ?(checkpoint_seq = 0)
         (Checkpoint.attach ~dir ~every:checkpoint_every ~seq:checkpoint_seq
            ~workload vmm)
   in
-  (match (ck, flight) with
-  | None, None -> ()
-  | _ ->
-    Vmm.Monitor.on_tick vmm (fun ~pc ->
-        if !terminate then begin
-          (match ck with
-          | Some ck -> ignore (Checkpoint.write ck ~pc)
-          | None -> ());
-          (match flight with
-          | Some f -> ignore (Obs.Flight.dump f ~reason:"sigterm")
-          | None -> ());
-          raise Terminated
-        end;
-        match ck with Some ck -> Checkpoint.maybe ck ~pc | None -> ()));
+  Option.iter
+    (fun ck ->
+      Vmm.Monitor.on_tick vmm (fun ~pc ->
+          if !terminate then begin
+            ignore (Checkpoint.write ck ~pc);
+            Option.iter
+              (fun f -> ignore (Obs.Flight.dump f ~reason:"sigterm"))
+              flight;
+            raise Terminated
+          end;
+          Checkpoint.maybe ck ~pc))
+    ck;
   ck

@@ -26,32 +26,38 @@ let create ~name ~size ~assoc ~line =
 
 let line_of t addr = addr / t.line
 
+(* One LRU lookup of [key] in the set of [assoc] ways at [base] of
+   [tags]/[stamp], at time [tick]: a hit refreshes the way's stamp, a
+   miss replaces the least recently used way.  Shared with {!Tlb}.  The
+   way is found by a loop, not a local closure returning an option, so
+   a probe allocates nothing. *)
+let lru_touch tags stamp ~base ~assoc ~tick key =
+  let w = ref 0 in
+  while !w < assoc && tags.(base + !w) <> key do incr w done;
+  if !w < assoc then begin
+    stamp.(base + !w) <- tick;
+    true
+  end
+  else begin
+    let victim = ref 0 in
+    for w = 1 to assoc - 1 do
+      if stamp.(base + w) < stamp.(base + !victim) then victim := w
+    done;
+    tags.(base + !victim) <- key;
+    stamp.(base + !victim) <- tick;
+    false
+  end
+
 (** [touch t addr] accesses the line containing [addr]; returns [true]
     on hit.  On miss the line is filled, evicting the LRU way. *)
 let touch t addr =
   t.accesses <- t.accesses + 1;
   t.tick <- t.tick + 1;
   let lineno = line_of t addr in
-  let set = lineno land (t.sets - 1) in
-  let base = set * t.assoc in
-  let rec find w =
-    if w >= t.assoc then None
-    else if t.tags.(base + w) = lineno then Some w
-    else find (w + 1)
-  in
-  match find 0 with
-  | Some w ->
-    t.stamp.(base + w) <- t.tick;
-    true
-  | None ->
-    t.misses <- t.misses + 1;
-    let victim = ref 0 in
-    for w = 1 to t.assoc - 1 do
-      if t.stamp.(base + w) < t.stamp.(base + !victim) then victim := w
-    done;
-    t.tags.(base + !victim) <- lineno;
-    t.stamp.(base + !victim) <- t.tick;
-    false
+  let base = (lineno land (t.sets - 1)) * t.assoc in
+  let hit = lru_touch t.tags t.stamp ~base ~assoc:t.assoc ~tick:t.tick lineno in
+  if not hit then t.misses <- t.misses + 1;
+  hit
 
 (** Touch every line overlapped by [addr, addr+bytes); true if all hit. *)
 let touch_range t addr bytes =

@@ -25,25 +25,10 @@ let create ?(assoc = 4) ~entries () =
 let touch t vpn =
   t.accesses <- t.accesses + 1;
   t.tick <- t.tick + 1;
-  let set = vpn land (t.sets - 1) in
-  let base = set * t.assoc in
-  let rec find w =
-    if w >= t.assoc then None else if t.tags.(base + w) = vpn then Some w
-    else find (w + 1)
-  in
-  match find 0 with
-  | Some w ->
-    t.stamp.(base + w) <- t.tick;
-    true
-  | None ->
-    t.misses <- t.misses + 1;
-    let victim = ref 0 in
-    for w = 1 to t.assoc - 1 do
-      if t.stamp.(base + w) < t.stamp.(base + !victim) then victim := w
-    done;
-    t.tags.(base + !victim) <- vpn;
-    t.stamp.(base + !victim) <- t.tick;
-    false
+  let base = (vpn land (t.sets - 1)) * t.assoc in
+  let hit = Cache.lru_touch t.tags t.stamp ~base ~assoc:t.assoc ~tick:t.tick vpn in
+  if not hit then t.misses <- t.misses + 1;
+  hit
 
 (** Drop every mapping (code modification, cast-out: Section 3.4). *)
 let flush t = Array.fill t.tags 0 t.entries (-1)

@@ -9,10 +9,12 @@
    - path selection is compiled per tree node — an architected test
      becomes a direct read of [Machine.cr] with precomputed shifts, a
      pool test becomes a direct [crtags]/[crhi] array access;
-   - every operand location is resolved once into a closure that reads
-     the right [Vstate] array slot (or raises exactly what [Vstate]
-     would for a corrupt location, so the monitor's degradation ladder
-     sees the same [Exec.Error]s);
+   - every operand location is resolved once: the hottest op shapes
+     read their sources straight from a value array and a coded-tag
+     array at an index fixed here, and every other shape reads through
+     a closure that picks the right [Vstate] slot (or raises exactly
+     what [Vstate] would for a corrupt location, so the monitor's
+     degradation ladder sees the same [Exec.Error]s);
    - pending writes and memory accesses accumulate into preallocated
      scratch buffers (parallel int arrays keyed by a small write-kind
      code) that are reset by bumping a fill pointer, not reallocated;
@@ -21,6 +23,8 @@
      state and pick the path, then the path's ops evaluate against
      entry state, then writes apply in program order) is preserved
      exactly;
+   - each leaf records whether its path has a store; a store-free path
+     skips the alias check, whose verdict it could not change;
    - tree exits are direct-linked: [Tree.Next id] is patched to a
      direct closure reference and [Tree.OnPage off] carries a memoized
      entry-id slot the monitor fills on first use, so steady-state
@@ -29,7 +33,9 @@
    Rollback and precise-exception semantics are bit-identical to
    [Exec.run]: the same [Exec.Roll] reasons, the same conversion of
    [Invalid_argument]/[Failure] escapes into [Exec.Error], the same
-   deferral of I/O-space loads to the apply phase. *)
+   deferral of I/O-space loads to the apply phase.  Exception tags are
+   handled in [Vstate]'s coded form (0 = clean), so executing a VLIW
+   writes no boxed value and allocates nothing. *)
 
 open Ppc
 
@@ -43,13 +49,13 @@ let s32 = Interp.s32
    never outlive one [exec_vliw] call. *)
 
 type scratch = {
-  (* pending writes: kind code + two int operands (+ tag for the
+  (* pending writes: kind code + two int operands (+ coded tag for the
      speculative kinds); meaning of [w_a]/[w_b] depends on the kind *)
   mutable w_n : int;
   mutable w_kind : int array;
   mutable w_a : int array;
   mutable w_b : int array;
-  mutable w_tag : Vstate.tag array;
+  mutable w_tag : int array;
   (* memory accesses (mirrors [Exec.access], struct-of-arrays) *)
   mutable a_n : int;
   mutable a_addr : int array;
@@ -57,9 +63,9 @@ type scratch = {
   mutable a_seq : int array;
   mutable a_passed : bool array;
   mutable a_store : bool array;
-  (* per-op speculative tag accumulator (the compiled counterpart of
+  (* per-op coded tag accumulator (the compiled counterpart of
      [Exec.eval_op]'s [tag] ref cell; first non-clean tag wins) *)
-  mutable tag : Vstate.tag;
+  mutable tag : int;
 }
 
 let create_scratch () =
@@ -68,14 +74,14 @@ let create_scratch () =
     w_kind = Array.make 64 0;
     w_a = Array.make 64 0;
     w_b = Array.make 64 0;
-    w_tag = Array.make 64 Vstate.Clean;
+    w_tag = Array.make 64 0;
     a_n = 0;
     a_addr = Array.make 32 0;
     a_bytes = Array.make 32 0;
     a_seq = Array.make 32 0;
     a_passed = Array.make 32 false;
     a_store = Array.make 32 false;
-    tag = Vstate.Clean;
+    tag = 0;
   }
 
 (* Write-kind codes.  The apply loop switches on these; the operand
@@ -113,11 +119,9 @@ let grow_writes s =
   s.w_kind <- gi s.w_kind;
   s.w_a <- gi s.w_a;
   s.w_b <- gi s.w_b;
-  let gt = Array.make (2 * n) Vstate.Clean in
-  Array.blit s.w_tag 0 gt 0 n;
-  s.w_tag <- gt
+  s.w_tag <- gi s.w_tag
 
-let push_w s kind a b =
+let[@inline] push_w s kind a b =
   let n = s.w_n in
   if n = Array.length s.w_kind then grow_writes s;
   s.w_kind.(n) <- kind;
@@ -125,7 +129,7 @@ let push_w s kind a b =
   s.w_b.(n) <- b;
   s.w_n <- n + 1
 
-let push_wt s kind a b tag =
+let[@inline] push_wt s kind a b tag =
   let n = s.w_n in
   if n = Array.length s.w_kind then grow_writes s;
   s.w_kind.(n) <- kind;
@@ -152,7 +156,7 @@ let grow_accesses s =
   s.a_passed <- gb s.a_passed;
   s.a_store <- gb s.a_store
 
-let push_access s addr bytes seq passed store =
+let[@inline] push_access s addr bytes seq passed store =
   let n = s.a_n in
   if n = Array.length s.a_addr then grow_accesses s;
   s.a_addr.(n) <- addr;
@@ -187,6 +191,9 @@ let accesses (s : scratch) : Exec.access list =
    [Invalid_argument] is converted to [Exec.Error] by [exec_vliw], as
    [Exec.run] does). *)
 
+(* roll back on consuming the coded tag [c] *)
+let rtag c = raise (Exec.Roll (Exec.Rtag (Vstate.tag_of_code c)))
+
 (* [Exec.rd]: GPR-space operand; spec ops accumulate tags, non-spec
    ops roll back on them. *)
 let c_rd (st : Vstate.t) (s : scratch) ~spec (l : Op.loc) : unit -> int =
@@ -199,14 +206,12 @@ let c_rd (st : Vstate.t) (s : scratch) ~spec (l : Op.loc) : unit -> int =
     let i = l - 32 in
     let hi = st.hi and tags = st.tags in
     if spec then fun () ->
-      (match Array.unsafe_get tags i with
-      | Vstate.Clean -> ()
-      | t -> if s.tag = Vstate.Clean then s.tag <- t);
+      let c = Array.unsafe_get tags i in
+      if c <> 0 && s.tag = 0 then s.tag <- c;
       Array.unsafe_get hi i
     else fun () ->
-      (match Array.unsafe_get tags i with
-      | Vstate.Clean -> ()
-      | t -> raise (Exec.Roll (Exec.Rtag t)));
+      let c = Array.unsafe_get tags i in
+      if c <> 0 then rtag c;
       Array.unsafe_get hi i
   end
   else if l = Op.lr_loc then
@@ -226,14 +231,12 @@ let c_rd_cr (st : Vstate.t) (s : scratch) ~spec (l : Op.loc) : unit -> int =
     let i = l - 8 in
     let crhi = st.crhi and crtags = st.crtags in
     if spec then fun () ->
-      (match Array.unsafe_get crtags i with
-      | Vstate.Clean -> ()
-      | t -> if s.tag = Vstate.Clean then s.tag <- t);
+      let c = Array.unsafe_get crtags i in
+      if c <> 0 && s.tag = 0 then s.tag <- c;
       Array.unsafe_get crhi i
     else fun () ->
-      (match Array.unsafe_get crtags i with
-      | Vstate.Clean -> ()
-      | t -> raise (Exec.Roll (Exec.Rtag t)));
+      let c = Array.unsafe_get crtags i in
+      if c <> 0 then rtag c;
       Array.unsafe_get crhi i
   end
   else fun () -> st.crhi.(l - 8) (* out of range: faults like get_cr_tagged *)
@@ -247,39 +250,63 @@ let c_get_ca (st : Vstate.t) (l : Op.loc) : unit -> bool =
     fun () -> Array.unsafe_get ext i
   else fun () -> invalid_arg "Vstate.get_ca"
 
+(* Array-read operands: a GPR-space source as a value array, a coded-tag
+   array and an index.  The architected registers and the zero register
+   read the shared [clean_tags], which nothing ever writes.  LR, CTR and
+   out-of-range locations have no such form ([None]); their ops read
+   through the closures above. *)
+type operand = { vals : int array; tags : int array; ix : int }
+
+let clean_tags = Array.make 32 0
+let zero_operand = Some { vals = [| 0 |]; tags = clean_tags; ix = 0 }
+
+let operand (st : Vstate.t) (l : Op.loc) =
+  if l = Op.zero then zero_operand
+  else if 0 <= l && l < 32 then Some { vals = st.m.gpr; tags = clean_tags; ix = l }
+  else if 32 <= l && l < 64 then Some { vals = st.hi; tags = st.tags; ix = l - 32 }
+  else None
+
+(* The tag of an op whose reads carry the coded tags [c] (and [c2]), in
+   operand order: a speculative op carries the first non-clean one, a
+   non-speculative one rolls back on it. *)
+let[@inline] tag1 spec c = if c <> 0 && not spec then rtag c else c
+let[@inline] tag2 spec c c2 = tag1 spec (if c <> 0 then c else c2)
+
 (* ------------------------------------------------------------------ *)
-(* Compiled write destinations.  [gpr_write]/[cr_write] mirror the
-   plain [Exec.Wgpr]/[Wcr] apply paths; [result]/[cr_result] mirror
-   [Exec.result_writes]/[cr_writes] (speculative pool destinations get
-   the accumulated tag). *)
+(* Compiled write destinations, classified as [Exec.result_writes] and
+   [cr_writes] do: a speculative pool destination gets the op's tag, and
+   a location outside every class goes through the [Vstate] setter
+   (which raises for it, as the interpretive apply does).  The index is
+   the pool slot for pool destinations, else the location itself. *)
 
-let gpr_write (s : scratch) (rt : Op.loc) : int -> unit =
-  if 0 <= rt && rt < 32 then fun v -> push_w s k_gpr_arch rt v
-  else if Op.is_nonarch_gpr rt then
-    let i = rt - 32 in
-    fun v -> push_w s k_gpr_pool i v
-  else if rt = Op.lr_loc then fun v -> push_w s k_lr 0 v
-  else if rt = Op.ctr_loc then fun v -> push_w s k_ctr 0 v
-  else fun v -> push_w s k_set_gpr rt v
+let dest_kind ~spec (rt : Op.loc) =
+  if Op.is_nonarch_gpr rt then if spec then k_tagged else k_gpr_pool
+  else if 0 <= rt && rt < 32 then k_gpr_arch
+  else if rt = Op.lr_loc then k_lr
+  else if rt = Op.ctr_loc then k_ctr
+  else k_set_gpr
 
+let dest_index (rt : Op.loc) = if Op.is_nonarch_gpr rt then rt - 32 else rt
+
+let cr_kind ~spec (crt : Op.loc) =
+  if Op.is_nonarch_cr crt then if spec then k_crtagged else k_cr_pool
+  else if crt < 8 then k_cr_arch
+  else k_set_cr
+
+let cr_index (crt : Op.loc) = if Op.is_nonarch_cr crt then crt - 8 else crt
+
+(* the closure-read ops push their result with the accumulated tag *)
 let result (s : scratch) ~spec (rt : Op.loc) : int -> unit =
-  if spec && Op.is_nonarch_gpr rt then
-    let i = rt - 32 in
-    fun v -> push_wt s k_tagged i v s.tag
-  else gpr_write s rt
+  let kind = dest_kind ~spec rt and i = dest_index rt in
+  fun v -> push_wt s kind i v s.tag
 
-let cr_write (s : scratch) (crt : Op.loc) : int -> unit =
-  if crt < 8 then fun v -> push_w s k_cr_arch crt v
-  else if crt < 16 then
-    let i = crt - 8 in
-    fun v -> push_w s k_cr_pool i v
-  else fun v -> push_w s k_set_cr crt v
+let gpr_write s rt = result s ~spec:false rt
 
 let cr_result (s : scratch) ~spec (crt : Op.loc) : int -> unit =
-  if spec && Op.is_nonarch_cr crt then
-    let i = crt - 8 in
-    fun v -> push_wt s k_crtagged i v s.tag
-  else cr_write s crt
+  let kind = cr_kind ~spec crt and i = cr_index crt in
+  fun v -> push_wt s kind i v s.tag
+
+let cr_write s crt = cr_result s ~spec:false crt
 
 (* [Exec.carry_writes]: carry goes to the machine CA for architected
    destinations, to the extender bit for pool destinations. *)
@@ -295,9 +322,45 @@ let carry_write (s : scratch) (rt : Op.loc) : bool -> unit =
    masks, widths and destination classes are all resolved here; the
    returned closure only reads values, computes, and pushes writes. *)
 
-let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
+(* The load proper, shared by every address shape: [addr] is computed
+   and the op's tag from its address operands is in [s.tag]. *)
+let c_load (mem : Mem.t) (s : scratch) seq ~(w : Insn.width) ~alg ~rt ~spec
+    ~passed : int -> unit =
+  let kind = dest_kind ~spec rt and di = dest_index rt in
+  let bytes = Mem.width_bytes w in
+  let fload =
+    match w with
+    | Insn.Byte -> Mem.load8
+    | Half -> Mem.load16
+    | Word -> Mem.load32
+  in
+  let k_mmio =
+    match w with Insn.Byte -> k_mmio8 | Half -> k_mmio16 | Word -> k_mmio32
+  in
+  let alg_half = alg && w = Insn.Half in
+  let tmmio = Vstate.code_of_tag Vstate.Tmmio in
+  fun addr ->
+    if Mem.is_mmio addr then
+      if spec then push_wt s k_tagged_any rt 0 tmmio
+      else push_w s k_mmio rt addr
+    else begin
+      match fload mem addr with
+      | v ->
+        let v =
+          if alg_half then u32 (s32 ((v land 0xFFFF) lsl 16) asr 16) else v
+        in
+        push_wt s kind di v s.tag;
+        push_access s addr bytes seq passed false
+      | exception Mem.Data_fault _ ->
+        if spec then
+          push_wt s k_tagged_any rt 0 (Vstate.code_of_tag (Vstate.Tfault addr))
+        else raise (Exec.Roll (Exec.Rfault { addr; write = false }))
+    end
+
+(* Every op shape, reading its operands through the [c_rd] closures. *)
+let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
     unit -> unit =
-  let clean () = s.tag <- Vstate.Clean in
+  let clean () = s.tag <- 0 in
   match op with
   | Bin { op; rt; ra; rb; ca; spec } -> (
     let fa = c_rd st s ~spec ra and fb = c_rd st s ~spec rb in
@@ -531,36 +594,10 @@ let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
           let o = fo () in
           u32 (b + o)
     in
-    let res = result s ~spec rt in
-    let bytes = Mem.width_bytes w in
-    let fload =
-      match w with
-      | Insn.Byte -> Mem.load8
-      | Half -> Mem.load16
-      | Word -> Mem.load32
-    in
-    let k_mmio =
-      match w with Insn.Byte -> k_mmio8 | Half -> k_mmio16 | Word -> k_mmio32
-    in
-    let alg_half = alg && w = Insn.Half in
+    let load = c_load mem s seq ~w ~alg ~rt ~spec ~passed in
     fun () ->
       clean ();
-      let addr = faddr () in
-      if Mem.is_mmio addr then
-        if spec then push_wt s k_tagged_any rt 0 Vstate.Tmmio
-        else push_w s k_mmio rt addr
-      else begin
-        match fload mem addr with
-        | v ->
-          let v =
-            if alg_half then u32 (s32 ((v land 0xFFFF) lsl 16) asr 16) else v
-          in
-          res v;
-          push_access s addr bytes seq passed false
-        | exception Mem.Data_fault _ ->
-          if spec then push_wt s k_tagged_any rt 0 (Vstate.Tfault addr)
-          else raise (Exec.Roll (Exec.Rfault { addr; write = false }))
-      end
+      load (faddr ())
   | StoreOp { w; rs; base; off } ->
     let frs = c_rd st s ~spec:false rs in
     let fbase = c_rd st s ~spec:false base in
@@ -708,6 +745,79 @@ let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
     let fca = c_get_ca st src in
     fun () -> push_w s k_ca 0 (if fca () then 1 else 0)
 
+(* The hot shapes (about 80% of executed ops) read array operands and
+   push straight into the scratch buffers: no [clean], reader or result
+   closure calls.  Any operand without an array form sends the whole op
+   to [c_closures]. *)
+let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
+    unit -> unit =
+  match op with
+  | CommitG { arch; src } -> (
+    match operand st src with
+    | None -> c_closures st mem s seq op
+    | Some { vals; tags; ix } ->
+      let kind = dest_kind ~spec:false arch and di = dest_index arch in
+      fun () ->
+        let c = Array.unsafe_get tags ix in
+        if c <> 0 then rtag c;
+        push_w s kind di (Array.unsafe_get vals ix))
+  | BinI { op = IAdd; rt; ra; imm; spec } -> (
+    let kind = dest_kind ~spec rt and di = dest_index rt in
+    if ra = Op.zero then
+      (* a constant: the literal specialisation *)
+      let v = u32 imm in
+      fun () -> push_wt s kind di v 0
+    else
+      match operand st ra with
+      | None -> c_closures st mem s seq op
+      | Some { vals; tags; ix } ->
+        fun () ->
+          let c = tag1 spec (Array.unsafe_get tags ix) in
+          push_wt s kind di (u32 (Array.unsafe_get vals ix + imm)) c)
+  | Bin { op = (Insn.Add | Subf) as bop; rt; ra; rb; spec; _ } -> (
+    match (operand st ra, operand st rb) with
+    | Some { vals = va; tags = ta; ix = ia }, Some { vals = vb; tags = tb; ix = ib } ->
+      let kind = dest_kind ~spec rt and di = dest_index rt in
+      if bop = Insn.Add then fun () ->
+        let c = tag2 spec (Array.unsafe_get ta ia) (Array.unsafe_get tb ib) in
+        push_wt s kind di (u32 (Array.unsafe_get va ia + Array.unsafe_get vb ib)) c
+      else fun () ->
+        let c = tag2 spec (Array.unsafe_get ta ia) (Array.unsafe_get tb ib) in
+        push_wt s kind di (u32 (Array.unsafe_get vb ib - Array.unsafe_get va ia)) c
+    | _ -> c_closures st mem s seq op)
+  | CmpIOp { signed; crt; ra; imm; spec } -> (
+    match operand st ra with
+    | None -> c_closures st mem s seq op
+    | Some { vals; tags; ix } ->
+      let kind = cr_kind ~spec crt and di = cr_index crt and m = st.m in
+      if signed then
+        let b = s32 (u32 imm) in
+        fun () ->
+          let c = tag1 spec (Array.unsafe_get tags ix) in
+          let a = s32 (Array.unsafe_get vals ix) in
+          push_wt s kind di (Exec.cmp_bits m.xer_so (a < b) (a > b)) c
+      else fun () ->
+        let c = tag1 spec (Array.unsafe_get tags ix) in
+        let a = Array.unsafe_get vals ix in
+        push_wt s kind di (Exec.cmp_bits m.xer_so (a < imm) (a > imm)) c)
+  | LoadOp { w; alg; rt; base; off; spec; passed } -> (
+    match (operand st base, off) with
+    | Some { vals = vb; tags = tb; ix = ib }, Op.OImm i ->
+      let load = c_load mem s seq ~w ~alg ~rt ~spec ~passed in
+      fun () ->
+        s.tag <- tag1 spec (Array.unsafe_get tb ib);
+        load (u32 (Array.unsafe_get vb ib + i))
+    | Some { vals = vb; tags = tb; ix = ib }, OReg r -> (
+      match operand st r with
+      | None -> c_closures st mem s seq op
+      | Some { vals = vo; tags = to_; ix = io } ->
+        let load = c_load mem s seq ~w ~alg ~rt ~spec ~passed in
+        fun () ->
+          s.tag <- tag2 spec (Array.unsafe_get tb ib) (Array.unsafe_get to_ io);
+          load (u32 (Array.unsafe_get vb ib + Array.unsafe_get vo io)))
+    | None, _ -> c_closures st mem s seq op)
+  | _ -> c_closures st mem s seq op
+
 (* ------------------------------------------------------------------ *)
 (* Apply phase: commit the scratch writes in program order.  Mirrors
    [Exec.apply] variant by variant; deferred I/O-space loads perform
@@ -721,7 +831,7 @@ let apply (st : Vstate.t) (mem : Mem.t) (s : scratch) =
     | 0 (* k_gpr_arch *) -> m.gpr.(a) <- b
     | 1 (* k_gpr_pool *) ->
       st.hi.(a) <- b;
-      st.tags.(a) <- Vstate.Clean
+      st.tags.(a) <- 0
     | 2 (* k_lr *) -> m.lr <- b
     | 3 (* k_ctr *) -> m.ctr <- b
     | 4 (* k_tagged *) ->
@@ -729,13 +839,13 @@ let apply (st : Vstate.t) (mem : Mem.t) (s : scratch) =
       st.tags.(a) <- s.w_tag.(i)
     | 5 (* k_tagged_any *) ->
       Vstate.set_gpr st a b;
-      Vstate.set_tag st a s.w_tag.(i)
+      Vstate.set_tag st a (Vstate.tag_of_code s.w_tag.(i))
     | 6 (* k_ext *) -> st.ext.(a) <- b <> 0
     | 7 (* k_ca *) -> m.xer_ca <- b <> 0
     | 8 (* k_cr_arch *) -> Machine.set_crf m a b
     | 9 (* k_cr_pool *) ->
       st.crhi.(a) <- b land 0xF;
-      st.crtags.(a) <- Vstate.Clean
+      st.crtags.(a) <- 0
     | 10 (* k_crtagged *) ->
       st.crhi.(a) <- b land 0xF;
       st.crtags.(a) <- s.w_tag.(i)
@@ -785,6 +895,7 @@ type cexit =
 and cleaf = {
   ops : (unit -> unit) array; (* the whole root-to-leaf path, program order *)
   nops : int;
+  has_store : bool; (* does the path have a store (and so need the alias check)? *)
   mutable exit : cexit;
 }
 
@@ -808,23 +919,29 @@ let c_exit (e : Tree.exit) : cexit =
   | Trap tr -> Ctrap tr
 
 (* Compile path selection from [node] down, with [prefix] the compiled
-   ops of the path above it.  Mirrors [Exec.select]: tests read entry
-   state only, ops collect in program order, an open tip is a
-   structural error, a tagged pool test rolls the VLIW back. *)
-let rec c_sel st mem s leaves (prefix : (unit -> unit) list) nprefix
+   ops of the path above it and [store] whether that path has a store.
+   Mirrors [Exec.select]: tests read entry state only, ops collect in
+   program order, an open tip is a structural error, a tagged pool test
+   rolls the VLIW back. *)
+let rec c_sel st mem s leaves (prefix : (unit -> unit) list) nprefix store
     (n : Tree.node) : unit -> cleaf =
-  let cops = List.map (fun (seq, op) -> c_op st mem s seq op) (Tree.ops_in_order n) in
+  let ops = Tree.ops_in_order n in
+  let cops = List.map (fun (seq, op) -> c_op st mem s seq op) ops in
   let prefix = prefix @ cops in
   let nprefix = nprefix + List.length cops in
+  let store = store || List.exists (fun (_, op) -> Op.is_store op) ops in
   match n.kind with
   | Tree.Open -> fun () -> raise (Exec.Error "open tip reached at runtime")
   | Exit e ->
-    let leaf = { ops = Array.of_list prefix; nops = nprefix; exit = c_exit e } in
+    let leaf =
+      { ops = Array.of_list prefix; nops = nprefix; has_store = store;
+        exit = c_exit e }
+    in
     leaves := leaf :: !leaves;
     fun () -> leaf
   | Branch { test; taken; fall } ->
-    let ftaken = c_sel st mem s leaves prefix nprefix taken in
-    let ffall = c_sel st mem s leaves prefix nprefix fall in
+    let ftaken = c_sel st mem s leaves prefix nprefix store taken in
+    let ffall = c_sel st mem s leaves prefix nprefix store fall in
     let fld = test.bit / 4 and sh = 3 - (test.bit mod 4) in
     let sense = test.sense in
     if fld < 8 then
@@ -836,9 +953,8 @@ let rec c_sel st mem s leaves (prefix : (unit -> unit) list) nprefix
       let i = fld - 8 in
       let crhi = st.Vstate.crhi and crtags = st.Vstate.crtags in
       fun () ->
-        (match Array.unsafe_get crtags i with
-        | Vstate.Clean -> ()
-        | t -> raise (Exec.Roll (Exec.Rtag t)));
+        let c = Array.unsafe_get crtags i in
+        if c <> 0 then rtag c;
         if (Array.unsafe_get crhi i lsr sh) land 1 = 1 = sense then ftaken ()
         else ffall ()
     else fun () -> invalid_arg "index out of bounds"
@@ -872,7 +988,8 @@ let stage ?budget ~(st : Vstate.t) ~(mem : Mem.t) ~(scratch : scratch)
     Array.mapi
       (fun i (tree : Tree.t) ->
         check_budget ();
-        { c_id = i; c_tree = tree; select = c_sel st mem scratch leaves [] 0 tree.root })
+        { c_id = i; c_tree = tree;
+          select = c_sel st mem scratch leaves [] 0 false tree.root })
       trees
   in
   let n = Array.length vliws in
@@ -892,9 +1009,9 @@ let get (p : page) id = p.vliws.(id)
 
 (** Execute one staged VLIW.  Semantics are those of [Exec.run]: select
     a path against entry state, evaluate its ops against entry state
-    into the scratch buffers, run the alias check, then apply all
-    writes in program order — or raise [Exec.Roll] with no state
-    change.  [Invalid_argument]/[Failure] escapes from the
+    into the scratch buffers, run the alias check if the path has a
+    store, then apply all writes in program order — or raise
+    [Exec.Roll] with no state change.  [Invalid_argument]/[Failure] escapes from the
     select/evaluate phase surface as [Exec.Error], exactly as in the
     interpretive engine.  Returns the selected leaf; its accesses are
     in the scratch buffers. *)
@@ -908,7 +1025,7 @@ let exec_vliw (p : page) (cv : cvliw) ~(alias_check : scratch -> bool) : cleaf =
     for i = 0 to Array.length ops - 1 do
       (Array.unsafe_get ops i) ()
     done;
-    if not (alias_check s) then raise (Exec.Roll Exec.Ralias);
+    if leaf.has_store && not (alias_check s) then raise (Exec.Roll Exec.Ralias);
     leaf
   with
   | exception Invalid_argument msg ->

@@ -358,10 +358,12 @@ let apply (st : Vstate.t) (mem : Mem.t) = function
   | Wstore (w, addr, v) -> Mem.store mem w addr v
   | Wmmio_load (l, w, addr) -> Vstate.set_gpr st l (Mem.load mem w addr)
 
-(** Execute [vliw] against [st]/[mem].  [alias_check] receives this
-    VLIW's accesses (in program order of their sequence numbers is NOT
-    guaranteed; callers filter by [seq]) and must return [false] to
-    force an alias rollback.  On success all writes are applied.
+(** Execute [vliw] against [st]/[mem].  When at least one of this VLIW's
+    accesses is a store, [alias_check] receives them all (in program
+    order of their sequence numbers is NOT guaranteed; callers filter by
+    [seq]) and must return [false] to force an alias rollback; a
+    store-free VLIW cannot conflict and is not checked.  On success all
+    writes are applied.
 
     [Invalid_argument]/[Failure] escapes from the select/evaluate phase
     (a corrupted tree indexing a location that does not exist) surface
@@ -379,7 +381,10 @@ let run (st : Vstate.t) (mem : Mem.t) ?(alias_check = fun (_ : access list) -> t
         writes := ws :: !writes;
         match acc with Some a -> accesses := a :: !accesses | None -> ())
       ops;
-    if not (alias_check !accesses) then raise (Roll Ralias);
+    if
+      List.exists (fun (a : access) -> a.store) !accesses
+      && not (alias_check !accesses)
+    then raise (Roll Ralias);
     (!writes, !accesses, !nops, exit)
   with
   | exception Roll r -> Rollback r

@@ -16,26 +16,35 @@ type tag =
   | Tfault of int  (** speculative load faulted at this address *)
   | Tmmio          (** speculative load hit I/O space; deferred *)
 
+(* The tag arrays hold tags coded as immediate ints: 0 is [Clean], 1 is
+   [Tmmio], and [(addr lsl 2) lor 2] is [Tfault addr].  Storing a boxed
+   [tag] into an array goes through the write barrier ([caml_modify]),
+   even for the constant [Clean]; the staged executor writes a tag for
+   nearly every pool result, so it keeps them as plain words. *)
+
+let code_of_tag = function Clean -> 0 | Tmmio -> 1 | Tfault a -> (a lsl 2) lor 2
+
+let tag_of_code c = if c = 0 then Clean else if c = 1 then Tmmio else Tfault (c asr 2)
+
 type t = {
   m : Ppc.Machine.t;       (** architected base state *)
   hi : int array;          (** r32..r63 *)
   ext : bool array;        (** carry extender bits of r32..r63 *)
-  tags : tag array;        (** exception tags of r32..r63 *)
+  tags : int array;        (** coded exception tags of r32..r63 *)
   crhi : int array;        (** cr8..cr15 (4-bit fields) *)
-  crtags : tag array;      (** exception tags of cr8..cr15 *)
+  crtags : int array;      (** coded exception tags of cr8..cr15 *)
 }
 
 let create m =
   { m; hi = Array.make 32 0; ext = Array.make 32 false;
-    tags = Array.make 32 Clean; crhi = Array.make 8 0;
-    crtags = Array.make 8 Clean }
+    tags = Array.make 32 0; crhi = Array.make 8 0; crtags = Array.make 8 0 }
 
 (** Value of GPR-space location [l] with its tag ([Op.zero] reads 0;
     architected locations are always clean). *)
 let get t (l : Op.loc) =
   if l = Op.zero then (0, Clean)
   else if l < 32 then (t.m.gpr.(l), Clean)
-  else if l < 64 then (t.hi.(l - 32), t.tags.(l - 32))
+  else if l < 64 then (t.hi.(l - 32), tag_of_code t.tags.(l - 32))
   else if l = Op.lr_loc then (t.m.lr, Clean)
   else if l = Op.ctr_loc then (t.m.ctr, Clean)
   else invalid_arg "Vstate.get"
@@ -50,7 +59,7 @@ let get_ca t (l : Op.loc) =
 (** Condition field at location [l] (0..15), with its tag. *)
 let get_cr_tagged t (l : Op.loc) =
   if l < 8 then (Ppc.Machine.get_crf t.m l, Clean)
-  else (t.crhi.(l - 8), t.crtags.(l - 8))
+  else (t.crhi.(l - 8), tag_of_code t.crtags.(l - 8))
 
 (** Condition field value, ignoring tags. *)
 let get_cr t (l : Op.loc) =
@@ -60,7 +69,7 @@ let set_gpr t (l : Op.loc) v =
   if l < 32 then t.m.gpr.(l) <- v
   else if l < 64 then (
     t.hi.(l - 32) <- v;
-    t.tags.(l - 32) <- Clean)
+    t.tags.(l - 32) <- 0)
   else if l = Op.lr_loc then t.m.lr <- v
   else if l = Op.ctr_loc then t.m.ctr <- v
   else invalid_arg "Vstate.set_gpr"
@@ -70,21 +79,21 @@ let set_ext t (l : Op.loc) b =
   else invalid_arg "Vstate.set_ext"
 
 let set_tag t (l : Op.loc) tag =
-  if l >= 32 && l < 64 then t.tags.(l - 32) <- tag
+  if l >= 32 && l < 64 then t.tags.(l - 32) <- code_of_tag tag
   else invalid_arg "Vstate.set_tag"
 
 let set_cr t (l : Op.loc) v =
   if l < 8 then Ppc.Machine.set_crf t.m l v
   else (
     t.crhi.(l - 8) <- v land 0xF;
-    t.crtags.(l - 8) <- Clean)
+    t.crtags.(l - 8) <- 0)
 
 let set_cr_tag t (l : Op.loc) tag =
-  if l >= 8 && l < 16 then t.crtags.(l - 8) <- tag
+  if l >= 8 && l < 16 then t.crtags.(l - 8) <- code_of_tag tag
   else invalid_arg "Vstate.set_cr_tag"
 
 (** Reset all non-architected state (used when entering fresh groups is
     not required — tags and pool values never survive recovery). *)
 let clear_nonarch t =
-  Array.fill t.tags 0 32 Clean;
-  Array.fill t.crtags 0 8 Clean
+  Array.fill t.tags 0 32 0;
+  Array.fill t.crtags 0 8 0

@@ -648,17 +648,16 @@ let spec_push t addr bytes seq =
   t.spec_n <- n + 1;
   if t.spec_n > t.stats.spec_log_hwm then t.stats.spec_log_hwm <- t.spec_n
 
-(* Does any outstanding speculative load later in program order than
-   [sseq] overlap the store [saddr]/[sbytes]? *)
-let spec_conflicts t saddr sbytes sseq =
-  let rec go i =
-    i < t.spec_n
-    && ((t.spec_seq.(i) > sseq
-        && t.spec_addr.(i) < saddr + sbytes
-        && saddr < t.spec_addr.(i) + t.spec_bytes.(i))
-       || go (i + 1))
-  in
-  go 0
+(* Does any outstanding speculative load from the [i]th on, later in
+   program order than [sseq], overlap the store [saddr]/[sbytes]?  (Top
+   level, not a local [go]: a local closure would be allocated for every
+   store checked.) *)
+let rec spec_conflicts t i saddr sbytes sseq =
+  i < t.spec_n
+  && ((t.spec_seq.(i) > sseq
+      && t.spec_addr.(i) < saddr + sbytes
+      && saddr < t.spec_addr.(i) + t.spec_bytes.(i))
+     || spec_conflicts t (i + 1) saddr sbytes sseq)
 
 let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
     ?hierarchy ?tcache_dir ?tcache_io mem =
@@ -741,7 +740,8 @@ let store_hits_code t addr =
 (* The runtime alias check of Section 2.1 / Table 5.7: a store conflicts
    with a speculative load that is later in program order but already
    executed.  The accesses are read by index from the staged VLIW's
-   scratch buffers; no lists are built. *)
+   scratch buffers; no lists are built.  Only a store can fail it, so
+   [C.exec_vliw] skips it on a store-free path. *)
 let alias_check t (s : C.scratch) =
   let n = s.a_n in
   (* a store into the very page we are executing must roll the VLIW
@@ -776,7 +776,7 @@ let alias_check t (s : C.scratch) =
             && sa < s.a_addr.(li) + s.a_bytes.(li)
           then ok := false
         done;
-        if !ok && spec_conflicts t sa sb ss then ok := false
+        if !ok && spec_conflicts t 0 sa sb ss then ok := false
       end
     done;
     !ok
@@ -1073,6 +1073,8 @@ let tcache_persist_region t (r : region) =
 let run t ~entry ~fuel =
   let stats = t.stats in
   let fuel_left = ref fuel in
+  (* built once: a partial application per VLIW would allocate *)
+  let alias_check = alias_check t in
   (* resolve a base address to a translated position; this is the
      GO_ACROSS_PAGE path, so it consults the ITLB and maintains the
      cast-out pool *)
@@ -1538,7 +1540,7 @@ let run t ~entry ~fuel =
       stats.tier2_vliws <- stats.tier2_vliws + 1
     | None -> ());
     stats.vliws <- stats.vliws + 1;
-    match C.exec_vliw cp cv ~alias_check:(alias_check t) with
+    match C.exec_vliw cp cv ~alias_check with
     | exception Exec.Error reason -> exec_fault_at precise reason
     | exception Exec.Roll reason -> rolled_back_at precise reason
     | leaf ->

@@ -77,9 +77,10 @@ let outcome_t = Alcotest.testable (fun fmt o -> Fmt.string fmt (outcome_str o)) 
 
 (* Run one tree under both engines from identical initial states and
    require the same outcome and the same final machine, pool, memory,
-   device and console state. *)
+   device and console state.  [post] then checks the staged engine's
+   outcome and final state on their own. *)
 let check_equiv ?(setup = fun (_ : Vstate.t) (_ : Ppc.Mem.t) -> ()) ?(alias = true)
-    name (build : unit -> T.t) =
+    ?(post = fun (_ : outcome) (_ : Vstate.t) -> ()) name (build : unit -> T.t) =
   let fresh () =
     let st = Vstate.create (Ppc.Machine.create ()) in
     let mem = Ppc.Mem.create 0x2000 in
@@ -105,7 +106,8 @@ let check_equiv ?(setup = fun (_ : Vstate.t) (_ : Ppc.Mem.t) -> ()) ?(alias = tr
   Alcotest.(check int) (name ^ ": device seq") imem.seq cmem.seq;
   Alcotest.(check string)
     (name ^ ": console")
-    (Ppc.Mem.output imem) (Ppc.Mem.output cmem)
+    (Ppc.Mem.output imem) (Ppc.Mem.output cmem);
+  post oc cst
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built trees                                                    *)
@@ -244,22 +246,78 @@ let test_carry_chain () =
       st.m.gpr.(2) <- 2;
       st.m.xer_ca <- true)
 
+(* The tag shapes of the array-read operands, beside [test_spec_load_tags]
+   and [test_tagged_branch] above. *)
+let test_tag_propagates () =
+  check_equiv "speculative add, tagged second operand"
+    (fun () ->
+      let v = mk () in
+      add v.root (Op.Bin { op = Add; rt = 40; ra = 33; rb = 34; ca = Op.ca_loc;
+                           spec = true });
+      T.close v.root (T.Next 1);
+      v)
+    ~setup:(fun st _ ->
+      Vstate.set_gpr st 33 5;
+      Vstate.set_gpr st 34 6;
+      Vstate.set_tag st 34 Vstate.Tmmio)
+    ~post:(fun o st ->
+      Alcotest.(check bool) "completes" true (match o with ODone _ -> true | _ -> false);
+      Alcotest.(check bool) "tag propagated" true (Vstate.get st 40 = (11, Vstate.Tmmio)))
+
+let test_tagged_commit () =
+  (* the pool write before the commit must not land either *)
+  check_equiv "commit of a tagged register"
+    (fun () ->
+      let v = mk () in
+      add v.root (Op.BinI { op = IAdd; rt = 40; ra = Op.zero; imm = 9; spec = true });
+      add v.root (Op.CommitG { arch = 3; src = 35 });
+      T.close v.root (T.Next 1);
+      v)
+    ~setup:(fun st _ ->
+      Vstate.set_gpr st 35 7;
+      Vstate.set_tag st 35 (Vstate.Tfault 0x1234))
+    ~post:(fun o st ->
+      Alcotest.check outcome_t "rolls back on the tag"
+        (ORoll (Exec.Rtag (Vstate.Tfault 0x1234))) o;
+      Alcotest.(check bool) "pool untouched" true
+        (Vstate.get st 40 = (0, Vstate.Clean) && st.m.gpr.(3) = 0))
+
+let test_store_free_skips_alias () =
+  check_equiv "store-free VLIW, vetoing alias check" ~alias:false
+    (fun () ->
+      let v = mk () in
+      add v.root
+        (Op.LoadOp { w = Word; alg = false; rt = 40; base = Op.zero;
+                     off = OImm 0x100; spec = true; passed = true });
+      add v.root (Op.BinI { op = IAdd; rt = 1; ra = 2; imm = 1; spec = false });
+      T.close v.root (T.Next 1);
+      v)
+    ~setup:(fun st _ -> st.m.gpr.(2) <- 41)
+    ~post:(fun o st ->
+      Alcotest.(check bool) "completes" true (match o with ODone _ -> true | _ -> false);
+      Alcotest.(check int) "written" 42 st.m.gpr.(1))
+
 (* ------------------------------------------------------------------ *)
 (* qcheck differential: random straight-line VLIWs                     *)
+
+(* GPR-space sources: architected, pool or the zero register *)
+let gen_src =
+  QCheck.Gen.(frequency [ (4, int_range 0 31); (3, int_range 32 63); (1, return Op.zero) ])
+
+let gen_dst = QCheck.Gen.(frequency [ (3, int_range 0 31); (2, int_range 32 63) ])
 
 let gen_ops =
   QCheck.Gen.(
     list_size (int_range 1 10)
       (frequency
          [ (4,
-            map3
-              (fun rt ra imm -> Op.BinI { op = IAdd; rt; ra; imm; spec = false })
-              (int_range 0 31) (int_range 0 31) (int_range (-100) 100));
+            map4
+              (fun rt ra imm spec -> Op.BinI { op = IAdd; rt; ra; imm; spec })
+              gen_dst gen_src (int_range (-100) 100) bool);
            (2,
-            map3
-              (fun rt ra rb ->
-                Op.Bin { op = Add; rt; ra; rb; ca = Op.ca_loc; spec = false })
-              (int_range 0 31) (int_range 0 31) (int_range 0 31));
+            (fun op rt ra rb spec -> Op.Bin { op; rt; ra; rb; ca = Op.ca_loc; spec })
+            <$> oneofl [ Ppc.Insn.Add; Subf ] <*> gen_dst <*> gen_src <*> gen_src
+            <*> bool);
            (2,
             map2
               (fun rt off ->
@@ -273,6 +331,20 @@ let gen_ops =
                             off = OImm (0x10_0000 + (off * 4)); spec = true;
                             passed = false })
               (int_range 0 8) (int_range 0 100));
+           (* any base: pool values are in bounds, most architected
+              ones are not *)
+           (2,
+            map4
+              (fun rt base off spec ->
+                Op.LoadOp { w = Word; alg = false; rt = 32 + rt; base;
+                            off = OImm (off * 4); spec; passed = false })
+              (int_range 0 31) gen_src (int_range 0 16) bool);
+           (2,
+            map4
+              (fun rt base r spec ->
+                Op.LoadOp { w = Word; alg = false; rt = 32 + rt; base; off = OReg r;
+                            spec; passed = false })
+              (int_range 0 31) gen_src gen_src bool);
            (2,
             map2
               (fun rs off ->
@@ -281,13 +353,43 @@ let gen_ops =
            (1,
             map2
               (fun crt ra -> Op.CmpIOp { signed = true; crt; ra; imm = 0; spec = false })
-              (int_range 0 7) (int_range 0 31)) ]))
+              (int_range 0 7) (int_range 0 31));
+           (2,
+            map4
+              (fun crt ra signed spec -> Op.CmpIOp { signed; crt; ra; imm = 100; spec })
+              (int_range 8 15) gen_src bool bool);
+           (2,
+            map2 (fun arch src -> Op.CommitG { arch; src }) (int_range 0 31)
+              (int_range 32 63)) ]))
+
+(* A random subset of the pool GPRs (0..31) and CR fields (0..7) to tag *)
+let gen_tags =
+  QCheck.Gen.(
+    let tag =
+      oneof
+        [ return Vstate.Tmmio;
+          map (fun a -> Vstate.Tfault (0x10_0000 + (a * 4))) (int_range 0 100) ]
+    in
+    pair
+      (list_size (int_range 0 12) (pair (int_range 0 31) tag))
+      (list_size (int_range 0 3) (pair (int_range 0 7) tag)))
+
+let print_tags (gprs, crs) =
+  let one base (i, t) =
+    Printf.sprintf "%d:%s" (base + i)
+      (match t with
+      | Vstate.Clean -> "clean"
+      | Tmmio -> "mmio"
+      | Tfault a -> Printf.sprintf "fault %x" a)
+  in
+  String.concat " " (List.map (one 32) gprs @ List.map (one 8) crs)
 
 let prop_differential =
   QCheck.Test.make ~name:"random VLIW: staged = interpretive" ~count:500
-    (QCheck.make gen_ops
-       ~print:(fun ops -> String.concat "; " (List.map Op.to_string ops)))
-    (fun ops ->
+    (QCheck.make (QCheck.Gen.pair gen_ops gen_tags)
+       ~print:(fun (ops, tags) ->
+         String.concat "; " (List.map Op.to_string ops) ^ " | tags " ^ print_tags tags))
+    (fun (ops, (gpr_tags, cr_tags)) ->
       let build () =
         let v = mk () in
         List.iter (add v.root) ops;
@@ -298,8 +400,14 @@ let prop_differential =
         let st = Vstate.create (Ppc.Machine.create ()) in
         let mem = Ppc.Mem.create 0x2000 in
         for r = 0 to 31 do
-          st.m.gpr.(r) <- r * 12345
+          st.m.gpr.(r) <- r * 12345;
+          st.hi.(r) <- r * 64
         done;
+        for f = 0 to 7 do
+          st.crhi.(f) <- f
+        done;
+        List.iter (fun (i, t) -> Vstate.set_tag st (32 + i) t) gpr_tags;
+        List.iter (fun (i, t) -> Vstate.set_cr_tag st (8 + i) t) cr_tags;
         (st, mem)
       in
       let ist, imem = fresh () in
@@ -312,14 +420,16 @@ let prop_differential =
       let ok =
         oi = oc
         && Ppc.Machine.equal ist.m cst.m
-        && ist.hi = cst.hi && ist.tags = cst.tags
+        && ist.hi = cst.hi && ist.tags = cst.tags && ist.ext = cst.ext
+        && ist.crhi = cst.crhi && ist.crtags = cst.crtags
         && Bytes.equal imem.bytes cmem.bytes
       in
       if not ok then begin
         (* counterexample detail beyond the shrunk op list *)
         Printf.eprintf "diverged: %s vs %s\n" (outcome_str oi) (outcome_str oc);
-        Printf.eprintf "machine_eq %b hi %b tags %b mem %b\n"
+        Printf.eprintf "machine_eq %b hi %b tags %b crhi %b crtags %b mem %b\n"
           (Ppc.Machine.equal ist.m cst.m) (ist.hi = cst.hi) (ist.tags = cst.tags)
+          (ist.crhi = cst.crhi) (ist.crtags = cst.crtags)
           (Bytes.equal imem.bytes cmem.bytes);
         (match (oi, oc) with
         | ODone (e1, n1, a1), ODone (e2, n2, a2) ->
@@ -403,6 +513,10 @@ let () =
           Alcotest.test_case "open tip" `Quick test_open_tip;
           Alcotest.test_case "corrupt loc" `Quick test_corrupt_loc;
           Alcotest.test_case "carry chain" `Quick test_carry_chain;
+          Alcotest.test_case "tag propagates" `Quick test_tag_propagates;
+          Alcotest.test_case "tagged commit" `Quick test_tagged_commit;
+          Alcotest.test_case "store-free skips alias" `Quick
+            test_store_free_skips_alias;
           QCheck_alcotest.to_alcotest prop_differential ] );
       ( "linking",
         [ Alcotest.test_case "Next direct-linked" `Quick test_direct_link_patched;

@@ -472,6 +472,13 @@ let test_flight_alone_unsupervised () =
   Alcotest.(check bool) "no tick hook" false (hooked stack);
   Alcotest.(check bool) "checkpoint polls" true
     (hooked { stack with checkpoint = Some { dir; every = max_int } });
+  (* the same rule holds for a direct call with a flight recorder *)
+  let mem, _ = Wl.instantiate w in
+  let vmm = Monitor.create mem in
+  ignore
+    (Supervise.attach ~flight:(Obs.Flight.create ~dir ()) ~workload:w.name vmm);
+  Alcotest.(check bool) "direct attach: no tick hook" false
+    (Option.is_some vmm.tick_hook);
   rm_rf dir
 
 let () =

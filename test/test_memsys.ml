@@ -114,6 +114,25 @@ let test_tlb_capacity () =
   Alcotest.(check bool) "way kept" true (Tlb.touch t 4);
   Alcotest.(check bool) "LRU evicted" false (Tlb.touch t 0)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+
+(* The ITLB is probed on every cross-page dispatch and a cache on every
+   access of a finite-cache run: a probe that hits allocates nothing. *)
+let test_probes_allocate_nothing () =
+  let c = Cache.create ~name:"t" ~size:4096 ~assoc:4 ~line:64 in
+  let tlb = Tlb.create ~entries:64 ~assoc:4 () in
+  ignore (Cache.touch c 0x1040);
+  ignore (Tlb.touch tlb 7);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Cache.touch c 0x1040);
+    ignore (Tlb.touch tlb 7)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" 0. (w1 -. w0);
+  Alcotest.(check (pair int int)) "all hit" (1, 1) (c.misses, tlb.misses)
+
 let () =
   Alcotest.run "memsys"
     [ ( "cache",
@@ -128,4 +147,7 @@ let () =
           Alcotest.test_case "I/D split + joint" `Quick test_hierarchy_i_d_split ] );
       ( "tlb",
         [ Alcotest.test_case "basic" `Quick test_tlb;
-          Alcotest.test_case "capacity" `Quick test_tlb_capacity ] ) ]
+          Alcotest.test_case "capacity" `Quick test_tlb_capacity ] );
+      ( "allocation",
+        [ Alcotest.test_case "warm probes allocate nothing" `Quick
+            test_probes_allocate_nothing ] ) ]

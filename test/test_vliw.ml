@@ -115,6 +115,15 @@ let test_tag_propagation () =
   | Rollback (Rtag _) -> ()
   | _ -> Alcotest.fail "commit of tagged register must roll back"
 
+(* [Vstate] stores tags coded as ints; every tag survives the round trip *)
+let test_tag_codes () =
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) "round trip" true
+        (Vstate.tag_of_code (Vstate.code_of_tag t) = t))
+    [ Vstate.Clean; Tmmio; Tfault 0; Tfault 0xFFFF_FFFF ];
+  Alcotest.(check int) "clean is 0" 0 (Vstate.code_of_tag Vstate.Clean)
+
 let test_rollback_atomic () =
   (* a VLIW that writes two registers and then faults must change nothing *)
   let v = mk () in
@@ -280,6 +289,7 @@ let () =
         [ Alcotest.test_case "parallel reads" `Quick test_parallel_reads;
           Alcotest.test_case "commit order" `Quick test_commit_order;
           Alcotest.test_case "tag propagation" `Quick test_tag_propagation;
+          Alcotest.test_case "tag codes" `Quick test_tag_codes;
           Alcotest.test_case "rollback atomicity" `Quick test_rollback_atomic;
           Alcotest.test_case "carry extender" `Quick test_carry_extender;
           Alcotest.test_case "branch path select" `Quick test_branch_selects_path;

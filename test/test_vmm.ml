@@ -193,6 +193,25 @@ let test_itlb_counts () =
   Alcotest.(check bool) "misses rare once warm" true
     (vmm.itlb.misses * 10 < vmm.itlb.accesses)
 
+(* A run with no hooks allocates nothing per executed VLIW: c_sieve
+   stopped by fuel after 100,000 and after 400,000 VLIWs allocates the
+   same minor words, all of it translation and staging (its loop is
+   translated well inside the first 100,000). *)
+let test_no_alloc_per_vliw () =
+  let w = Workloads.Registry.by_name "c_sieve" in
+  let words fuel =
+    let mem, entry = Workloads.Wl.instantiate w in
+    let vmm = Vmm.Monitor.create mem in
+    let w0 = Gc.minor_words () in
+    let code = Vmm.Monitor.run vmm ~entry ~fuel in
+    let w1 = Gc.minor_words () in
+    Alcotest.(check (option int)) "stopped by fuel" None code;
+    w1 -. w0
+  in
+  let short = words 100_000 in
+  let long = words 400_000 in
+  Alcotest.(check (float 0.)) "minor words" short long
+
 let test_console_via_syscall () =
   (* a program printing through sc/putchar, run under DAISY *)
   let open Ppc in
@@ -290,6 +309,8 @@ let () =
             test_translation_work_is_bounded;
           Alcotest.test_case "cast-out pool" `Quick test_castout_pool;
           Alcotest.test_case "itlb" `Quick test_itlb_counts;
+          Alcotest.test_case "no allocation per VLIW" `Quick
+            test_no_alloc_per_vliw;
           Alcotest.test_case "console via syscall" `Quick test_console_via_syscall;
           Alcotest.test_case "hang semantics" `Quick test_hang_semantics;
           Alcotest.test_case "reference out of fuel" `Quick
