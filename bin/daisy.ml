@@ -219,57 +219,17 @@ let shadow_term =
         else None)
     $ shadow_sample $ seed $ out)
 
-(* The --tier2-* flags: the promotion driver (lib/obs Tier), attached
-   only with --tier2. *)
+(* --tier2: the promotion driver (lib/obs Tier) at its default policy. *)
 let tier2_term =
-  let enable =
-    Arg.(value & flag
-         & info [ "tier2" ]
-             ~doc:"Promote hot pages and inter-page regions to the \
-                   superblock scheduler at run time: wide-window \
-                   re-translation across former page boundaries, atomic \
-                   swap-in, deopt back to tier-1 on any assumption \
-                   failure.")
-  in
-  let d = Obs.Tier.default in
-  let min_heat =
-    Arg.(value & opt int d.Obs.Tier.min_heat
-         & info [ "tier2-min-heat" ] ~docv:"N"
-             ~doc:"Execution weight (VLIWs + interpreted instructions) a \
-                   page must accumulate before promotion.")
-  in
-  let edge_threshold =
-    Arg.(value & opt int d.Obs.Tier.edge_threshold
-         & info [ "tier2-edge-threshold" ] ~docv:"N"
-             ~doc:"Traversal count an exit edge needs to participate in an \
-                   inter-page region candidate.")
-  in
-  let max_pages =
-    Arg.(value & opt int d.Obs.Tier.max_pages
-         & info [ "tier2-max-pages" ] ~docv:"N"
-             ~doc:"Largest member-page set compiled into one region image.")
-  in
-  let check_every =
-    Arg.(value & opt int d.Obs.Tier.check_every
-         & info [ "tier2-check-every" ] ~docv:"N"
-             ~doc:"Committed boundaries between promotion-policy \
-                   evaluations.")
-  in
-  let max_deopts =
-    Arg.(value & opt int d.Obs.Tier.max_deopts
-         & info [ "tier2-max-deopts" ] ~docv:"N"
-             ~doc:"Deopt strikes before a region candidate is blacklisted \
-                   for the rest of the run.")
-  in
-  let make enable min_heat edge_threshold max_pages check_every max_deopts =
-    if not enable then None
-    else
-      Some
-        { Obs.Tier.min_heat; edge_threshold; max_pages; check_every;
-          max_deopts; submit = None }
-  in
-  Term.(const make $ enable $ min_heat $ edge_threshold $ max_pages
-        $ check_every $ max_deopts)
+  Term.(
+    const (fun enable -> if enable then Some Obs.Tier.default else None)
+    $ Arg.(value & flag
+           & info [ "tier2" ]
+               ~doc:"Promote hot pages and inter-page regions to the \
+                     superblock scheduler at run time: wide-window \
+                     re-translation across former page boundaries, atomic \
+                     swap-in, deopt back to tier-1 on any assumption \
+                     failure."))
 
 let finite =
   Arg.(value & flag
@@ -321,7 +281,10 @@ let check_writable_dir what dir =
     Sys.remove probe
   with
   | () -> ()
-  | exception Sys_error msg ->
+  | exception ((Sys_error _ | Fsio.Fault _) as e) ->
+    let msg =
+      match e with Sys_error m -> m | e -> Fsio.fault_message e
+    in
     Printf.eprintf "daisy: %s directory %s is not writable: %s\n" what dir msg;
     exit 2
 
@@ -1002,10 +965,10 @@ let tcache_cmd =
         (List.length bad);
       Printf.printf
         "quarantined:   %d (corrupt entries set aside as .dtc.bad)\n"
-        (List.length (Tcache.Store.quarantined_files dir));
+        (List.length (Fsio.files_with_suffix dir ".dtc.bad"));
       Printf.printf
         "orphaned:      %d (temp files from dead writers, swept at open)\n"
-        (List.length (Tcache.Store.orphan_files dir));
+        (List.length (Fsio.files_with_suffix dir ".tmp"));
       Printf.printf "stray files:   %d (not cache entries, left alone)\n"
         (List.length (Tcache.Store.stray_files dir))
     in

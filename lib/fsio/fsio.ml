@@ -160,6 +160,33 @@ let rec mkdir_p io dir =
     with Sys_error _ when Sys.is_directory dir -> ()
   end
 
+(** The files in [dir] whose names end in [suffix], sorted; [] when
+    [dir] is missing or unreadable.  A listing for the directory tools
+    and the stores' own scans, so it reads the real filesystem. *)
+let files_with_suffix dir suffix =
+  match Sys.readdir dir with
+  | files ->
+    Array.to_list files
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
+    |> List.sort compare
+  | exception Sys_error _ -> []
+
+(** Remove the orphaned temp files ([*.tmp]) a killed writer left in
+    [dir], through [io]; returns how many went.  Never raises: a file
+    that will not go simply stays for the next sweep or fsck. *)
+let sweep_tmp io dir =
+  match io.readdir dir with
+  | exception (Sys_error _ | Fault _) -> 0
+  | files ->
+    Array.fold_left
+      (fun n f ->
+        if Filename.check_suffix f ".tmp" then
+          match io.remove (Filename.concat dir f) with
+          | () -> n + 1
+          | exception (Sys_error _ | Fault _) -> n
+        else n)
+      0 files
+
 let commit_seq = Atomic.make 0
 
 (** A unique temp name inside [dir].  Always suffixed [".tmp"], so the

@@ -313,13 +313,7 @@ let parse_snapshot s =
    prefix the checksum ladder rejects. *)
 let read_file ?(io = Fsio.real) path = io.Fsio.read_file path
 
-let snapshot_files dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | files ->
-    Array.to_list files
-    |> List.filter (fun f -> Filename.check_suffix f ".dgck")
-    |> List.sort compare
+let snapshot_files dir = Fsio.files_with_suffix dir ".dgck"
 
 type loaded = {
   last : snapshot;      (** scalar state from the newest valid snapshot *)

@@ -60,20 +60,12 @@ let set_aside path =
 let drop path =
   match Sys.remove path with () -> true | exception Sys_error _ -> false
 
-let list_suffix dir suffix =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | files ->
-    Array.to_list files
-    |> List.filter (fun f -> Filename.check_suffix f suffix)
-    |> List.sort compare
-
 let orphan_issues ~dir ~repair =
   List.map
     (fun f ->
       { i_file = f; i_problem = "orphaned temp file";
         i_repaired = repair && drop (Filename.concat dir f) })
-    (list_suffix dir ".tmp")
+    (Fsio.files_with_suffix dir ".tmp")
 
 (* ------------------------------------------------------------------ *)
 (* Walkers                                                             *)
@@ -102,7 +94,7 @@ let tcache ?(repair = false) dir =
   in
   { r_store = "tcache"; r_dir = dir; r_entries = ok; r_torn = torn;
     r_orphans = orphan_issues ~dir ~repair;
-    r_quarantined = List.length (Tcache.Store.quarantined_files dir);
+    r_quarantined = List.length (Fsio.files_with_suffix dir ".dtc.bad");
     r_strays = List.length (Tcache.Store.stray_files dir) }
 
 let profile ?(repair = false) dir =
@@ -127,7 +119,7 @@ let profile ?(repair = false) dir =
   in
   { r_store = "profile"; r_dir = dir; r_entries = ok; r_torn = torn;
     r_orphans = orphan_issues ~dir ~repair;
-    r_quarantined = List.length (list_suffix dir ".bad");
+    r_quarantined = List.length (Fsio.files_with_suffix dir ".bad");
     r_strays = 0 }
 
 (* Checkpoint sequences restore from the longest valid prefix, so a
@@ -135,7 +127,7 @@ let profile ?(repair = false) dir =
    whole invalid tail, and repair sets all of it aside so the next
    resume sees exactly the prefix the loader would have used. *)
 let checkpoint ?(repair = false) dir =
-  let files = if Sys.file_exists dir then Checkpoint.snapshot_files dir else [] in
+  let files = Checkpoint.snapshot_files dir in
   let valid = ref 0 and torn = ref [] and broken = ref false in
   List.iter
     (fun f ->
@@ -164,7 +156,7 @@ let checkpoint ?(repair = false) dir =
     files;
   { r_store = "checkpoint"; r_dir = dir; r_entries = !valid;
     r_torn = List.rev !torn; r_orphans = orphan_issues ~dir ~repair;
-    r_quarantined = List.length (list_suffix dir ".bad");
+    r_quarantined = List.length (Fsio.files_with_suffix dir ".bad");
     r_strays = 0 }
 
 (* Crash dumps are JSON objects (plus .folded flame-graph text); a dump
@@ -172,7 +164,7 @@ let checkpoint ?(repair = false) dir =
    closing brace) — the recorder writes atomically, so any of those
    means a lying filesystem or a pre-fsio writer died mid-dump. *)
 let crash ?(repair = false) dir =
-  let files = list_suffix dir ".json" in
+  let files = Fsio.files_with_suffix dir ".json" in
   let valid = ref 0 and torn = ref [] in
   List.iter
     (fun f ->
@@ -201,7 +193,7 @@ let crash ?(repair = false) dir =
     files;
   { r_store = "crash"; r_dir = dir; r_entries = !valid;
     r_torn = List.rev !torn; r_orphans = orphan_issues ~dir ~repair;
-    r_quarantined = List.length (list_suffix dir ".bad");
+    r_quarantined = List.length (Fsio.files_with_suffix dir ".bad");
     r_strays = 0 }
 
 (* ------------------------------------------------------------------ *)

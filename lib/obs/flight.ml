@@ -247,12 +247,6 @@ let ev_json ev =
 
 (* --- crash dumps ----------------------------------------------------- *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
 let opt f = function Some v -> f v | None -> Json.Null
 
 let dump_json t ~reason =
@@ -287,7 +281,7 @@ let dump t ~reason =
     let file = "crash-" ^ reason ^ ".json" in
     let contents = Json.to_string (dump_json t ~reason) in
     match
-      mkdir_p t.dir;
+      Fsio.mkdir_p Fsio.real t.dir;
       write_atomic ~io:t.io ~dir:t.dir ~file contents;
       (match t.profile with
       | Some p -> (

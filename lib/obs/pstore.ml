@@ -164,31 +164,12 @@ type t = {
       (** storage faults absorbed by degrading to memory *)
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
-let sweep_tmp ?(io = Fsio.real) dir =
-  match io.Fsio.readdir dir with
-  | exception Sys_error _ | (exception Fsio.Fault _) -> 0
-  | files ->
-    Array.fold_left
-      (fun n f ->
-        if Filename.check_suffix f ".tmp" then
-          match io.Fsio.remove (Filename.concat dir f) with
-          | () -> n + 1
-          | exception Sys_error _ | (exception Fsio.Fault _) -> n
-        else n)
-      0 files
-
 (** Open (creating if needed) the profile store in [dir].  Sweeps
     orphaned temp files, like the translation cache.  Raises
-    [Sys_error] if the directory cannot be created. *)
+    [Sys_error] or {!Fsio.Fault} if the directory cannot be created. *)
 let open_store ?(io = Fsio.real) ~dir ~frontend ~fingerprint () =
-  mkdir_p dir;
-  let swept_tmp = sweep_tmp ~io dir in
+  Fsio.mkdir_p Fsio.real dir;
+  let swept_tmp = Fsio.sweep_tmp io dir in
   { dir; frontend; fingerprint; swept_tmp; io; mem_profile = None;
     degraded = 0 }
 
@@ -280,14 +261,6 @@ type info = {
   i_status : [ `Ok | `Corrupt of string | `Skipped of string ];
 }
 
-let entry_files dir =
-  match Sys.readdir dir with
-  | files ->
-    Array.to_list files
-    |> List.filter (fun f -> Filename.check_suffix f suffix)
-    |> List.sort compare
-  | exception Sys_error _ -> []
-
 let list_dir dir =
   List.map
     (fun f ->
@@ -309,15 +282,15 @@ let list_dir dir =
             i_bytes = String.length s; i_status = `Ok }
         | exception Codec.Corrupt msg ->
           { (blank (`Corrupt msg)) with i_bytes = String.length s }))
-    (entry_files dir)
+    (Fsio.files_with_suffix dir suffix)
 
 (** Merge every profile in [srcs] into [into] (created if missing):
     entries with the same key are summed, new keys are copied.  Corrupt
     or alien files are skipped, never fatal.  Returns
     [(merged_entries, skipped_files)]. *)
 let merge_dirs ~into srcs =
-  mkdir_p into;
-  ignore (sweep_tmp into);
+  Fsio.mkdir_p Fsio.real into;
+  ignore (Fsio.sweep_tmp Fsio.real into);
   let merged = ref 0 and skipped = ref 0 in
   List.iter
     (fun src ->
@@ -338,6 +311,6 @@ let merge_dirs ~into srcs =
               ignore (save t prev)
             | `Miss | `Corrupt _ | `Skipped _ -> ignore (save t p));
             incr merged)
-        (entry_files src))
+        (Fsio.files_with_suffix src suffix))
     srcs;
   (!merged, !skipped)

@@ -29,8 +29,9 @@
    sees a partial install.
 
    Promoted images persist to the translation cache under a key built
-   from the member-page *contents* ([Store.region_key]), so warm starts
-   re-promote without recompiling ({!warm_start}). *)
+   from the member-page *contents* ([Monitor.region_key]), through the
+   monitor's one cache path, so warm starts re-promote without
+   recompiling ({!warm_start}). *)
 
 module Monitor = Vmm.Monitor
 module Translate = Translator.Translate
@@ -95,6 +96,8 @@ type t = {
   mutable rejected_stale : int;
       (** images discarded because member bytes changed under the
           compile, or the monitor refused the swap *)
+  mutable busy : bool;
+      (** an install or a policy evaluation is running ({!exclusive}) *)
 }
 
 let create ?(cfg = default) vmm =
@@ -102,7 +105,7 @@ let create ?(cfg = default) vmm =
     profile = Profile.create ~page_size:vmm.Monitor.tr.params.page_size ();
     ticks = 0; events = 0; strikes = Hashtbl.create 8;
     promoted = Hashtbl.create 8; pending = []; installed = 0;
-    rejected_stale = 0 }
+    rejected_stale = 0; busy = false }
 
 (* --- promotion verdicts (also used by `daisy profile --regions`) ---- *)
 
@@ -194,11 +197,12 @@ let candidates t =
 
 (* --- compile / cached probe ----------------------------------------- *)
 
-(* Region images are keyed on their member pages' contents: the image
-   persisted for [members] holding [bytes], installed into a fresh
-   region translator, if the store has one.  [only] skips the probe
-   unless the key is that one. *)
-let cached_image ?only t ~members ~bytes =
+(* Region images are keyed on their member pages' current contents:
+   the image persisted for [members], installed into a fresh region
+   translator, if the store has one.  The probe is the monitor's, so it
+   counts, reports and quarantines like a page's.  [only] skips the
+   probe unless the key is that one. *)
+let cached_image ?only t ~members =
   match t.vmm.Monitor.tcache with
   | None -> None
   | Some store -> (
@@ -207,26 +211,24 @@ let cached_image ?only t ~members ~bytes =
     let fingerprint =
       Baseline.Region.fingerprint ~mem_size:(Ppc.Mem.size vmm.Monitor.mem) t1
     in
-    let key = Tcache.Store.region_key store ~fingerprint ~members ~bytes in
+    let key = Monitor.region_key vmm store ~fingerprint ~members in
     match only with
     | Some k when k <> key -> None
-    | _ -> (
-      match Tcache.Store.probe_region store ~key ~fingerprint with
-      | `Hit (xp, spec_inhibited, _members) ->
-        let tr =
-          Baseline.Region.translator ~t1 ~frontend:vmm.Monitor.fe
-            vmm.Monitor.mem ~members
-        in
-        Translate.install tr ~spec_inhibited xp;
-        Some (tr, xp)
-      | `Miss | `Corrupt _ | `Skipped _ -> None))
+    | _ ->
+      let tr =
+        Baseline.Region.translator ~t1 ~frontend:vmm.Monitor.fe
+          vmm.Monitor.mem ~members
+      in
+      Monitor.tcache_probe vmm store ~fingerprint ~members ~key
+        ~page:members.(0) tr
+      |> Option.map (fun xp -> (tr, xp)))
 
 (* The persisted image of this exact member-content set, else a fresh
    compile.  Never raises: a failure is the outcome. *)
 let compile t snap =
   let vmm = t.vmm in
   try
-    match cached_image t ~members:snap.s_members ~bytes:snap.s_bytes with
+    match cached_image t ~members:snap.s_members with
     | Some (tr, xp) -> Cached (tr, xp)
     | None ->
       Compiled
@@ -328,6 +330,18 @@ let consider t =
 
 (* --- wiring ---------------------------------------------------------- *)
 
+(* Run [f t] unless an install or an evaluation is already running.  A
+   swap and a region's cache probe both emit events, which come straight
+   back through [on_event]: a nested evaluation there could launch a
+   candidate whose compile or install is still in flight, and compile
+   it twice.  The nested call is turned away; its counter stays due, so
+   the next event or tick runs it. *)
+let exclusive t f =
+  if not t.busy then begin
+    t.busy <- true;
+    Fun.protect ~finally:(fun () -> t.busy <- false) (fun () -> f t)
+  end
+
 let on_event t (ev : Monitor.event) =
   Profile.feed t.profile ev;
   (match ev with
@@ -339,18 +353,18 @@ let on_event t (ev : Monitor.event) =
       strike t key)
   | _ -> ());
   t.events <- t.events + 1;
-  if t.pending <> [] then drain t;
-  if t.events >= t.cfg.check_every then begin
+  if t.pending <> [] then exclusive t drain;
+  if t.events >= t.cfg.check_every && not t.busy then begin
     t.events <- 0;
-    consider t
+    exclusive t consider
   end
 
 let on_tick t ~pc:_ =
   t.ticks <- t.ticks + 1;
-  if t.pending <> [] then drain t;
-  if t.ticks >= t.cfg.check_every then begin
+  if t.pending <> [] then exclusive t drain;
+  if t.ticks >= t.cfg.check_every && not t.busy then begin
     t.ticks <- 0;
-    consider t
+    exclusive t consider
   end
 
 (** Re-promote from the persistent cache: scan the store directory for
@@ -376,11 +390,10 @@ let warm_start t =
         if i.kind <> `Region || i.status <> `Ok then n
         else begin
           let members = i.members in
-          let bytes = Array.to_list (Array.map (member_bytes t) members) in
           (* key recomputed from *current* bytes: a stale image (any
              member byte changed since it was persisted) simply fails
              this match and stays on disk for eviction by deopt *)
-          match cached_image ~only:i.key t ~members ~bytes with
+          match cached_image ~only:i.key t ~members with
           | None -> n
           | Some (tr, xp) -> (
             match

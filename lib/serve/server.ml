@@ -117,14 +117,14 @@ let deadline_at = function
 
 let stats_json t =
   let dir = Shared.dir t.shared in
-  let entries = List.length (Tcache.Store.entry_files dir) in
+  let entries = List.length (Fsio.files_with_suffix dir ".dtc") in
   Obs.Json.Obj
     [ ("coordinator", Shared.stats_json t.shared);
       ("cache_dir", Obs.Json.Str dir);
       ("cache_entries", Obs.Json.Int entries);
       ("cache_bytes", Obs.Json.Int (Tcache.Store.dir_bytes dir));
       ("cache_quarantined",
-       Obs.Json.Int (List.length (Tcache.Store.quarantined_files dir)));
+       Obs.Json.Int (List.length (Fsio.files_with_suffix dir ".dtc.bad")));
       ("sessions_started", Obs.Json.Int (Atomic.get t.next_id));
       ("pool_domains", Obs.Json.Int (Pool.size t.pool)) ]
 

@@ -21,11 +21,12 @@
      | vliws vint | entries vint | payload_len vint
      | payload MD5 (16 raw bytes) | payload (Codec.encode_xpage)
 
-   Region entries (tier-2 superblock images) share the directory, the
-   ".dtc" suffix, the budget/LRU machinery and the quarantine path with
-   page entries; they differ only in the kind tag, the member-base list
-   and the key derivation — a region's key covers the *set* of member
-   pages' contents, so a byte change in any member misses.  The
+   Region entries (tier-2 superblock images) go through the same
+   [probe], [persist] and [evict] as page entries, into the same
+   directory under the same ".dtc" suffix, budget/LRU machinery and
+   quarantine path; they differ only in the kind tag, the member-base
+   list and the key derivation — a region's key covers the *set* of
+   member pages' contents, so a byte change in any member misses.  The
    fingerprint stored in a region entry is the *region scheduler's*
    params fingerprint, not the store's tier-1 one.
 
@@ -67,10 +68,9 @@ let lock_file = ".dtclock"
 
 (* An entry that could not reach (or be read back from) the disk,
    parked in memory: the warm start survives the fault, only
-   durability is lost.  Region entries carry their own scheduler
-   fingerprint and member set, exactly like the on-disk layout. *)
+   durability is lost.  It carries its fingerprint and member set
+   ([||] for a page), exactly like the on-disk layout. *)
 type overlay_entry = {
-  o_kind : [ `Page | `Region ];
   o_page : Translator.Translate.xpage;
   o_si : bool;
   o_fingerprint : string;
@@ -146,11 +146,7 @@ type probe_result =
       with no overlay copy — never a reason to raise; the VMM counts
       it and translates normally *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
-  end
+let mkdir_p dir = Fsio.mkdir_p Fsio.real dir
 
 let open_store ?(io = Fsio.real) ~dir ~frontend ~fingerprint () =
   mkdir_p dir;
@@ -168,18 +164,7 @@ let open_store ?(io = Fsio.real) ~dir ~frontend ~fingerprint () =
      same lock, so a temp file seen here can only be an orphan from a
      dead writer, never another store's in-flight install. *)
   let swept_tmp =
-    with_dir_lock ~dir ~lock_fd (fun () ->
-        match io.Fsio.readdir dir with
-        | exception Sys_error _ | (exception Fsio.Fault _) -> 0
-        | files ->
-          Array.fold_left
-            (fun n f ->
-              if Filename.check_suffix f ".tmp" then
-                match io.Fsio.remove (Filename.concat dir f) with
-                | () -> n + 1
-                | exception Sys_error _ | (exception Fsio.Fault _) -> n
-              else n)
-            0 files)
+    with_dir_lock ~dir ~lock_fd (fun () -> Fsio.sweep_tmp io dir)
   in
   { dir; frontend; fingerprint; swept_tmp; lock_fd; io;
     overlay = Hashtbl.create 8; olock = Mutex.create (); degraded = 0 }
@@ -284,29 +269,23 @@ let parse_entry s =
   { h_version; h_kind; h_frontend; h_fingerprint; h_members; h_base; h_psize;
     h_spec_inhibited; h_vliws; h_entries; h_payload }
 
-(* The overlay half of a probe: serve the in-memory copy parked by a
-   degraded install, if one matches. *)
-let overlay_page t k =
-  with_olock t (fun () ->
-      match Hashtbl.find_opt t.overlay k with
-      | Some { o_kind = `Page; o_page; o_si; _ } -> Some (o_page, o_si)
-      | _ -> None)
-
-let overlay_region t k ~fingerprint =
-  with_olock t (fun () ->
-      match Hashtbl.find_opt t.overlay k with
-      | Some { o_kind = `Region; o_page; o_si; o_fingerprint; o_members }
-        when o_fingerprint = fingerprint ->
-        Some (o_page, o_si, o_members)
-      | _ -> None)
-
-let probe t ~key:k : probe_result =
+(** Probe for the entry under [key].  By default the entry is a tier-1
+    page under the store's own fingerprint; a tier-2 caller names the
+    image's [members] and the *region scheduler's* [fingerprint].  The
+    entry's kind, member list and fingerprint must all be the ones
+    named: the caller derived the key from the same values, so a
+    mismatch means a colliding or tampered entry, reported
+    [`Corrupt]. *)
+let probe ?fingerprint ?(members = [||]) t ~key:k : probe_result =
+  let fingerprint = Option.value fingerprint ~default:t.fingerprint in
   let path = path_of t k in
   let from_overlay ~fault msg =
     if fault then note_degraded t;
-    match overlay_page t k with
-    | Some (page, si) -> `Hit (page, si)
-    | None -> (match msg with None -> `Miss | Some m -> `Skipped m)
+    (* the copy a degraded install parked, if it is the unit named *)
+    match with_olock t (fun () -> Hashtbl.find_opt t.overlay k) with
+    | Some o when o.o_fingerprint = fingerprint && o.o_members = members ->
+      `Hit (o.o_page, o.o_si)
+    | _ -> (match msg with None -> `Miss | Some m -> `Skipped m)
   in
   if not (Sys.file_exists path) then from_overlay ~fault:false None
   else if try Sys.is_directory path with Sys_error _ -> false then
@@ -314,9 +293,11 @@ let probe t ~key:k : probe_result =
   else
     match
       let h = parse_entry (read_file t.io path) in
-      if h.h_kind <> `Page then Codec.corrupt "region entry under page key";
-      if h.h_frontend <> t.frontend || h.h_fingerprint <> t.fingerprint then
+      if (h.h_kind = `Region) <> (members <> [||]) then
+        Codec.corrupt "entry kind mismatch";
+      if h.h_frontend <> t.frontend || h.h_fingerprint <> fingerprint then
         Codec.corrupt "fingerprint mismatch";
+      if h.h_members <> members then Codec.corrupt "member mismatch";
       let page = Codec.decode_xpage h.h_payload in
       if page.base <> h.h_base then Codec.corrupt "base mismatch";
       (page, h.h_spec_inhibited)
@@ -335,64 +316,30 @@ let probe t ~key:k : probe_result =
          copy if one exists, and let the VMM translate otherwise *)
       from_overlay ~fault:true (Some ("storage: " ^ Fsio.fault_message f))
 
-type region_probe_result =
-  [ `Hit of Translator.Translate.xpage * bool * int array
-    (** region image, spec_inhibited, member bases *)
-  | `Miss
-  | `Corrupt of string
-  | `Skipped of string ]
-
-(** Probe for a tier-2 region image.  [fingerprint] is the *region
-    scheduler's* params fingerprint (the caller derived the key with
-    the same one, so a mismatch here means a colliding or tampered
-    entry, not a stale config). *)
-let probe_region t ~key:k ~fingerprint : region_probe_result =
-  let path = path_of t k in
-  let from_overlay ~fault msg =
-    if fault then note_degraded t;
-    match overlay_region t k ~fingerprint with
-    | Some (page, si, members) -> `Hit (page, si, members)
-    | None -> (match msg with None -> `Miss | Some m -> `Skipped m)
-  in
-  if not (Sys.file_exists path) then from_overlay ~fault:false None
-  else if try Sys.is_directory path with Sys_error _ -> false then
-    `Skipped "is a directory"
-  else
-    match
-      let h = parse_entry (read_file t.io path) in
-      if h.h_kind <> `Region then Codec.corrupt "page entry under region key";
-      if h.h_frontend <> t.frontend || h.h_fingerprint <> fingerprint then
-        Codec.corrupt "fingerprint mismatch";
-      let page = Codec.decode_xpage h.h_payload in
-      if page.base <> h.h_base then Codec.corrupt "base mismatch";
-      (page, h.h_spec_inhibited, h.h_members)
-    with
-    | page, si, members ->
-      (try t.io.Fsio.utimes path
-       with Unix.Unix_error _ | Sys_error _ | Fsio.Fault _ -> ());
-      `Hit (page, si, members)
-    | exception Codec.Corrupt msg -> `Corrupt msg
-    | exception Sys_error msg -> `Skipped ("io: " ^ msg)
-    | exception (Fsio.Fault _ as f) ->
-      from_overlay ~fault:true (Some ("storage: " ^ Fsio.fault_message f))
-
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 
-let persist_gen t ~key:k ~kind ~fingerprint ~members
+(** Persist [page] under [key], atomically ({!Fsio.commit}: temp write,
+    file fsync, rename, directory fsync).  The optional arguments name
+    the unit as {!probe} does: a tier-1 page by default, a region image
+    with [members] (written with the region kind tag and the member
+    list) and the region scheduler's [fingerprint].  A storage fault
+    degrades to the in-memory overlay instead of raising.  Returns the
+    entry's size in bytes. *)
+let persist ?fingerprint ?(members = [||]) t ~key:k
     (page : Translator.Translate.xpage) ~spec_inhibited =
+  let fingerprint = Option.value fingerprint ~default:t.fingerprint in
   let payload = Codec.encode_xpage page in
   let b = Buffer.create (String.length payload + 256) in
   Buffer.add_string b magic;
   Codec.put_u8 b Codec.version;
-  Codec.put_u8 b (match kind with `Page -> 0 | `Region -> 1);
+  Codec.put_u8 b (if members = [||] then 0 else 1);
   Codec.put_str b t.frontend;
   Codec.put_str b fingerprint;
-  (match kind with
-  | `Page -> ()
-  | `Region ->
+  if members <> [||] then begin
     Codec.put_vint b (Array.length members);
-    Array.iter (Codec.put_vint b) members);
+    Array.iter (Codec.put_vint b) members
+  end;
   Codec.put_vint b page.base;
   Codec.put_vint b page.psize;
   Codec.put_bool b spec_inhibited;
@@ -415,25 +362,9 @@ let persist_gen t ~key:k ~kind ~fingerprint ~members
     with_olock t (fun () ->
         t.degraded <- t.degraded + 1;
         Hashtbl.replace t.overlay k
-          { o_kind = kind; o_page = page; o_si = spec_inhibited;
-            o_fingerprint = fingerprint; o_members = members }));
+          { o_page = page; o_si = spec_inhibited; o_fingerprint = fingerprint;
+            o_members = members }));
   Buffer.length b
-
-(** Persist [page] under [key], atomically ({!Fsio.commit}: temp write,
-    file fsync, rename, directory fsync).  A storage fault degrades to
-    the in-memory overlay instead of raising.  Returns the entry's
-    size in bytes. *)
-let persist t ~key:k (page : Translator.Translate.xpage) ~spec_inhibited =
-  persist_gen t ~key:k ~kind:`Page ~fingerprint:t.fingerprint ~members:[||]
-    page ~spec_inhibited
-
-(** Persist a tier-2 region image under [key]: same atomic write, the
-    region kind tag, the member-base list and the region scheduler's
-    [fingerprint]. *)
-let persist_region t ~key:k ~fingerprint ~members
-    (page : Translator.Translate.xpage) ~spec_inhibited =
-  persist_gen t ~key:k ~kind:`Region ~fingerprint ~members page
-    ~spec_inhibited
 
 (** Drop the entry under [key], if present; tells whether one was. *)
 let evict t ~key:k =
@@ -466,25 +397,6 @@ let quarantine t ~key:k =
         | () -> true
         | exception (Sys_error _ | Fsio.Fault _) -> false))
 
-(** Quarantined corpses ([*.dtc.bad]) currently in [dir]. *)
-let quarantined_files dir =
-  match Sys.readdir dir with
-  | files ->
-    Array.to_list files
-    |> List.filter (fun f -> Filename.check_suffix f ".dtc.bad")
-    |> List.sort compare
-  | exception Sys_error _ -> []
-
-(** Orphaned temp files ([*.tmp]) currently in [dir] — a dead or
-    crashed writer's leavings, swept at open and by fsck. *)
-let orphan_files dir =
-  match Sys.readdir dir with
-  | files ->
-    Array.to_list files
-    |> List.filter (fun f -> Filename.check_suffix f ".tmp")
-    |> List.sort compare
-  | exception Sys_error _ -> []
-
 (* ------------------------------------------------------------------ *)
 (* Admission / eviction                                                 *)
 
@@ -497,11 +409,7 @@ let dir_bytes dir =
       | st -> n + st.Unix.st_size
       | exception Unix.Unix_error _ -> n)
     0
-    (match Sys.readdir dir with
-    | files ->
-      Array.to_list files
-      |> List.filter (fun f -> Filename.check_suffix f ".dtc")
-    | exception Sys_error _ -> [])
+    (Fsio.files_with_suffix dir ".dtc")
 
 type budget_report = {
   resident_bytes : int;  (** entry bytes after enforcement *)
@@ -520,10 +428,7 @@ type budget_report = {
 let enforce_budget ?(pinned = fun _ -> false) t ~budget =
   with_dir_lock ~dir:t.dir ~lock_fd:t.lock_fd (fun () ->
       let entries =
-        (match Sys.readdir t.dir with
-        | files -> Array.to_list files
-        | exception Sys_error _ -> [])
-        |> List.filter (fun f -> Filename.check_suffix f ".dtc")
+        Fsio.files_with_suffix t.dir ".dtc"
         |> List.filter_map (fun f ->
                let path = Filename.concat t.dir f in
                match Unix.stat path with
@@ -581,14 +486,6 @@ type info = {
   status : [ `Ok | `Corrupt of string | `Skipped of string ];
 }
 
-let entry_files dir =
-  match Sys.readdir dir with
-  | files ->
-    Array.to_list files
-    |> List.filter (fun f -> Filename.check_suffix f ".dtc")
-    |> List.sort compare
-  | exception Sys_error _ -> []
-
 (** Files in [dir] that are not cache entries, temp files or the lock
     file — left alone by every store operation, reported so tooling can
     say why. *)
@@ -640,7 +537,7 @@ let list_dir dir =
             entries = h.h_entries; mtime; status = `Ok }
         | exception Codec.Corrupt msg ->
           { (blank (`Corrupt msg)) with file_bytes = String.length s }))
-    (entry_files dir)
+    (Fsio.files_with_suffix dir ".dtc")
 
 (** Remove every entry and stray temp file in [dir]; returns
     [(removed, skipped)] — skipped counts entry-named paths that could

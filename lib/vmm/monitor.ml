@@ -459,14 +459,30 @@ let probe_cache t h kind ~store addr bytes =
 
 (* --- Persistent translation cache (lib/tcache) ---------------------
 
-   The content-addressed key is computed from the page's *current*
-   bytes, so every call site must run before those bytes change; the
-   self-modifying-code hook qualifies because [Mem.t.on_store] fires
-   before the store lands. *)
+   One path for both kinds of translation unit: a tier-1 page, and a
+   tier-2 region image named by its member bases and the region
+   scheduler's fingerprint.  A unit's events and degraded-count sync
+   name its [page] (a region's first member).  Every content key is
+   computed from the unit's *current* bytes, so each call site must run
+   before those bytes change; a region deopt on the self-modifying-code
+   path qualifies because [Mem.t.on_store] fires before the store
+   lands. *)
 
-let tcache_key t store base =
+let member_bytes t base =
   let len = min t.tr.params.page_size (Mem.size t.mem - base) in
-  Tcache.Store.key store ~base (Mem.read_string t.mem base len)
+  Mem.read_string t.mem base len
+
+let page_key t store base = Tcache.Store.key store ~base (member_bytes t base)
+
+(** The content key of the region image over [members] compiled under
+    the region scheduler's [fingerprint]: the *set* of member-page
+    contents plus the member bases, so any byte change in any member
+    page — or a different grouping — misses and falls back to a fresh
+    compile.  The one derivation of a region key, for the persist, the
+    probe and the evict alike. *)
+let region_key t store ~fingerprint ~members =
+  Tcache.Store.region_key store ~fingerprint ~members
+    ~bytes:(Array.to_list (Array.map (member_bytes t) members))
 
 (* The store, for a page that has bytes to key: a page past the end of
    memory bypasses the cache (all it translates to is the fetch trap). *)
@@ -483,83 +499,116 @@ let tcache_sync_degraded t store base =
     emit t (fun () -> Tcache_degraded { cycle = now t; page = base })
   done
 
-(* Probe the store for [addr]'s page and install the decoded
-   translation; any anomaly counts as corrupt and falls through to a
-   normal translate.  A corrupt entry is also *quarantined* — set aside
-   on disk — so under a shared cache one poisoned file costs one
-   retranslation by the gate winner instead of a corrupt-parse per
-   session per probe, and the winner's persist heals the key. *)
-let tcache_probe t addr =
-  let base = Translate.page_base t.tr addr in
-  match tcache_for t base with
-  | None -> ()
-  | Some store ->
-    let key = tcache_key t store base in
-    let t0 = Sys.time () in
-    let corrupt reason =
-      t.stats.tcache_corrupt <- t.stats.tcache_corrupt + 1;
-      emit t (fun () -> Tcache_corrupt { cycle = now t; page = base; reason });
-      if Tcache.Store.quarantine store ~key then begin
-        t.stats.tcache_quarantined <- t.stats.tcache_quarantined + 1;
-        emit t (fun () ->
-            Tcache_quarantine { cycle = now t; page = base; reason })
-      end
-    in
-    (match Tcache.Store.probe store ~key with
-    | `Hit (page, spec_inhibited) when page.base = base ->
+(** Probe [store] under [key] for the unit at [page] and install a hit
+    into [tr] (the monitor's own translator for a page, whose
+    [install_hook] then sees it; a fresh region translator for a region
+    image), returning the installed image.  Any anomaly counts as
+    corrupt and falls through to a normal translate.  A corrupt entry
+    is also *quarantined* — set aside on disk — so under a shared cache
+    one poisoned file costs one retranslation by the gate winner
+    instead of a corrupt-parse per session per probe, and the winner's
+    persist heals the key. *)
+let tcache_probe ?fingerprint ?members t store ~key ~page tr =
+  let t0 = Sys.time () in
+  let corrupt reason =
+    t.stats.tcache_corrupt <- t.stats.tcache_corrupt + 1;
+    emit t (fun () -> Tcache_corrupt { cycle = now t; page; reason });
+    if Tcache.Store.quarantine store ~key then begin
+      t.stats.tcache_quarantined <- t.stats.tcache_quarantined + 1;
+      emit t (fun () -> Tcache_quarantine { cycle = now t; page; reason })
+    end;
+    None
+  in
+  let hit =
+    match Tcache.Store.probe ?fingerprint ?members store ~key with
+    | `Hit (xp, spec_inhibited) when xp.base = Translate.page_base tr page ->
       let seconds = Sys.time () -. t0 in
-      Translate.install t.tr ~spec_inhibited page;
+      Translate.install tr ~spec_inhibited xp;
       t.stats.tcache_hits <- t.stats.tcache_hits + 1;
       emit t (fun () ->
           Tcache_hit
-            { cycle = now t; page = base; vliws = Vec.length page.vliws;
-              bytes = page.code_bytes; seconds });
+            { cycle = now t; page; vliws = Vec.length xp.vliws;
+              bytes = xp.code_bytes; seconds });
       (match t.tcache_touch with Some f -> f ~key | None -> ());
-      (match t.install_hook with Some f -> f page | None -> ())
+      (match t.install_hook with
+      | Some f when tr == t.tr -> f xp
+      | _ -> ());
+      Some xp
     | `Hit _ -> corrupt "page base mismatch"
     | `Miss ->
       t.stats.tcache_misses <- t.stats.tcache_misses + 1;
-      emit t (fun () -> Tcache_miss { cycle = now t; page = base })
+      emit t (fun () -> Tcache_miss { cycle = now t; page });
+      None
     | `Corrupt reason -> corrupt reason
     | `Skipped reason ->
       t.stats.tcache_skipped <- t.stats.tcache_skipped + 1;
-      emit t (fun () -> Tcache_skipped { cycle = now t; page = base; reason }));
-    tcache_sync_degraded t store base
+      emit t (fun () -> Tcache_skipped { cycle = now t; page; reason });
+      None
+  in
+  tcache_sync_degraded t store page;
+  hit
 
-(* Write [page]'s translation out (also after an extension of an
-   already-persisted page: same key, superset entry, plain overwrite). *)
-let tcache_persist t (page : Translate.xpage) =
-  match tcache_for t page.base with
+(* Write [xp] out under [key], by default [page]'s own tier-1 key (also
+   after an extension of an already-persisted page: same key, superset
+   entry, plain overwrite); a region image names its key, [members] and
+   [fingerprint]. *)
+let tcache_persist ?key ?fingerprint ?members t ~page (xp : Translate.xpage)
+    ~spec_inhibited =
+  match tcache_for t page with
   | None -> ()
   | Some store ->
-    let key = tcache_key t store page.base in
-    let spec_inhibited = Translate.load_spec_inhibited t.tr page.base in
-    (match Tcache.Store.persist store ~key page ~spec_inhibited with
+    let key = match key with Some k -> k | None -> page_key t store page in
+    (match
+       Tcache.Store.persist ?fingerprint ?members store ~key xp ~spec_inhibited
+     with
     | bytes ->
       t.stats.tcache_persists <- t.stats.tcache_persists + 1;
-      emit t (fun () ->
-          Tcache_persist { cycle = now t; page = page.base; bytes });
+      emit t (fun () -> Tcache_persist { cycle = now t; page; bytes });
       (match t.tcache_touch with Some f -> f ~key | None -> ());
       (match t.tcache_persist_hook with
       | Some f -> f (Tcache.Store.path_of store key)
       | None -> ())
     | exception Sys_error _ -> () (* unwritable dir: cache is best-effort *));
-    tcache_sync_degraded t store page.base
+    tcache_sync_degraded t store page
 
-(* Drop the entry for a page whose translation just became invalid
-   (self-modifying code, adaptive retranslation).  Cast-outs do NOT
-   evict: a translation dropped only for code-cache capacity is still
-   correct, and the refill becomes a cache hit. *)
-let tcache_evict t base =
-  match tcache_for t base with
+(* Drop the entry under [key], by default [page]'s own, for a unit
+   whose translation just proved wrong (adaptive retranslation, an
+   execution fault, a region deopt).  Neither a cast-out nor a
+   self-modifying store evicts: the entry is still correct for the
+   bytes it was keyed on, so a refill of the same bytes — here or in
+   another process — is a cache hit. *)
+let tcache_evict ?key t page =
+  match tcache_for t page with
   | None -> ()
   | Some store ->
-    let key = tcache_key t store base in
+    let key = match key with Some k -> k | None -> page_key t store page in
     if Tcache.Store.evict store ~key then begin
       t.stats.tcache_evicts <- t.stats.tcache_evicts + 1;
-      emit t (fun () -> Tcache_evict { cycle = now t; page = base })
+      emit t (fun () -> Tcache_evict { cycle = now t; page })
     end;
-    tcache_sync_degraded t store base
+    tcache_sync_degraded t store page
+
+(* The cache half of a translation attempt on page [base], which has no
+   in-memory translation: probe [store] under the page's key, computed
+   once here, and if still missing contend for the per-key translate
+   gate so a cold-cache storm translates each content key once instead
+   of once per session.  A single attempt, no retry loop: if the winner
+   failed to install we translate locally — a rare duplicate beats a
+   livelock.  Returns the key, for the persist and the release, and
+   whether this VMM now owns the gate. *)
+let tcache_lookup t store base =
+  let key = page_key t store base in
+  ignore (tcache_probe t store ~key ~page:base t.tr);
+  match t.translate_gate with
+  | Some gate when not (Translate.translated t.tr base) ->
+    (* either way, probe again: a winner's miss may be stale (a
+       previous owner can have installed and released in between, and
+       installs happen before releases), and a waiter's key was just
+       translated by another session *)
+    let owner = gate ~page:base ~key = `Proceed in
+    ignore (tcache_probe t store ~key ~page:base t.tr);
+    (Some key, owner)
+  | _ -> (Some key, false)
 
 (* Drop the staged form of a page whose translation just became invalid
    (self-modifying code, adaptive retranslation, quarantine, cast-out).
@@ -575,31 +624,6 @@ let drop_compiled t base = Hashtbl.remove t.compiled base
    plain main-thread Hashtbl updates consulted only at [goto_base], so
    the swap in either direction is atomic with respect to execution:
    no VLIW ever observes a half-installed region. *)
-
-let member_bytes t base =
-  let len = min t.tr.params.page_size (Mem.size t.mem - base) in
-  Mem.read_string t.mem base len
-
-(* The persistent key of a region image: the *set* of member-page
-   contents (plus the member bases and the region scheduler's
-   fingerprint), so any byte change in any member page — or a different
-   grouping — misses and falls back to a fresh compile. *)
-let tcache_region_key t store (r : region) =
-  Tcache.Store.region_key store
-    ~fingerprint:(Params.fingerprint r.r_tr.params)
-    ~members:r.r_members
-    ~bytes:(Array.to_list (Array.map (member_bytes t) r.r_members))
-
-let tcache_evict_region t (r : region) =
-  match t.tcache with
-  | None -> ()
-  | Some store ->
-    let key = tcache_region_key t store r in
-    if Tcache.Store.evict store ~key then begin
-      t.stats.tcache_evicts <- t.stats.tcache_evicts + 1;
-      emit t (fun () -> Tcache_evict { cycle = now t; page = r.r_members.(0) })
-    end;
-    tcache_sync_degraded t store r.r_members.(0)
 
 (** Demote [r] back to tier-1: unmap every member (only where the
     mapping still points at [r]), drop the staged image, and evict the
@@ -617,7 +641,13 @@ let deopt_region t (r : region) ~page ~reason =
   (match t.active_region with
   | Some r' when r' == r -> t.active_region <- None
   | _ -> ());
-  tcache_evict_region t r;
+  (match t.tcache with
+  | Some store ->
+    tcache_evict t r.r_members.(0)
+      ~key:
+        (region_key t store ~fingerprint:(Params.fingerprint r.r_tr.params)
+           ~members:r.r_members)
+  | None -> ());
   t.stats.tier2_deopts <- t.stats.tier2_deopts + 1;
   emit t (fun () -> Region_deopt { cycle = now t; id = r.r_id; page; reason })
 
@@ -710,17 +740,16 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
         let base = Translate.page_base tr addr in
         (* a store into any member page of a promoted region fails the
            region's whole-unit assumption: deopt before the bytes
-           change (the stale persistent entry is evicted under its
-           still-matching content key) *)
+           change (the region entry is evicted under its still-matching
+           content key) *)
         (match Hashtbl.find_opt t.regions base with
         | Some r ->
           deopt_region t r ~page:base
             ~reason:"self-modifying code in member page"
         | None -> ());
+        (* the page's own cache entry stays: it is still correct for
+           the bytes it was keyed on, and the new bytes key apart *)
         if Translate.translated tr addr then (
-          (* the watcher fires before the bytes change, so the page
-             still digests to the key the stale entry was stored under *)
-          tcache_evict t base;
           Translate.invalidate tr addr;
           drop_compiled t base;
           t.stats.code_invalidations <- t.stats.code_invalidations + 1;
@@ -1050,23 +1079,14 @@ let tcache_persist_region t (r : region) =
   match t.tcache with
   | None -> ()
   | Some store ->
-    let key = tcache_region_key t store r in
+    let fingerprint = Params.fingerprint r.r_tr.params in
+    let members = r.r_members in
     let xp =
       Hashtbl.fold (fun _ p _ -> Some p) r.r_tr.pages None |> Option.get
     in
-    let spec_inhibited = Translate.load_spec_inhibited r.r_tr xp.base in
-    (match
-       Tcache.Store.persist_region store ~key
-         ~fingerprint:(Params.fingerprint r.r_tr.params)
-         ~members:r.r_members xp ~spec_inhibited
-     with
-    | bytes ->
-      t.stats.tcache_persists <- t.stats.tcache_persists + 1;
-      emit t (fun () ->
-          Tcache_persist { cycle = now t; page = r.r_members.(0); bytes });
-      (match t.tcache_touch with Some f -> f ~key | None -> ())
-    | exception Sys_error _ -> ());
-    tcache_sync_degraded t store r.r_members.(0)
+    tcache_persist t ~page:members.(0) ~fingerprint ~members xp
+      ~key:(region_key t store ~fingerprint ~members)
+      ~spec_inhibited:(Translate.load_spec_inhibited r.r_tr xp.base)
 
 (** Run translated execution starting at base address [entry] until the
     program halts; returns the exit code. *)
@@ -1107,46 +1127,19 @@ let run t ~entry ~fuel =
       end;
       (* translation missing: the persistent cache is probed first, and
          only for pages with no in-memory translation at all — a page
-         that merely lacks this entry point gets extended in place *)
-      let gate_key = ref None in
-      if
-        Option.is_some (tcache_for t base)
-        && (not (Translate.has_entry t.tr addr))
-        && not (Translate.translated t.tr addr)
-      then begin
-        tcache_probe t addr;
-        (* still missing after the probe: contend for the per-key
-           translate gate so a cold-cache storm translates each content
-           key once instead of once per session.  A single attempt, no
-           retry loop: if the winner failed to install we translate
-           locally — a rare duplicate beats a livelock. *)
-        match (t.translate_gate, tcache_for t base) with
-        | Some gate, Some store
-          when (not (Translate.has_entry t.tr addr))
-               && not (Translate.translated t.tr addr) -> (
-          let key = tcache_key t store base in
-          match gate ~page:base ~key with
-          | `Proceed ->
-            gate_key := Some key;
-            (* our miss may already be stale: a previous owner can have
-               installed and released between our probe and this win.
-               Installs happen before releases, so one re-probe under
-               ownership closes the window — on a hit the attempt below
-               takes the no-translation path and releases normally *)
-            tcache_probe t addr
-          | `Waited ->
-            (* another session translated this key while we blocked;
-               its install is visible in the store now *)
-            tcache_probe t addr)
-        | _ -> ()
-      end;
-      (* the owner must release on EVERY exit from the attempt below —
-         waiters on this key block until it does *)
+         that merely lacks this entry point gets extended in place, and
+         a dispatch that finds its translation does no cache work *)
+      let key, owner =
+        match tcache_for t base with
+        | Some store when not (Translate.translated t.tr addr) ->
+          tcache_lookup t store base
+        | _ -> (None, false)
+      in
+      (* the gate owner must release on EVERY exit from the attempt
+         below — waiters on this key block until it does *)
       let release ok =
-        match (!gate_key, t.translate_release) with
-        | Some key, Some f ->
-          gate_key := None;
-          f ~page:base ~key ~ok
+        match (key, t.translate_release) with
+        | Some key, Some f when owner -> f ~page:base ~key ~ok
         | _ -> ()
       in
       (match
@@ -1175,7 +1168,8 @@ let run t ~entry ~fuel =
                  { cycle = now t; page = base; entry = addr;
                    insns = tot.insns - i0; vliws = tot.vliws_made - v0;
                    bytes = tot.code_bytes - b0; groups = tot.groups - g0 });
-           tcache_persist t (fst res);
+           tcache_persist ?key t ~page:base (fst res)
+             ~spec_inhibited:(Translate.load_spec_inhibited t.tr base);
            (match t.install_hook with Some f -> f (fst res) | None -> ());
            res
          end

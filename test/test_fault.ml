@@ -135,7 +135,7 @@ let test_tcache_quarantine_self_heals () =
     (cold.stats.tcache_persists > 0);
   (* truncate one entry mid-file: a torn write / partial disk failure *)
   let victim =
-    Filename.concat dir (List.hd (Tcache.Store.entry_files dir))
+    Filename.concat dir (List.hd (Fsio.files_with_suffix dir ".dtc"))
   in
   let s = In_channel.with_open_bin victim In_channel.input_all in
   Out_channel.with_open_bin victim (fun oc ->
@@ -151,7 +151,7 @@ let test_tcache_quarantine_self_heals () =
   Alcotest.(check (option int)) "warm run still verifies" (Some 4691)
     warm.exit_code;
   Alcotest.(check bool) "quarantine file set aside for post-mortem" true
-    (Tcache.Store.quarantined_files dir <> []);
+    (Fsio.files_with_suffix dir ".dtc.bad" <> []);
   (* the retranslation was re-persisted: a third run is fully warm *)
   let healed = Run.run ~tcache_dir:dir w in
   Alcotest.(check int) "healed run sees no corruption" 0

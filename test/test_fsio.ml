@@ -224,9 +224,9 @@ let test_tcache_enospc_no_partial () =
   Alcotest.(check int) "store degraded once" 1 (Store.degraded_count store);
   Alcotest.(check int) "entry parked in overlay" 1 (Store.overlay_count store);
   Alcotest.(check (list string)) "no partial entry on disk" []
-    (Store.entry_files dir);
+    (Fsio.files_with_suffix dir ".dtc");
   Alcotest.(check (list string)) "no orphan left behind" []
-    (Store.orphan_files dir);
+    (Fsio.files_with_suffix dir ".tmp");
   (* the page is still served, from memory *)
   (match Store.probe store ~key with
   | `Hit (page', _) ->

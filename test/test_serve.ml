@@ -291,7 +291,7 @@ let test_store_hammer () =
         1 (Atomic.get c))
     translations;
   Alcotest.(check int) "entry count stable" n_keys
-    (List.length (Store.entry_files dir));
+    (List.length (Fsio.files_with_suffix dir ".dtc"));
   List.iter
     (fun (info : Store.info) ->
       Alcotest.(check bool) ("entry parses: " ^ info.key) true
@@ -325,7 +325,7 @@ let test_budget_eviction_and_pinning () =
   Alcotest.(check bool) "budget met" false r.Store.pinned_over;
   Alcotest.(check (list string)) "pinned entry survived"
     [ key 1 ^ ".dtc" ]
-    (Store.entry_files dir);
+    (Fsio.files_with_suffix dir ".dtc");
   (* unreachable budget: the pin wins over the budget and says so *)
   let r = Store.enforce_budget ~pinned:(fun k -> k = key 1) store ~budget:0 in
   Alcotest.(check int) "nothing evictable" 0 r.Store.evicted;
@@ -352,7 +352,7 @@ let test_probe_refreshes_lru () =
   ignore (Store.enforce_budget store ~budget:!bytes);
   Alcotest.(check (list string)) "recently-probed entry survived"
     [ key 0 ^ ".dtc" ]
-    (Store.entry_files dir);
+    (Fsio.files_with_suffix dir ".dtc");
   rm_rf dir
 
 (* --- fleets over a shared cache ------------------------------------ *)
@@ -443,7 +443,7 @@ let test_fleet_corrupt_entry_self_heals () =
   let cold, _ = Serve.Fleet.run ~pool ~shared ~sessions:4 [ "wc" ] in
   Alcotest.(check int) "cold fleet clean" 0 cold.Serve.Fleet.failures;
   (* flip one bit in the middle of an installed entry on disk *)
-  let victim = List.hd (Store.entry_files dir) in
+  let victim = List.hd (Fsio.files_with_suffix dir ".dtc") in
   let path = Filename.concat dir victim in
   let b =
     Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
@@ -461,7 +461,7 @@ let test_fleet_corrupt_entry_self_heals () =
   Alcotest.(check bool) "gate winner retranslated the page" true
     (warm.Serve.Fleet.pages_translated >= 1);
   Alcotest.(check bool) "quarantine file set aside for ops" true
-    (Store.quarantined_files dir <> []);
+    (Fsio.files_with_suffix dir ".dtc.bad" <> []);
   (* healed: the next fleet runs fully warm again *)
   let healed, _ =
     Serve.Fleet.run ~first_id:12 ~pool ~shared ~sessions:4 [ "wc" ]

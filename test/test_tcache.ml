@@ -1,9 +1,12 @@
 (* Tests for the persistent translation cache: codec round-trips
    (hand-built, property-based, and over real translator output), store
-   semantics (miss/persist/hit/evict, atomicity hygiene), corruption and
+   semantics (miss/persist/hit/evict, atomicity hygiene, page and region
+   entries through one probe and persist), corruption and
    version-mismatch detection, warm-start behaviour across the whole
-   workload registry, and the self-modifying-code interaction — after a
-   [Code_invalidated] the warm run must not find the evicted entry. *)
+   workload registry, a corrupt region image quarantined like a page,
+   and the self-modifying-code interaction — a [Code_invalidated] keeps
+   the entry of the bytes it was keyed on, so the warm run finds every
+   generation of the patched page in the cache. *)
 
 module T = Vliw.Tree
 module Op = Vliw.Op
@@ -306,6 +309,66 @@ let test_store_detects_corruption () =
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
   ignore (Store.clear_dir dir)
 
+(* Region images go through the same probe and persist as pages: the
+   entry round-trips under its member list and the region scheduler's
+   fingerprint — on disk and, after a storage fault, in the overlay —
+   and an entry that is not the unit the caller names is corrupt. *)
+let test_store_region_entries () =
+  let mem, page = translated_page "wc" in
+  let bytes = Ppc.Mem.read_string mem page.base page.psize in
+  let fingerprint = "fp-region" in
+  let members = [| page.base; page.base + page.psize |] in
+  let round_trip ~io what =
+    let dir = fresh_dir () in
+    let store =
+      Store.open_store ~io ~dir ~frontend:"ppc" ~fingerprint:"fp" ()
+    in
+    let key =
+      Store.region_key store ~fingerprint ~members ~bytes:[ bytes; bytes ]
+    in
+    ignore
+      (Store.persist store ~fingerprint ~members ~key page
+         ~spec_inhibited:true);
+    (match Store.probe store ~fingerprint ~members ~key with
+    | `Hit (page', si) ->
+      Alcotest.(check bool) (what ^ ": image round-trips") true
+        (xpage_equal page page');
+      Alcotest.(check bool) (what ^ ": spec flag round-trips") true si
+    | _ -> Alcotest.failf "%s: expected a region hit" what);
+    (store, key, dir)
+  in
+  let store, rkey, dir = round_trip ~io:Fsio.real "disk" in
+  let pkey = Store.key store ~base:page.base bytes in
+  ignore (Store.persist store ~key:pkey page ~spec_inhibited:false);
+  let expect_corrupt what = function
+    | `Corrupt _ -> ()
+    | `Hit _ -> Alcotest.failf "%s: hit" what
+    | `Miss -> Alcotest.failf "%s: miss" what
+    | `Skipped m -> Alcotest.failf "%s: skipped (%s)" what m
+  in
+  expect_corrupt "page probe on a region key" (Store.probe store ~key:rkey);
+  expect_corrupt "region probe on a page key"
+    (Store.probe store ~fingerprint ~members ~key:pkey);
+  expect_corrupt "region probe naming other members"
+    (Store.probe store ~fingerprint ~members:[| page.base |] ~key:rkey);
+  (match
+     List.find_opt (fun (i : Store.info) -> i.key = rkey) (Store.list_dir dir)
+   with
+  | Some i ->
+    Alcotest.(check bool) "listed as a region" true (i.kind = `Region);
+    Alcotest.(check (array int)) "listed members" members i.members
+  | None -> Alcotest.fail "region entry not listed");
+  ignore (Store.clear_dir dir);
+  (* a read-only disk parks the image in the overlay, which serves it
+     to the unit it names only *)
+  let io, _ = Fsio.faulty { Fsio.fault_quiet with readonly = true } in
+  let store, rkey, dir = round_trip ~io "overlay" in
+  Alcotest.(check int) "parked in the overlay" 1 (Store.overlay_count store);
+  (match Store.probe store ~key:rkey with
+  | `Miss -> ()
+  | _ -> Alcotest.fail "a page probe must not see a parked region image");
+  ignore (Store.clear_dir dir)
+
 (* --- warm start across the registry ------------------------------- *)
 
 let test_warm_start_registry () =
@@ -358,14 +421,46 @@ let test_warm_survives_corrupt_entry () =
   Alcotest.(check int) "third run all from cache" 0 third.pages_translated;
   ignore (Store.clear_dir dir)
 
+(* A corrupt region image is counted and quarantined like a corrupt
+   page: the warm run's region probe reports it, sets it aside as
+   [.dtc.bad] and recompiles, and the run still verifies. *)
+let test_warm_quarantines_corrupt_region () =
+  let dir = fresh_dir () in
+  let w = Workloads.Registry.by_name "c_sieve" in
+  let run () =
+    Vmm.Run.run ~tcache_dir:dir
+      ~instrument:(fun vmm -> ignore (Obs.Tier.attach vmm))
+      w
+  in
+  ignore (run ());
+  (match
+     List.filter (fun (i : Store.info) -> i.kind = `Region) (Store.list_dir dir)
+   with
+  | [ info ] ->
+    let path = Filename.concat dir (info.key ^ ".dtc") in
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (String.sub s 0 (String.length s / 2)))
+  | l -> Alcotest.failf "expected 1 region entry, got %d" (List.length l));
+  let warm = run () in
+  Alcotest.(check (option int)) "exit code" (Some 1899) warm.exit_code;
+  Alcotest.(check int) "promoted again" 1 warm.stats.tier2_promotions;
+  Alcotest.(check int) "corrupt region counted" 1 warm.stats.tcache_corrupt;
+  Alcotest.(check int) "and quarantined" 1 warm.stats.tcache_quarantined;
+  Alcotest.(check int) "one corpse on disk" 1
+    (List.length (Fsio.files_with_suffix dir ".dtc.bad"));
+  ignore (Store.clear_dir dir)
+
 (* --- self-modifying code × cache ----------------------------------
 
    The JIT program from examples/self_modifying.ml: it writes a
    two-instruction function (mullw; blr) into an empty page, runs it,
    patches the mullw into an add, and runs it again.  The store into
-   the translated page must evict the persisted entry keyed on the
-   pre-store bytes, so no later run can install the invalidated
-   translation generation. *)
+   the translated page invalidates the in-memory translation but keeps
+   the persisted entry: it is still correct for the pre-store bytes it
+   was keyed on, and the patched bytes key apart.  So the warm run
+   finds both generations of the JIT page, and the program's own page,
+   in the cache. *)
 
 let jit_page = 0x4000
 
@@ -414,34 +509,37 @@ let jit_page_bytes ~psize =
     (Int32.of_int (Encode.encode (Bclr (Insn.Bo.always, 0, false))));
   Bytes.to_string b
 
-let test_selfmod_evicts () =
+let test_selfmod_keeps_entries () =
   let dir = fresh_dir () in
   let code, vmm = run_selfmod ~tcache_dir:dir in
   Alcotest.(check (option int)) "cold exit" (Some 4914) code;
   Alcotest.(check bool) "store tripped the read-only bit" true
     (vmm.stats.code_invalidations > 0);
-  Alcotest.(check bool) "invalidation evicted the entry" true
-    (vmm.stats.tcache_evicts >= 1);
-  (* the entry for the pre-patch generation is gone: probing under the
-     mullw-bytes key must miss, so no run can reuse the invalidated
-     translation *)
+  Alcotest.(check int) "invalidation evicted nothing" 0
+    vmm.stats.tcache_evicts;
+  (* the entry for the pre-patch generation is still there: probing
+     under the mullw-bytes key hits *)
   let store =
     Store.open_store ~dir ~frontend:"ppc"
       ~fingerprint:(Translator.Params.fingerprint Translator.Params.default) ()
   in
   let psize = Translator.Params.default.page_size in
-  let stale_key = Store.key store ~base:jit_page (jit_page_bytes ~psize) in
-  (match Store.probe store ~key:stale_key with
-  | `Miss -> ()
-  | `Hit _ -> Alcotest.fail "stale pre-patch entry survived eviction"
-  | `Corrupt m -> Alcotest.failf "stale entry corrupt instead of gone: %s" m
-  | `Skipped m -> Alcotest.failf "stale entry skipped instead of gone: %s" m);
-  (* warm run: correct result, hits for the stable pages, and the same
-     eviction dance for the JIT page's two generations *)
+  let key = Store.key store ~base:jit_page (jit_page_bytes ~psize) in
+  (match Store.probe store ~key with
+  | `Hit _ -> ()
+  | `Miss -> Alcotest.fail "pre-patch entry was evicted"
+  | `Corrupt m -> Alcotest.failf "pre-patch entry corrupt: %s" m
+  | `Skipped m -> Alcotest.failf "pre-patch entry skipped: %s" m);
+  (* warm run: the program's page and both JIT generations hit, and
+     nothing is translated, persisted or evicted *)
   let code', vmm' = run_selfmod ~tcache_dir:dir in
   Alcotest.(check (option int)) "warm exit" (Some 4914) code';
-  Alcotest.(check bool) "warm run hit the cache" true
-    (vmm'.stats.tcache_hits >= 1);
+  Alcotest.(check (list int)) "warm hits, misses, persists, evicts"
+    [ 3; 0; 0; 0 ]
+    [ vmm'.stats.tcache_hits; vmm'.stats.tcache_misses;
+      vmm'.stats.tcache_persists; vmm'.stats.tcache_evicts ];
+  Alcotest.(check int) "warm pages translated" 0
+    vmm'.tr.totals.pages;
   ignore (Store.clear_dir dir)
 
 (* --- adaptive retranslation × cache -------------------------------
@@ -631,12 +729,17 @@ let () =
           Alcotest.test_case "missing dir is empty" `Quick
             test_missing_dir_is_empty;
           Alcotest.test_case "open sweeps orphan tmp" `Quick
-            test_open_sweeps_orphan_tmp ] );
+            test_open_sweeps_orphan_tmp;
+          Alcotest.test_case "region entries" `Quick
+            test_store_region_entries ] );
       ( "warm start",
         [ Alcotest.test_case "registry" `Slow test_warm_start_registry;
           Alcotest.test_case "corrupt entry" `Quick
             test_warm_survives_corrupt_entry;
           Alcotest.test_case "skipped entry" `Quick test_warm_counts_skipped;
-          Alcotest.test_case "self-modifying" `Quick test_selfmod_evicts;
+          Alcotest.test_case "corrupt region entry" `Quick
+            test_warm_quarantines_corrupt_region;
+          Alcotest.test_case "self-modifying" `Quick
+            test_selfmod_keeps_entries;
           Alcotest.test_case "pc past the end of memory" `Quick
             test_pc_past_memory ] ) ]

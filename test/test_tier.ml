@@ -3,7 +3,9 @@
    (Run.run diffs registers, memory and console against the reference
    interpreter), a store into a promoted member page must deopt back to
    tier-1 and still verify, a store landing between a compile and its
-   install must void the image, a persisted region image must
+   install must void the image, an evaluation re-entered from a
+   region's cache probe must not compile a candidate twice, a
+   persisted region image must
    re-promote on warm start without recompiling, and a hot single page
    later absorbed into a cross-page SCC must be superseded by the wider
    image. *)
@@ -156,6 +158,26 @@ let test_dropped_compile () =
   Alcotest.(check (option int)) "exit code" (Some 1899) r.Run.exit_code;
   Alcotest.(check int) "nothing installed" 0 t.Tier.installed;
   Alcotest.(check int) "no promotion" 0 vmm.stats.tier2_promotions
+
+(* A region's cache probe emits events from inside the compile, and
+   the driver receives them: at [check_every = 1] every one of them is
+   due for a policy evaluation.  The nested evaluation must not launch
+   the candidate whose compile is still running, so each candidate is
+   compiled once, and the one image installs. *)
+let test_probe_reentry_compiles_once () =
+  let w = Workloads.Registry.by_name "c_sieve" in
+  let dir = fresh_dir () in
+  let compiles = ref 0 in
+  let submit job = incr compiles; job () in
+  let cfg = { eager_cfg with check_every = 1; submit = Some submit } in
+  let r, vmm, t = run_with_tier ~cfg ~tcache_dir:dir w in
+  Alcotest.(check (option int)) "exit code" (Some 1899) r.Run.exit_code;
+  Alcotest.(check int) "one promotion" 1 vmm.stats.tier2_promotions;
+  Alcotest.(check int) "compiled once" 1 !compiles;
+  Alcotest.(check int) "no image rejected" 0 t.Tier.rejected_stale;
+  Alcotest.(check int) "the region probe missed too"
+    (r.pages_translated + 1) vmm.stats.tcache_misses;
+  ignore (Tcache.Store.clear_dir dir)
 
 (* --- staging a region image fails ------------------------------------ *)
 
@@ -311,7 +333,9 @@ let () =
       ( "install",
         [ Alcotest.test_case "stale image discarded" `Quick
             test_stale_image_discarded;
-          Alcotest.test_case "dropped compile" `Quick test_dropped_compile ] );
+          Alcotest.test_case "dropped compile" `Quick test_dropped_compile;
+          Alcotest.test_case "probe re-entry compiles once" `Quick
+            test_probe_reentry_compiles_once ] );
       ( "warm",
         [ Alcotest.test_case "repromotes from cache" `Quick
             test_warm_start_repromotes;
