@@ -1061,8 +1061,7 @@ let fsck_cmd =
       if Guard.Fsck.all_clean reports then print_endline "fsck: clean"
       else begin
         Printf.printf "fsck: %d issues remain%s\n"
-          (List.fold_left (fun n r -> n + Guard.Fsck.issues r) 0
-             (List.filter (fun r -> not (Guard.Fsck.clean r)) reports))
+          (List.fold_left (fun n r -> n + Guard.Fsck.remaining r) 0 reports)
           (if repair then "" else " (re-run with --repair)");
         exit 1
       end

@@ -19,8 +19,8 @@
 
    so a reader can only ever observe no entry or a whole entry, and a
    power cut costs at most an orphaned [*.tmp] (swept at open / fsck).
-   The lying-filesystem classes are exactly the ones the stores'
-   magic/version/checksum parse ladders exist for; the crash-point
+   The lying-filesystem classes are exactly the ones the stores' shared
+   frame check (Tcache.Codec.unframe) exists for; the crash-point
    enumerator in the tests walks every durable step of a commit and
    asserts each store recovers to a valid prefix.
 
@@ -92,9 +92,29 @@ let classify op path = function
 let chunk = 4096
 
 let real =
+  (* Through Unix, so [classify] types EIO like every other operation;
+     one buffer of the file's size, returned without a copy if filled *)
   let read_file path =
-    try In_channel.with_open_bin path In_channel.input_all
-    with Unix.Unix_error (e, _, _) -> raise (classify "read" path e)
+    match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | exception Unix.Unix_error (e, _, _) -> raise (classify "read" path e)
+    | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          try
+            let size = (Unix.fstat fd).Unix.st_size in
+            let buf = Bytes.create size in
+            let rec fill pos =
+              if pos = size then pos
+              else
+                match Unix.read fd buf pos (size - pos) with
+                | 0 -> pos  (* shrank mid-read: the prefix *)
+                | n -> fill (pos + n)
+            in
+            let got = fill 0 in
+            if got = size then Bytes.unsafe_to_string buf
+            else Bytes.sub_string buf 0 got
+          with Unix.Unix_error (e, _, _) -> raise (classify "read" path e))
   in
   let write_file path contents =
     match
@@ -186,6 +206,18 @@ let sweep_tmp io dir =
           | exception (Sys_error _ | Fault _) -> n
         else n)
       0 files
+
+(** Set a bad file aside as [path ^ ".bad"], through [io]: the bytes
+    stay for the post-mortem and no reader looks at them again.
+    Removal is the fallback on a filesystem that refuses the rename.
+    Tells whether [path] went; never raises. *)
+let set_aside io path =
+  match io.rename path (path ^ ".bad") with
+  | () -> true
+  | exception (Sys_error _ | Fault _) -> (
+    match io.remove path with
+    | () -> true
+    | exception (Sys_error _ | Fault _) -> false)
 
 let commit_seq = Atomic.make 0
 

@@ -18,8 +18,8 @@
    store hook, so steady-state checkpoints are small.  Restoring folds
    the whole sequence over the workload's pristine image.
 
-   File layout (reusing lib/tcache's varint codec and checksum
-   discipline — magic | version | payload_len | MD5 | payload):
+   File layout: the one store frame ({!Tcache.Codec.frame}) with an
+   empty store header:
 
      magic "DGCK" | version u8 | payload_len vint
      | payload MD5 (16 raw bytes) | payload
@@ -32,7 +32,8 @@
    Crash safety mirrors the tcache store: snapshots are installed with
    {!Fsio.commit} (temp write, file fsync, rename, directory fsync), so
    a reader never sees a torn snapshot and a kill -9 mid-write costs at
-   most one checkpoint interval of progress.  A truncated or
+   most one checkpoint interval of progress (its orphaned temp file is
+   swept by the next [attach]).  A truncated or
    bit-flipped file fails the magic/version/checksum ladder; [load]
    stops at the first invalid file and restores from the valid prefix.
 
@@ -92,6 +93,9 @@ let mark t addr n =
 let attach ~dir ~every ?(seq = 0) ?(io = Fsio.real) ~workload
     (vmm : Monitor.t) =
   Tcache.Store.mkdir_p dir;
+  (* a directory has one writer (serve gives each session its own), so
+     any temp file here is a dead writer's orphan *)
+  ignore (Fsio.sweep_tmp io dir);
   let t =
     { dir; every; workload; vmm;
       dirty = Bytes.make ((vmm.mem.size + chunk - 1) / chunk) '\000'; seq;
@@ -200,20 +204,12 @@ let write t ~pc =
       Codec.put_vint b i;
       Codec.put_str b (Bytes.sub_string mem.bytes off len))
     chunks;
-  let payload = Buffer.contents b in
-  let out = Buffer.create (String.length payload + 32) in
-  Buffer.add_string out magic;
-  Codec.put_u8 out version;
-  Codec.put_vint out (String.length payload);
-  Buffer.add_string out (Digest.string payload);
-  Buffer.add_string out payload;
+  let out = Codec.frame ~magic ~version ~header:ignore (Buffer.contents b) in
   match
-    Fsio.commit t.io ~dir:t.dir
-      ~file:(Printf.sprintf "ck-%06d.dgck" t.seq)
-      (Buffer.contents out)
+    Fsio.commit t.io ~dir:t.dir ~file:(Printf.sprintf "ck-%06d.dgck" t.seq) out
   with
   | () ->
-    let bytes = Buffer.length out and pages = List.length chunks in
+    let bytes = String.length out and pages = List.length chunks in
     Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
     t.seq <- t.seq + 1;
     t.last_cycle <- Monitor.now vmm;
@@ -264,19 +260,7 @@ type snapshot = {
 }
 
 let parse_snapshot s =
-  let mlen = String.length magic in
-  if String.length s < mlen + 1 then Codec.corrupt "truncated header";
-  if String.sub s 0 mlen <> magic then Codec.corrupt "bad magic";
-  let v = Char.code s.[mlen] in
-  if v <> version then Codec.corrupt "version %d (want %d)" v version;
-  let r = Codec.reader s in
-  r.pos <- mlen + 1;
-  let plen = Codec.get_vint r in
-  if plen < 0 || r.pos + 16 + plen <> String.length s then
-    Codec.corrupt "payload length %d disagrees with file size" plen;
-  let sum = String.sub s r.pos 16 in
-  let payload = String.sub s (r.pos + 16) plen in
-  if Digest.string payload <> sum then Codec.corrupt "checksum mismatch";
+  let (), payload = Codec.unframe ~magic ~version ~header:ignore s in
   let r = Codec.reader payload in
   let s_workload = Codec.get_str r in
   let s_frontend = Codec.get_str r in
@@ -309,10 +293,6 @@ let parse_snapshot s =
   { s_workload; s_frontend; s_fingerprint; s_every; s_seq; s_pc; s_machine;
     s_mem_seq; s_console; s_stats; s_health; s_chunks }
 
-(* Whole-file read via the backend; a truncated or torn file yields a
-   prefix the checksum ladder rejects. *)
-let read_file ?(io = Fsio.real) path = io.Fsio.read_file path
-
 let snapshot_files dir = Fsio.files_with_suffix dir ".dgck"
 
 type loaded = {
@@ -335,13 +315,13 @@ let load ?(io = Fsio.real) ~dir () =
   let rec go = function
     | [] -> ()
     | f :: rest -> (
-      match parse_snapshot (read_file ~io (Filename.concat dir f)) with
-      | snap ->
+      match Codec.read io (Filename.concat dir f) parse_snapshot with
+      | `Ok snap ->
         last := Some snap;
         deltas := !deltas @ snap.s_chunks;
         incr valid;
         go rest
-      | exception (Codec.Corrupt _ | Sys_error _ | Fsio.Fault _) ->
+      | `Missing | `Corrupt _ | `Skipped _ | `Fault _ ->
         dropped := List.length (f :: rest))
   in
   go files;
@@ -384,22 +364,7 @@ let restore_into (l : loaded) (vmm : Monitor.t) =
       (* raw blit: restoring is not a guest store, so no hooks fire *)
       Bytes.blit_string bytes 0 mem.bytes off (String.length bytes))
     l.deltas;
-  let m = vmm.st.m in
-  Array.blit snap.s_machine.gpr 0 m.gpr 0 32;
-  m.cr <- snap.s_machine.cr;
-  m.lr <- snap.s_machine.lr;
-  m.ctr <- snap.s_machine.ctr;
-  m.xer_ca <- snap.s_machine.xer_ca;
-  m.xer_ov <- snap.s_machine.xer_ov;
-  m.xer_so <- snap.s_machine.xer_so;
-  m.pc <- snap.s_machine.pc;
-  m.msr <- snap.s_machine.msr;
-  m.srr0 <- snap.s_machine.srr0;
-  m.srr1 <- snap.s_machine.srr1;
-  m.dar <- snap.s_machine.dar;
-  m.dsisr <- snap.s_machine.dsisr;
-  m.sprg0 <- snap.s_machine.sprg0;
-  m.sprg1 <- snap.s_machine.sprg1;
+  Machine.blit ~src:snap.s_machine ~dst:vmm.st.m;
   mem.seq <- snap.s_mem_seq;
   Buffer.clear mem.out;
   Buffer.add_string mem.out snap.s_console;

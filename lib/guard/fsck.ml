@@ -7,21 +7,24 @@
    which entries are torn, which temp files a dead writer left behind,
    and optionally puts the tree right.  `daisy fsck` drives this.
 
-   One walker per store family:
+   One walker serves every store; each brings its file suffix and the
+   check its own parser makes:
 
-   - tcache:     *.dtc entries (page + region), *.dtc.bad corpses
+   - tcache:     *.dtc entries (page + region); foreign files counted
    - profile:    *.dpf merge-able profile entries
    - checkpoint: ck-*.dgck snapshot sequences (longest-valid-prefix —
                  a torn snapshot also invalidates everything after it)
-   - crash:      crash-*.json / *.folded flight-recorder dumps
+   - crash:      crash-*.json flight-recorder dumps
 
    Repair is deliberately conservative, mirroring what the stores do
    under load: a torn entry is set aside as [<file>.bad] (bytes kept
-   for the post-mortem; rename falls back to removal on filesystems
-   that refuse it), an orphaned temp file is removed, and nothing else
-   is touched — foreign files are reported as strays and left alone.
-   Every repair re-establishes the store invariant the runtime relies
-   on: whatever remains parses clean. *)
+   for the post-mortem; {!Fsio.set_aside} falls back to removal on
+   filesystems that refuse the rename), an orphaned temp file is
+   removed, and nothing else is touched — a file that cannot be read
+   (I/O error, storage fault, a directory on an entry's name) is
+   reported and left where it is, and so are foreign files.  Every
+   repair re-establishes the store invariant the runtime relies on:
+   whatever remains parses clean. *)
 
 type issue = {
   i_file : string;     (** basename within the store directory *)
@@ -35,7 +38,7 @@ type store_report = {
   r_entries : int;     (** entries that parse clean *)
   r_torn : issue list;     (** corrupt / truncated entries *)
   r_orphans : issue list;  (** dead writers' temp files *)
-  r_quarantined : int;     (** .bad corpses already set aside *)
+  r_quarantined : int;     (** <suffix>.bad corpses already set aside *)
   r_strays : int;          (** foreign files, reported and left alone *)
 }
 
@@ -45,156 +48,82 @@ let clean r =
   List.for_all (fun i -> i.i_repaired) r.r_torn
   && List.for_all (fun i -> i.i_repaired) r.r_orphans
 
+(** Every issue found, repaired or not. *)
 let issues r = List.length r.r_torn + List.length r.r_orphans
 
-(* Set a torn entry aside as <file>.bad, like the runtime quarantine;
-   removal is the fallback for filesystems that refuse the rename. *)
-let set_aside path =
-  match Sys.rename path (path ^ ".bad") with
-  | () -> true
-  | exception Sys_error _ -> (
-    match Sys.remove path with
-    | () -> true
-    | exception Sys_error _ -> false)
-
-let drop path =
-  match Sys.remove path with () -> true | exception Sys_error _ -> false
-
-let orphan_issues ~dir ~repair =
-  List.map
-    (fun f ->
-      { i_file = f; i_problem = "orphaned temp file";
-        i_repaired = repair && drop (Filename.concat dir f) })
-    (Fsio.files_with_suffix dir ".tmp")
+(** Issues the walk left standing. *)
+let remaining r =
+  List.length
+    (List.filter (fun i -> not i.i_repaired) (r.r_torn @ r.r_orphans))
 
 (* ------------------------------------------------------------------ *)
-(* Walkers                                                             *)
+(* The walker                                                          *)
+
+(* Each file ending in [suffix] is read through the shared reader and
+   judged by [check], which raises {!Tcache.Codec.Corrupt}.  With
+   [prefix] (checkpoints restore the longest valid prefix) a bad file
+   makes every later one unreachable, and those go aside too, so the
+   next resume sees exactly the prefix the loader would have used. *)
+let walk ~store ~suffix ~check ?(prefix = false) ?(strays = 0) ~repair dir =
+  let entries = ref 0 and torn = ref [] and broken = ref false in
+  let report ?(bad = false) f problem =
+    let path = Filename.concat dir f in
+    torn :=
+      { i_file = f; i_problem = problem;
+        i_repaired = bad && repair && Fsio.set_aside Fsio.real path }
+      :: !torn
+  in
+  List.iter
+    (fun f ->
+      match Tcache.Codec.read Fsio.real (Filename.concat dir f) check with
+      | `Missing -> ()  (* gone since the listing *)
+      | (`Ok () | `Corrupt _) when !broken ->
+        report ~bad:true f "after a torn snapshot (unreachable)"
+      | `Ok () -> incr entries
+      | `Corrupt msg ->
+        broken := prefix;
+        report ~bad:true f msg
+      | `Skipped msg | `Fault msg ->
+        broken := prefix;
+        report f msg)
+    (Fsio.files_with_suffix dir suffix);
+  let orphans = Fsio.files_with_suffix dir ".tmp" in
+  if repair then ignore (Fsio.sweep_tmp Fsio.real dir);
+  let swept f = repair && not (Sys.file_exists (Filename.concat dir f)) in
+  { r_store = store; r_dir = dir; r_entries = !entries;
+    r_torn = List.rev !torn;
+    r_orphans =
+      List.map
+        (fun f ->
+          { i_file = f; i_problem = "orphaned temp file";
+            i_repaired = swept f })
+        orphans;
+    r_quarantined = List.length (Fsio.files_with_suffix dir (suffix ^ ".bad"));
+    r_strays = strays }
 
 let tcache ?(repair = false) dir =
-  let infos = if Sys.file_exists dir then Tcache.Store.list_dir dir else [] in
-  let torn =
-    List.filter_map
-      (fun (i : Tcache.Store.info) ->
-        match i.status with
-        | `Ok -> None
-        | `Corrupt msg ->
-          let f = i.key ^ ".dtc" in
-          Some
-            { i_file = f; i_problem = msg;
-              i_repaired = repair && set_aside (Filename.concat dir f) }
-        | `Skipped msg ->
-          (* unreadable or not a file: report, never touch *)
-          Some { i_file = i.key ^ ".dtc"; i_problem = msg;
-                 i_repaired = false })
-      infos
-  in
-  let ok =
-    List.length
-      (List.filter (fun (i : Tcache.Store.info) -> i.status = `Ok) infos)
-  in
-  { r_store = "tcache"; r_dir = dir; r_entries = ok; r_torn = torn;
-    r_orphans = orphan_issues ~dir ~repair;
-    r_quarantined = List.length (Fsio.files_with_suffix dir ".dtc.bad");
-    r_strays = List.length (Tcache.Store.stray_files dir) }
+  walk ~store:"tcache" ~suffix:".dtc" ~repair dir
+    ~check:(fun s -> ignore (Tcache.Store.parse_entry s))
+    ~strays:(List.length (Tcache.Store.stray_files dir))
 
 let profile ?(repair = false) dir =
-  let infos = if Sys.file_exists dir then Obs.Pstore.list_dir dir else [] in
-  let torn =
-    List.filter_map
-      (fun (i : Obs.Pstore.info) ->
-        match i.i_status with
-        | `Ok -> None
-        | `Corrupt msg ->
-          Some
-            { i_file = i.i_file; i_problem = msg;
-              i_repaired =
-                repair && set_aside (Filename.concat dir i.i_file) }
-        | `Skipped msg ->
-          Some { i_file = i.i_file; i_problem = msg; i_repaired = false })
-      infos
-  in
-  let ok =
-    List.length
-      (List.filter (fun (i : Obs.Pstore.info) -> i.i_status = `Ok) infos)
-  in
-  { r_store = "profile"; r_dir = dir; r_entries = ok; r_torn = torn;
-    r_orphans = orphan_issues ~dir ~repair;
-    r_quarantined = List.length (Fsio.files_with_suffix dir ".bad");
-    r_strays = 0 }
+  walk ~store:"profile" ~suffix:Obs.Pstore.suffix ~repair dir
+    ~check:(fun s -> ignore (Obs.Pstore.decode s))
 
-(* Checkpoint sequences restore from the longest valid prefix, so a
-   torn snapshot makes every later one unreachable: fsck reports the
-   whole invalid tail, and repair sets all of it aside so the next
-   resume sees exactly the prefix the loader would have used. *)
 let checkpoint ?(repair = false) dir =
-  let files = Checkpoint.snapshot_files dir in
-  let valid = ref 0 and torn = ref [] and broken = ref false in
-  List.iter
-    (fun f ->
-      let path = Filename.concat dir f in
-      match
-        if !broken then `Tail
-        else
-          match Checkpoint.parse_snapshot (Checkpoint.read_file path) with
-          | _ -> `Ok
-          | exception Tcache.Codec.Corrupt msg -> `Torn msg
-          | exception (Sys_error msg) -> `Torn msg
-          | exception (Fsio.Fault _ as e) -> `Torn (Fsio.fault_message e)
-      with
-      | `Ok -> incr valid
-      | `Torn msg ->
-        broken := true;
-        torn :=
-          { i_file = f; i_problem = msg;
-            i_repaired = repair && set_aside path }
-          :: !torn
-      | `Tail ->
-        torn :=
-          { i_file = f; i_problem = "after a torn snapshot (unreachable)";
-            i_repaired = repair && set_aside path }
-          :: !torn)
-    files;
-  { r_store = "checkpoint"; r_dir = dir; r_entries = !valid;
-    r_torn = List.rev !torn; r_orphans = orphan_issues ~dir ~repair;
-    r_quarantined = List.length (Fsio.files_with_suffix dir ".bad");
-    r_strays = 0 }
+  walk ~store:"checkpoint" ~suffix:".dgck" ~prefix:true ~repair dir
+    ~check:(fun s -> ignore (Checkpoint.parse_snapshot s))
 
 (* Crash dumps are JSON objects (plus .folded flame-graph text); a dump
-   is torn when it is unreadable, empty, or visibly truncated (no
-   closing brace) — the recorder writes atomically, so any of those
-   means a lying filesystem or a pre-fsio writer died mid-dump. *)
+   is torn when it is empty or visibly truncated (no closing brace) —
+   the recorder writes atomically, so either means a lying filesystem
+   or a pre-fsio writer died mid-dump. *)
 let crash ?(repair = false) dir =
-  let files = Fsio.files_with_suffix dir ".json" in
-  let valid = ref 0 and torn = ref [] in
-  List.iter
-    (fun f ->
-      let path = Filename.concat dir f in
-      match Fsio.real.Fsio.read_file path with
-      | exception (Sys_error msg) ->
-        torn :=
-          { i_file = f; i_problem = msg;
-            i_repaired = repair && set_aside path }
-          :: !torn
-      | exception (Fsio.Fault _ as e) ->
-        torn :=
-          { i_file = f; i_problem = Fsio.fault_message e;
-            i_repaired = repair && set_aside path }
-          :: !torn
-      | s ->
-        let t = String.trim s in
-        if String.length t >= 2 && t.[0] = '{'
-           && t.[String.length t - 1] = '}'
-        then incr valid
-        else
-          torn :=
-            { i_file = f; i_problem = "truncated JSON";
-              i_repaired = repair && set_aside path }
-            :: !torn)
-    files;
-  { r_store = "crash"; r_dir = dir; r_entries = !valid;
-    r_torn = List.rev !torn; r_orphans = orphan_issues ~dir ~repair;
-    r_quarantined = List.length (Fsio.files_with_suffix dir ".bad");
-    r_strays = 0 }
+  walk ~store:"crash" ~suffix:".json" ~repair dir ~check:(fun s ->
+      let t = String.trim s in
+      let n = String.length t in
+      if n < 2 || t.[0] <> '{' || t.[n - 1] <> '}' then
+        Tcache.Codec.corrupt "truncated JSON")
 
 (* ------------------------------------------------------------------ *)
 (* The whole tree                                                      *)

@@ -123,22 +123,7 @@ let write_reproducer t snap ~base ~reason =
    original stores marked it dirty). *)
 let repair (t : t) snap =
   let vmm = t.vmm in
-  let m = vmm.st.m in
-  Array.blit snap.machine.gpr 0 m.gpr 0 32;
-  m.cr <- snap.machine.cr;
-  m.lr <- snap.machine.lr;
-  m.ctr <- snap.machine.ctr;
-  m.xer_ca <- snap.machine.xer_ca;
-  m.xer_ov <- snap.machine.xer_ov;
-  m.xer_so <- snap.machine.xer_so;
-  m.pc <- snap.machine.pc;
-  m.msr <- snap.machine.msr;
-  m.srr0 <- snap.machine.srr0;
-  m.srr1 <- snap.machine.srr1;
-  m.dar <- snap.machine.dar;
-  m.dsisr <- snap.machine.dsisr;
-  m.sprg0 <- snap.machine.sprg0;
-  m.sprg1 <- snap.machine.sprg1;
+  Machine.blit ~src:snap.machine ~dst:vmm.st.m;
   Bytes.blit snap.bytes 0 vmm.mem.bytes 0 (Bytes.length snap.bytes);
   vmm.mem.seq <- snap.seq;
   Buffer.clear vmm.mem.out;

@@ -259,9 +259,6 @@ let dump_json t ~reason =
       ("health", opt (fun f -> f ()) t.health);
       ("profile", opt (fun p -> Profile.to_json p) t.profile) ]
 
-let write_atomic ?(io = Fsio.real) ~dir ~file contents =
-  Fsio.commit io ~dir ~file contents
-
 (* A dump a storage fault kept off the disk is parked in memory — the
    post-mortem is exactly what we must not lose to the failure it
    describes — bounded so a fault storm cannot grow the heap. *)
@@ -282,14 +279,14 @@ let dump t ~reason =
     let contents = Json.to_string (dump_json t ~reason) in
     match
       Fsio.mkdir_p Fsio.real t.dir;
-      write_atomic ~io:t.io ~dir:t.dir ~file contents;
+      Fsio.commit t.io ~dir:t.dir ~file contents;
       (match t.profile with
       | Some p -> (
         let ffile = "crash-" ^ reason ^ ".folded" in
         let folded = Profile.to_collapsed p in
         (* the .json landed; losing only the .folded is a degradation,
            not a failed dump *)
-        try write_atomic ~io:t.io ~dir:t.dir ~file:ffile folded
+        try Fsio.commit t.io ~dir:t.dir ~file:ffile folded
         with Sys_error _ | Fsio.Fault _ -> park t ffile folded)
       | None -> ());
       Filename.concat t.dir file

@@ -15,7 +15,8 @@
    one translation parameter that changes the *shape* of the profile
    rather than its weights).
 
-   File layout (integers via the tcache codec's varints):
+   File layout: the one store frame ({!Tcache.Codec.frame}), with the
+   front end and fingerprint as this store's header:
 
      magic "DPRF" | version u8
      | frontend str | fingerprint str
@@ -76,37 +77,20 @@ let encode ~frontend ~fingerprint (p : Profile.t) =
       Codec.put_u8 pl (Profile.edge_kind_code kind);
       Codec.put_vint pl count)
     edges;
-  let payload = Buffer.contents pl in
-  let b = Buffer.create (String.length payload + 64) in
-  Buffer.add_string b magic;
-  Codec.put_u8 b version;
-  Codec.put_str b frontend;
-  Codec.put_str b fingerprint;
-  Codec.put_vint b (String.length payload);
-  Buffer.add_string b (Digest.string payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  Codec.frame ~magic ~version (Buffer.contents pl) ~header:(fun b ->
+      Codec.put_str b frontend;
+      Codec.put_str b fingerprint)
 
 (** Decode a whole profile file; returns [(frontend, fingerprint,
     profile)] or raises {!Tcache.Codec.Corrupt} on anything malformed —
     wrong magic, future version, checksum mismatch, implausible
     counts. *)
 let decode s =
-  let mlen = String.length magic in
-  if String.length s < mlen + 1 then Codec.corrupt "truncated header";
-  if String.sub s 0 mlen <> magic then Codec.corrupt "bad magic";
-  let v = Char.code s.[mlen] in
-  if v <> version then Codec.corrupt "version %d (want %d)" v version;
-  let r = Codec.reader s in
-  r.pos <- mlen + 1;
-  let frontend = Codec.get_str r in
-  let fingerprint = Codec.get_str r in
-  let plen = Codec.get_vint r in
-  if plen < 0 || r.pos + 16 + plen <> String.length s then
-    Codec.corrupt "payload length %d disagrees with file size" plen;
-  let sum = String.sub s r.pos 16 in
-  let payload = String.sub s (r.pos + 16) plen in
-  if Digest.string payload <> sum then Codec.corrupt "checksum mismatch";
+  let (frontend, fingerprint), payload =
+    Codec.unframe ~magic ~version s ~header:(fun r ->
+        let frontend = Codec.get_str r in
+        (frontend, Codec.get_str r))
+  in
   let r = Codec.reader payload in
   let page_size = Codec.get_vint r in
   if page_size <= 0 || page_size land (page_size - 1) <> 0 then
@@ -182,10 +166,6 @@ let key t =
 
 let path t = Filename.concat t.dir (key t ^ suffix)
 
-(* Whole-file read via the store's backend; a file torn mid-read yields
-   a prefix the decode ladder rejects as corrupt. *)
-let read_file ?(io = Fsio.real) path = io.Fsio.read_file path
-
 type probe_result =
   [ `Hit of Profile.t
   | `Miss
@@ -193,30 +173,24 @@ type probe_result =
   | `Skipped of string ]
 
 let load t : probe_result =
-  let path = path t in
-  let from_memory msg =
-    match t.mem_profile with
-    | Some p -> `Hit p
-    | None -> (match msg with None -> `Miss | Some m -> `Skipped m)
+  let from_memory otherwise =
+    match t.mem_profile with Some p -> `Hit p | None -> otherwise
   in
-  if not (Sys.file_exists path) then from_memory None
-  else if try Sys.is_directory path with Sys_error _ -> false then
-    `Skipped "is a directory"
-  else
-    match
-      let frontend, fingerprint, p = decode (read_file ~io:t.io path) in
-      if frontend <> t.frontend || fingerprint <> t.fingerprint then
-        Codec.corrupt "fingerprint mismatch";
-      p
-    with
-    | p -> `Hit p
-    | exception Codec.Corrupt msg -> `Corrupt msg
-    | exception Sys_error msg -> `Skipped ("io: " ^ msg)
-    | exception (Fsio.Fault _ as f) ->
-      (* storage fault, not a bad entry: degrade to the in-memory copy
-         when one exists, report skipped otherwise *)
-      t.degraded <- t.degraded + 1;
-      from_memory (Some ("storage: " ^ Fsio.fault_message f))
+  match
+    Codec.read t.io (path t) (fun s ->
+        let frontend, fingerprint, p = decode s in
+        if frontend <> t.frontend || fingerprint <> t.fingerprint then
+          Codec.corrupt "fingerprint mismatch";
+        p)
+  with
+  | `Ok p -> `Hit p
+  | `Missing -> from_memory `Miss
+  | (`Corrupt _ | `Skipped _) as r -> r
+  | `Fault msg ->
+    (* storage fault, not a bad entry: degrade to the in-memory copy
+       when one exists, report skipped otherwise *)
+    t.degraded <- t.degraded + 1;
+    from_memory (`Skipped msg)
 
 (** Write [p] as this store's entry, atomically ({!Fsio.commit}).  A
     storage fault keeps [p] in memory instead of raising — the heat
@@ -246,47 +220,12 @@ let accumulate t (p : Profile.t) =
   (merged, bytes)
 
 (* ------------------------------------------------------------------ *)
-(* Directory tools (daisy profile / profile merge)                     *)
-
-type info = {
-  i_file : string;
-  i_frontend : string;
-  i_fingerprint : string;
-  i_page_size : int;
-  i_runs : int;
-  i_pages : int;
-  i_edges : int;
-  i_entries : int;
-  i_bytes : int;
-  i_status : [ `Ok | `Corrupt of string | `Skipped of string ];
-}
-
-let list_dir dir =
-  List.map
-    (fun f ->
-      let blank status =
-        { i_file = f; i_frontend = "?"; i_fingerprint = "?";
-          i_page_size = 0; i_runs = 0; i_pages = 0; i_edges = 0;
-          i_entries = 0; i_bytes = 0; i_status = status }
-      in
-      match read_file (Filename.concat dir f) with
-      | exception Sys_error msg -> blank (`Skipped msg)
-      | s -> (
-        match decode s with
-        | frontend, fingerprint, p ->
-          { i_file = f; i_frontend = frontend; i_fingerprint = fingerprint;
-            i_page_size = p.page_size; i_runs = p.runs;
-            i_pages = Hashtbl.length p.pages;
-            i_edges = Hashtbl.length p.edges;
-            i_entries = Profile.total_entries p;
-            i_bytes = String.length s; i_status = `Ok }
-        | exception Codec.Corrupt msg ->
-          { (blank (`Corrupt msg)) with i_bytes = String.length s }))
-    (Fsio.files_with_suffix dir suffix)
+(* Directory tools (daisy profile merge)                               *)
 
 (** Merge every profile in [srcs] into [into] (created if missing):
-    entries with the same key are summed, new keys are copied.  Corrupt
-    or alien files are skipped, never fatal.  Returns
+    entries with the same key are summed, new keys are copied.  Corrupt,
+    alien or unreadable files (a storage fault included) are skipped,
+    never fatal.  Returns
     [(merged_entries, skipped_files)]. *)
 let merge_dirs ~into srcs =
   Fsio.mkdir_p Fsio.real into;
@@ -296,9 +235,9 @@ let merge_dirs ~into srcs =
     (fun src ->
       List.iter
         (fun f ->
-          match decode (read_file (Filename.concat src f)) with
-          | exception (Sys_error _ | Codec.Corrupt _) -> incr skipped
-          | frontend, fingerprint, p ->
+          match Codec.read Fsio.real (Filename.concat src f) decode with
+          | `Missing | `Corrupt _ | `Skipped _ | `Fault _ -> incr skipped
+          | `Ok (frontend, fingerprint, p) ->
             let t =
               { dir = into; frontend; fingerprint; swept_tmp = 0;
                 io = Fsio.real; mem_profile = None; degraded = 0 }

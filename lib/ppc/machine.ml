@@ -38,6 +38,25 @@ let create () =
 
 let copy t = { t with gpr = Array.copy t.gpr }
 
+(** Overwrite every register of [dst] with [src]'s, in place: restoring
+    a snapshot into a live machine that other structures hold. *)
+let blit ~src ~dst =
+  Array.blit src.gpr 0 dst.gpr 0 32;
+  dst.cr <- src.cr;
+  dst.lr <- src.lr;
+  dst.ctr <- src.ctr;
+  dst.xer_ca <- src.xer_ca;
+  dst.xer_ov <- src.xer_ov;
+  dst.xer_so <- src.xer_so;
+  dst.pc <- src.pc;
+  dst.msr <- src.msr;
+  dst.srr0 <- src.srr0;
+  dst.srr1 <- src.srr1;
+  dst.dar <- src.dar;
+  dst.dsisr <- src.dsisr;
+  dst.sprg0 <- src.sprg0;
+  dst.sprg1 <- src.sprg1
+
 (** [get_crf t f] is the 4-bit value of condition field [f] (LT GT EQ SO
     from most to least significant). *)
 let get_crf t f = (t.cr lsr (4 * (7 - f))) land 0xF

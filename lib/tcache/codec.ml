@@ -16,7 +16,10 @@
    Versioning: [version] names the shape of everything below.  Any
    change to the tags, the field order, or the enum codes in
    {!Ppc.Insn} / {!Vliw.Op} must bump it; the store treats a version
-   mismatch as a miss, so stale caches degrade to a normal translate. *)
+   mismatch as a miss, so stale caches degrade to a normal translate.
+
+   The end of the module holds what every durable store shares: the
+   file frame ({!frame}, {!unframe}) and the one reader ({!read}). *)
 
 module T = Vliw.Tree
 module Op = Vliw.Op
@@ -390,3 +393,58 @@ let decode_xpage s : Translate.xpage =
     corrupt "%d trailing bytes" (String.length s - r.pos);
   { base; psize; vliws; addrs; sizes; entries; code_bytes; next_addr;
     insns_scheduled }
+
+(* ------------------------------------------------------------------ *)
+(* The file frame and reader every durable store shares                *)
+
+(* magic | version u8 | store header | payload_len vint
+   | payload MD5 (16 raw bytes) | payload
+
+   Each store writes and reads only its own header fields, through
+   [header]; the checksum covers the payload. *)
+let frame ~magic ~version ~header payload =
+  let b = Buffer.create (String.length payload + 64) in
+  Buffer.add_string b magic;
+  put_u8 b version;
+  header b;
+  put_vint b (String.length payload);
+  Buffer.add_string b (Digest.string payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(** Check [s]'s frame and return [(header, payload)], or raise
+    {!Corrupt}.  [fixed] counts the header bytes that must be present
+    before the header is judged at all (the cache's entry-kind byte). *)
+let unframe ~magic ~version ?(fixed = 0) ~header s =
+  let mlen = String.length magic in
+  if String.length s < mlen + 1 + fixed then corrupt "truncated header";
+  if String.sub s 0 mlen <> magic then corrupt "bad magic";
+  let v = Char.code s.[mlen] in
+  if v <> version then corrupt "version %d (want %d)" v version;
+  let r = { s; pos = mlen + 1 } in
+  let h = header r in
+  let plen = get_vint r in
+  if plen < 0 || r.pos + 16 + plen <> String.length s then
+    corrupt "payload length %d disagrees with file size" plen;
+  let payload = String.sub s (r.pos + 16) plen in
+  if Digest.string payload <> String.sub s r.pos 16 then
+    corrupt "checksum mismatch";
+  (h, payload)
+
+(** Read the store file at [path] through [io] and [parse] it,
+    classified once for every store: [`Missing]; [`Skipped] for a
+    directory on the name ("is a directory") or an I/O error ("io:
+    ..."); [`Fault] for a storage fault ("storage: ..."); [`Corrupt]
+    when [parse] raises {!Corrupt}.  Each store decides what each
+    outcome costs. *)
+let read io path parse =
+  if not (Sys.file_exists path) then `Missing
+  else if try Sys.is_directory path with Sys_error _ -> false then
+    `Skipped "is a directory"
+  else
+    match parse (io.Fsio.read_file path) with
+    | v -> `Ok v
+    | exception Corrupt msg -> `Corrupt msg
+    | exception Sys_error msg -> `Skipped ("io: " ^ msg)
+    | exception (Fsio.Fault _ as f) ->
+      `Fault ("storage: " ^ Fsio.fault_message f)

@@ -12,7 +12,9 @@
    base participates because translations embed absolute addresses
    (precise entry points, OFFPAGE targets, the VLIW-space layout).
 
-   File layout (all multi-byte integers via the codec's varints):
+   File layout: the one store frame ({!Codec.frame}); this store's
+   header runs from the kind byte to the entry count (all multi-byte
+   integers via the codec's varints):
 
      magic "DTCE" | version u8 | kind u8 (0 = page, 1 = region)
      | frontend str | fingerprint str
@@ -212,7 +214,6 @@ let path_of t k = Filename.concat t.dir (k ^ ".dtc")
 (* Reading                                                             *)
 
 type header = {
-  h_version : int;
   h_kind : [ `Page | `Region ];
   h_frontend : string;
   h_fingerprint : string;
@@ -222,52 +223,36 @@ type header = {
   h_spec_inhibited : bool;
   h_vliws : int;
   h_entries : int;
-  h_payload : string;  (** checksum-verified encoded page *)
 }
 
-(* Whole-file read via the store's backend.  A file torn or truncated
-   mid-read yields a prefix; the parse ladder rejects it as corrupt. *)
-let read_file io path = io.Fsio.read_file path
-
-(* Parse and checksum-verify one entry file; raises {!Codec.Corrupt}. *)
+(* Check one entry file's frame and parse its header; returns the
+   header and the checksum-verified encoded page.  Raises
+   {!Codec.Corrupt}. *)
 let parse_entry s =
-  let mlen = String.length magic in
-  if String.length s < mlen + 2 then Codec.corrupt "truncated header";
-  if String.sub s 0 mlen <> magic then Codec.corrupt "bad magic";
-  let h_version = Char.code s.[mlen] in
-  if h_version <> Codec.version then
-    Codec.corrupt "version %d (want %d)" h_version Codec.version;
-  let h_kind =
-    match Char.code s.[mlen + 1] with
-    | 0 -> `Page
-    | 1 -> `Region
-    | n -> Codec.corrupt "bad entry kind %d" n
-  in
-  let r = Codec.reader s in
-  r.pos <- mlen + 2;
-  let h_frontend = Codec.get_str r in
-  let h_fingerprint = Codec.get_str r in
-  let h_members =
-    match h_kind with
-    | `Page -> [||]
-    | `Region ->
-      let n = Codec.get_count r "member" in
-      if n = 0 then Codec.corrupt "region with no members";
-      Array.init n (fun _ -> Codec.get_vint r)
-  in
-  let h_base = Codec.get_vint r in
-  let h_psize = Codec.get_vint r in
-  let h_spec_inhibited = Codec.get_bool r in
-  let h_vliws = Codec.get_vint r in
-  let h_entries = Codec.get_vint r in
-  let plen = Codec.get_vint r in
-  if plen < 0 || r.pos + 16 + plen <> String.length s then
-    Codec.corrupt "payload length %d disagrees with file size" plen;
-  let sum = String.sub s r.pos 16 in
-  let h_payload = String.sub s (r.pos + 16) plen in
-  if Digest.string h_payload <> sum then Codec.corrupt "checksum mismatch";
-  { h_version; h_kind; h_frontend; h_fingerprint; h_members; h_base; h_psize;
-    h_spec_inhibited; h_vliws; h_entries; h_payload }
+  Codec.unframe ~magic ~version:Codec.version ~fixed:1 s ~header:(fun r ->
+      let h_kind =
+        match Codec.get_u8 r with
+        | 0 -> `Page
+        | 1 -> `Region
+        | n -> Codec.corrupt "bad entry kind %d" n
+      in
+      let h_frontend = Codec.get_str r in
+      let h_fingerprint = Codec.get_str r in
+      let h_members =
+        match h_kind with
+        | `Page -> [||]
+        | `Region ->
+          let n = Codec.get_count r "member" in
+          if n = 0 then Codec.corrupt "region with no members";
+          Array.init n (fun _ -> Codec.get_vint r)
+      in
+      let h_base = Codec.get_vint r in
+      let h_psize = Codec.get_vint r in
+      let h_spec_inhibited = Codec.get_bool r in
+      let h_vliws = Codec.get_vint r in
+      let h_entries = Codec.get_vint r in
+      { h_kind; h_frontend; h_fingerprint; h_members; h_base; h_psize;
+        h_spec_inhibited; h_vliws; h_entries })
 
 (** Probe for the entry under [key].  By default the entry is a tier-1
     page under the store's own fingerprint; a tier-2 caller names the
@@ -279,42 +264,39 @@ let parse_entry s =
 let probe ?fingerprint ?(members = [||]) t ~key:k : probe_result =
   let fingerprint = Option.value fingerprint ~default:t.fingerprint in
   let path = path_of t k in
-  let from_overlay ~fault msg =
-    if fault then note_degraded t;
-    (* the copy a degraded install parked, if it is the unit named *)
+  (* the copy a degraded install parked, if it is the unit named *)
+  let from_overlay otherwise =
     match with_olock t (fun () -> Hashtbl.find_opt t.overlay k) with
     | Some o when o.o_fingerprint = fingerprint && o.o_members = members ->
       `Hit (o.o_page, o.o_si)
-    | _ -> (match msg with None -> `Miss | Some m -> `Skipped m)
+    | _ -> otherwise
   in
-  if not (Sys.file_exists path) then from_overlay ~fault:false None
-  else if try Sys.is_directory path with Sys_error _ -> false then
-    `Skipped "is a directory"
-  else
-    match
-      let h = parse_entry (read_file t.io path) in
-      if (h.h_kind = `Region) <> (members <> [||]) then
-        Codec.corrupt "entry kind mismatch";
-      if h.h_frontend <> t.frontend || h.h_fingerprint <> fingerprint then
-        Codec.corrupt "fingerprint mismatch";
-      if h.h_members <> members then Codec.corrupt "member mismatch";
-      let page = Codec.decode_xpage h.h_payload in
-      if page.base <> h.h_base then Codec.corrupt "base mismatch";
-      (page, h.h_spec_inhibited)
-    with
-    | page, si ->
-      (* the persistent LRU clock: a hit marks the entry recently used,
-         so [enforce_budget] casts out cold entries first.  Best
-         effort — a read-only cache dir still serves hits. *)
-      (try t.io.Fsio.utimes path
-       with Unix.Unix_error _ | Sys_error _ | Fsio.Fault _ -> ());
-      `Hit (page, si)
-    | exception Codec.Corrupt msg -> `Corrupt msg
-    | exception Sys_error msg -> `Skipped ("io: " ^ msg)
-    | exception (Fsio.Fault _ as f) ->
-      (* a storage fault, not a bad entry: degrade, serve the overlay
-         copy if one exists, and let the VMM translate otherwise *)
-      from_overlay ~fault:true (Some ("storage: " ^ Fsio.fault_message f))
+  match
+    Codec.read t.io path (fun s ->
+        let h, payload = parse_entry s in
+        if (h.h_kind = `Region) <> (members <> [||]) then
+          Codec.corrupt "entry kind mismatch";
+        if h.h_frontend <> t.frontend || h.h_fingerprint <> fingerprint then
+          Codec.corrupt "fingerprint mismatch";
+        if h.h_members <> members then Codec.corrupt "member mismatch";
+        let page = Codec.decode_xpage payload in
+        if page.base <> h.h_base then Codec.corrupt "base mismatch";
+        (page, h.h_spec_inhibited))
+  with
+  | `Ok (page, si) ->
+    (* the persistent LRU clock: a hit marks the entry recently used,
+       so [enforce_budget] casts out cold entries first.  Best
+       effort — a read-only cache dir still serves hits. *)
+    (try t.io.Fsio.utimes path
+     with Unix.Unix_error _ | Sys_error _ | Fsio.Fault _ -> ());
+    `Hit (page, si)
+  | `Missing -> from_overlay `Miss
+  | (`Corrupt _ | `Skipped _) as r -> r
+  | `Fault msg ->
+    (* a storage fault, not a bad entry: degrade, serve the overlay
+       copy if one exists, and let the VMM translate otherwise *)
+    note_degraded t;
+    from_overlay (`Skipped msg)
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
@@ -329,28 +311,25 @@ let probe ?fingerprint ?(members = [||]) t ~key:k : probe_result =
 let persist ?fingerprint ?(members = [||]) t ~key:k
     (page : Translator.Translate.xpage) ~spec_inhibited =
   let fingerprint = Option.value fingerprint ~default:t.fingerprint in
-  let payload = Codec.encode_xpage page in
-  let b = Buffer.create (String.length payload + 256) in
-  Buffer.add_string b magic;
-  Codec.put_u8 b Codec.version;
-  Codec.put_u8 b (if members = [||] then 0 else 1);
-  Codec.put_str b t.frontend;
-  Codec.put_str b fingerprint;
-  if members <> [||] then begin
-    Codec.put_vint b (Array.length members);
-    Array.iter (Codec.put_vint b) members
-  end;
-  Codec.put_vint b page.base;
-  Codec.put_vint b page.psize;
-  Codec.put_bool b spec_inhibited;
-  Codec.put_vint b (Translator.Vec.length page.vliws);
-  Codec.put_vint b (Hashtbl.length page.entries);
-  Codec.put_vint b (String.length payload);
-  Buffer.add_string b (Digest.string payload);
-  Buffer.add_string b payload;
+  let entry =
+    Codec.frame ~magic ~version:Codec.version (Codec.encode_xpage page)
+      ~header:(fun b ->
+        Codec.put_u8 b (if members = [||] then 0 else 1);
+        Codec.put_str b t.frontend;
+        Codec.put_str b fingerprint;
+        if members <> [||] then begin
+          Codec.put_vint b (Array.length members);
+          Array.iter (Codec.put_vint b) members
+        end;
+        Codec.put_vint b page.base;
+        Codec.put_vint b page.psize;
+        Codec.put_bool b spec_inhibited;
+        Codec.put_vint b (Translator.Vec.length page.vliws);
+        Codec.put_vint b (Hashtbl.length page.entries))
+  in
   (match
      with_dir_lock ~dir:t.dir ~lock_fd:t.lock_fd (fun () ->
-         Fsio.commit t.io ~dir:t.dir ~file:(k ^ ".dtc") (Buffer.contents b))
+         Fsio.commit t.io ~dir:t.dir ~file:(k ^ ".dtc") entry)
    with
   | () ->
     (* a durable install supersedes any overlay copy of the entry *)
@@ -364,7 +343,7 @@ let persist ?fingerprint ?(members = [||]) t ~key:k
         Hashtbl.replace t.overlay k
           { o_page = page; o_si = spec_inhibited; o_fingerprint = fingerprint;
             o_members = members }));
-  Buffer.length b
+  String.length entry
 
 (** Drop the entry under [key], if present; tells whether one was. *)
 let evict t ~key:k =
@@ -387,15 +366,8 @@ let evict t ~key:k =
     removed by [clear_dir].  Repeated quarantines of one key overwrite
     the previous corpse.  Tells whether an entry was actually there. *)
 let quarantine t ~key:k =
-  let path = path_of t k in
   with_dir_lock ~dir:t.dir ~lock_fd:t.lock_fd (fun () ->
-      match t.io.Fsio.rename path (path ^ ".bad") with
-      | () -> true
-      | exception (Sys_error _ | Fsio.Fault _) -> (
-        (* cross-device, readonly or odd fs: fall back to eviction *)
-        match t.io.Fsio.remove path with
-        | () -> true
-        | exception (Sys_error _ | Fsio.Fault _) -> false))
+      Fsio.set_aside t.io (path_of t k))
 
 (* ------------------------------------------------------------------ *)
 (* Admission / eviction                                                 *)
@@ -470,8 +442,7 @@ let enforce_budget ?(pinned = fun _ -> false) t ~budget =
 
 type info = {
   key : string;
-  file_bytes : int;
-  version : int;
+  file_bytes : int;  (** 0 unless the entry parses *)
   kind : [ `Page | `Region ];
   frontend : string;
   fingerprint : string;
@@ -504,7 +475,7 @@ let stray_files dir =
 (** Inspect every entry in [dir]: header fields plus checksum
     validation (payloads are not fully decoded). *)
 let list_dir dir =
-  List.map
+  List.filter_map
     (fun f ->
       let key = Filename.chop_suffix f ".dtc" in
       let path = Filename.concat dir f in
@@ -514,29 +485,23 @@ let list_dir dir =
         | exception Unix.Unix_error _ -> 0.
       in
       let blank status =
-        { key; file_bytes = 0; version = 0; kind = `Page; frontend = "?";
-          fingerprint = "?"; members = [||]; base = 0; psize = 0;
-          spec_inhibited = false; vliws = 0; entries = 0; mtime; status }
+        Some
+          { key; file_bytes = 0; kind = `Page; frontend = "?";
+            fingerprint = "?"; members = [||]; base = 0; psize = 0;
+            spec_inhibited = false; vliws = 0; entries = 0; mtime; status }
       in
-      match
-        if try Sys.is_directory path with Sys_error _ -> false then
-          raise (Sys_error "is a directory")
-        else read_file Fsio.real path
-      with
-      | exception Sys_error msg -> blank (`Skipped msg)
-      | exception (Fsio.Fault _ as f) ->
-        blank (`Skipped ("storage: " ^ Fsio.fault_message f))
-      | s -> (
-        match parse_entry s with
-        | h ->
-          { key; file_bytes = String.length s; version = h.h_version;
-            kind = h.h_kind; frontend = h.h_frontend;
+      let parse s = (fst (parse_entry s), String.length s) in
+      match Codec.read Fsio.real path parse with
+      | `Ok (h, file_bytes) ->
+        Some
+          { key; file_bytes; kind = h.h_kind; frontend = h.h_frontend;
             fingerprint = h.h_fingerprint; members = h.h_members;
             base = h.h_base; psize = h.h_psize;
             spec_inhibited = h.h_spec_inhibited; vliws = h.h_vliws;
             entries = h.h_entries; mtime; status = `Ok }
-        | exception Codec.Corrupt msg ->
-          { (blank (`Corrupt msg)) with file_bytes = String.length s }))
+      | `Missing -> None  (* evicted since the listing *)
+      | `Corrupt msg -> blank (`Corrupt msg)
+      | `Skipped msg | `Fault msg -> blank (`Skipped msg))
     (Fsio.files_with_suffix dir ".dtc")
 
 (** Remove every entry and stray temp file in [dir]; returns

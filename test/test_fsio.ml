@@ -11,8 +11,9 @@
      (the page survives in the memory overlay), EIO on probe degrades
      to a typed skip instead of raising, a checkpoint storage fault
      becomes a ladder strike;
-   - fsck: a hand-torn entry and a dead writer's temp file are
-     reported and repaired, leaving the tree clean. *)
+   - fsck: a hand-torn entry in each store and a dead writer's temp
+     file are reported and repaired, leaving the tree clean; a file
+     that cannot be read is reported and left where it is. *)
 
 module Store = Tcache.Store
 module Pstore = Obs.Pstore
@@ -145,6 +146,31 @@ let test_commit_readonly () =
   | () -> Alcotest.fail "readonly mount must fault"
   | exception Fsio.Fault { cls = Fsio.Readonly; _ } -> ());
   Alcotest.(check (list string)) "nothing written" [] (listing dir);
+  rm_rf dir
+
+(* The real backend reads straight through Unix, so an EIO would be
+   typed like every other operation's (EIO itself cannot be produced
+   here).  A file larger than one [Unix.read] (64 KiB) comes back
+   whole; a missing path and a directory stay plain [Sys_error]s. *)
+let test_real_read_file () =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "big.bin" in
+  let contents = String.init 200_000 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  Fsio.commit Fsio.real ~dir ~file:"big.bin" contents;
+  Alcotest.(check bool) "large file round-trips" true
+    (Fsio.real.read_file path = contents);
+  Fsio.commit Fsio.real ~dir ~file:"empty.bin" "";
+  Alcotest.(check string) "empty file" ""
+    (Fsio.real.read_file (Filename.concat dir "empty.bin"));
+  let expect_sys_error what path =
+    match Fsio.real.read_file path with
+    | _ -> Alcotest.failf "%s: read succeeded" what
+    | exception Sys_error _ -> ()
+    | exception e ->
+      Alcotest.failf "%s: %s, wanted Sys_error" what (Printexc.to_string e)
+  in
+  expect_sys_error "missing path" (Filename.concat dir "absent.bin");
+  expect_sys_error "directory" dir;
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
@@ -368,6 +394,20 @@ let test_checkpoint_fault_is_a_strike () =
     (listing dir |> List.filter (fun f -> Filename.check_suffix f ".dgck"));
   rm_rf dir
 
+(* A kill -9 mid-snapshot leaves a temp file; the next attach (a
+   resume) sweeps it, as the cache and the profile store do at open. *)
+let test_checkpoint_sweeps_orphans () =
+  let dir = fresh_dir () in
+  let orphan = Filename.concat dir ".commit-0-0.tmp" in
+  Out_channel.with_open_bin orphan (fun oc ->
+      Out_channel.output_string oc "dead writer");
+  let w = Workloads.Registry.by_name "wc" in
+  let mem, _ = Wl.instantiate w in
+  let vmm = Monitor.create mem in
+  ignore (Checkpoint.attach ~dir ~every:1 ~workload:w.name vmm);
+  Alcotest.(check bool) "orphan swept at attach" false (Sys.file_exists orphan);
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
 
@@ -415,30 +455,129 @@ let test_flight_parks_on_fault () =
 (* ------------------------------------------------------------------ *)
 (* fsck                                                                *)
 
-let test_fsck_repairs_torn_entry () =
-  let dir = fresh_dir () in
-  let key = tcache_persist ~io:Fsio.real dir in
-  let path = Filename.concat dir (key ^ ".dtc") in
+let truncate_to_half path =
   let original = In_channel.with_open_bin path In_channel.input_all in
-  (* tear the entry by hand, and leave a dead writer's temp file *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
-        (String.sub original 0 (String.length original / 2)));
-  Out_channel.with_open_bin
-    (Filename.concat dir ".commit-0-0.tmp")
-    (fun oc -> Out_channel.output_string oc "dead writer");
-  let before = Fsck.tcache dir in
-  Alcotest.(check int) "tear reported" 1 (List.length before.Fsck.r_torn);
-  Alcotest.(check int) "orphan reported" 1 (List.length before.Fsck.r_orphans);
-  Alcotest.(check bool) "not clean before repair" false (Fsck.clean before);
-  let repaired = Fsck.tcache ~repair:true dir in
-  Alcotest.(check bool) "repair resolves everything" true
-    (Fsck.clean repaired);
-  let after = Fsck.tcache dir in
-  Alcotest.(check int) "no torn entries remain" 0
-    (List.length after.Fsck.r_torn);
-  Alcotest.(check int) "no orphans remain" 0 (List.length after.Fsck.r_orphans);
-  Alcotest.(check int) "the corpse is quarantined" 1 after.Fsck.r_quarantined;
+        (String.sub original 0 (String.length original / 2)))
+
+(* ck-000000.dgck .. ck-000002.dgck *)
+let checkpoint_write_three dir =
+  let vmm = checkpoint_write_two ~io:Fsio.real dir in
+  let ck = Checkpoint.attach ~dir ~every:1 ~seq:2 ~workload:"wc" vmm in
+  ignore (Checkpoint.write ck ~pc:0x1008)
+
+(* One store's entry torn by hand next to a dead writer's temp file:
+   fsck reports both, repair resolves both, and afterwards nothing is
+   torn, no orphan remains and the torn files sit aside as .bad.  Each
+   store is one input: its walker, how many files its tear leaves
+   unusable, how it fills and tears a directory, and what must hold
+   after the repair. *)
+let test_fsck_repairs_torn_entry () =
+  let check
+      ( store,
+        (walk : ?repair:bool -> string -> Fsck.store_report),
+        torn, fill, after ) =
+    let dir = fresh_dir () in
+    fill dir;
+    Out_channel.with_open_bin
+      (Filename.concat dir ".commit-0-0.tmp")
+      (fun oc -> Out_channel.output_string oc "dead writer");
+    let says what = store ^ ": " ^ what in
+    let before = walk dir in
+    Alcotest.(check int) (says "tear reported") torn
+      (List.length before.Fsck.r_torn);
+    Alcotest.(check int) (says "orphan reported") 1
+      (List.length before.Fsck.r_orphans);
+    Alcotest.(check bool) (says "not clean before repair") false
+      (Fsck.clean before);
+    let repaired = walk ~repair:true dir in
+    Alcotest.(check bool) (says "repair resolves everything") true
+      (Fsck.clean repaired);
+    Alcotest.(check int) (says "nothing remains") 0 (Fsck.remaining repaired);
+    let after_repair = walk dir in
+    Alcotest.(check int) (says "no torn entries remain") 0
+      (List.length after_repair.Fsck.r_torn);
+    Alcotest.(check int) (says "no orphans remain") 0
+      (List.length after_repair.Fsck.r_orphans);
+    Alcotest.(check int) (says "the corpse is quarantined") torn
+      after_repair.Fsck.r_quarantined;
+    after dir;
+    rm_rf dir
+  in
+  List.iter check
+    [ ( "tcache", Fsck.tcache, 1,
+        (fun dir ->
+          let key = tcache_persist ~io:Fsio.real dir in
+          truncate_to_half (Filename.concat dir (key ^ ".dtc"))),
+        ignore );
+      ( "profile", Fsck.profile, 1,
+        (fun dir ->
+          let s = Pstore.open_store ~dir ~frontend:"ppc" ~fingerprint:"fp" () in
+          ignore (Pstore.save s (sample_profile ()));
+          truncate_to_half (Pstore.path s)),
+        ignore );
+      (* a torn middle snapshot makes the one after it unreachable: both
+         go aside, and the loader then restores the one valid snapshot *)
+      ( "checkpoint", Fsck.checkpoint, 2,
+        (fun dir ->
+          checkpoint_write_three dir;
+          truncate_to_half (Filename.concat dir "ck-000001.dgck")),
+        fun dir ->
+          match Checkpoint.load ~dir () with
+          | Some l ->
+            Alcotest.(check int) "one valid snapshot restores" 1 l.valid;
+            Alcotest.(check int) "nothing left to drop" 0 l.dropped
+          | None -> Alcotest.fail "the valid prefix must restore" );
+      ( "crash", Fsck.crash, 1,
+        (fun dir ->
+          match flight_dump ~io:Fsio.real dir with
+          | _, Some path -> truncate_to_half path
+          | _, None -> Alcotest.fail "the dump must land"),
+        ignore ) ]
+
+(* A file fsck cannot read is reported, never renamed: here a directory
+   squatting on a snapshot's name.  The snapshot after it is still
+   unreachable and goes aside; the directory stays, so one issue
+   remains, and [daisy fsck] says exactly that. *)
+let test_fsck_leaves_unreadable_snapshot () =
+  let dir = fresh_dir () in
+  checkpoint_write_three dir;
+  let squatted = Filename.concat dir "ck-000001.dgck" in
+  Sys.remove squatted;
+  Sys.mkdir squatted 0o755;
+  let r = Fsck.checkpoint ~repair:true dir in
+  Alcotest.(check (list (pair string bool))) "reported, tail set aside"
+    [ ("ck-000001.dgck", false); ("ck-000002.dgck", true) ]
+    (List.map (fun i -> (i.Fsck.i_file, i.Fsck.i_repaired)) r.Fsck.r_torn);
+  Alcotest.(check bool) "the directory stays put" true
+    (Sys.is_directory squatted);
+  Alcotest.(check bool) "not renamed" false
+    (Sys.file_exists (squatted ^ ".bad"));
+  Alcotest.(check bool) "not clean" false (Fsck.clean r);
+  Alcotest.(check int) "one issue remains" 1 (Fsck.remaining r);
+  let daisy =
+    Filename.concat
+      (Filename.concat
+         (Filename.dirname (Filename.dirname Sys.executable_name))
+         "bin")
+      "daisy.exe"
+  in
+  let out = Filename.concat dir "fsck.out" in
+  let code =
+    Sys.command
+      (Filename.quote_command daisy ~stdout:out
+         [ "fsck"; "--checkpoint-dir"; dir; "--repair" ])
+  in
+  Alcotest.(check int) "daisy fsck exits 1" 1 code;
+  let last =
+    In_channel.with_open_bin out In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.rev |> List.hd
+  in
+  Alcotest.(check string) "daisy fsck counts what remains"
+    "fsck: 1 issues remain" last;
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
@@ -453,7 +592,8 @@ let () =
           qcheck prop_commit_crash;
           Alcotest.test_case "fault removes temp" `Quick
             test_commit_fault_cleans_temp;
-          Alcotest.test_case "readonly mount" `Quick test_commit_readonly ] );
+          Alcotest.test_case "readonly mount" `Quick test_commit_readonly;
+          Alcotest.test_case "real read_file" `Quick test_real_read_file ] );
       ( "tcache",
         [ Alcotest.test_case "crash-point enumeration" `Quick
             test_tcache_crash_points;
@@ -470,7 +610,9 @@ let () =
         [ Alcotest.test_case "crash-point enumeration" `Quick
             test_checkpoint_crash_points;
           Alcotest.test_case "storage fault is a strike" `Quick
-            test_checkpoint_fault_is_a_strike ] );
+            test_checkpoint_fault_is_a_strike;
+          Alcotest.test_case "attach sweeps orphans" `Quick
+            test_checkpoint_sweeps_orphans ] );
       ( "flight",
         [ Alcotest.test_case "crash-point enumeration" `Quick
             test_flight_crash_points;
@@ -478,4 +620,6 @@ let () =
             test_flight_parks_on_fault ] );
       ( "fsck",
         [ Alcotest.test_case "repairs a torn entry" `Quick
-            test_fsck_repairs_torn_entry ] ) ]
+            test_fsck_repairs_torn_entry;
+          Alcotest.test_case "leaves an unreadable snapshot" `Quick
+            test_fsck_leaves_unreadable_snapshot ] ) ]
