@@ -619,7 +619,8 @@ let host_throughput_series () =
           else 0.
         in
         Printf.printf
-          "%-10s %8.3f ms   %7.1f ns/insn   %7.2f MIPS   %d pages staged (%.3f ms/page)\n"
+          "%-10s %8.3f ms   %7.1f ns/insn   %7.2f MIPS   %d pages with staged \
+           trees (%.3f ms of tree staging/page)\n"
           w.name (seconds *. 1000.) ns_per_insn mips s.compiled_pages
           compile_ms_per_page;
         J.Obj

@@ -177,7 +177,7 @@ let watchdog_term =
   let compile =
     Arg.(value & opt (some float) None
          & info [ "watchdog-compile" ] ~docv:"SECONDS"
-             ~doc:"Wall-clock budget per page staging into closures; an \
+             ~doc:"Wall-clock budget per tree staging into closures; an \
                    overrun takes a ladder strike like a translation \
                    overrun.")
   in

@@ -5,9 +5,11 @@
      the finished translation away, takes a ladder strike and recovers
      by interpretation (the page retries after backoff, so a transient
      host stall heals).
-   - [compile_s]: per page staging into closures
-     ({!Vliw.Compile.stage}'s [?budget]); same recovery, and no partial
-     staging is ever installed.
+   - [compile_s]: per tree staging into closures
+     ({!Vliw.Compile.stage}'s [?budget]).  A tree stages at its first
+     selection, before any of its ops run; an overrun leaves it
+     unstaged, takes a ladder strike and interprets from the tree's
+     precise entry.
    - [progress]: the runaway-loop detector — this many consecutive
      committed VLIW boundaries at the *same* precise pc with no
      interpretation in between quarantines the page.  Off by default:
@@ -31,7 +33,7 @@
 
 type config = {
   translate_s : float option;  (** per-translation wall-clock budget *)
-  compile_s : float option;    (** per-staging wall-clock budget *)
+  compile_s : float option;    (** per-tree staging wall-clock budget *)
   progress : int option;       (** runaway-loop boundary limit *)
   session_s : float option;    (** whole-run wall-clock budget *)
 }

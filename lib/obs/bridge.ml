@@ -185,6 +185,7 @@ let record_result m (r : Vmm.Run.result) =
   c "degrade_retries" s.degrade_retries;
   c "interp_pinned" s.interp_pinned;
   c "compiled_pages" s.compiled_pages;
+  c "staged_trees" s.staged_trees;
   c "direct_link_hits" s.direct_link_hits;
   c "spec_log_hwm" s.spec_log_hwm;
   c "deadline_hits" s.deadline_hits;

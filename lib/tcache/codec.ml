@@ -65,14 +65,17 @@ let get_u8 r =
   r.pos <- r.pos + 1;
   c
 
+(* A loop over local refs, not a local recursive function: the refs
+   stay in registers, where a closure would be allocated per varint. *)
 let get_vint r =
-  let rec go shift acc =
-    if shift > 63 then corrupt "varint too long at byte %d" r.pos;
+  let shift = ref 0 and acc = ref 0 and more = ref true in
+  while !more do
+    if !shift > 63 then corrupt "varint too long at byte %d" r.pos;
     let c = get_u8 r in
-    let acc = acc lor ((c land 0x7F) lsl shift) in
-    if c land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  let u = go 0 0 in
+    acc := !acc lor ((c land 0x7F) lsl !shift);
+    if c land 0x80 <> 0 then shift := !shift + 7 else more := false
+  done;
+  let u = !acc in
   (u lsr 1) lxor (-(u land 1))
 
 let get_bool r =
@@ -162,80 +165,83 @@ let put_op b (op : Op.t) =
   | CommitCtr { src } -> tag 23; v src
   | CommitCa { src } -> tag 24; v src
 
+(* Fields are read with [get_vint r] itself: a local helper closing over
+   [r] would be allocated per op. *)
 let get_op r : Op.t =
-  let v () = get_vint r in
   match get_u8 r with
   | 0 ->
-    let op = need "xo_op" (Ppc.Insn.xo_of_code (v ())) in
-    let rt = v () in let ra = v () in let rb = v () in let ca = v () in
+    let op = need "xo_op" (Ppc.Insn.xo_of_code (get_vint r)) in
+    let rt = get_vint r in let ra = get_vint r in
+    let rb = get_vint r in let ca = get_vint r in
     Bin { op; rt; ra; rb; ca; spec = get_bool r }
   | 1 ->
-    let op = need "ibin" (Op.ibin_of_code (v ())) in
-    let rt = v () in let ra = v () in let imm = v () in
+    let op = need "ibin" (Op.ibin_of_code (get_vint r)) in
+    let rt = get_vint r in let ra = get_vint r in let imm = get_vint r in
     BinI { op; rt; ra; imm; spec = get_bool r }
   | 2 ->
-    let op = need "x_op" (Ppc.Insn.x_of_code (v ())) in
-    let rt = v () in let ra = v () in let rb = v () in
+    let op = need "x_op" (Ppc.Insn.x_of_code (get_vint r)) in
+    let rt = get_vint r in let ra = get_vint r in let rb = get_vint r in
     Logic { op; rt; ra; rb; spec = get_bool r }
   | 3 ->
-    let op = need "x1_op" (Ppc.Insn.x1_of_code (v ())) in
-    let rt = v () in let ra = v () in
+    let op = need "x1_op" (Ppc.Insn.x1_of_code (get_vint r)) in
+    let rt = get_vint r in let ra = get_vint r in
     Un { op; rt; ra; spec = get_bool r }
   | 4 ->
-    let rt = v () in let ra = v () in let sh = v () in
+    let rt = get_vint r in let ra = get_vint r in let sh = get_vint r in
     SrawiOp { rt; ra; sh; spec = get_bool r }
   | 5 ->
-    let rt = v () in let ra = v () in let sh = v () in
-    let mb = v () in let me = v () in
+    let rt = get_vint r in let ra = get_vint r in let sh = get_vint r in
+    let mb = get_vint r in let me = get_vint r in
     RlwinmOp { rt; ra; sh; mb; me; spec = get_bool r }
   | 6 ->
     let signed = get_bool r in
-    let crt = v () in let ra = v () in let rb = v () in
+    let crt = get_vint r in let ra = get_vint r in let rb = get_vint r in
     CmpOp { signed; crt; ra; rb; spec = get_bool r }
   | 7 ->
     let signed = get_bool r in
-    let crt = v () in let ra = v () in let imm = v () in
+    let crt = get_vint r in let ra = get_vint r in let imm = get_vint r in
     CmpIOp { signed; crt; ra; imm; spec = get_bool r }
   | 8 ->
-    let w = need "width" (Ppc.Insn.width_of_code (v ())) in
+    let w = need "width" (Ppc.Insn.width_of_code (get_vint r)) in
     let alg = get_bool r in
-    let rt = v () in let base = v () in let off = get_off r in
+    let rt = get_vint r in let base = get_vint r in let off = get_off r in
     let spec = get_bool r in
     LoadOp { w; alg; rt; base; off; spec; passed = get_bool r }
   | 9 ->
-    let w = need "width" (Ppc.Insn.width_of_code (v ())) in
-    let rs = v () in let base = v () in
+    let w = need "width" (Ppc.Insn.width_of_code (get_vint r)) in
+    let rs = get_vint r in let base = get_vint r in
     StoreOp { w; rs; base; off = get_off r }
   | 10 ->
-    let op = need "cr_op" (Ppc.Insn.cr_op_of_code (v ())) in
-    let bt = v () in let ba = v () in let bb = v () in let old = v () in
+    let op = need "cr_op" (Ppc.Insn.cr_op_of_code (get_vint r)) in
+    let bt = get_vint r in let ba = get_vint r in
+    let bb = get_vint r in let old = get_vint r in
     CropOp { op; bt; ba; bb; old; spec = get_bool r }
   | 11 ->
-    let dst = v () in let src = v () in
+    let dst = get_vint r in let src = get_vint r in
     McrfOp { dst; src; spec = get_bool r }
   | 12 ->
-    let rt = v () in
+    let rt = get_vint r in
     let n = get_count r "mfcr srcs" in
     if n <> 8 then corrupt "mfcr with %d fields" n;
-    MfcrOp { rt; srcs = Array.init n (fun _ -> v ()) }
+    MfcrOp { rt; srcs = Array.init n (fun _ -> get_vint r) }
   | 13 ->
-    let crt = v () in let rs = v () in
-    CrSetOp { crt; rs; pos = v () }
-  | 14 -> GetXer { rt = v () }
-  | 15 -> SetXer { rs = v () }
+    let crt = get_vint r in let rs = get_vint r in
+    CrSetOp { crt; rs; pos = get_vint r }
+  | 14 -> GetXer { rt = get_vint r }
+  | 15 -> SetXer { rs = get_vint r }
   | 16 ->
-    let rt = v () in
-    GetSpr { rt; spr = need "spr" (Op.spr_of_code (v ())) }
+    let rt = get_vint r in
+    GetSpr { rt; spr = need "spr" (Op.spr_of_code (get_vint r)) }
   | 17 ->
-    let spr = need "spr" (Op.spr_of_code (v ())) in
-    SetSpr { spr; rs = v () }
-  | 18 -> GetMsr { rt = v () }
-  | 19 -> SetMsr { rs = v () }
-  | 20 -> let arch = v () in CommitG { arch; src = v () }
-  | 21 -> let arch = v () in CommitCr { arch; src = v () }
-  | 22 -> CommitLr { src = v () }
-  | 23 -> CommitCtr { src = v () }
-  | 24 -> CommitCa { src = v () }
+    let spr = need "spr" (Op.spr_of_code (get_vint r)) in
+    SetSpr { spr; rs = get_vint r }
+  | 18 -> GetMsr { rt = get_vint r }
+  | 19 -> SetMsr { rs = get_vint r }
+  | 20 -> let arch = get_vint r in CommitG { arch; src = get_vint r }
+  | 21 -> let arch = get_vint r in CommitCr { arch; src = get_vint r }
+  | 22 -> CommitLr { src = get_vint r }
+  | 23 -> CommitCtr { src = get_vint r }
+  | 24 -> CommitCa { src = get_vint r }
   | n -> corrupt "bad op tag %d" n
 
 (* ------------------------------------------------------------------ *)

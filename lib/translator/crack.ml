@@ -183,19 +183,35 @@ let crack pc (i : Insn.t) : cracked =
     plain [ PLoad { w; alg; dst = Gpr rt; base = reg ra; off = OffReg (Gpr rb) } ]
   | Storex (w, rs, ra, rb) ->
     plain [ PStore { w; src = Gpr rs; base = reg ra; off = OffReg (Gpr rb) } ]
+  (* The invalid update and load-multiple forms crack as the
+     interpreter executes them: the base is (rA|0), an lwzu with
+     rA = rD leaves the address in rA, and an lmw whose range holds rA
+     loads rA last, so every load addresses from the original rA (a
+     temporary base would need a 33rd renamed register for lmw r0). *)
+  | Lwzu (rt, ra, d) when ra = rt && ra <> 0 ->
+    (* the load addresses from rA itself, not the temporary: the limit
+       scheduler ([Baseline.Oracle]) reads a temporary as 0 *)
+    plain
+      [ PBinI { op = IAdd; dst = TmpG 0; a = Gpr ra; imm = d };
+        PLoad { w = Word; alg = false; dst = Gpr rt; base = Gpr ra; off = OffImm d };
+        PBinI { op = IAdd; dst = Gpr ra; a = TmpG 0; imm = 0 } ]
   | Lwzu (rt, ra, d) ->
     plain
-      [ PLoad { w = Word; alg = false; dst = Gpr rt; base = Gpr ra; off = OffImm d };
-        PBinI { op = IAdd; dst = Gpr ra; a = Gpr ra; imm = d } ]
+      [ PLoad { w = Word; alg = false; dst = Gpr rt; base = reg ra; off = OffImm d };
+        PBinI { op = IAdd; dst = Gpr ra; a = reg ra; imm = d } ]
   | Stwu (rs, ra, d) ->
     plain
-      [ PStore { w = Word; src = Gpr rs; base = Gpr ra; off = OffImm d };
-        PBinI { op = IAdd; dst = Gpr ra; a = Gpr ra; imm = d } ]
+      [ PStore { w = Word; src = Gpr rs; base = reg ra; off = OffImm d };
+        PBinI { op = IAdd; dst = Gpr ra; a = reg ra; imm = d } ]
   | Lmw (rt, ra, d) ->
-    plain
-      (List.init (32 - rt) (fun k ->
-           PLoad { w = Word; alg = false; dst = Gpr (rt + k); base = reg ra;
-                   off = OffImm (d + (4 * k)) }))
+    let load r =
+      PLoad { w = Word; alg = false; dst = Gpr r; base = reg ra;
+              off = OffImm (d + (4 * (r - rt))) }
+    in
+    let last, rest =
+      List.partition (fun r -> r = ra && ra <> 0) (List.init (32 - rt) (( + ) rt))
+    in
+    plain (List.map load (rest @ last))
   | Stmw (rs, ra, d) ->
     plain
       (List.init (32 - rs) (fun k ->

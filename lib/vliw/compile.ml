@@ -3,8 +3,9 @@
    [Exec.run] re-walks the [Tree.t] on every execution: it re-decodes
    every operand location, allocates a fresh [ref] tag cell per op,
    builds the pending-write set with list appends, and reverses it to
-   recover program order.  This module performs all of that work once,
-   at page-install time, and turns each tree into OCaml closures:
+   recover program order.  This module performs all of that work once
+   per tree, at the tree's first selection, and turns the tree into
+   OCaml closures:
 
    - path selection is compiled per tree node — an architected test
      becomes a direct read of [Machine.cr] with precomputed shifts, a
@@ -25,17 +26,22 @@
      exactly;
    - each leaf records whether its path has a store; a store-free path
      skips the alias check, whose verdict it could not change;
-   - tree exits are direct-linked: [Tree.Next id] is patched to a
-     direct closure reference and [Tree.OnPage off] carries a memoized
-     entry-id slot the monitor fills on first use, so steady-state
-     intra-page execution never touches a [Hashtbl].
+   - tree exits are direct-linked: [Tree.Next id] becomes a direct
+     reference to tree [id]'s record, staged or not, and [Tree.OnPage
+     off] carries a memoized entry-id slot the monitor fills on first
+     use, so steady-state intra-page execution never touches a
+     [Hashtbl].
 
    Rollback and precise-exception semantics are bit-identical to
    [Exec.run]: the same [Exec.Roll] reasons, the same conversion of
    [Invalid_argument]/[Failure] escapes into [Exec.Error], the same
    deferral of I/O-space loads to the apply phase.  Exception tags are
    handled in [Vstate]'s coded form (0 = clean), so executing a VLIW
-   writes no boxed value and allocates nothing. *)
+   writes no boxed value and allocates nothing.
+
+   Staging waits for a tree's first selection rather than its page's
+   installation: a dynamic translator should pay only for the code that
+   runs, and most trees of a page never do. *)
 
 open Ppc
 
@@ -896,22 +902,50 @@ and cleaf = {
   ops : (unit -> unit) array; (* the whole root-to-leaf path, program order *)
   nops : int;
   has_store : bool; (* does the path have a store (and so need the alias check)? *)
-  mutable exit : cexit;
+  exit : cexit;
 }
 
-and cvliw = { c_id : int; c_tree : Tree.t; select : unit -> cleaf }
+and cvliw = {
+  c_id : int;
+  c_tree : Tree.t;
+  mutable select : unit -> cleaf;
+      (* until the tree's first selection, a stub that stages the tree
+         and replaces itself with the compiled path selection *)
+  mutable staged : bool;
+}
 
-(** One staged [Translate.xpage]: the closure-compiled counterparts of
-    its trees, plus the state and scratch they were compiled against. *)
+(** One staged [Translate.xpage]: a record per tree, each compiled on
+    its first selection, plus the state and scratch they compile
+    against. *)
 type page = {
-  vliws : cvliw array;
+  mutable vliws : cvliw array;
+  mutable n_staged : int;  (** trees compiled so far *)
   scratch : scratch;
   st : Vstate.t;
   mem : Mem.t;
+  budget : unit -> float option;
+      (** wall-clock allowance (seconds) for staging one tree, read at
+          each staging *)
+  on_stage : page -> float -> unit;
+      (** called after each tree stages, with its staging seconds *)
 }
 
-let c_exit (e : Tree.exit) : cexit =
+exception Budget_exceeded of float
+(** The staging of one tree overran the page's [budget]; carries the
+    elapsed seconds.  The tree stays unstaged. *)
+
+exception Stage_error of exn
+(** Raised by a tree's first selection when staging it fails:
+    {!Budget_exceeded}, or whatever escaped compiling the tree.  It
+    carries the cause so that [exec_vliw]'s conversion of escapes into
+    [Exec.Error] never sees it: staging fails before any op of the tree
+    runs, so the VLIW's precise entry state is intact. *)
+
+(* In-range [Tree.Next] exits link to the target's record, staged or
+   not; an unstaged target stages on its own first selection. *)
+let c_exit (p : page) (e : Tree.exit) : cexit =
   match e with
+  | Tree.Next id when id >= 0 && id < Array.length p.vliws -> Cnext p.vliws.(id)
   | Tree.Next id -> Cnext_id id
   | OnPage off -> Conpage { l_off = off; l_entry = -1 }
   | OffPage a -> Coffpage a
@@ -923,10 +957,11 @@ let c_exit (e : Tree.exit) : cexit =
    Mirrors [Exec.select]: tests read entry state only, ops collect in
    program order, an open tip is a structural error, a tagged pool test
    rolls the VLIW back. *)
-let rec c_sel st mem s leaves (prefix : (unit -> unit) list) nprefix store
+let rec c_sel (p : page) (prefix : (unit -> unit) list) nprefix store
     (n : Tree.node) : unit -> cleaf =
+  let st = p.st in
   let ops = Tree.ops_in_order n in
-  let cops = List.map (fun (seq, op) -> c_op st mem s seq op) ops in
+  let cops = List.map (fun (seq, op) -> c_op st p.mem p.scratch seq op) ops in
   let prefix = prefix @ cops in
   let nprefix = nprefix + List.length cops in
   let store = store || List.exists (fun (_, op) -> Op.is_store op) ops in
@@ -935,13 +970,12 @@ let rec c_sel st mem s leaves (prefix : (unit -> unit) list) nprefix store
   | Exit e ->
     let leaf =
       { ops = Array.of_list prefix; nops = nprefix; has_store = store;
-        exit = c_exit e }
+        exit = c_exit p e }
     in
-    leaves := leaf :: !leaves;
     fun () -> leaf
   | Branch { test; taken; fall } ->
-    let ftaken = c_sel st mem s leaves prefix nprefix store taken in
-    let ffall = c_sel st mem s leaves prefix nprefix store fall in
+    let ftaken = c_sel p prefix nprefix store taken in
+    let ffall = c_sel p prefix nprefix store fall in
     let fld = test.bit / 4 and sh = 3 - (test.bit mod 4) in
     let sense = test.sense in
     if fld < 8 then
@@ -960,48 +994,55 @@ let rec c_sel st mem s leaves (prefix : (unit -> unit) list) nprefix store
     else fun () -> invalid_arg "index out of bounds"
 (* out-of-range test field: faults like [Vstate.get_cr_tagged] *)
 
-exception Budget_exceeded of float
-(** Raised by {!stage} when a [?budget] wall-clock allowance (seconds)
-    is exhausted partway through staging a page; carries the elapsed
-    time.  No partial page escapes — the caller sees either a complete
-    staged page or this exception. *)
+(* Compile [cv]'s path selection into its record, timed against the
+   page's budget.  A tree that fails to stage is left unstaged. *)
+let stage_tree (p : page) (cv : cvliw) =
+  let t0 = Unix.gettimeofday () in
+  match
+    let select = c_sel p [] 0 false cv.c_tree.root in
+    let dt = Unix.gettimeofday () -. t0 in
+    (match p.budget () with
+    | Some b when dt > b -> raise (Budget_exceeded dt)
+    | _ -> ());
+    (select, dt)
+  with
+  | exception e -> raise (Stage_error e)
+  | select, dt ->
+    cv.select <- select;
+    cv.staged <- true;
+    p.n_staged <- p.n_staged + 1;
+    p.on_stage p dt
 
-(** Stage every tree of a page.  In-range [Tree.Next] exits are patched
-    to direct closure references afterwards, so steady-state chaining
-    is one pointer dereference.  [budget], when given, bounds the wall
-    time staging may take: the clock is checked between trees (one tree
-    is the smallest unit of staging work), and overrunning raises
-    {!Budget_exceeded} instead of letting a pathological page stall the
-    whole run. *)
-let stage ?budget ~(st : Vstate.t) ~(mem : Mem.t) ~(scratch : scratch)
-    (trees : Tree.t array) : page =
-  let t0 = Sys.time () in
-  let check_budget () =
-    match budget with
-    | Some b ->
-      let dt = Sys.time () -. t0 in
-      if dt > b then raise (Budget_exceeded dt)
-    | None -> ()
+let unstaged (p : page) id tree =
+  let rec cv =
+    { c_id = id; c_tree = tree; staged = false;
+      select =
+        (fun () ->
+          stage_tree p cv;
+          cv.select ()) }
   in
-  let leaves = ref [] in
-  let vliws =
-    Array.mapi
-      (fun i (tree : Tree.t) ->
-        check_budget ();
-        { c_id = i; c_tree = tree;
-          select = c_sel st mem scratch leaves [] 0 false tree.root })
-      trees
-  in
-  let n = Array.length vliws in
-  List.iter
-    (fun leaf ->
-      match leaf.exit with
-      | Cnext_id id when id >= 0 && id < n -> leaf.exit <- Cnext vliws.(id)
-      | _ -> ())
-    !leaves;
-  { vliws; scratch; st; mem }
+  cv
 
-let n_staged p = Array.length p.vliws
+(** Append records for [trees], the trees an in-place extension added
+    to the page; the records already there, staged or not, stay as
+    they are. *)
+let extend (p : page) (trees : Tree.t array) =
+  let n = Array.length p.vliws in
+  p.vliws <- Array.append p.vliws (Array.mapi (fun i -> unstaged p (n + i)) trees)
+
+(** A staged page over [trees] whose trees are not compiled yet: each
+    compiles on its first selection, in [exec_vliw].  [budget], when
+    given, bounds the wall time one tree's staging may take; a tree
+    that overruns it raises {!Stage_error} ({!Budget_exceeded}) instead
+    of letting a pathological tree stall the whole run. *)
+let stage ?(budget = fun () -> None) ?(on_stage = fun _ _ -> ()) ~(st : Vstate.t)
+    ~(mem : Mem.t) ~(scratch : scratch) (trees : Tree.t array) : page =
+  let p = { vliws = [||]; n_staged = 0; scratch; st; mem; budget; on_stage } in
+  extend p trees;
+  p
+
+(** Trees on the page, staged or not. *)
+let n_trees p = Array.length p.vliws
 
 (** The staged VLIW with tree id [id]; raises [Invalid_argument] for an
     id outside the page, as [Vec.get] would. *)
@@ -1013,8 +1054,9 @@ let get (p : page) id = p.vliws.(id)
     store, then apply all writes in program order — or raise
     [Exec.Roll] with no state change.  [Invalid_argument]/[Failure] escapes from the
     select/evaluate phase surface as [Exec.Error], exactly as in the
-    interpretive engine.  Returns the selected leaf; its accesses are
-    in the scratch buffers. *)
+    interpretive engine.  A tree not yet staged stages first, and a
+    failure there raises {!Stage_error} before any op runs.  Returns
+    the selected leaf; its accesses are in the scratch buffers. *)
 let exec_vliw (p : page) (cv : cvliw) ~(alias_check : scratch -> bool) : cleaf =
   let s = p.scratch in
   s.w_n <- 0;

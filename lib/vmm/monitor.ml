@@ -77,8 +77,9 @@ type stats = {
   mutable degrade_retries : int; (** re-translations after backoff expiry *)
   mutable interp_pinned : int;   (** pages permanently pinned to interp *)
   (* --- staged (closure-compiled) execution --- *)
-  mutable compiled_pages : int;      (** pages staged into closures *)
-  mutable compile_seconds : float;   (** wall time spent staging *)
+  mutable compiled_pages : int;      (** pages with at least one staged tree *)
+  mutable staged_trees : int;        (** trees staged into closures *)
+  mutable compile_seconds : float;   (** wall time spent staging trees *)
   mutable direct_link_hits : int;    (** on-page jumps resolved via the
                                          memoized slot, no Hashtbl *)
   mutable spec_log_hwm : int;        (** speculative-load log high water *)
@@ -113,7 +114,8 @@ let fresh_stats () =
     tcache_degraded = 0; storage_faults = 0;
     translator_faults = 0; exec_faults = 0; quarantines = 0;
     degrade_retries = 0; interp_pinned = 0;
-    compiled_pages = 0; compile_seconds = 0.; direct_link_hits = 0;
+    compiled_pages = 0; staged_trees = 0; compile_seconds = 0.;
+    direct_link_hits = 0;
     spec_log_hwm = 0;
     deadline_hits = 0; shadow_checked = 0; shadow_divergences = 0;
     checkpoints_written = 0; checkpoint_seconds = 0.;
@@ -209,7 +211,8 @@ type event =
   | Interp_pinned of { cycle : int; page : int }
       (** failure budget exhausted; page interprets forever *)
   | Vliw_compiled of { cycle : int; page : int; vliws : int; seconds : float }
-      (** a page's trees were staged into closures *)
+      (** a page's first tree was staged into closures: [vliws] trees
+          are on the page, [seconds] staged the first *)
   | Deadline of {
       cycle : int;
       page : int;
@@ -252,7 +255,7 @@ type event =
 
 and deadline_stage =
   | Dtranslate  (** per-page translation wall-clock budget *)
-  | Dcompile    (** per-page staging (closure-compilation) budget *)
+  | Dcompile    (** per-tree staging (closure-compilation) budget *)
   | Dprogress   (** runaway-loop detector: no commit progress in K ticks *)
 
 (* Per-page failure tracking for the degradation ladder.  A page climbs
@@ -304,7 +307,7 @@ type t = {
   compiled : (int, Translate.xpage * C.page) Hashtbl.t;
       (** staged pages by base; the source [xpage] is kept so staleness
           is detected by physical identity (invalidation replaces the
-          object) plus tree count (extension grows it in place) *)
+          object), and its tree count shows an extension *)
   (* speculative loads that bypassed stores, outstanding in the current
      group execution — a cleared-on-entry preallocated buffer, not a
      per-VLIW list (struct-of-arrays mirroring [Exec.access]) *)
@@ -398,7 +401,7 @@ type t = {
       (** wall-clock allowance (seconds) per fresh page translation;
           overruns take a ladder strike instead of being absorbed *)
   mutable compile_budget : float option;
-      (** wall-clock allowance per page staging *)
+      (** wall-clock allowance (seconds) per tree staging *)
   mutable progress_limit : int option;
       (** runaway-loop detector: fire after this many consecutive VLIW
           boundaries at the same precise pc with no interpretation in
@@ -954,14 +957,35 @@ let boundary_tick t ~pc =
   (match t.tick_hook with Some f -> f ~pc | None -> ());
   fired
 
-(* Stage (or re-stage) the closure-compiled form of [xp], lazily on
-   first dispatch.  A tier-1 page's staged form is kept in [t.compiled]
+(* One tree of [cp] was staged in [seconds].  A page counts in
+   [compiled_pages], and announces itself with [Vliw_compiled], when its
+   first tree stages; a region image's staging also counts as tier-2
+   compile time. *)
+let tree_staged t ~region (cp : C.page) seconds =
+  let s = t.stats in
+  s.staged_trees <- s.staged_trees + 1;
+  s.compile_seconds <- s.compile_seconds +. seconds;
+  if region then s.tier2_compile_seconds <- s.tier2_compile_seconds +. seconds;
+  if cp.n_staged = 1 then begin
+    s.compiled_pages <- s.compiled_pages + 1;
+    emit t (fun () ->
+        Vliw_compiled
+          { cycle = now t; page = t.current_page; vliws = C.n_trees cp;
+            seconds })
+  end
+
+(* The trees of [xp] from id [from] on. *)
+let trees_from (xp : Translate.xpage) from =
+  Array.init (Vec.length xp.vliws - from) (fun i -> Vec.get xp.vliws (from + i))
+
+(* The staged form of [xp]: a record per tree, each compiled on its
+   first selection.  A tier-1 page's staged form is kept in [t.compiled]
    by base; a region image's in its record, since the region is
-   [active_region] while its image dispatches.  Staleness is physical
-   identity plus tree count: invalidation replaces the xpage object,
-   and an in-place extension grows its [vliws] — either way the staged
-   form is rebuilt here.  The hit path runs on every cross-page
-   dispatch, so it allocates nothing. *)
+   [active_region] while its image dispatches.  Invalidation replaces
+   the xpage object, so physical identity tells a stale staged form; an
+   in-place extension grows the xpage's [vliws], and gets records for
+   its new trees while the old ones stay as they are.  The hit path
+   runs on every cross-page dispatch, so it allocates nothing. *)
 let compiled_for t (xp : Translate.xpage) : C.page =
   match
     match t.active_region with
@@ -969,27 +993,21 @@ let compiled_for t (xp : Translate.xpage) : C.page =
     | Some { r_staged = Some staged; _ } -> staged
     | Some { r_staged = None; _ } -> raise_notrace Not_found
   with
-  | src, cp when src == xp && C.n_staged cp = Vec.length xp.vliws -> cp
+  | src, cp when src == xp ->
+    let n = C.n_trees cp in
+    if n < Vec.length xp.vliws then C.extend cp (trees_from xp n);
+    cp
   | _ | exception Not_found ->
-    let t0 = Sys.time () in
-    let trees = Array.init (Vec.length xp.vliws) (Vec.get xp.vliws) in
+    let region = t.active_region <> None in
     let cp =
-      C.stage ?budget:t.compile_budget ~st:t.st ~mem:t.mem ~scratch:t.cscratch
-        trees
+      C.stage
+        ~budget:(fun () -> t.compile_budget)
+        ~on_stage:(tree_staged t ~region)
+        ~st:t.st ~mem:t.mem ~scratch:t.cscratch (trees_from xp 0)
     in
-    let seconds = Sys.time () -. t0 in
-    t.stats.compiled_pages <- t.stats.compiled_pages + 1;
-    t.stats.compile_seconds <- t.stats.compile_seconds +. seconds;
     (match t.active_region with
     | None -> Hashtbl.replace t.compiled xp.base (xp, cp)
-    | Some r ->
-      t.stats.tier2_compile_seconds <-
-        t.stats.tier2_compile_seconds +. seconds;
-      r.r_staged <- Some (xp, cp));
-    emit t (fun () ->
-        Vliw_compiled
-          { cycle = now t; page = t.current_page; vliws = Array.length trees;
-            seconds });
+    | Some r -> r.r_staged <- Some (xp, cp));
     cp
 
 (** Which rung is [base] on right now? *)
@@ -1247,41 +1265,9 @@ let run t ~entry ~fuel =
       emit t (fun () ->
           Page_enter { cycle = now t; page = base; vliws_so_far = stats.vliws });
       dispatch xp id
-  (* Run VLIW [id] of [xp] staged.  Staging fails before any staged code
-     runs, so the VLIW's precise entry state is intact: a blown budget
-     is a [Dcompile] deadline, anything else a malformed tree, counted
-     as an execution fault.  Tier-1 takes a ladder strike and recovers
-     by interpretation; a region image is demoted and the same address
-     re-dispatched under tier-1. *)
   and dispatch (xp : Translate.xpage) id =
-    match compiled_for t xp with
-    | cp -> exec_c xp cp (C.get cp id)
-    | exception ((Mem.Halted _ | Out_of_fuel | Deliver _) as e) -> raise e
-    | exception exn -> (
-      let page = t.current_page in
-      let precise = (Vec.get xp.vliws id).precise_entry in
-      let reason =
-        match exn with
-        | C.Budget_exceeded seconds ->
-          stats.deadline_hits <- stats.deadline_hits + 1;
-          emit t (fun () ->
-              Deadline { cycle = now t; page; stage = Dcompile; seconds });
-          "staging deadline"
-        | exn ->
-          let reason = "staging: " ^ Printexc.to_string exn in
-          stats.exec_faults <- stats.exec_faults + 1;
-          emit t (fun () ->
-              Exec_fault { cycle = now t; page; pc = precise; reason });
-          if t.active_region = None then tcache_evict t page;
-          reason
-      in
-      match t.active_region with
-      | Some r ->
-        deopt_region t r ~page ~reason:("tier-2 " ^ reason);
-        goto_base precise
-      | None ->
-        record_failure t page;
-        recover_at precise)
+    let cp = compiled_for t xp in
+    exec_c xp cp (C.get cp id)
   and evict_to budget current =
     (* cast out least-recently-entered translations until within budget *)
     let live () =
@@ -1347,6 +1333,37 @@ let run t ~entry ~fuel =
     tcache_evict t t.current_page;
     record_failure t t.current_page;
     recover_at precise
+  (* The tree at [precise] failed to stage at its first selection,
+     before any of its ops ran, so its precise entry state is intact: a
+     blown budget is a [Dcompile] deadline, anything else a malformed
+     tree, counted as an execution fault.  Tier-1 takes a ladder strike
+     and recovers by interpretation; a region image is demoted and the
+     same address re-dispatched under tier-1. *)
+  and stage_failed precise exn =
+    (match t.shadow_abort with Some f -> f () | None -> ());
+    let page = t.current_page in
+    let reason =
+      match exn with
+      | C.Budget_exceeded seconds ->
+        stats.deadline_hits <- stats.deadline_hits + 1;
+        emit t (fun () ->
+            Deadline { cycle = now t; page; stage = Dcompile; seconds });
+        "staging deadline"
+      | exn ->
+        let reason = "staging: " ^ Printexc.to_string exn in
+        stats.exec_faults <- stats.exec_faults + 1;
+        emit t (fun () ->
+            Exec_fault { cycle = now t; page; pc = precise; reason });
+        if t.active_region = None then tcache_evict t page;
+        reason
+    in
+    match t.active_region with
+    | Some r ->
+      deopt_region t r ~page ~reason:("tier-2 " ^ reason);
+      goto_base precise
+    | None ->
+      record_failure t page;
+      recover_at precise
   and rolled_back_at precise (reason : Exec.reason) =
     (match t.shadow_abort with Some f -> f () | None -> ());
     stats.rollbacks <- stats.rollbacks + 1;
@@ -1537,6 +1554,7 @@ let run t ~entry ~fuel =
     match C.exec_vliw cp cv ~alias_check with
     | exception Exec.Error reason -> exec_fault_at precise reason
     | exception Exec.Roll reason -> rolled_back_at precise reason
+    | exception C.Stage_error exn -> stage_failed precise exn
     | leaf ->
       let s = t.cscratch in
       for i = 0 to s.a_n - 1 do

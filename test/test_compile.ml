@@ -486,6 +486,85 @@ let test_onpage_memo () =
     | _ -> Alcotest.fail "exit changed shape")
   | _ -> Alcotest.fail "expected OnPage"
 
+(* Trees stage on their first selection.  Tree 0 falls through to
+   tree 1, tree 2 is unreachable: staging the page compiles nothing,
+   executing tree 0 compiles only tree 0 and links its [Next] to tree
+   1's record while that record is still unstaged, and tree 2 is never
+   compiled.  Each outcome is still [Exec.run]'s. *)
+let test_stage_on_first_selection () =
+  let build () =
+    seq := 0;
+    let v0 = T.create ~id:0 ~precise_entry:0x1000 in
+    add v0.root (Op.BinI { op = IAdd; rt = 3; ra = Op.zero; imm = 7; spec = false });
+    T.close v0.root (T.Next 1);
+    let v1 = T.create ~id:1 ~precise_entry:0x1004 in
+    add v1.root (Op.BinI { op = IAdd; rt = 4; ra = 3; imm = 1; spec = false });
+    T.close v1.root (T.OffPage 0x2000);
+    let v2 = T.create ~id:2 ~precise_entry:0x1008 in
+    add v2.root (Op.BinI { op = IAdd; rt = 5; ra = 4; imm = 1; spec = false });
+    T.close v2.root (T.OffPage 0x3000);
+    [| v0; v1; v2 |]
+  in
+  let fresh () = (Vstate.create (Ppc.Machine.create ()), Ppc.Mem.create 0x2000) in
+  let ist, imem = fresh () and cst, cmem = fresh () in
+  let itrees = build () in
+  let cp = C.stage ~st:cst ~mem:cmem ~scratch:(C.create_scratch ()) (build ()) in
+  let staged () = List.init 3 (fun i -> (C.get cp i).C.staged) in
+  Alcotest.(check (list bool)) "nothing staged" [ false; false; false ] (staged ());
+  let leaf0 = C.exec_vliw cp (C.get cp 0) ~alias_check:(fun _ -> true) in
+  Alcotest.check outcome_t "tree 0: outcome"
+    (run_interp ist imem itrees.(0))
+    (ODone
+       (exit_of_cexit leaf0.C.exit, leaf0.C.nops, by_seq (C.accesses cp.C.scratch)));
+  Alcotest.(check (list bool)) "only tree 0 staged" [ true; false; false ] (staged ());
+  (match leaf0.C.exit with
+  | C.Cnext cv ->
+    Alcotest.(check bool) "linked to tree 1's record" true (cv == C.get cp 1);
+    Alcotest.(check bool) "tree 1 still unstaged" false cv.C.staged
+  | _ -> Alcotest.fail "expected a direct-linked Next");
+  Alcotest.check outcome_t "tree 1: outcome"
+    (run_interp ist imem itrees.(1))
+    (run_compiled cp (C.get cp 1));
+  Alcotest.(check (list bool)) "tree 2 never staged" [ true; true; false ] (staged ());
+  Alcotest.(check int) "trees compiled" 2 cp.C.n_staged;
+  Alcotest.(check bool) "same final state" true
+    (Ppc.Machine.equal ist.m cst.m && ist.hi = cst.hi)
+
+(* A tree that fails to stage raises [Stage_error] with the cause, never
+   the [Exec.Error] that [exec_vliw] makes of run-time escapes, writes
+   nothing and stays unstaged, so a later selection stages it afresh.
+   A raising budget reader stands in for an exception escaping the
+   compile. *)
+exception Boom
+
+let test_stage_failure () =
+  let st = Vstate.create (Ppc.Machine.create ()) in
+  let mem = Ppc.Mem.create 0x1000 in
+  let v = mk () in
+  add v.root (Op.BinI { op = IAdd; rt = 3; ra = Op.zero; imm = 7; spec = false });
+  T.close v.root (T.OffPage 0x2000);
+  let budget = ref (fun () -> raise Boom) in
+  let cp =
+    C.stage ~budget:(fun () -> !budget ()) ~st ~mem ~scratch:(C.create_scratch ())
+      [| v |]
+  in
+  let select () = C.exec_vliw cp (C.get cp 0) ~alias_check:(fun _ -> true) in
+  (match select () with
+  | exception C.Stage_error Boom -> ()
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "staged despite the failure");
+  budget := (fun () -> Some (-1.));
+  (match select () with
+  | exception C.Stage_error (C.Budget_exceeded _) -> ()
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "staged over budget");
+  Alcotest.(check bool) "still unstaged" false (C.get cp 0).C.staged;
+  Alcotest.(check int) "nothing written" 0 st.m.gpr.(3);
+  budget := (fun () -> None);
+  ignore (select ());
+  Alcotest.(check bool) "staged on retry" true (C.get cp 0).C.staged;
+  Alcotest.(check int) "then executed" 7 st.m.gpr.(3)
+
 (* ------------------------------------------------------------------ *)
 (* Whole programs through the verified harness                         *)
 
@@ -520,7 +599,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_differential ] );
       ( "linking",
         [ Alcotest.test_case "Next direct-linked" `Quick test_direct_link_patched;
-          Alcotest.test_case "OnPage memoized" `Quick test_onpage_memo ] );
+          Alcotest.test_case "OnPage memoized" `Quick test_onpage_memo;
+          Alcotest.test_case "staged on first selection" `Quick
+            test_stage_on_first_selection;
+          Alcotest.test_case "staging failure" `Quick test_stage_failure ] );
       ( "programs",
         [ Alcotest.test_case "fuzz corpus, clean" `Slow test_fuzz_clean;
           Alcotest.test_case "fuzz corpus, cocktail" `Slow test_fuzz_cocktail ] )

@@ -278,6 +278,35 @@ let test_compile_deadline_degrades () =
   Alcotest.(check int) "nothing staged" 0 vmm.stats.compiled_pages;
   Alcotest.(check bool) "run degraded" true (Run.degraded r.stats)
 
+(* Staging fails partway through a run: once the first page has a
+   staged tree, every later tree overruns the budget.  Each tree stages
+   at its own first selection, so the next tree to stage takes a
+   [Dcompile] deadline and a ladder strike, and the run completes by
+   interpretation, still verified against the reference. *)
+let test_compile_deadline_midrun () =
+  let w = Workloads.Registry.by_name "wc" in
+  let captured = ref None in
+  let compile_deadlines = ref 0 in
+  let r =
+    Run.run w
+      ~instrument:(fun vmm ->
+        captured := Some vmm;
+        Monitor.on_tick vmm (fun ~pc:_ ->
+            if vmm.stats.compiled_pages > 0 && vmm.compile_budget = None then
+              vmm.compile_budget <- Some (-1.));
+        Monitor.on_event vmm (function
+          | Monitor.Deadline { stage = Dcompile; _ } -> incr compile_deadlines
+          | _ -> ()))
+  in
+  let vmm = Option.get !captured in
+  Alcotest.(check (option int)) "still correct" (Some 4691) r.exit_code;
+  Alcotest.(check int) "only the first page staged" 1 vmm.stats.compiled_pages;
+  Alcotest.(check bool) "staging deadlines" true (!compile_deadlines >= 1);
+  Alcotest.(check int) "each one a deadline hit" !compile_deadlines
+    vmm.stats.deadline_hits;
+  Alcotest.(check bool) "pages quarantined" true (vmm.stats.quarantines >= 1);
+  Alcotest.(check bool) "run degraded" true (Run.degraded r.stats)
+
 (* The runaway-loop detector: a branch-to-self revisits the same commit
    boundary forever with no interpretation in between.  The progress
    limit quarantines the page; the (genuinely infinite) loop then burns
@@ -501,6 +530,8 @@ let () =
             test_translate_deadline_degrades;
           Alcotest.test_case "compile deadline degrades" `Quick
             test_compile_deadline_degrades;
+          Alcotest.test_case "compile deadline mid-run" `Quick
+            test_compile_deadline_midrun;
           Alcotest.test_case "progress detector" `Quick test_progress_detector ]
       );
       ( "shadow",

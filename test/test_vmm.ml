@@ -278,6 +278,121 @@ let test_reference_out_of_fuel () =
   let r = Run.run count in
   Alcotest.(check (option int)) "no verification point" None r.exit_code
 
+(* Staging follows execution: every program stages some of its trees,
+   and none stages all of them. *)
+let test_stages_only_trees_that_run () =
+  List.iter
+    (fun (w : Workloads.Wl.t) ->
+      let r = Run.run w in
+      let staged = r.stats.staged_trees and made = r.totals.vliws_made in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 0 < %d staged < %d made" w.name staged made)
+        true
+        (0 < staged && staged < made))
+    Workloads.Registry.all
+
+(* An in-place extension appends records for the new trees and leaves
+   the page's old records alone: a staged tree is the same record and
+   stays staged, an extension stages nothing, and the translator leaves
+   every old tree structurally unchanged. *)
+let test_extension_keeps_staged_trees () =
+  let module C = Vliw.Compile in
+  let module Translate = Translator.Translate in
+  let w = Workloads.Registry.by_name "wc" in
+  let mem, entry = Workloads.Wl.instantiate w in
+  let vmm = Vmm.Monitor.create mem in
+  ignore (Vmm.Monitor.run vmm ~entry ~fuel:2_000);
+  let base = Translate.page_base vmm.tr entry in
+  let xp, cp = Hashtbl.find vmm.compiled base in
+  let n = C.n_trees cp in
+  let before = Array.init n (C.get cp) in
+  let was_staged = Array.map (fun (cv : C.cvliw) -> cv.staged) before in
+  let shape (cv : C.cvliw) = Marshal.to_string cv.c_tree [] in
+  let shapes = Array.map shape before in
+  Alcotest.(check bool) "some trees staged" true (Array.mem true was_staged);
+  Alcotest.(check bool) "some trees unstaged" true (Array.mem false was_staged);
+  let staged0 = vmm.stats.staged_trees in
+  (* the first word of the page that is not an entry point yet *)
+  let rec fresh addr =
+    if Translate.has_entry vmm.tr addr then fresh (addr + 4) else addr
+  in
+  let xp', _ = Translate.entry vmm.tr (fresh base) in
+  Alcotest.(check bool) "extended in place" true (xp' == xp);
+  Alcotest.(check bool) "new trees" true (Translator.Vec.length xp.vliws > n);
+  Alcotest.(check bool) "same staged page" true
+    (Vmm.Monitor.compiled_for vmm xp == cp);
+  Alcotest.(check int) "records for every tree"
+    (Translator.Vec.length xp.vliws) (C.n_trees cp);
+  Array.iteri
+    (fun i (cv : C.cvliw) ->
+      Alcotest.(check bool) (Printf.sprintf "tree %d: same record" i) true
+        (C.get cp i == cv);
+      Alcotest.(check bool) (Printf.sprintf "tree %d: staging kept" i)
+        was_staged.(i) cv.staged;
+      Alcotest.(check string) (Printf.sprintf "tree %d: unchanged" i)
+        shapes.(i) (shape cv))
+    before;
+  for i = n to C.n_trees cp - 1 do
+    Alcotest.(check bool) (Printf.sprintf "new tree %d unstaged" i) false
+      (C.get cp i).staged
+  done;
+  Alcotest.(check int) "nothing staged twice" staged0 vmm.stats.staged_trees
+
+(* Invalid load/store-with-update forms follow the interpreter, which
+   is the specification of "compatible": the base is (rA|0), and for
+   lwzu with rA = rD the update wins over the loaded word.  [Run.run]
+   compares every register and all of memory; [sys_exit] clears r0, so
+   r0 is copied to r5 first. *)
+let update_form (body : Ppc.Asm.t -> unit) () =
+  let open Ppc in
+  let w =
+    { Workloads.Wl.name = "update-form"; description = "invalid update form";
+      build =
+        (fun a ->
+          Asm.label a "main";
+          body a;
+          Asm.mr a 5 0;
+          Asm.li a 3 0;
+          Workloads.Wl.sys_exit a);
+      init =
+        (fun mem _ ->
+          (* words that are addresses of zeros, so a load through a
+             wrong base reads in bounds and diverges instead of
+             faulting into the interpreter *)
+          for i = 0 to 31 do
+            Mem.store32 mem (0x7000 + (4 * i)) (0x7100 + (4 * i))
+          done);
+      mem_size = Workloads.Wl.default_mem_size; fuel = 1_000 }
+  in
+  let r = Run.run w in
+  Alcotest.(check (option int)) "exit" (Some 0) r.exit_code;
+  Alcotest.(check int) "nothing interpreted" 0 r.interp_insns
+
+let lwzu_ra0 a =
+  Ppc.Asm.li a 0 0x1234;
+  Ppc.Asm.ins a (Lwzu (4, 0, 0x7000))
+
+let stwu_ra0 a =
+  Ppc.Asm.li a 0 0x1234;
+  Ppc.Asm.li a 6 77;
+  Ppc.Asm.ins a (Stwu (6, 0, 0x7000))
+
+let lwzu_ra_rd a =
+  Ppc.Asm.li a 7 0x7000;
+  Ppc.Asm.ins a (Lwzu (7, 7, 4))
+
+(* lmw computes its address once, so loading rA midway through the
+   range does not move the later loads *)
+let lmw_ra_in_range a =
+  Ppc.Asm.li a 30 0x7000;
+  Ppc.Asm.ins a (Lmw (29, 30, 0))
+
+(* all 32 registers: 32 loads fill the renamed-register pool, so the
+   cracking may not add a temporary *)
+let lmw_r0_ra_in_range a =
+  Ppc.Asm.li a 18 0x7000;
+  Ppc.Asm.ins a (Lmw (0, 18, 0))
+
 let () =
   Alcotest.run "vmm"
     [ ( "workloads",
@@ -311,7 +426,19 @@ let () =
           Alcotest.test_case "itlb" `Quick test_itlb_counts;
           Alcotest.test_case "no allocation per VLIW" `Quick
             test_no_alloc_per_vliw;
+          Alcotest.test_case "stages only trees that run" `Quick
+            test_stages_only_trees_that_run;
+          Alcotest.test_case "extension keeps staged trees" `Quick
+            test_extension_keeps_staged_trees;
           Alcotest.test_case "console via syscall" `Quick test_console_via_syscall;
           Alcotest.test_case "hang semantics" `Quick test_hang_semantics;
           Alcotest.test_case "reference out of fuel" `Quick
-            test_reference_out_of_fuel ] ) ]
+            test_reference_out_of_fuel ] );
+      ( "update forms",
+        [ Alcotest.test_case "lwzu rA = 0" `Quick (update_form lwzu_ra0);
+          Alcotest.test_case "stwu rA = 0" `Quick (update_form stwu_ra0);
+          Alcotest.test_case "lwzu rA = rD" `Quick (update_form lwzu_ra_rd);
+          Alcotest.test_case "lmw rA in range" `Quick
+            (update_form lmw_ra_in_range);
+          Alcotest.test_case "lmw r0, rA in range" `Quick
+            (update_form lmw_r0_ra_in_range) ] ) ]
