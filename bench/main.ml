@@ -403,13 +403,13 @@ let serve_chaos_series () =
     Printf.printf
       "p50 %.1fms  p99 %.1fms  injected %d  self-heals %d  strikes %d  \
        sheds %d  retries %d\n"
-      r.p50_ms r.p99_ms r.injected r.self_heals r.ladder_strikes r.sheds
-      r.retries;
+      r.p50_ms r.p99_ms r.injected r.counters.tcache_quarantined
+      r.counters.quarantines r.sheds r.retries;
     (match Serve.Chaos.verdict r with
     | `Clean -> print_endline "contract: clean"
     | `Violations v ->
       print_endline ("contract VIOLATED: " ^ String.concat "; " v));
-    Serve.Chaos.report_json r
+    Serve.Fleet.report_json r
   | exception e ->
     finish ();
     raise e
@@ -467,7 +467,8 @@ let storage_chaos_series () =
       r.leaked_pins;
     Printf.printf
       "disk faults %d  degraded ops %d  storage strikes %d  self-heals %d\n"
-      r.storage_injected r.tcache_degraded r.storage_faults r.self_heals;
+      r.storage_injected r.counters.tcache_degraded r.counters.storage_faults
+      r.counters.tcache_quarantined;
     let fsck_issues =
       List.fold_left (fun n rep -> n + Guard.Fsck.issues rep) 0 repaired
     in
@@ -488,9 +489,9 @@ let storage_chaos_series () =
         ("stuck_gates", J.Int r.stuck_gates);
         ("leaked_pins", J.Int r.leaked_pins);
         ("storage_injected", J.Int r.storage_injected);
-        ("tcache_degraded", J.Int r.tcache_degraded);
-        ("storage_faults", J.Int r.storage_faults);
-        ("self_heals", J.Int r.self_heals);
+        ("tcache_degraded", J.Int r.counters.tcache_degraded);
+        ("storage_faults", J.Int r.counters.storage_faults);
+        ("tcache_quarantined", J.Int r.counters.tcache_quarantined);
         ("heal_failures", J.Int heal.failures);
         ("heal_pages_translated", J.Int heal.pages_translated);
         ("fsck_issues_repaired", J.Int fsck_issues);
@@ -558,7 +559,7 @@ let tier_promotion_series () =
           "           promotions %d (%.1f ms compile), deopts %d, region \
            VLIWs %d/%d, %.0f -> %.0f emulated KIPS\n"
           cold.stats.tier2_promotions compile_ms cold.stats.tier2_deopts
-          warm.stats.tier2_vliws warm.vliws
+          warm.stats.tier2_vliws warm.stats.vliws
           (mips tier1 tier1_s *. 1e3)
           (mips warm warm_s *. 1e3);
         J.Obj
@@ -651,12 +652,12 @@ let write_bench_json path micro =
         ("ilp_fin", J.Float f.ilp_fin);
         ("cycles_infinite", J.Int i.cycles_infinite);
         ("cycles_finite", J.Int f.cycles_finite);
-        ("stall_cycles", J.Int f.stall_cycles);
+        ("stall_cycles", J.Int f.stats.cache_stalls);
         ("miss_l0d", J.Float f.miss_l0d);
         ("miss_l0i", J.Float f.miss_l0i);
         ("miss_joint", J.Float f.miss_joint);
-        ("vliws", J.Int i.vliws);
-        ("interp_insns", J.Int i.interp_insns);
+        ("vliws", J.Int i.stats.vliws);
+        ("interp_insns", J.Int i.stats.interp_insns);
         ("pages_translated", J.Int i.pages_translated);
         ("code_bytes", J.Int i.code_bytes) ]
   in

@@ -321,7 +321,7 @@ let print_summary (stack : Guard.Stack.t) (r : Vmm.Run.result) =
   Printf.printf "exit code:            %s\n"
     (match r.exit_code with Some c -> string_of_int c | None -> "(fuel)");
   Printf.printf "tree VLIWs executed:  %d (+%d interpreted instructions)\n"
-    r.vliws r.interp_insns;
+    s.vliws s.interp_insns;
   if Option.is_some stack.tier2 then
     Printf.printf
       "tier-2:               %d promotions (%.1f ms compile), %d deopts, \
@@ -472,8 +472,8 @@ let run_cmd =
     Printf.printf "base instructions:    %d (static %d, reuse %d)\n" r.base_insns
       r.static_insns (r.base_insns / max 1 r.static_insns);
     Printf.printf "ILP (infinite cache): %.2f\n" r.ilp_inf;
-    if finite then Printf.printf "ILP (finite cache):   %.2f (%d stall cycles)\n" r.ilp_fin r.stall_cycles;
-    Printf.printf "loads/stores:         %d / %d\n" r.loads r.stores;
+    if finite then Printf.printf "ILP (finite cache):   %.2f (%d stall cycles)\n" r.ilp_fin r.stats.cache_stalls;
+    Printf.printf "loads/stores:         %d / %d\n" r.stats.loads r.stats.stores;
     Printf.printf "cross-page branches:  %d direct, %d via LR, %d via CTR\n"
       r.stats.cross_direct r.stats.cross_lr r.stats.cross_ctr;
     Printf.printf "alias recoveries:     %d (adaptive retranslations %d)\n"
@@ -492,7 +492,7 @@ let run_cmd =
         s.tcache_corrupt s.tcache_skipped);
     Option.iter (fun i -> print_endline (Fault.Inject.report i)) inject;
     (match sink (fun b -> b.profile) with
-    | Some p -> Obs.Profile.flush p ~vliws_total:r.vliws
+    | Some p -> Obs.Profile.flush p ~vliws_total:r.stats.vliws
     | None -> ());
     (match (pstore, sink (fun b -> b.profile)) with
     | Some store, Some p ->
@@ -664,13 +664,13 @@ let profile_cmd =
               observers = Some (Obs.Bridge.create ~profile ()) }
             w
         in
-        Obs.Profile.flush profile ~vliws_total:r.vliws;
+        Obs.Profile.flush profile ~vliws_total:r.stats.vliws;
         (match store with
         | Some s -> ignore (Obs.Pstore.accumulate s profile)
         | None -> ());
         ( profile,
-          Printf.sprintf "fresh run (%d VLIWs, +%d interpreted)" r.vliws
-            r.interp_insns )
+          Printf.sprintf "fresh run (%d VLIWs, +%d interpreted)"
+            r.stats.vliws r.stats.interp_insns )
     in
     (match json_out with
     | Some path -> write_json path (Obs.Profile.to_json ~threshold p)

@@ -38,39 +38,21 @@ let load name =
 
 let snapshot (s : Monitor.stats) = { s with vliws = s.vliws }
 
-let print_delta before (s : Monitor.stats) =
-  let d name v0 v1 =
-    if v1 <> v0 then Printf.printf "  %-24s +%d (now %d)\n" name (v1 - v0) v1
-  in
-  d "vliws" before.Monitor.vliws s.vliws;
-  d "interp_insns" before.interp_insns s.interp_insns;
-  d "interp_episodes" before.interp_episodes s.interp_episodes;
-  d "rollbacks" before.rollbacks s.rollbacks;
-  d "aliases" before.aliases s.aliases;
-  d "cross_direct" before.cross_direct s.cross_direct;
-  d "cross_lr" before.cross_lr s.cross_lr;
-  d "cross_ctr" before.cross_ctr s.cross_ctr;
-  d "cross_gpr" before.cross_gpr s.cross_gpr;
-  d "onpage_jumps" before.onpage_jumps s.onpage_jumps;
-  d "loads" before.loads s.loads;
-  d "stores" before.stores s.stores;
-  d "syscalls" before.syscalls s.syscalls;
-  d "external_interrupts" before.external_interrupts s.external_interrupts;
-  d "adaptive_retranslations" before.adaptive_retranslations
-    s.adaptive_retranslations;
-  d "code_invalidations" before.code_invalidations s.code_invalidations;
-  d "stall_cycles" before.stall_cycles s.stall_cycles;
-  d "itlb_misses" before.itlb_misses s.itlb_misses
-
-let print_stats (s : Monitor.stats) =
-  Printf.printf
-    "vliws %d  interp_insns %d  episodes %d  rollbacks %d  aliases %d\n\
-     cross direct/lr/ctr/gpr %d/%d/%d/%d  onpage %d  loads/stores %d/%d\n\
-     syscalls %d  ext-irq %d  invalidations %d  itlb misses %d\n"
-    s.Monitor.vliws s.interp_insns s.interp_episodes s.rollbacks s.aliases
-    s.cross_direct s.cross_lr s.cross_ctr s.cross_gpr s.onpage_jumps s.loads
-    s.stores s.syscalls s.external_interrupts s.code_invalidations
-    s.itlb_misses
+(* Every row of the VMM's counter table that moved since [since], as
+   [name +delta (now value)]; since [fresh_stats], the cumulative view. *)
+let print_delta ~since (s : Monitor.stats) =
+  List.iter
+    (fun (r : int Monitor.row) ->
+      let v0 = r.get since and v1 = r.get s in
+      if v1 <> v0 then
+        Printf.printf "  %-24s +%d (now %d)\n" r.name (v1 - v0) v1)
+    Monitor.counters;
+  List.iter
+    (fun (r : float Monitor.row) ->
+      let v0 = r.get since and v1 = r.get s in
+      if v1 <> v0 then
+        Printf.printf "  %-24s +%.6f (now %.6f)\n" r.name (v1 -. v0) v1)
+    Monitor.timings
 
 let print_regs s =
   let m = s.vmm.Monitor.st.m in
@@ -106,7 +88,7 @@ let step s n =
     | None ->
       s.pc <- s.vmm.resume_pc;
       Printf.printf "stopped at 0x%08x\n" s.pc;
-      print_delta before s.vmm.stats)
+      print_delta ~since:before s.vmm.stats)
 
 (* Interpret [n] base instructions with the VMM's own interpreter. *)
 let interp s n =
@@ -134,7 +116,7 @@ let continue_ s =
     let before = snapshot s.vmm.stats in
     let code = Monitor.run s.vmm ~entry:s.pc ~fuel:max_int in
     exited s code;
-    print_delta before s.vmm.stats
+    print_delta ~since:before s.vmm.stats
 
 let dump s addr n =
   for i = 0 to n - 1 do
@@ -175,7 +157,7 @@ let () =
           | Some n when n > 0 -> interp !s n
           | _ -> Printf.printf "usage: i [N]\n")
         | "r", _ -> print_regs !s
-        | "st", _ -> print_stats !s.vmm.stats
+        | "st", _ -> print_delta ~since:(Monitor.fresh_stats ()) !s.vmm.stats
         | "c", _ -> continue_ !s
         | "x", addr :: rest -> (
           match (int_of_string_opt addr, int_arg 4 rest) with

@@ -36,7 +36,7 @@ let () =
        interp_insns=%-6d tcache: %d hits / %d misses / %d persists\n"
       label
       (match r.exit_code with Some c -> string_of_int c | None -> "fuel")
-      r.pages_translated r.insns_translated r.interp_insns
+      r.pages_translated r.insns_translated r.stats.interp_insns
       r.stats.tcache_hits r.stats.tcache_misses r.stats.tcache_persists
   in
   Printf.printf "workload %s, cache at %s\n\n" w.name tcache_dir;
@@ -58,7 +58,7 @@ let () =
      (registers, memory, console output); equal exits plus equal
      dynamic behaviour tie the two runs to each other as well. *)
   check "identical exit code" (cold.exit_code = warm.exit_code);
-  check "identical VLIWs executed" (cold.vliws = warm.vliws);
+  check "identical VLIWs executed" (cold.stats.vliws = warm.stats.vliws);
   check "identical cycles" (cold.cycles_infinite = warm.cycles_infinite);
   check "identical ILP" (cold.ilp_inf = warm.ilp_inf);
 

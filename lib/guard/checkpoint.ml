@@ -26,8 +26,15 @@
 
    and the payload is: workload str | frontend str | fingerprint str
    | every vint | seq vint | pc vint | machine
-   | mem seq vint | console str | stats | health entries
+   | mem seq vint | console str | counters | health entries
    | dirty chunks.
+
+   The counters are every integer row of the VMM's counter table
+   ({!Vmm.Monitor.counters}) as (name str, value vint) pairs, so a
+   resumed run reports whole-run totals.  Restoring sets rows by name
+   and ignores names the table lacks: a counter added later needs no
+   format bump and restores as 0 from an older snapshot.  The timings
+   restart at zero.
 
    Crash safety mirrors the tcache store: snapshots are installed with
    {!Fsio.commit} (temp write, file fsync, rename, directory fsync), so
@@ -49,7 +56,7 @@ module Monitor = Vmm.Monitor
 open Ppc
 
 let magic = "DGCK"
-let version = 3
+let version = 4
 
 (** Dirty-tracking granularity, in bytes.  Independent of the
     translator's page size: this is about snapshot volume, not about
@@ -140,34 +147,10 @@ let get_machine r (m : Machine.t) =
   m.sprg0 <- Codec.get_vint r;
   m.sprg1 <- Codec.get_vint r
 
-(* The counters a resumed run must continue from: the VMM clock
-   ([vliws + interp_insns]) keeps fuel accounting and ladder backoffs
-   continuous, and the ladder/supervision counters keep the final
-   [degraded] verdict (exit code 4 vs 0) identical to an uninterrupted
-   run.  Throughput-only counters restart at zero. *)
-let stats_fields (s : Monitor.stats) =
-  [| (fun () -> s.vliws), (fun v -> s.vliws <- v);
-     (fun () -> s.interp_insns), (fun v -> s.interp_insns <- v);
-     (fun () -> s.interp_episodes), (fun v -> s.interp_episodes <- v);
-     (fun () -> s.rollbacks), (fun v -> s.rollbacks <- v);
-     (fun () -> s.aliases), (fun v -> s.aliases <- v);
-     (fun () -> s.syscalls), (fun v -> s.syscalls <- v);
-     (fun () -> s.external_interrupts), (fun v -> s.external_interrupts <- v);
-     (fun () -> s.translator_faults), (fun v -> s.translator_faults <- v);
-     (fun () -> s.exec_faults), (fun v -> s.exec_faults <- v);
-     (fun () -> s.quarantines), (fun v -> s.quarantines <- v);
-     (fun () -> s.degrade_retries), (fun v -> s.degrade_retries <- v);
-     (fun () -> s.interp_pinned), (fun v -> s.interp_pinned <- v);
-     (fun () -> s.deadline_hits), (fun v -> s.deadline_hits <- v);
-     (fun () -> s.shadow_checked), (fun v -> s.shadow_checked <- v);
-     (fun () -> s.shadow_divergences), (fun v -> s.shadow_divergences <- v);
-     (fun () -> s.checkpoints_written), (fun v -> s.checkpoints_written <- v)
-  |]
-
 (** Write one snapshot now, with [pc] as the precise resume point.
     Returns the snapshot's size in bytes. *)
 let write t ~pc =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let vmm = t.vmm in
   let mem = vmm.mem in
   let b = Buffer.create 4096 in
@@ -180,9 +163,12 @@ let write t ~pc =
   put_machine b vmm.st.m;
   Codec.put_vint b mem.seq;
   Codec.put_str b (Mem.output mem);
-  let sf = stats_fields vmm.stats in
-  Codec.put_vint b (Array.length sf);
-  Array.iter (fun (get, _) -> Codec.put_vint b (get ())) sf;
+  Codec.put_vint b (List.length Monitor.counters);
+  List.iter
+    (fun (row : int Monitor.row) ->
+      Codec.put_str b row.name;
+      Codec.put_vint b (row.get vmm.stats))
+    Monitor.counters;
   Codec.put_vint b (Hashtbl.length vmm.page_health);
   Hashtbl.iter
     (fun base (h : Monitor.health) ->
@@ -213,7 +199,7 @@ let write t ~pc =
     Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
     t.seq <- t.seq + 1;
     t.last_cycle <- Monitor.now vmm;
-    let seconds = Sys.time () -. t0 in
+    let seconds = Unix.gettimeofday () -. t0 in
     vmm.stats.checkpoints_written <- vmm.stats.checkpoints_written + 1;
     vmm.stats.checkpoint_seconds <- vmm.stats.checkpoint_seconds +. seconds;
     Monitor.emit vmm (fun () ->
@@ -227,7 +213,7 @@ let write t ~pc =
        [last_cycle] still advances — retrying every cycle against a
        full disk would turn one fault into a write storm. *)
     t.last_cycle <- Monitor.now vmm;
-    let seconds = Sys.time () -. t0 in
+    let seconds = Unix.gettimeofday () -. t0 in
     vmm.stats.storage_faults <- vmm.stats.storage_faults + 1;
     vmm.stats.checkpoint_seconds <- vmm.stats.checkpoint_seconds +. seconds;
     Monitor.emit vmm (fun () ->
@@ -254,7 +240,7 @@ type snapshot = {
   s_machine : Machine.t;
   s_mem_seq : int;
   s_console : string;
-  s_stats : int array;
+  s_counters : (string * int) list;  (** counter-table rows by name *)
   s_health : (int * int * int * bool) list;
   s_chunks : (int * string) list;
 }
@@ -272,8 +258,12 @@ let parse_snapshot s =
   get_machine r s_machine;
   let s_mem_seq = Codec.get_vint r in
   let s_console = Codec.get_str r in
-  let nstats = Codec.get_count r "stats" in
-  let s_stats = Array.init nstats (fun _ -> Codec.get_vint r) in
+  let ncounters = Codec.get_count r "counter" in
+  let s_counters =
+    List.init ncounters (fun _ ->
+        let name = Codec.get_str r in
+        (name, Codec.get_vint r))
+  in
   let nhealth = Codec.get_count r "health" in
   let s_health =
     List.init nhealth (fun _ ->
@@ -291,7 +281,7 @@ let parse_snapshot s =
         (i, bytes))
   in
   { s_workload; s_frontend; s_fingerprint; s_every; s_seq; s_pc; s_machine;
-    s_mem_seq; s_console; s_stats; s_health; s_chunks }
+    s_mem_seq; s_console; s_counters; s_health; s_chunks }
 
 let snapshot_files dir = Fsio.files_with_suffix dir ".dgck"
 
@@ -368,10 +358,11 @@ let restore_into (l : loaded) (vmm : Monitor.t) =
   mem.seq <- snap.s_mem_seq;
   Buffer.clear mem.out;
   Buffer.add_string mem.out snap.s_console;
-  let sf = stats_fields vmm.stats in
-  Array.iteri
-    (fun i (_, set) -> if i < Array.length snap.s_stats then set snap.s_stats.(i))
-    sf;
+  List.iter
+    (fun (row : int Monitor.row) ->
+      Option.iter (row.set vmm.stats)
+        (List.assoc_opt row.name snap.s_counters))
+    Monitor.counters;
   Hashtbl.reset vmm.page_health;
   List.iter
     (fun (base, failures, backoff_until, pinned_interp) ->

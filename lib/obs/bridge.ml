@@ -116,88 +116,26 @@ let on_event b (ev : Monitor.event) =
       let ts, name, ph, args = Flight.render ev in
       Trace.emit t ~ts ~name ~ph args)
 
-(* A dump-time view of the VMM's degradation-ladder state: which pages
-   have strikes, how long their backoff runs, which are pinned. *)
-let health_json (vmm : Monitor.t) () =
-  let rows =
-    Hashtbl.fold
-      (fun page (h : Monitor.health) acc -> (page, h) :: acc)
-      vmm.page_health []
-    |> List.sort compare
-  in
-  Json.Arr
-    (List.map
-       (fun (page, (h : Monitor.health)) ->
-         Json.Obj
-           [ ("page", Json.Int page); ("failures", Json.Int h.failures);
-             ("backoff_until", Json.Int h.backoff_until);
-             ("pinned_interp", Json.Bool h.pinned_interp) ])
-       rows)
-
 (** Subscribe this bridge to a VMM's event stream.  When a flight
-    recorder is attached this is also the moment its health view gains
-    a VMM to read. *)
+    recorder is attached this is also the moment it gains a VMM whose
+    counters and health its dumps read. *)
 let attach b (vmm : Monitor.t) =
-  (match b.flight with
-  | Some f -> Flight.set_health f (health_json vmm)
-  | None -> ());
+  Option.iter (fun f -> Flight.set_vmm f vmm) b.flight;
   Monitor.on_event vmm (on_event b)
 
-(** Copy a finished run's measurements into [m] as counters and gauges,
-    named after the {!Vmm.Run.result} / {!Vmm.Monitor.stats} fields so
-    exports agree exactly with the numbers the CLI prints. *)
+(** Copy a finished run's measurements into [m]: every row of the
+    VMM's counter table under its name (the timings as gauges), then
+    the run's own figures, so exports agree exactly with the numbers
+    the CLI prints. *)
 let record_result m (r : Vmm.Run.result) =
   let c name v = Metrics.Counter.set (Metrics.counter m name) v in
   let g name v = Metrics.Gauge.set (Metrics.gauge m name) v in
-  let s = r.stats in
+  List.iter (fun (row : int Monitor.row) -> c row.name (row.get r.stats))
+    Monitor.counters;
+  List.iter (fun (row : float Monitor.row) -> g row.name (row.get r.stats))
+    Monitor.timings;
   c "base_insns" r.base_insns;
   c "static_insns" r.static_insns;
-  c "vliws" s.vliws;
-  c "interp_insns" s.interp_insns;
-  c "interp_episodes" s.interp_episodes;
-  c "rollbacks" s.rollbacks;
-  c "aliases" s.aliases;
-  c "cross_direct" s.cross_direct;
-  c "cross_lr" s.cross_lr;
-  c "cross_ctr" s.cross_ctr;
-  c "cross_gpr" s.cross_gpr;
-  c "onpage_jumps" s.onpage_jumps;
-  c "loads" s.loads;
-  c "stores" s.stores;
-  c "syscalls" s.syscalls;
-  c "external_interrupts" s.external_interrupts;
-  c "adaptive_retranslations" s.adaptive_retranslations;
-  c "code_invalidations" s.code_invalidations;
-  c "stall_cycles" s.stall_cycles;
-  c "itlb_misses" s.itlb_misses;
-  c "tcache_hits" s.tcache_hits;
-  c "tcache_misses" s.tcache_misses;
-  c "tcache_corrupt" s.tcache_corrupt;
-  c "tcache_quarantined" s.tcache_quarantined;
-  c "tcache_persists" s.tcache_persists;
-  c "tcache_evicts" s.tcache_evicts;
-  c "tcache_skipped" s.tcache_skipped;
-  c "tcache_degraded" s.tcache_degraded;
-  c "storage_faults" s.storage_faults;
-  c "translator_faults" s.translator_faults;
-  c "exec_faults" s.exec_faults;
-  c "quarantines" s.quarantines;
-  c "degrade_retries" s.degrade_retries;
-  c "interp_pinned" s.interp_pinned;
-  c "compiled_pages" s.compiled_pages;
-  c "staged_trees" s.staged_trees;
-  c "direct_link_hits" s.direct_link_hits;
-  c "spec_log_hwm" s.spec_log_hwm;
-  c "deadline_hits" s.deadline_hits;
-  c "shadow_checked" s.shadow_checked;
-  c "shadow_divergences" s.shadow_divergences;
-  c "checkpoints_written" s.checkpoints_written;
-  c "tier2_promotions" s.tier2_promotions;
-  c "tier2_deopts" s.tier2_deopts;
-  c "tier2_entries" s.tier2_entries;
-  c "tier2_vliws" s.tier2_vliws;
-  c "tier2_offregion_exits" s.tier2_offregion_exits;
-  g "tier2_compile_seconds" s.tier2_compile_seconds;
   c "cycles_infinite" r.cycles_infinite;
   c "cycles_finite" r.cycles_finite;
   c "pages_translated" r.pages_translated;
@@ -207,9 +145,6 @@ let record_result m (r : Vmm.Run.result) =
   c "vliws_made" r.totals.vliws_made;
   c "translation_groups" r.totals.groups;
   c "translation_invalidations" r.totals.invalidations;
-  c "load_misses" r.load_misses;
-  c "store_misses" r.store_misses;
-  c "imiss" r.imiss;
   g "ilp_inf" r.ilp_inf;
   g "ilp_fin" r.ilp_fin;
   g "miss_l0d" r.miss_l0d;

@@ -5,8 +5,8 @@
    execution; on a trigger — shadow divergence, watchdog strike,
    quarantine, fatal signal, verification mismatch — the recorder
    writes a crash-dump file with everything a post-mortem needs: the
-   event tail, the metrics registry, the per-page health table, and the
-   region graph.
+   event tail, the VMM's counters, the metrics registry, the per-page
+   health table, and the region graph.
 
    Overhead discipline: because the recorder is on by default, its
    record path must cost next to nothing.  The ring stores the
@@ -34,8 +34,8 @@ type t = {
   dir : string;
   mutable metrics : Metrics.t option;
   mutable profile : Profile.t option;
-  mutable health : (unit -> Json.t) option;
-      (** reads the VMM's page-health table at dump time (set by
+  mutable vmm : Monitor.t option;
+      (** whose counters and page-health table a dump reads (set by
           Bridge.attach, which is when a VMM exists) *)
   mutable dumps : (string * string) list;
       (** (reason, path) already written, newest first *)
@@ -61,12 +61,12 @@ let create ?(capacity = default_capacity) ?(dir = "daisy-crash")
     ?(io = Fsio.real) () =
   if capacity <= 0 then invalid_arg "Flight.create: capacity";
   { buf = Array.make capacity dummy_event; capacity; len = 0; head = 0;
-    total = 0; dir; metrics = None; profile = None; health = None;
+    total = 0; dir; metrics = None; profile = None; vmm = None;
     dumps = []; io; io_degraded = 0; pending = [] }
 
 let set_metrics t m = t.metrics <- Some m
 let set_profile t p = t.profile <- Some p
-let set_health t f = t.health <- Some f
+let set_vmm t vmm = t.vmm <- Some vmm
 
 (** The recorder's event feed (Bridge pushes every event): two stores,
     no allocation. *)
@@ -237,6 +237,33 @@ let render (ev : Monitor.event) :
       [ ("store", Json.Str store); ("op", Json.Str op);
         ("reason", Json.Str reason) ] )
 
+(** The VMM's counter table ({!Monitor.counters} and
+    {!Monitor.timings}) as JSON fields under the table's names: the
+    one rendering behind crash dumps, the serve replies and HEALTH. *)
+let counter_fields (s : Monitor.stats) =
+  List.map (fun (r : int Monitor.row) -> (r.name, Json.Int (r.get s)))
+    Monitor.counters
+  @ List.map (fun (r : float Monitor.row) -> (r.name, Json.Float (r.get s)))
+      Monitor.timings
+
+(* The degradation ladder's state: which pages have strikes, how long
+   their backoff runs, which are pinned. *)
+let health_json (vmm : Monitor.t) =
+  let rows =
+    Hashtbl.fold
+      (fun page (h : Monitor.health) acc -> (page, h) :: acc)
+      vmm.page_health []
+    |> List.sort compare
+  in
+  Json.Arr
+    (List.map
+       (fun (page, (h : Monitor.health)) ->
+         Json.Obj
+           [ ("page", Json.Int page); ("failures", Json.Int h.failures);
+             ("backoff_until", Json.Int h.backoff_until);
+             ("pinned_interp", Json.Bool h.pinned_interp) ])
+       rows)
+
 let ev_json ev =
   let ts, name, ph, args = render ev in
   Json.Obj
@@ -255,8 +282,10 @@ let dump_json t ~reason =
       ("events", Json.Arr (List.map ev_json (events t)));
       ("events_total", Json.Int t.total);
       ("events_dropped", Json.Int (dropped t));
+      ("counters",
+       opt (fun (v : Monitor.t) -> Json.Obj (counter_fields v.stats)) t.vmm);
       ("metrics", opt Metrics.to_json t.metrics);
-      ("health", opt (fun f -> f ()) t.health);
+      ("health", opt health_json t.vmm);
       ("profile", opt (fun p -> Profile.to_json p) t.profile) ]
 
 (* A dump a storage fault kept off the disk is parked in memory — the

@@ -15,7 +15,7 @@
      loop, so a caller with a request budget never oversleeps it.
 
    Used by {!Client.wait_ready} (daemon-start polling), the client's
-   busy/unreachable retries, and the chaos driver's admission loop. *)
+   busy/unreachable retries, and {!Fleet.run}'s admission loop. *)
 
 type policy = {
   attempts : int;      (** total tries, including the first *)

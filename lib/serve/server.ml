@@ -13,7 +13,8 @@
                                   fleet report
      STATS                        coordinator + cache-directory numbers
      HEALTH                       daemon vitals: queue depth, in-flight
-                                  sessions, shed/failure counters
+                                  sessions, shed/failure counters, the
+                                  VMM counters summed over sessions
      SHUTDOWN                     drain and stop the daemon
 
    Error classes are part of the protocol, not prose: `proto` (bad
@@ -47,19 +48,19 @@ type t = {
   stack : Guard.Stack.t;
       (** what every session runs under; injector and storage seeds
           derive from the session id, so a run replays *)
-  (* vitals, all atomics so HEALTH needs no lock *)
+  (* vitals: atomics, and the counter totals under their own lock *)
   sheds : int Atomic.t;            (* requests refused with `busy` *)
   completed : int Atomic.t;        (* sessions that ran to an outcome *)
   f_mismatch : int Atomic.t;
   f_deadline : int Atomic.t;
   f_cancelled : int Atomic.t;
   f_crash : int Atomic.t;
-  ladder_strikes : int Atomic.t;   (* page quarantines across sessions *)
-  self_heals : int Atomic.t;       (* corrupt cache entries quarantined *)
-  tcache_degraded : int Atomic.t;  (* cache ops parked in memory overlays *)
-  storage_faults : int Atomic.t;   (* checkpoint/store disk-fault strikes *)
   storage_injected : int Atomic.t; (* disk faults session backends fired *)
   avg_ms : float Atomic.t;         (* EWMA session latency, for hints *)
+  totals : Vmm.Monitor.stats;
+      (* the counter table summed over sessions that returned a result,
+         under [totals_lock] *)
+  totals_lock : Mutex.t;
 }
 
 let ok_json j = "OK " ^ Obs.Json.to_string j
@@ -74,10 +75,8 @@ let note_outcome t (o : Session.outcome) =
   ignore (Atomic.fetch_and_add t.storage_injected o.storage_injected);
   (match o.result with
   | Ok r ->
-    ignore (Atomic.fetch_and_add t.ladder_strikes r.stats.quarantines);
-    ignore (Atomic.fetch_and_add t.self_heals r.stats.tcache_quarantined);
-    ignore (Atomic.fetch_and_add t.tcache_degraded r.stats.tcache_degraded);
-    ignore (Atomic.fetch_and_add t.storage_faults r.stats.storage_faults)
+    Mutex.protect t.totals_lock (fun () ->
+        Vmm.Monitor.add ~into:t.totals r.stats)
   | Error (Session.Mismatch _) -> Atomic.incr t.f_mismatch
   | Error (Session.Deadline _) -> Atomic.incr t.f_deadline
   | Error (Session.Cancelled _) -> Atomic.incr t.f_cancelled
@@ -111,10 +110,6 @@ let split_deadline words =
     | None -> (words, None))
   | _ -> (words, None)
 
-let deadline_at = function
-  | None -> None
-  | Some ms -> Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.))
-
 let stats_json t =
   let dir = Shared.dir t.shared in
   let entries = List.length (Fsio.files_with_suffix dir ".dtc") in
@@ -131,24 +126,22 @@ let stats_json t =
 let health_json t =
   let cap = Pool.queue_cap t.pool in
   Obs.Json.Obj
-    [ ("queue_depth", Obs.Json.Int (Pool.depth t.pool));
-      ("inflight_sessions", Obs.Json.Int (Pool.active t.pool));
-      ("pool_domains", Obs.Json.Int (Pool.size t.pool));
-      ("queue_cap",
-       if cap = max_int then Obs.Json.Null else Obs.Json.Int cap);
-      ("sessions_started", Obs.Json.Int (Atomic.get t.next_id));
-      ("sessions_completed", Obs.Json.Int (Atomic.get t.completed));
-      ("sheds", Obs.Json.Int (Atomic.get t.sheds));
-      ("mismatch_failures", Obs.Json.Int (Atomic.get t.f_mismatch));
-      ("deadline_failures", Obs.Json.Int (Atomic.get t.f_deadline));
-      ("cancelled_failures", Obs.Json.Int (Atomic.get t.f_cancelled));
-      ("crash_failures", Obs.Json.Int (Atomic.get t.f_crash));
-      ("ladder_strikes", Obs.Json.Int (Atomic.get t.ladder_strikes));
-      ("self_heals", Obs.Json.Int (Atomic.get t.self_heals));
-      ("storage_injected", Obs.Json.Int (Atomic.get t.storage_injected));
-      ("tcache_degraded", Obs.Json.Int (Atomic.get t.tcache_degraded));
-      ("storage_faults", Obs.Json.Int (Atomic.get t.storage_faults));
-      ("avg_session_ms", Obs.Json.Float (Atomic.get t.avg_ms)) ]
+    ([ ("queue_depth", Obs.Json.Int (Pool.depth t.pool));
+       ("inflight_sessions", Obs.Json.Int (Pool.active t.pool));
+       ("pool_domains", Obs.Json.Int (Pool.size t.pool));
+       ("queue_cap",
+        if cap = max_int then Obs.Json.Null else Obs.Json.Int cap);
+       ("sessions_started", Obs.Json.Int (Atomic.get t.next_id));
+       ("sessions_completed", Obs.Json.Int (Atomic.get t.completed));
+       ("sheds", Obs.Json.Int (Atomic.get t.sheds));
+       ("mismatch_failures", Obs.Json.Int (Atomic.get t.f_mismatch));
+       ("deadline_failures", Obs.Json.Int (Atomic.get t.f_deadline));
+       ("cancelled_failures", Obs.Json.Int (Atomic.get t.f_cancelled));
+       ("crash_failures", Obs.Json.Int (Atomic.get t.f_crash));
+       ("storage_injected", Obs.Json.Int (Atomic.get t.storage_injected));
+       ("avg_session_ms", Obs.Json.Float (Atomic.get t.avg_ms)) ]
+    @ Mutex.protect t.totals_lock (fun () ->
+          Obs.Flight.counter_fields t.totals))
 
 (* One RUN request: admit through the bounded queue, block this
    connection thread on a slot the job (or its shutdown cancel) fills.
@@ -166,7 +159,7 @@ let run_one t ~workload ~deadline_ms =
     end;
     Mutex.unlock lock
   in
-  let deadline_at = deadline_at deadline_ms in
+  let deadline_at = Option.map Session.deadline_in deadline_ms in
   let job () =
     (* the id is allocated by the job, not the request, so shed
        requests never burn ids and sessions_started counts real runs *)
@@ -197,8 +190,9 @@ let run_one t ~workload ~deadline_ms =
       | Error f -> err (Session.failure_class f) (Session.failure_detail f)))
 
 let run_fleet t ~sessions ~workloads ~deadline_ms =
-  (* shed the whole request while the backlog is at capacity — a fleet
-     admitted into a full queue would just convert the cap into a lie *)
+  (* shed the whole request while the backlog is at capacity; once
+     admitted, the fleet keeps to the cap session by session, waiting
+     under backoff while the queue is full *)
   let depth = Pool.depth t.pool in
   if depth >= Pool.queue_cap t.pool then begin
     Atomic.incr t.sheds;
@@ -207,8 +201,8 @@ let run_fleet t ~sessions ~workloads ~deadline_ms =
   else begin
     let first_id = Atomic.fetch_and_add t.next_id sessions in
     match
-      Fleet.run ~stack:t.stack ?deadline_at:(deadline_at deadline_ms)
-        ~first_id ~pool:t.pool ~shared:t.shared ~sessions workloads
+      Fleet.run ~stack:t.stack ?deadline_ms ~first_id ~pool:t.pool
+        ~shared:t.shared ~sessions workloads
     with
     | report, outcomes ->
       List.iter (note_outcome t) outcomes;
@@ -304,9 +298,8 @@ let serve ?(stack = Guard.Stack.default) ?budget ?(domains = 4) ?queue_cap
       sheds = Atomic.make 0; completed = Atomic.make 0;
       f_mismatch = Atomic.make 0; f_deadline = Atomic.make 0;
       f_cancelled = Atomic.make 0; f_crash = Atomic.make 0;
-      ladder_strikes = Atomic.make 0; self_heals = Atomic.make 0;
-      tcache_degraded = Atomic.make 0; storage_faults = Atomic.make 0;
-      storage_injected = Atomic.make 0; avg_ms = Atomic.make 0. }
+      storage_injected = Atomic.make 0; avg_ms = Atomic.make 0.;
+      totals = Vmm.Monitor.fresh_stats (); totals_lock = Mutex.create () }
   in
   let rec accept_loop () =
     if not (Atomic.get t.stop) then begin

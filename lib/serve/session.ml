@@ -66,6 +66,10 @@ let cancelled ~id ~workload why =
     metrics = Obs.Metrics.create ~label:(Printf.sprintf "session-%d" id) ();
     injected = 0; storage_injected = 0 }
 
+(** The absolute instant [ms] milliseconds from now: how a request's
+    budget becomes a session's [deadline_at] at admission. *)
+let deadline_in ms = Unix.gettimeofday () +. (float_of_int ms /. 1000.)
+
 let rec rm_rf path =
   match Sys.is_directory path with
   | true ->
@@ -203,11 +207,5 @@ let outcome_json o =
            match r.exit_code with Some c -> Int c | None -> Null);
           ("base_insns", Int r.base_insns);
           ("pages_translated", Int r.pages_translated);
-          ("tcache_hits", Int r.stats.tcache_hits);
-          ("tcache_misses", Int r.stats.tcache_misses);
-          ("tcache_quarantined", Int r.stats.tcache_quarantined);
-          ("tcache_degraded", Int r.stats.tcache_degraded);
-          ("storage_faults", Int r.stats.storage_faults);
-          ("tier2_promotions", Int r.stats.tier2_promotions);
-          ("tier2_deopts", Int r.stats.tier2_deopts);
-          ("degraded", Bool (Vmm.Run.degraded r.stats)) ])
+          ("degraded", Bool (Vmm.Run.degraded r.stats)) ]
+      @ Obs.Flight.counter_fields r.stats)

@@ -149,13 +149,14 @@ let table_5_4 () =
     List.map
       (fun w ->
         let r = fin w in
-        let per v = float_of_int v /. float_of_int (max 1 r.vliws) in
+        let s = r.stats in
+        let per v = float_of_int v /. float_of_int (max 1 s.vliws) in
         let between m =
-          if m = 0 then "-" else Table.f1 (float_of_int r.vliws /. float_of_int m)
+          if m = 0 then "-" else Table.f1 (float_of_int s.vliws /. float_of_int m)
         in
-        [ r.name; Table.f2 (per r.loads); Table.f2 (per r.stores);
-          between r.load_misses; between r.store_misses;
-          between (r.load_misses + r.store_misses) ])
+        [ r.name; Table.f2 (per s.loads); Table.f2 (per s.stores);
+          between s.load_misses; between s.store_misses;
+          between (s.load_misses + s.store_misses) ])
       (workloads ())
   in
   Table.render
@@ -209,7 +210,7 @@ let table_5_6 () =
         [ r.name; Table.big s.cross_direct; Table.big s.cross_lr;
           Table.big s.cross_ctr; Table.big total;
           (if total = 0 then "-"
-           else Table.f1 (float_of_int r.vliws /. float_of_int total)) ])
+           else Table.f1 (float_of_int s.vliws /. float_of_int total)) ])
       (workloads ())
   in
   Table.render ~title:"Table 5.6: Cross-page branches by type"
@@ -223,10 +224,10 @@ let table_5_7 () =
     List.map
       (fun w ->
         let r = inf w in
-        [ r.name; Table.big r.stats.aliases; Table.big r.vliws;
+        [ r.name; Table.big r.stats.aliases; Table.big r.stats.vliws;
           (if r.stats.aliases = 0 then "-"
            else
-             Table.big (r.vliws / r.stats.aliases)) ])
+             Table.big (r.stats.vliws / r.stats.aliases)) ])
       (workloads ())
   in
   Table.render ~title:"Table 5.7: VLIWs per run-time load-store alias"

@@ -122,6 +122,132 @@ let fresh_stats () =
     tier2_promotions = 0; tier2_deopts = 0; tier2_entries = 0;
     tier2_vliws = 0; tier2_offregion_exits = 0; tier2_compile_seconds = 0. }
 
+(* --- The counter table ---------------------------------------------
+
+   One row per [stats] field: its name, how to read and write it, and
+   how two runs' values combine.  Everything that exports, sums,
+   snapshots or restores the counters iterates these rows instead of
+   naming fields, so adding a counter is a record field, its initial
+   value above and one row here.  The hot path never reads them: it
+   stays plain field stores. *)
+
+type 'a row = {
+  name : string;
+  get : stats -> 'a;
+  set : stats -> 'a -> unit;
+  merge : 'a -> 'a -> 'a;  (** how two runs' values combine *)
+}
+
+let count name get set = { name; get; set; merge = ( + ) }
+
+(** The integer rows: every count, plus one high-water mark. *)
+let counters =
+  [ count "vliws" (fun s -> s.vliws) (fun s v -> s.vliws <- v);
+    count "interp_insns" (fun s -> s.interp_insns)
+      (fun s v -> s.interp_insns <- v);
+    count "interp_episodes" (fun s -> s.interp_episodes)
+      (fun s v -> s.interp_episodes <- v);
+    count "rollbacks" (fun s -> s.rollbacks) (fun s v -> s.rollbacks <- v);
+    count "aliases" (fun s -> s.aliases) (fun s v -> s.aliases <- v);
+    count "cross_direct" (fun s -> s.cross_direct)
+      (fun s v -> s.cross_direct <- v);
+    count "cross_lr" (fun s -> s.cross_lr) (fun s v -> s.cross_lr <- v);
+    count "cross_ctr" (fun s -> s.cross_ctr) (fun s v -> s.cross_ctr <- v);
+    count "cross_gpr" (fun s -> s.cross_gpr) (fun s v -> s.cross_gpr <- v);
+    count "onpage_jumps" (fun s -> s.onpage_jumps)
+      (fun s v -> s.onpage_jumps <- v);
+    count "loads" (fun s -> s.loads) (fun s v -> s.loads <- v);
+    count "stores" (fun s -> s.stores) (fun s v -> s.stores <- v);
+    count "syscalls" (fun s -> s.syscalls) (fun s v -> s.syscalls <- v);
+    count "external_interrupts" (fun s -> s.external_interrupts)
+      (fun s v -> s.external_interrupts <- v);
+    count "adaptive_retranslations" (fun s -> s.adaptive_retranslations)
+      (fun s v -> s.adaptive_retranslations <- v);
+    count "code_invalidations" (fun s -> s.code_invalidations)
+      (fun s v -> s.code_invalidations <- v);
+    count "stall_cycles" (fun s -> s.stall_cycles)
+      (fun s v -> s.stall_cycles <- v);
+    count "itlb_misses" (fun s -> s.itlb_misses)
+      (fun s v -> s.itlb_misses <- v);
+    count "cache_stalls" (fun s -> s.cache_stalls)
+      (fun s v -> s.cache_stalls <- v);
+    count "imiss" (fun s -> s.imiss) (fun s v -> s.imiss <- v);
+    count "load_misses" (fun s -> s.load_misses)
+      (fun s v -> s.load_misses <- v);
+    count "store_misses" (fun s -> s.store_misses)
+      (fun s v -> s.store_misses <- v);
+    count "tcache_hits" (fun s -> s.tcache_hits)
+      (fun s v -> s.tcache_hits <- v);
+    count "tcache_misses" (fun s -> s.tcache_misses)
+      (fun s v -> s.tcache_misses <- v);
+    count "tcache_corrupt" (fun s -> s.tcache_corrupt)
+      (fun s v -> s.tcache_corrupt <- v);
+    count "tcache_quarantined" (fun s -> s.tcache_quarantined)
+      (fun s v -> s.tcache_quarantined <- v);
+    count "tcache_persists" (fun s -> s.tcache_persists)
+      (fun s v -> s.tcache_persists <- v);
+    count "tcache_evicts" (fun s -> s.tcache_evicts)
+      (fun s v -> s.tcache_evicts <- v);
+    count "tcache_skipped" (fun s -> s.tcache_skipped)
+      (fun s v -> s.tcache_skipped <- v);
+    count "tcache_degraded" (fun s -> s.tcache_degraded)
+      (fun s v -> s.tcache_degraded <- v);
+    count "storage_faults" (fun s -> s.storage_faults)
+      (fun s v -> s.storage_faults <- v);
+    count "translator_faults" (fun s -> s.translator_faults)
+      (fun s v -> s.translator_faults <- v);
+    count "exec_faults" (fun s -> s.exec_faults)
+      (fun s v -> s.exec_faults <- v);
+    count "quarantines" (fun s -> s.quarantines)
+      (fun s v -> s.quarantines <- v);
+    count "degrade_retries" (fun s -> s.degrade_retries)
+      (fun s v -> s.degrade_retries <- v);
+    count "interp_pinned" (fun s -> s.interp_pinned)
+      (fun s v -> s.interp_pinned <- v);
+    count "compiled_pages" (fun s -> s.compiled_pages)
+      (fun s v -> s.compiled_pages <- v);
+    count "staged_trees" (fun s -> s.staged_trees)
+      (fun s v -> s.staged_trees <- v);
+    count "direct_link_hits" (fun s -> s.direct_link_hits)
+      (fun s v -> s.direct_link_hits <- v);
+    { name = "spec_log_hwm"; get = (fun s -> s.spec_log_hwm);
+      set = (fun s v -> s.spec_log_hwm <- v); merge = max };
+    count "deadline_hits" (fun s -> s.deadline_hits)
+      (fun s v -> s.deadline_hits <- v);
+    count "shadow_checked" (fun s -> s.shadow_checked)
+      (fun s v -> s.shadow_checked <- v);
+    count "shadow_divergences" (fun s -> s.shadow_divergences)
+      (fun s v -> s.shadow_divergences <- v);
+    count "checkpoints_written" (fun s -> s.checkpoints_written)
+      (fun s v -> s.checkpoints_written <- v);
+    count "tier2_promotions" (fun s -> s.tier2_promotions)
+      (fun s v -> s.tier2_promotions <- v);
+    count "tier2_deopts" (fun s -> s.tier2_deopts)
+      (fun s v -> s.tier2_deopts <- v);
+    count "tier2_entries" (fun s -> s.tier2_entries)
+      (fun s v -> s.tier2_entries <- v);
+    count "tier2_vliws" (fun s -> s.tier2_vliws)
+      (fun s v -> s.tier2_vliws <- v);
+    count "tier2_offregion_exits" (fun s -> s.tier2_offregion_exits)
+      (fun s v -> s.tier2_offregion_exits <- v) ]
+
+(** The float rows: wall-clock seconds, exported as gauges.  A resumed
+    run restarts them at zero. *)
+let timings =
+  let secs name get set = { name; get; set; merge = ( +. ) } in
+  [ secs "compile_seconds" (fun s -> s.compile_seconds)
+      (fun s v -> s.compile_seconds <- v);
+    secs "checkpoint_seconds" (fun s -> s.checkpoint_seconds)
+      (fun s v -> s.checkpoint_seconds <- v);
+    secs "tier2_compile_seconds" (fun s -> s.tier2_compile_seconds)
+      (fun s v -> s.tier2_compile_seconds <- v) ]
+
+(** Merge one run's [s] into the accumulator [into], row by row. *)
+let add ~into s =
+  let merge r = r.set into (r.merge (r.get into) (r.get s)) in
+  List.iter merge counters;
+  List.iter merge timings
+
 (* --- Instrumentation interface -------------------------------------
 
    The VMM reports its interesting moments as {!event}s; the
@@ -301,6 +427,10 @@ type t = {
   tcache : Tcache.Store.t option;
       (** the persistent translation cache, when [run --tcache] gave us
           a directory *)
+  mutable tcache_degraded_seen : int;
+      (** the store's [degraded_count] as last mirrored into
+          [stats.tcache_degraded], which a restored snapshot may start
+          above the fresh store's count *)
   cscratch : C.scratch;
       (** shared scratch buffers of staged execution (one VLIW executes
           at a time, so one set serves every staged page) *)
@@ -497,7 +627,8 @@ let tcache_for t base = if base < Mem.size t.mem then t.tcache else None
    storage fault surfaces exactly once as a [Tcache_degraded] event. *)
 let tcache_sync_degraded t store base =
   let d = Tcache.Store.degraded_count store in
-  while t.stats.tcache_degraded < d do
+  while t.tcache_degraded_seen < d do
+    t.tcache_degraded_seen <- t.tcache_degraded_seen + 1;
     t.stats.tcache_degraded <- t.stats.tcache_degraded + 1;
     emit t (fun () -> Tcache_degraded { cycle = now t; page = base })
   done
@@ -512,7 +643,7 @@ let tcache_sync_degraded t store base =
     instead of a corrupt-parse per session per probe, and the winner's
     persist heals the key. *)
 let tcache_probe ?fingerprint ?members t store ~key ~page tr =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let corrupt reason =
     t.stats.tcache_corrupt <- t.stats.tcache_corrupt + 1;
     emit t (fun () -> Tcache_corrupt { cycle = now t; page; reason });
@@ -525,7 +656,7 @@ let tcache_probe ?fingerprint ?members t store ~key ~page tr =
   let hit =
     match Tcache.Store.probe ?fingerprint ?members store ~key with
     | `Hit (xp, spec_inhibited) when xp.base = Translate.page_base tr page ->
-      let seconds = Sys.time () -. t0 in
+      let seconds = Unix.gettimeofday () -. t0 in
       Translate.install tr ~spec_inhibited xp;
       t.stats.tcache_hits <- t.stats.tcache_hits + 1;
       emit t (fun () ->
@@ -706,7 +837,7 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
   in
   let t =
     { tr; st; fe = frontend; interp_step = frontend.make_step m mem; mem;
-      stats = fresh_stats (); tcache;
+      stats = fresh_stats (); tcache; tcache_degraded_seen = 0;
       cscratch = C.create_scratch (); compiled = Hashtbl.create 32;
       spec_addr = Array.make 32 0; spec_bytes = Array.make 32 0;
       spec_seq = Array.make 32 0; spec_n = 0;
@@ -1174,11 +1305,11 @@ let run t ~entry ~fuel =
            | None -> ());
            emit t (fun () ->
                Translate_begin { cycle = now t; page = base; entry = addr });
-           let tb0 = Sys.time () in
+           let tb0 = Unix.gettimeofday () in
            let res = Translate.entry t.tr addr in
            (match t.translate_budget with
            | Some b ->
-             let dt = Sys.time () -. tb0 in
+             let dt = Unix.gettimeofday () -. tb0 in
              if dt > b then raise (Translate_deadline dt)
            | None -> ());
            emit t (fun () ->

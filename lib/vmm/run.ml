@@ -17,22 +17,14 @@ type result = {
           has no verification point *)
   base_insns : int;        (** dynamic base instructions (reference run) *)
   static_insns : int;      (** distinct static instructions executed *)
-  vliws : int;             (** tree VLIWs executed *)
-  interp_insns : int;      (** instructions run in VMM interpretation episodes *)
-  cycles_infinite : int;
-  cycles_finite : int;
-  stall_cycles : int;
+  cycles_infinite : int;   (** VLIWs plus interpreted instructions *)
+  cycles_finite : int;     (** plus the cache hierarchy's stall cycles *)
   ilp_inf : float;         (** pathlength reduction, infinite cache *)
   ilp_fin : float;
-  loads : int;
-  stores : int;
-  load_misses : int;       (** first-level data misses on loads *)
-  store_misses : int;
-  imiss : int;             (** first-level instruction misses *)
   miss_l0d : float;        (** miss rates (Figure 5.2) *)
   miss_l0i : float;
   miss_joint : float;
-  stats : Monitor.stats;
+  stats : Monitor.stats;   (** every VMM counter, read by name *)
   totals : Translate.totals;
   code_bytes : int;        (** total translated code *)
   pages_translated : int;
@@ -142,18 +134,10 @@ let run ?(params = Params.default) ?hierarchy ?instrument ?prepare
     exit_code = (if verified then dcode else None);
     base_insns = it.icount;
     static_insns = Interp.static_touched it;
-    vliws = s.vliws;
-    interp_insns = s.interp_insns;
     cycles_infinite = cycles_inf;
     cycles_finite = cycles_fin;
-    stall_cycles = s.cache_stalls;
     ilp_inf = float_of_int it.icount /. float_of_int (max 1 cycles_inf);
     ilp_fin = float_of_int it.icount /. float_of_int (max 1 cycles_fin);
-    loads = s.loads;
-    stores = s.stores;
-    load_misses = s.load_misses;
-    store_misses = s.store_misses;
-    imiss = s.imiss;
     miss_l0d = miss_rate Memsys.Hierarchy.l0d;
     miss_l0i = miss_rate Memsys.Hierarchy.l0i;
     miss_joint = miss_rate Memsys.Hierarchy.joint;

@@ -68,7 +68,7 @@ let test_translator_pins_to_interp () =
   let r, _ = run_with cfg (Workloads.Registry.by_name "wc") in
   Alcotest.(check (option int)) "correct exit, fully interpreted"
     (Some 4691) r.exit_code;
-  Alcotest.(check int) "no VLIW ever executed" 0 r.vliws;
+  Alcotest.(check int) "no VLIW ever executed" 0 r.stats.vliws;
   Alcotest.(check bool) "pages pinned" true (r.stats.interp_pinned >= 1)
 
 let test_bitflips () =

@@ -112,6 +112,87 @@ let test_degraded_state_survives () =
     (Ppc.Mem.load32 vmm2.mem (Wl.scratch_base + 0x40));
   rm_rf dir
 
+(* Every integer row of the counter table round-trips by name, so a
+   resumed run reports whole-run totals. *)
+let test_every_counter_survives () =
+  let dir = fresh_dir "counters" in
+  let w = Workloads.Registry.by_name "wc" in
+  let mem, _ = Wl.instantiate w in
+  let vmm = Monitor.create mem in
+  List.iteri
+    (fun i (row : int Monitor.row) -> row.set vmm.stats (1000 + i))
+    Monitor.counters;
+  let ck = Checkpoint.attach ~dir ~every:1 ~workload:w.name vmm in
+  ignore (Checkpoint.write ck ~pc:0x1000);
+  let mem2, _ = Wl.instantiate w in
+  let vmm2 = Monitor.create mem2 in
+  ignore (Checkpoint.restore_into (Option.get (Checkpoint.load ~dir ())) vmm2);
+  List.iteri
+    (fun i (row : int Monitor.row) ->
+      Alcotest.(check int) row.name (1000 + i) (row.get vmm2.stats))
+    Monitor.counters;
+  rm_rf dir
+
+(* A restored [tcache_degraded] is a whole-run total, above the fresh
+   store's own degraded count: the next storage-faulted cache operation
+   must still surface as exactly one [Tcache_degraded] and add one. *)
+let test_degraded_fires_after_restore () =
+  let dir = fresh_dir "degraded-ck" in
+  let tdir = fresh_dir "degraded-tc" in
+  let w = Workloads.Registry.by_name "wc" in
+  ignore (Run.run ~tcache_dir:tdir w);
+  let mem, entry = Wl.instantiate w in
+  let vmm = Monitor.create mem in
+  vmm.stats.tcache_degraded <- 5;
+  let ck = Checkpoint.attach ~dir ~every:1 ~workload:w.name vmm in
+  ignore (Checkpoint.write ck ~pc:entry);
+  let io, _ = Fsio.faulty { Fsio.fault_quiet with eio_read_rate = 1.0 } in
+  let mem2, _ = Wl.instantiate w in
+  let vmm2 = Monitor.create ~tcache_dir:tdir ~tcache_io:io mem2 in
+  ignore (Checkpoint.restore_into (Option.get (Checkpoint.load ~dir ())) vmm2);
+  let fired = ref 0 in
+  Monitor.on_event vmm2 (function
+    | Monitor.Tcache_degraded _ -> incr fired
+    | _ -> ());
+  let store = Option.get vmm2.tcache in
+  let page = Translator.Translate.page_base vmm2.tr entry in
+  ignore
+    (Monitor.tcache_probe vmm2 store ~key:(Monitor.page_key vmm2 store page)
+       ~page vmm2.tr);
+  Alcotest.(check int) "one Tcache_degraded event" 1 !fired;
+  Alcotest.(check int) "the total continues" 6 vmm2.stats.tcache_degraded;
+  rm_rf dir;
+  rm_rf tdir
+
+(* Checkpoint time is wall time: a disk that takes 20 ms per write shows
+   in [checkpoint_seconds] and in the event, though the process sleeps
+   through it. *)
+let test_checkpoint_time_is_wall_time () =
+  let dir = fresh_dir "walltime" in
+  let slow =
+    { Fsio.real with
+      write_file =
+        (fun path contents ->
+          Unix.sleepf 0.02;
+          Fsio.real.write_file path contents) }
+  in
+  let w = Workloads.Registry.by_name "wc" in
+  let mem, _ = Wl.instantiate w in
+  let vmm = Monitor.create mem in
+  let seconds = ref 0. in
+  Monitor.on_event vmm (function
+    | Monitor.Checkpoint_written { seconds = s; _ } -> seconds := s
+    | _ -> ());
+  let ck = Checkpoint.attach ~dir ~every:1 ~io:slow ~workload:w.name vmm in
+  ignore (Checkpoint.write ck ~pc:0x1000);
+  Alcotest.(check bool)
+    (Printf.sprintf "checkpoint_seconds %.4f >= 0.02"
+       vmm.stats.checkpoint_seconds)
+    true
+    (vmm.stats.checkpoint_seconds >= 0.02);
+  Alcotest.(check bool) "event seconds >= 0.02" true (!seconds >= 0.02);
+  rm_rf dir
+
 (* A corrupt snapshot invalidates itself and everything after it (later
    deltas assume the earlier image), so [load] restores the longest
    valid prefix. *)
@@ -517,6 +598,12 @@ let () =
             test_resume_bit_identical;
           Alcotest.test_case "degraded state survives" `Quick
             test_degraded_state_survives;
+          Alcotest.test_case "every counter survives" `Quick
+            test_every_counter_survives;
+          Alcotest.test_case "tcache_degraded fires after restore" `Quick
+            test_degraded_fires_after_restore;
+          Alcotest.test_case "checkpoint time is wall time" `Quick
+            test_checkpoint_time_is_wall_time;
           Alcotest.test_case "longest valid prefix" `Quick
             test_longest_valid_prefix;
           Alcotest.test_case "graceful termination" `Quick

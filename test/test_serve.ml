@@ -25,6 +25,17 @@ let rm_rf dir =
   (try Sys.remove (Filename.concat dir ".dtclock") with Sys_error _ -> ());
   try Sys.rmdir dir with Sys_error _ -> ()
 
+(* Every row of the VMM's counter table is a top-level key of the JSON
+   object [json], under the table's name. *)
+let check_every_counter what json =
+  let j = Obs.Json.parse json in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (what ^ " carries " ^ name) true
+        (Option.is_some (Obs.Json.member name j)))
+    (List.map (fun (r : int Vmm.Monitor.row) -> r.name) Vmm.Monitor.counters
+    @ List.map (fun (r : float Vmm.Monitor.row) -> r.name) Vmm.Monitor.timings)
+
 (* --- the domain pool ----------------------------------------------- *)
 
 let test_pool_runs_everything () =
@@ -384,7 +395,8 @@ let test_fleet_cold_then_warm () =
   Alcotest.(check int) "warm: all verified" 0 warm.Serve.Fleet.failures;
   Alcotest.(check int) "warm: zero pages retranslated" 0
     warm.Serve.Fleet.pages_translated;
-  Alcotest.(check int) "warm: zero misses" 0 warm.Serve.Fleet.tcache_misses;
+  Alcotest.(check int) "warm: zero misses" 0
+    warm.Serve.Fleet.counters.tcache_misses;
   Alcotest.(check (float 0.0001)) "warm: hit rate 1.0" 1.0
     warm.Serve.Fleet.hit_rate;
   Alcotest.(check int) "warm: gate never engaged" 0 warm.Serve.Fleet.gate_wins;
@@ -457,7 +469,7 @@ let test_fleet_corrupt_entry_self_heals () =
   Alcotest.(check int) "corruption surfaced to no session" 0
     warm.Serve.Fleet.failures;
   Alcotest.(check bool) "poisoned entry was quarantined" true
-    (warm.Serve.Fleet.tcache_quarantined >= 1);
+    (warm.Serve.Fleet.counters.tcache_quarantined >= 1);
   Alcotest.(check bool) "gate winner retranslated the page" true
     (warm.Serve.Fleet.pages_translated >= 1);
   Alcotest.(check bool) "quarantine file set aside for ops" true
@@ -506,14 +518,42 @@ let test_chaos_invariants () =
     Alcotest.fail
       ("chaos contract violated: " ^ String.concat "; " v ^ " ["
       ^ String.concat " | " details ^ "]"));
-  Alcotest.(check bool) "cocktail actually fired" true (r.Serve.Chaos.injected > 0);
+  Alcotest.(check bool) "cocktail actually fired" true
+    (r.Serve.Fleet.injected > 0);
   Alcotest.(check bool)
     (Printf.sprintf "tight queue cap actually shed (sheds=%d)"
-       r.Serve.Chaos.sheds)
+       r.Serve.Fleet.sheds)
     true
-    (r.Serve.Chaos.sheds > 0);
+    (r.Serve.Fleet.sheds > 0);
   Alcotest.(check bool) "shed submissions were retried in" true
-    (r.Serve.Chaos.retries > 0);
+    (r.Serve.Fleet.retries > 0);
+  check_every_counter "chaos report"
+    (Obs.Json.to_string (Serve.Fleet.report_json r));
+  rm_rf dir
+
+(* A crash dump written mid-run reads the counter table at dump time. *)
+let test_crash_dump_counters () =
+  let dir = fresh_dir () in
+  let flight = Obs.Flight.create ~dir () in
+  let mem, entry =
+    Workloads.Wl.instantiate (Workloads.Registry.by_name "wc")
+  in
+  let vmm = Vmm.Monitor.create mem in
+  Obs.Bridge.attach (Obs.Bridge.create ~flight ()) vmm;
+  Alcotest.(check (option int)) "stopped mid-run" None
+    (Vmm.Monitor.run vmm ~entry ~fuel:5_000);
+  (match Obs.Flight.dump flight ~reason:"test" with
+  | Some path ->
+    let d =
+      Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all)
+    in
+    let counters = Option.get (Obs.Json.member "counters" d) in
+    check_every_counter "crash dump" (Obs.Json.to_string counters);
+    Alcotest.(check (option int)) "vliws as of the dump"
+      (Some vmm.stats.vliws)
+      (Option.bind (Obs.Json.member "vliws" counters) Obs.Json.to_int);
+    Sys.remove path
+  | None -> Alcotest.fail "dump not written");
   rm_rf dir
 
 (* --- the daemon over its socket ------------------------------------ *)
@@ -547,10 +587,14 @@ let test_server_roundtrip () =
     scan 0
   in
   Alcotest.(check string) "ping" {|"pong"|} (ok "PING");
+  let run = ok "RUN wc" in
   Alcotest.(check bool) "run reports success" true
-    (contains (ok "RUN wc") {|"ok":true|});
+    (contains run {|"ok":true|});
+  check_every_counter "RUN reply" run;
+  let fleet = ok "FLEET 4 wc" in
   Alcotest.(check bool) "fleet runs warm off the RUN's entries" true
-    (contains (ok "FLEET 4 wc") {|"pages_translated":0|});
+    (contains fleet {|"pages_translated":0|});
+  check_every_counter "FLEET reply" fleet;
   Alcotest.(check bool) "stats sees the sessions" true
     (contains (ok "STATS") {|"sessions_started":5|});
   (match Serve.Client.request ~socket_path "NOSUCH" with
@@ -570,9 +614,10 @@ let test_server_roundtrip () =
       Alcotest.(check bool) ("HEALTH carries " ^ field) true
         (contains health ("\"" ^ field ^ "\":")))
     [ "queue_depth"; "inflight_sessions"; "sheds"; "deadline_failures";
-      "crash_failures"; "ladder_strikes"; "self_heals" ];
+      "crash_failures"; "quarantines"; "tcache_quarantined" ];
   Alcotest.(check bool) "HEALTH counted the deadline failure" true
     (contains health {|"deadline_failures":1|});
+  check_every_counter "HEALTH" health;
   ignore (ok "SHUTDOWN");
   Thread.join server;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket_path);
@@ -718,7 +763,9 @@ let () =
             test_fleet_corrupt_entry_self_heals ] );
       ( "chaos",
         [ Alcotest.test_case "invariants under cocktail" `Slow
-            test_chaos_invariants ] );
+            test_chaos_invariants;
+          Alcotest.test_case "crash dump carries every counter" `Quick
+            test_crash_dump_counters ] );
       ( "server",
         [ Alcotest.test_case "socket roundtrip" `Slow test_server_roundtrip;
           Alcotest.test_case "sheds and client retries" `Slow

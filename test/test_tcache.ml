@@ -390,8 +390,8 @@ let test_warm_start_registry () =
         (cold.stats.tcache_persists > 0);
       Alcotest.(check bool) (w.name ^ ": same exit") true
         (cold.exit_code = warm.exit_code);
-      Alcotest.(check int) (w.name ^ ": same VLIWs executed") cold.vliws
-        warm.vliws;
+      Alcotest.(check int) (w.name ^ ": same VLIWs executed")
+        cold.stats.vliws warm.stats.vliws;
       Alcotest.(check int) (w.name ^ ": same cycles") cold.cycles_infinite
         warm.cycles_infinite;
       Alcotest.(check bool) (w.name ^ ": same ILP") true
@@ -419,6 +419,34 @@ let test_warm_survives_corrupt_entry () =
   (* the retranslation was re-persisted, so a third run is all-hit *)
   let third = Vmm.Run.run ~tcache_dir:dir w in
   Alcotest.(check int) "third run all from cache" 0 third.pages_translated;
+  ignore (Store.clear_dir dir)
+
+(* Load time is wall time: a disk that takes 20 ms per read shows in
+   every [Tcache_hit]'s seconds, though the process sleeps through it. *)
+let test_hit_time_is_wall_time () =
+  let dir = fresh_dir () in
+  let w = Workloads.Registry.by_name "wc" in
+  ignore (Vmm.Run.run ~tcache_dir:dir w);
+  let slow =
+    { Fsio.real with
+      read_file =
+        (fun path ->
+          Unix.sleepf 0.02;
+          Fsio.real.read_file path) }
+  in
+  let hits = ref [] in
+  let instrument vmm =
+    Vmm.Monitor.on_event vmm (function
+      | Vmm.Monitor.Tcache_hit { seconds; _ } -> hits := seconds :: !hits
+      | _ -> ())
+  in
+  ignore (Vmm.Run.run ~tcache_dir:dir ~tcache_io:slow ~instrument w);
+  Alcotest.(check bool) "warm run hit" true (!hits <> []);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "hit took %.4f s >= 0.02" s) true
+        (s >= 0.02))
+    !hits;
   ignore (Store.clear_dir dir)
 
 (* A corrupt region image is counted and quarantined like a corrupt
@@ -737,6 +765,8 @@ let () =
           Alcotest.test_case "corrupt entry" `Quick
             test_warm_survives_corrupt_entry;
           Alcotest.test_case "skipped entry" `Quick test_warm_counts_skipped;
+          Alcotest.test_case "hit time is wall time" `Quick
+            test_hit_time_is_wall_time;
           Alcotest.test_case "corrupt region entry" `Quick
             test_warm_quarantines_corrupt_region;
           Alcotest.test_case "self-modifying" `Quick

@@ -306,7 +306,7 @@ let test_attach_either_order () =
               Obs.Bridge.attach bridge vmm;
               if not tier_first then ignore (Tier.attach vmm))
         in
-        [ r.vliws; r.stats.tier2_promotions; Obs.Profile.total_entries profile;
+        [ r.stats.vliws; r.stats.tier2_promotions; Obs.Profile.total_entries profile;
           Obs.Profile.total_edges profile ]
       in
       let tier_last = counts ~tier_first:false in

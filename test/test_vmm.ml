@@ -35,7 +35,8 @@ let test_finite_cache_run () =
     let r = Run.run ?params ~hierarchy (Workloads.Registry.by_name name) in
     Alcotest.(check bool) "finite <= infinite ILP" true
       (r.ilp_fin <= r.ilp_inf);
-    [ r.stall_cycles; r.imiss; r.load_misses; r.store_misses; r.cycles_finite ]
+    [ r.stats.cache_stalls; r.stats.imiss; r.stats.load_misses;
+      r.stats.store_misses; r.cycles_finite ]
   in
   Alcotest.(check (list int)) "compress, 24-issue"
     [ 35628; 21; 306; 286; 238766 ]
@@ -366,7 +367,7 @@ let update_form (body : Ppc.Asm.t -> unit) () =
   in
   let r = Run.run w in
   Alcotest.(check (option int)) "exit" (Some 0) r.exit_code;
-  Alcotest.(check int) "nothing interpreted" 0 r.interp_insns
+  Alcotest.(check int) "nothing interpreted" 0 r.stats.interp_insns
 
 let lwzu_ra0 a =
   Ppc.Asm.li a 0 0x1234;
@@ -392,6 +393,21 @@ let lmw_ra_in_range a =
 let lmw_r0_ra_in_range a =
   Ppc.Asm.li a 18 0x7000;
   Ppc.Asm.ins a (Lmw (0, 18, 0))
+
+(* The counter table declares every [stats] field exactly once: one row
+   per record field, no name twice.  A field added without a row fails
+   here. *)
+let test_counter_table () =
+  let module M = Vmm.Monitor in
+  let names =
+    List.map (fun (r : int M.row) -> r.name) M.counters
+    @ List.map (fun (r : float M.row) -> r.name) M.timings
+  in
+  Alcotest.(check int) "one row per stats field"
+    (Obj.size (Obj.repr (M.fresh_stats ())))
+    (List.length names);
+  Alcotest.(check int) "names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 let () =
   Alcotest.run "vmm"
@@ -426,6 +442,7 @@ let () =
           Alcotest.test_case "itlb" `Quick test_itlb_counts;
           Alcotest.test_case "no allocation per VLIW" `Quick
             test_no_alloc_per_vliw;
+          Alcotest.test_case "counter table" `Quick test_counter_table;
           Alcotest.test_case "stages only trees that run" `Quick
             test_stages_only_trees_that_run;
           Alcotest.test_case "extension keeps staged trees" `Quick
