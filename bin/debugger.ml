@@ -100,7 +100,7 @@ let interp s n =
     m.pc <- s.pc;
     try
       for _ = 1 to n do
-        s.vmm.interp_step ();
+        ignore (s.vmm.interp_step ());
         s.vmm.stats.interp_insns <- s.vmm.stats.interp_insns + 1
       done;
       s.pc <- m.pc;

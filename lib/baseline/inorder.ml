@@ -79,7 +79,8 @@ let run (w : Workloads.Wl.t) =
     if fuel > 0 then begin
       let pc = st.pc in
       match Mem.fetch mem pc with
-      | exception Mem.Data_fault _ -> (try Interp.step it with Mem.Halted _ -> ())
+      | exception Mem.Data_fault _ -> (
+        try ignore (Interp.step it) with Mem.Halted _ -> ())
       | word ->
         let insn = Decode.decode word in
         (* instruction fetch *)
@@ -132,9 +133,7 @@ let run (w : Workloads.Wl.t) =
         mem_issued := !mem_issued + !mem_ops;
         if is_branch then incr br_issued;
         (* execute architecturally *)
-        (match Interp.step it with
-        | () -> ()
-        | exception Mem.Halted code -> raise (Mem.Halted code));
+        ignore (Interp.step it);
         (* latencies and write-back *)
         let completion = ref (!cycle + 1) in
         List.iter

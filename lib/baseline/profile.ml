@@ -28,7 +28,7 @@ let collect (w : Workloads.Wl.t) =
         | exception Mem.Data_fault _ -> false
       in
       match Interp.step it with
-      | () ->
+      | (_ : bool) ->
         if cond then record pc (st.pc <> Interp.u32 (pc + 4));
         go (fuel - 1)
       | exception Mem.Halted _ -> ()

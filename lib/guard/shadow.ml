@@ -181,7 +181,7 @@ let commit t ~next =
                   Printf.sprintf " (boundary pc 0x%X never reached)" next))
       else
         match step () with
-        | () -> go (steps + 1) ~visited
+        | (_ : bool) -> go (steps + 1) ~visited
         | exception Mem.Halted code ->
           diverged t snap
             ~reason:(Printf.sprintf "reference halted (%d) mid-packet" code)

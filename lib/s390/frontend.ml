@@ -10,11 +10,13 @@ let s390 : Translator.Frontend.t =
     make_step =
       (fun st mem ->
         let it = Interp.create st mem in
-        fun () -> Interp.step it);
-    is_episode_stop =
-      (fun mem pc ->
-        match Decode.decode mem pc with
-        | Some ((Insn.BALR _ | BCR _ | BC _), _) -> true
-        | Some (RX ((BAL | BCT), _, _, _, _), _) -> true
-        | Some _ | None -> false);
+        fun () ->
+          let stop =
+            match Decode.decode mem st.pc with
+            | Some ((Insn.BALR _ | BCR _ | BC _), _) -> true
+            | Some (RX ((BAL | BCT), _, _, _, _), _) -> true
+            | Some _ | None -> false
+          in
+          Interp.step it;
+          stop);
     target_mask = Insn.amask land lnot 1 }

@@ -8,9 +8,9 @@
    - decoding + cracking one instruction at an address (with its byte
      length — S/390 instructions are 2/4/6 bytes);
    - an interpreter step over the shared architected state, for the
-     VMM's interpretation episodes;
-   - the classification of instructions that end an interpretation
-     episode (calls, indirect and system instructions).
+     VMM's interpretation episodes, which also classifies the stepped
+     instruction: does it end an episode (calls, indirect and system
+     instructions)?
 
    The PowerPC front end lives here; {!S390.Frontend.s390} provides the
    second architecture. *)
@@ -21,11 +21,11 @@ type t = {
       (** decode and crack the instruction at an address; returns the
           primitives/control and the instruction length in bytes, or
           [None] if the bytes are not a valid instruction *)
-  make_step : Ppc.Machine.t -> Ppc.Mem.t -> (unit -> unit);
-      (** build an interpreter step function over the shared state *)
-  is_episode_stop : Ppc.Mem.t -> int -> bool;
-      (** does the instruction at [pc] end an interpretation episode
-          (subroutine call, indirect branch, system instruction)? *)
+  make_step : Ppc.Machine.t -> Ppc.Mem.t -> (unit -> bool);
+      (** build an interpreter step function over the shared state; a
+          step returns whether the instruction it stepped ends an
+          interpretation episode (subroutine call, indirect branch,
+          system instruction) *)
   target_mask : int;
       (** architected masking of indirect branch targets (PowerPC clears
           the low two bits; S/390 applies the address mask) *)
@@ -45,12 +45,4 @@ let ppc : t =
       (fun st mem ->
         let it = Ppc.Interp.create st mem in
         fun () -> Ppc.Interp.step it);
-    is_episode_stop =
-      (fun mem pc ->
-        match Ppc.Decode.decode (Ppc.Mem.fetch mem pc) with
-        | Some (B (_, _, lk)) -> lk
-        | Some (Bc (_, _, _, _, lk)) -> lk
-        | Some (Bclr _ | Bcctr _ | Sc | Rfi) -> true
-        | Some _ | None -> false
-        | exception Ppc.Mem.Data_fault _ -> false);
     target_mask = 0xFFFF_FFFC }

@@ -1203,10 +1203,14 @@ let step g p : path option =
            flush_staged g p ~reads:d.reads;
            p.force_rename <- false
          with No_pool ->
-           (* pool exhausted even in a fresh VLIW: give up on this path *)
+           (* pool exhausted even in a fresh VLIW: give up on this path.
+              The next group starts here with a fresh pool, unless this
+              is already its first instruction: then it would only jump
+              to itself, so trap to the interpreter instead *)
            p.staged <- [];
            p.force_rename <- false;
-           close_to g p pc);
+           if g.seq = 1 then close_tip g p (T.Trap (Tillegal pc))
+           else close_to g p pc);
         if p.closed then None
         else (
           match d.control with

@@ -16,7 +16,10 @@ type test = { bit : int; sense : bool }
 type trap =
   | Tsc of int       (** system call; argument = base address after the sc *)
   | Trfi             (** return from interrupt *)
-  | Tillegal of int  (** untranslatable word; argument = its base address *)
+  | Tillegal of int
+      (** untranslatable word (illegal, unfetchable, or needing more
+          renamed registers than the pool); argument = its base address,
+          which the monitor hands to the interpreter *)
 
 type exit =
   | Next of int      (** fall through to VLIW [id] of the same translation *)

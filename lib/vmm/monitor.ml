@@ -421,7 +421,7 @@ type t = {
   tr : Translate.t;
   st : Vliw.Vstate.t;
   fe : Translator.Frontend.t;
-  interp_step : unit -> unit;
+  interp_step : unit -> bool;
   mem : Mem.t;
   stats : stats;
   tcache : Tcache.Store.t option;
@@ -959,11 +959,10 @@ let interpret_episode t start =
   let ended_on_stop = ref false in
   let rec go n =
     let pc = m.pc in
-    let stop_kind = t.fe.is_episode_stop t.mem pc in
     (match t.hierarchy with
     | Some h -> probe_cache t h I ~store:false pc 4
     | None -> ());
-    t.interp_step ();
+    let stop_kind = t.interp_step () in
     t.stats.interp_insns <- t.stats.interp_insns + 1;
     let crossed = m.pc land page_mask <> pc land page_mask in
     let backward = m.pc < pc in
@@ -1619,11 +1618,13 @@ let run t ~entry ~fuel =
       | Some p -> recover_at p
       | None -> recover_at target)
     | T.Tillegal a ->
-      (* The translator could not crack the word at [a] — but that
+      (* The translator could not crack the word at [a], or could not
+         place its cracking even in a fresh VLIW.  A failed crack
          conflates two architecturally distinct cases: an illegal
          word (program interrupt) and an unfetchable pc (ISI).
          Hand the pc to the interpreter, whose own fetch/decode
-         delivers the correct vector.  Found by the differential
+         delivers the correct vector, or executes the instruction
+         the translator could not place.  Found by the differential
          fuzzer: a branch to an unmapped absolute address raised a
          program interrupt here where the base architecture takes
          an instruction-storage interrupt. *)

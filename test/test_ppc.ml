@@ -469,6 +469,220 @@ let test_reuse_counting () =
   Alcotest.(check bool) "dynamic >> static" true (t.icount > 100);
   Alcotest.(check bool) "static small" true (Interp.static_touched t < 20)
 
+(* ------------------------------------------------------------------ *)
+(* Predecoded execution                                                *)
+
+(* Everything a reference run ({!Vmm.Run.reference}) leaves, appended
+   to [b]: exit code, dynamic count, the executed addresses, every
+   register, memory and console. *)
+let add_outcome b (code, _, _, (t : Interp.t)) =
+  let add v =
+    Buffer.add_string b (string_of_int v);
+    Buffer.add_char b ' '
+  in
+  let st = t.st in
+  add (Option.value code ~default:(-1));
+  add t.icount;
+  add (Interp.static_touched t);
+  List.iter add
+    (List.sort compare
+       (Hashtbl.fold (fun pc () acc -> pc :: acc) t.touched []));
+  Array.iter add st.gpr;
+  List.iter add
+    [ st.cr; st.lr; st.ctr; Machine.get_xer st; st.pc; st.msr; st.srr0;
+      st.srr1; st.dar; st.dsisr; st.sprg0; st.sprg1 ];
+  Buffer.add_string b (Digest.to_hex (Digest.bytes t.mem.bytes));
+  Buffer.add_string b (Mem.output t.mem);
+  Buffer.add_char b '\n'
+
+(* The registry programs, then the first 2,000 seed-5 fuzz programs with
+   raw words, which execute illegal words and take ISIs and DSIs.  The
+   digest was recorded with the interpreter that decoded every word
+   afresh; a change that means to alter the reference re-records it and
+   says why. *)
+let test_reference_parity () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter (fun w -> add_outcome b (Vmm.Run.reference w))
+    Workloads.Registry.all;
+  for index = 0 to 1999 do
+    let rng = Random.State.make [| 5; index; 0 |] in
+    let slots = Fault.Fuzz.gen_slots rng ~insns:96 ~allow_raw:true in
+    add_outcome b
+      (Vmm.Run.reference (Fault.Fuzz.wl_of ~seed:5 ~index ~fuel:100_000 slots))
+  done;
+  Alcotest.(check string) "digest" "d50a015b01ada53b540cd49fe36dd92d"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* test_daisy's self-modifying program: call a subroutine, store
+   [patch] over its first word, call it again. *)
+let patch_program patch a =
+  Asm.li a 3 0;
+  Asm.bl a "patchee";
+  Asm.la a 5 "patch_site";
+  Asm.li32 a 6 patch;
+  Asm.stw a 6 5 0;
+  Asm.ins a Isync;
+  Asm.bl a "patchee";
+  exit_with a 3;
+  Asm.label a "patchee";
+  Asm.label a "patch_site";
+  Asm.addi a 3 3 1;
+  Asm.blr a
+
+let test_rewritten_word () =
+  let code, _, _, _, _ =
+    run_asm (patch_program (Encode.encode (Addi (3, 3, 100))))
+  in
+  Alcotest.(check (option int)) "second call runs the new word" (Some 101) code
+
+let test_word_turned_illegal () =
+  let code, st, _, labels, _ =
+    run_asm (fun a ->
+        patch_program 0 a;
+        Asm.org a Interp.Vector.program;
+        exit_with a 3)
+  in
+  Alcotest.(check (option int)) "program interrupt on the second call"
+    (Some 1) code;
+  Alcotest.(check int) "srr0 is the rewritten word"
+    (Hashtbl.find labels "patch_site") st.srr0
+
+(* [loop] and [far] are 256 bytes apart, so they and the words after
+   them share slots of the starting 64-slot table, and both hold the
+   same word, a branch 8 bytes ahead: run alternately, each pc must
+   execute its own word from its own address. *)
+let test_shared_slot () =
+  let skip a = Asm.ins a (B (8, false, false)) in
+  let code, _, _, labels, t =
+    run_asm (fun a ->
+        Asm.li a 3 0;
+        Asm.li a 4 0;
+        Asm.li a 5 10;
+        Asm.mtctr a 5;
+        Asm.label a "loop";
+        skip a;
+        Asm.addi a 3 3 100;
+        Asm.addi a 3 3 1;
+        Asm.b a "far";
+        Asm.label a "back";
+        Asm.bdnz a "loop";
+        Asm.add a 3 3 4;
+        exit_with a 3;
+        Asm.org a 0x1110;
+        Asm.label a "far";
+        skip a;
+        Asm.addi a 4 4 100;
+        Asm.addi a 4 4 2;
+        Asm.b a "back")
+  in
+  Alcotest.(check int) "256 bytes apart" (Hashtbl.find labels "loop" + 256)
+    (Hashtbl.find labels "far");
+  Alcotest.(check int) "still the starting table" 64 (Array.length t.slots);
+  Alcotest.(check (option int)) "10 + 2 * 10" (Some 30) code;
+  (* 4 set-up, 3 in the loop's half, bdnz, add, 3 to exit, 3 in far's *)
+  Alcotest.(check int) "static" 15 (Interp.static_touched t)
+
+(* A footprint larger than the starting table: the table grows and
+   every word is counted once. *)
+let test_large_footprint () =
+  let code, _, _, _, t =
+    run_asm (fun a ->
+        Asm.li a 3 0;
+        for _ = 1 to 1000 do
+          Asm.addi a 3 3 1
+        done;
+        exit_with a 3)
+  in
+  Alcotest.(check (option int)) "exit" (Some 1000) code;
+  Alcotest.(check int) "static" 1004 (Interp.static_touched t);
+  Alcotest.(check bool) "grown" true (Array.length t.slots > 64);
+  let _, _, _, t = Vmm.Run.reference (Workloads.Registry.by_name "gcc") in
+  Alcotest.(check int) "gcc static" 139 (Interp.static_touched t)
+
+(* The reference allocates nothing per instruction: runs cut at 100,000
+   and 400,000 instructions allocate the same minor words, up to the
+   fills of words first executed in between. *)
+let test_run_allocation () =
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.by_name name in
+      let words fuel =
+        let mem, entry = Workloads.Wl.instantiate w in
+        let st = Machine.create () in
+        st.pc <- entry;
+        let t = Interp.create st mem in
+        let w0 = Gc.minor_words () in
+        let code = Interp.run t ~fuel in
+        let w1 = Gc.minor_words () in
+        Alcotest.(check (option int)) "stopped by fuel" None code;
+        w1 -. w0
+      in
+      let extra = words 400_000 -. words 100_000 in
+      if extra > 1000. then
+        Alcotest.failf "%s: %.0f more minor words for 300,000 more instructions"
+          name extra)
+    [ "c_sieve"; "compress" ]
+
+(* A loop of loads, stores, ALU forms, a call and a return. *)
+let episode_loop a =
+  Asm.li32 a 1 0x8000;
+  Asm.label a "loop";
+  Asm.addi a 3 3 1;
+  Asm.stw a 3 1 0;
+  Asm.lwz a 4 1 0;
+  Asm.slwi a 5 4 3;
+  Asm.cmpw a 4 5;
+  Asm.label a "call";
+  Asm.bl a "leaf";
+  Asm.b a "loop";
+  Asm.label a "leaf";
+  Asm.blr a
+
+(* The VMM's episode step classifies the instruction it stepped, and
+   on a warm loop allocates nothing per step. *)
+let test_episode_step () =
+  let mem = Mem.create 0x40000 in
+  let a = Asm.create () in
+  Asm.org a 0x1000;
+  episode_loop a;
+  let labels = Asm.assemble a mem in
+  let st = Machine.create () in
+  st.pc <- 0x1000;
+  let step = Translator.Frontend.ppc.make_step st mem in
+  let stops = ref [] in
+  for _ = 1 to 10 do
+    let pc = st.pc in
+    if step () then stops := pc :: !stops
+  done;
+  Alcotest.(check (list int)) "bl and blr end episodes"
+    [ Hashtbl.find labels "leaf"; Hashtbl.find labels "call" ] !stops;
+  let words n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (step ())
+    done;
+    Gc.minor_words () -. w0
+  in
+  let short = words 1_000 in
+  Alcotest.(check (float 0.)) "minor words" short (words 9_000)
+
+(* [Monitor.create] and every shadow check make a fresh interpreter: it
+   costs less than the 1,024-bucket [touched] table the interpreter
+   used to start with, which went straight to the major heap. *)
+let test_create_allocation () =
+  let st = Machine.create () and mem = Mem.create 0x1000 in
+  (* minor words, plus words allocated directly in the major heap *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let t = Sys.opaque_identity (Interp.create st mem) in
+  let w1 = words () in
+  ignore t;
+  if w1 -. w0 > 1024. then
+    Alcotest.failf "Interp.create allocated %.0f words" (w1 -. w0)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -492,5 +706,16 @@ let () =
           Alcotest.test_case "mmio console" `Quick test_mmio_console;
           Alcotest.test_case "mmio load decode" `Quick test_mmio_load_decode;
           Alcotest.test_case "reuse counting" `Quick test_reuse_counting ] );
+      ( "predecode",
+        [ Alcotest.test_case "reference parity" `Quick test_reference_parity;
+          Alcotest.test_case "rewritten word" `Quick test_rewritten_word;
+          Alcotest.test_case "word turned illegal" `Quick
+            test_word_turned_illegal;
+          Alcotest.test_case "shared slot" `Quick test_shared_slot;
+          Alcotest.test_case "large footprint" `Quick test_large_footprint;
+          Alcotest.test_case "run allocation" `Quick test_run_allocation;
+          Alcotest.test_case "episode step" `Quick test_episode_step;
+          Alcotest.test_case "create allocation" `Quick
+            test_create_allocation ] );
       ( "asm",
         [ Alcotest.test_case "labels and align" `Quick test_asm_labels ] ) ]

@@ -409,6 +409,51 @@ let test_counter_table () =
   Alcotest.(check int) "names are unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* A cracking that cannot be placed even in a fresh VLIW: [lmw r0]
+   through a temporary base needs 33 renamed registers, one more than
+   the pool.  The group that starts with it must trap to the
+   interpreter, not jump to itself until the fuel runs out. *)
+let test_unplaceable_first_insn () =
+  let open Ppc in
+  let lmw = Encode.encode (Lmw (0, 18, 0)) in
+  let ppc = Translator.Frontend.ppc in
+  let frontend =
+    { ppc with
+      decode_crack =
+        (fun mem pc ->
+          match Mem.fetch mem pc with
+          | w when w = lmw ->
+            let load r =
+              Translator.Crack.PLoad
+                { w = Word; alg = false; dst = Gpr r; base = TmpG 0;
+                  off = OffImm (4 * r) }
+            in
+            Some
+              ( Translator.Crack.plain
+                  (PBinI { op = IAdd; dst = TmpG 0; a = Gpr 18; imm = 0 }
+                  :: List.init 32 load),
+                4 )
+          | _ | (exception Mem.Data_fault _) -> ppc.decode_crack mem pc) }
+  in
+  let w =
+    { Workloads.Wl.name = "no-pool"; description = "unplaceable cracking";
+      build =
+        (fun a ->
+          Asm.label a "main";
+          Asm.li a 18 0x7000;
+          Asm.ins a (Lmw (0, 18, 0));
+          Asm.mr a 3 31;
+          Workloads.Wl.sys_exit a);
+      init = (fun mem _ -> Mem.store32 mem (0x7000 + (4 * 31)) 42);
+      mem_size = Workloads.Wl.default_mem_size; fuel = 1_000 }
+  in
+  let want, _, _, _ = Run.reference w in
+  Alcotest.(check (option int)) "reference exit" (Some 42) want;
+  let mem, entry = Workloads.Wl.instantiate w in
+  let vmm = Vmm.Monitor.create ~frontend mem in
+  Alcotest.(check (option int)) "exit within 2,000 VLIWs" want
+    (Vmm.Monitor.run vmm ~entry ~fuel:2_000)
+
 let () =
   Alcotest.run "vmm"
     [ ( "workloads",
@@ -458,4 +503,6 @@ let () =
           Alcotest.test_case "lmw rA in range" `Quick
             (update_form lmw_ra_in_range);
           Alcotest.test_case "lmw r0, rA in range" `Quick
-            (update_form lmw_r0_ra_in_range) ] ) ]
+            (update_form lmw_r0_ra_in_range);
+          Alcotest.test_case "unplaceable first instruction" `Quick
+            test_unplaceable_first_insn ] ) ]
