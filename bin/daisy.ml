@@ -454,14 +454,15 @@ let run_cmd =
     | Some path -> with_out path (fun oc -> output_string oc r.console)
     | None -> ());
     (match (trace_out, sink (fun b -> b.tracer)) with
-    | Some path, Some tr ->
+    | Some path, Some ring ->
       (match trace_format with
-      | `Chrome -> write_json path (Obs.Trace.to_chrome tr)
-      | `Jsonl -> with_out path (fun oc -> Obs.Trace.to_jsonl tr oc));
-      if Obs.Trace.dropped tr > 0 then
+      | `Chrome -> write_json path (Obs.Flight.to_chrome ring)
+      | `Jsonl -> with_out path (fun oc -> Obs.Flight.to_jsonl ring oc));
+      let dropped = Obs.Flight.Ring.dropped ring in
+      if dropped > 0 then
         Printf.eprintf
           "warning: trace ring dropped %d early events (raise --trace-cap)\n"
-          (Obs.Trace.dropped tr)
+          dropped
     | _ -> ());
     (match (metrics_out, sink (fun b -> b.metrics)) with
     | Some path, Some m ->

@@ -54,9 +54,7 @@ let default =
     sink is asked for. *)
 let observers ?trace_cap ?(metrics = false) ?(profile = false) ?flight
     ~page_size () =
-  let tracer =
-    Option.map (fun capacity -> Obs.Trace.create ~capacity ()) trace_cap
-  in
+  let tracer = Option.map Obs.Flight.Ring.create trace_cap in
   let metrics = if metrics then Some (Obs.Metrics.create ()) else None in
   let flight =
     Option.map

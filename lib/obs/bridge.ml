@@ -2,13 +2,15 @@
    observability sinks.  The VMM publishes {!Vmm.Monitor.event}s through
    {!Vmm.Monitor.on_event}; this module subscribes and fans each event out to
    whichever sinks were requested — the trace ring, the metrics
-   histograms, the region profile, the flight recorder.  The dependency
-   points obs -> vmm only: the VMM never links against this library. *)
+   histograms, the region profile, the flight recorder.  Every sink
+   records; none renders on the hot path.  The dependency points
+   obs -> vmm only: the VMM never links against this library. *)
 
 module Monitor = Vmm.Monitor
 
 type t = {
-  tracer : Trace.t option;
+  tracer : Flight.Ring.t option;
+      (** the [--trace-out] ring: raw events, rendered at export *)
   metrics : Metrics.t option;
   profile : Profile.t option;
   flight : Flight.t option;
@@ -62,16 +64,23 @@ let crash b reason =
 let observe h v =
   match h with Some h -> Metrics.Histogram.observe_int h v | None -> ()
 
-(* The hot path.  The flight recorder takes the raw event (two stores,
-   no allocation — the event value already exists); the sink updates
-   below are counter bumps; JSON rendering happens only for the opt-in
-   full-size tracer, via {!Flight.render}, so an always-on recorder
-   stays cheap while a dump's tail remains exactly the trace a tracer
-   would have kept. *)
+(* The hot path.  Both rings take the raw event (two stores, no
+   allocation — the event value already exists) and the sink updates
+   below are counter bumps; JSON is rendered only at a dump or an
+   export, through {!Flight.render}, so a dump's tail is exactly the
+   trace a trace ring would have kept. *)
 let on_event b (ev : Monitor.event) =
   (match b.flight with Some f -> Flight.push f ev | None -> ());
+  (match (b.tracer, ev) with
+  | Some _, Page_enter _ ->
+    (* page entries are far too frequent for the trace ring — but the
+       flight recorder's whole job is the recent tail, so it kept this
+       one above *)
+    ()
+  | Some r, _ -> Flight.Ring.push r ev
+  | None, _ -> ());
   (match b.profile with Some p -> Profile.feed p ev | None -> ());
-  (match ev with
+  match ev with
   | Translate_end { page; insns; vliws; bytes; _ } ->
     observe b.h_tr_insns insns;
     observe b.h_tr_vliws vliws;
@@ -102,19 +111,7 @@ let on_event b (ev : Monitor.event) =
   | Deadline _ -> crash b "deadline"
   | Shadow_divergence _ -> crash b "divergence"
   | Tcache_quarantine _ -> crash b "tcache-quarantine"
-  | _ -> ());
-  match b.tracer with
-  | None -> ()
-  | Some t -> (
-    match ev with
-    | Page_enter _ ->
-      (* page entries are far too frequent for the main ring — but the
-         flight recorder's whole job is the recent tail, so it kept
-         this one above *)
-      ()
-    | _ ->
-      let ts, name, ph, args = Flight.render ev in
-      Trace.emit t ~ts ~name ~ph args)
+  | _ -> ()
 
 (** Subscribe this bridge to a VMM's event stream.  When a flight
     recorder is attached this is also the moment it gains a VMM whose

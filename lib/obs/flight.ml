@@ -13,7 +13,8 @@
    {!Vmm.Monitor.event} values themselves — already allocated by the
    monitor's emit — so recording is two array/int stores and zero
    allocation.  Rendering an event to JSON ({!render}) happens only at
-   dump time (and in Bridge's full tracer, which is opt-in).
+   dump time, and at export for the full-size trace ring that
+   [daisy run --trace-out] keeps in the same {!Ring} type.
 
    Dump policy is first-wins per reason: the first quarantine of a run
    captures the context that *led to* the failure (the trigger event is
@@ -25,12 +26,45 @@
 
 module Monitor = Vmm.Monitor
 
+(** A bounded ring of raw events: when full, the oldest is overwritten
+    and [dropped] counts what was lost, so a run's tail is always
+    retained.  A ring belongs to one VMM, on one domain. *)
+module Ring = struct
+  type t = {
+    buf : Monitor.event array;
+    mutable len : int;      (* valid entries *)
+    mutable head : int;     (* next write position *)
+    mutable total : int;    (* events ever pushed *)
+  }
+
+  (* never surfaced: [len] bounds every read *)
+  let dummy = Monitor.External_interrupt { cycle = -1 }
+
+  let create capacity =
+    if capacity <= 0 then invalid_arg "Flight.Ring.create: capacity";
+    { buf = Array.make capacity dummy; len = 0; head = 0; total = 0 }
+
+  (** Two stores, no allocation. *)
+  let push r ev =
+    let capacity = Array.length r.buf in
+    r.buf.(r.head) <- ev;
+    r.head <- r.head + 1;
+    if r.head = capacity then r.head <- 0;
+    if r.len < capacity then r.len <- r.len + 1;
+    r.total <- r.total + 1
+
+  let total r = r.total
+  let dropped r = r.total - r.len
+
+  (** The retained events, oldest first. *)
+  let events r =
+    let capacity = Array.length r.buf in
+    List.init r.len (fun i ->
+        r.buf.((r.head - r.len + i + capacity) mod capacity))
+end
+
 type t = {
-  buf : Monitor.event array;
-  capacity : int;
-  mutable len : int;      (* valid entries *)
-  mutable head : int;     (* next write position *)
-  mutable total : int;    (* events ever pushed *)
+  ring : Ring.t;
   dir : string;
   mutable metrics : Metrics.t option;
   mutable profile : Profile.t option;
@@ -54,36 +88,23 @@ let default_capacity = 8192
    trigger reason, small enough that a fault storm cannot grow the heap *)
 let max_pending = 16
 
-(* never surfaced: [len] bounds every read *)
-let dummy_event = Monitor.External_interrupt { cycle = -1 }
-
 let create ?(capacity = default_capacity) ?(dir = "daisy-crash")
     ?(io = Fsio.real) () =
-  if capacity <= 0 then invalid_arg "Flight.create: capacity";
-  { buf = Array.make capacity dummy_event; capacity; len = 0; head = 0;
-    total = 0; dir; metrics = None; profile = None; vmm = None;
-    dumps = []; io; io_degraded = 0; pending = [] }
+  { ring = Ring.create capacity; dir; metrics = None; profile = None;
+    vmm = None; dumps = []; io; io_degraded = 0; pending = [] }
 
 let set_metrics t m = t.metrics <- Some m
 let set_profile t p = t.profile <- Some p
 let set_vmm t vmm = t.vmm <- Some vmm
 
-(** The recorder's event feed (Bridge pushes every event): two stores,
-    no allocation. *)
-let push t ev =
-  t.buf.(t.head) <- ev;
-  t.head <- t.head + 1;
-  if t.head = t.capacity then t.head <- 0;
-  if t.len < t.capacity then t.len <- t.len + 1;
-  t.total <- t.total + 1
+(** The recorder's event feed (Bridge pushes every event). *)
+let push t ev = Ring.push t.ring ev
 
-let total t = t.total
-let dropped t = t.total - t.len
+let total t = Ring.total t.ring
+let dropped t = Ring.dropped t.ring
 
 (** Ring contents, oldest first. *)
-let events t =
-  List.init t.len (fun i ->
-      t.buf.((t.head - t.len + i + t.capacity) mod t.capacity))
+let events t = Ring.events t.ring
 
 let dumps t = List.rev t.dumps
 
@@ -98,8 +119,14 @@ let pending_dumps t = List.rev t.pending
 (* --- event rendering ------------------------------------------------
 
    The single event -> (ts, name, phase, args) mapping, shared by the
-   crash dump below and by Bridge's full-size tracer, so a dump's tail
-   is exactly the trace a tracer would have kept. *)
+   crash dump and the trace exports below, so a dump's tail is exactly
+   the trace a trace ring would have kept. *)
+
+type phase = B  (** span begin *)
+           | E  (** span end *)
+           | I  (** instant *)
+
+let phase_string = function B -> "B" | E -> "E" | I -> "i"
 
 let deadline_stage_string : Monitor.deadline_stage -> string = function
   | Dtranslate -> "translate"
@@ -129,111 +156,111 @@ let edge_kind_string : Monitor.edge_kind -> string = function
   | Einterp -> "interp"
 
 let render (ev : Monitor.event) :
-    int * string * Trace.phase * (string * Json.t) list =
+    int * string * phase * (string * Json.t) list =
   match ev with
   | Translate_begin { cycle; page; entry } ->
-    ( cycle, "translate", Trace.B,
+    ( cycle, "translate", B,
       [ ("page", Json.Int page); ("entry", Json.Int entry) ] )
   | Translate_end { cycle; page; entry; insns; vliws; bytes; groups } ->
-    ( cycle, "translate", Trace.E,
+    ( cycle, "translate", E,
       [ ("page", Json.Int page); ("entry", Json.Int entry);
         ("insns", Json.Int insns); ("vliws", Json.Int vliws);
         ("bytes", Json.Int bytes); ("groups", Json.Int groups) ] )
   | Interp_begin { cycle; pc } ->
-    (cycle, "interp", Trace.B, [ ("pc", Json.Int pc) ])
+    (cycle, "interp", B, [ ("pc", Json.Int pc) ])
   | Interp_end { cycle; pc; insns; next } ->
-    ( cycle, "interp", Trace.E,
+    ( cycle, "interp", E,
       [ ("pc", Json.Int pc); ("insns", Json.Int insns);
         ("next", Json.Int next) ] )
   | Rolled_back { cycle; pc; kind } ->
-    ( cycle, "rollback", Trace.I,
+    ( cycle, "rollback", I,
       [ ("pc", Json.Int pc); ("kind", Json.Str (rollback_kind_string kind)) ]
     )
   | Cross_page { cycle; kind; target } ->
-    ( cycle, "cross_page", Trace.I,
+    ( cycle, "cross_page", I,
       [ ("kind", Json.Str (cross_kind_string kind));
         ("target", Json.Int target) ] )
   | Exit_edge { cycle; src; dst; kind } ->
-    ( cycle, "exit_edge", Trace.I,
+    ( cycle, "exit_edge", I,
       [ ("src", Json.Int src); ("dst", Json.Int dst);
         ("kind", Json.Str (edge_kind_string kind)) ] )
   | Page_enter { cycle; page; vliws_so_far = _ } ->
-    (cycle, "page_enter", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "page_enter", I, [ ("page", Json.Int page) ])
   | Retranslate_adaptive { cycle; page } ->
-    (cycle, "adaptive_retranslation", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "adaptive_retranslation", I, [ ("page", Json.Int page) ])
   | Castout { cycle; page } ->
-    (cycle, "castout", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "castout", I, [ ("page", Json.Int page) ])
   | Code_invalidated { cycle; page } ->
-    (cycle, "code_invalidation", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "code_invalidation", I, [ ("page", Json.Int page) ])
   | Syscall_trap { cycle; next } ->
-    (cycle, "syscall", Trace.I, [ ("next", Json.Int next) ])
-  | External_interrupt { cycle } -> (cycle, "external_interrupt", Trace.I, [])
+    (cycle, "syscall", I, [ ("next", Json.Int next) ])
+  | External_interrupt { cycle } -> (cycle, "external_interrupt", I, [])
   | Tcache_hit { cycle; page; vliws; bytes; seconds } ->
-    ( cycle, "tcache_hit", Trace.I,
+    ( cycle, "tcache_hit", I,
       [ ("page", Json.Int page); ("vliws", Json.Int vliws);
         ("bytes", Json.Int bytes); ("ms", Json.Float (seconds *. 1000.)) ] )
   | Tcache_miss { cycle; page } ->
-    (cycle, "tcache_miss", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "tcache_miss", I, [ ("page", Json.Int page) ])
   | Tcache_corrupt { cycle; page; reason } ->
-    ( cycle, "tcache_corrupt", Trace.I,
+    ( cycle, "tcache_corrupt", I,
       [ ("page", Json.Int page); ("reason", Json.Str reason) ] )
   | Tcache_quarantine { cycle; page; reason } ->
-    ( cycle, "tcache_quarantine", Trace.I,
+    ( cycle, "tcache_quarantine", I,
       [ ("page", Json.Int page); ("reason", Json.Str reason) ] )
   | Tcache_persist { cycle; page; bytes } ->
-    ( cycle, "tcache_persist", Trace.I,
+    ( cycle, "tcache_persist", I,
       [ ("page", Json.Int page); ("bytes", Json.Int bytes) ] )
   | Tcache_evict { cycle; page } ->
-    (cycle, "tcache_evict", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "tcache_evict", I, [ ("page", Json.Int page) ])
   | Tcache_skipped { cycle; page; reason } ->
-    ( cycle, "tcache_skipped", Trace.I,
+    ( cycle, "tcache_skipped", I,
       [ ("page", Json.Int page); ("reason", Json.Str reason) ] )
   | Translator_fault { cycle; page; entry; reason } ->
-    ( cycle, "translator_fault", Trace.I,
+    ( cycle, "translator_fault", I,
       [ ("page", Json.Int page); ("entry", Json.Int entry);
         ("reason", Json.Str reason) ] )
   | Exec_fault { cycle; page; pc; reason } ->
-    ( cycle, "exec_fault", Trace.I,
+    ( cycle, "exec_fault", I,
       [ ("page", Json.Int page); ("pc", Json.Int pc);
         ("reason", Json.Str reason) ] )
   | Quarantine { cycle; page; failures; until } ->
-    ( cycle, "quarantine", Trace.I,
+    ( cycle, "quarantine", I,
       [ ("page", Json.Int page); ("failures", Json.Int failures);
         ("until", Json.Int until) ] )
   | Degrade_retry { cycle; page } ->
-    (cycle, "degrade_retry", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "degrade_retry", I, [ ("page", Json.Int page) ])
   | Interp_pinned { cycle; page } ->
-    (cycle, "interp_pinned", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "interp_pinned", I, [ ("page", Json.Int page) ])
   | Vliw_compiled { cycle; page; vliws; seconds } ->
-    ( cycle, "vliw_compiled", Trace.I,
+    ( cycle, "vliw_compiled", I,
       [ ("page", Json.Int page); ("vliws", Json.Int vliws);
         ("ms", Json.Float (seconds *. 1000.)) ] )
   | Deadline { cycle; page; stage; seconds } ->
-    ( cycle, "deadline", Trace.I,
+    ( cycle, "deadline", I,
       [ ("page", Json.Int page);
         ("stage", Json.Str (deadline_stage_string stage));
         ("ms", Json.Float (seconds *. 1000.)) ] )
   | Shadow_divergence { cycle; page; pc; reason } ->
-    ( cycle, "shadow_divergence", Trace.I,
+    ( cycle, "shadow_divergence", I,
       [ ("page", Json.Int page); ("pc", Json.Int pc);
         ("reason", Json.Str reason) ] )
   | Checkpoint_written { cycle; seq; bytes; pages; seconds } ->
-    ( cycle, "checkpoint", Trace.I,
+    ( cycle, "checkpoint", I,
       [ ("seq", Json.Int seq); ("bytes", Json.Int bytes);
         ("pages", Json.Int pages); ("ms", Json.Float (seconds *. 1000.)) ] )
   | Region_promoted { cycle; id; pages; insns; vliws; seconds; cached } ->
-    ( cycle, "region_promoted", Trace.I,
+    ( cycle, "region_promoted", I,
       [ ("id", Json.Int id); ("pages", Json.Int pages);
         ("insns", Json.Int insns); ("vliws", Json.Int vliws);
         ("ms", Json.Float (seconds *. 1000.)); ("cached", Json.Bool cached) ] )
   | Region_deopt { cycle; id; page; reason } ->
-    ( cycle, "region_deopt", Trace.I,
+    ( cycle, "region_deopt", I,
       [ ("id", Json.Int id); ("page", Json.Int page);
         ("reason", Json.Str reason) ] )
   | Tcache_degraded { cycle; page } ->
-    (cycle, "tcache_degraded", Trace.I, [ ("page", Json.Int page) ])
+    (cycle, "tcache_degraded", I, [ ("page", Json.Int page) ])
   | Storage_fault { cycle; store; op; reason } ->
-    ( cycle, "storage_fault", Trace.I,
+    ( cycle, "storage_fault", I,
       [ ("store", Json.Str store); ("op", Json.Str op);
         ("reason", Json.Str reason) ] )
 
@@ -264,13 +291,47 @@ let health_json (vmm : Monitor.t) =
              ("pinned_interp", Json.Bool h.pinned_interp) ])
        rows)
 
+(** One event as {"ts":..,"ph":..,"name":..,<args>}: a crash dump's
+    tail entry and a JSONL trace line. *)
 let ev_json ev =
   let ts, name, ph, args = render ev in
   Json.Obj
     (("ts", Json.Int ts)
-    :: ("ph", Json.Str (Trace.phase_string ph))
+    :: ("ph", Json.Str (phase_string ph))
     :: ("name", Json.Str name)
     :: args)
+
+(* --- trace exports ---------------------------------------------------
+
+   Timestamps are VLIW cycles (the simulator's clock), not wall time. *)
+
+(** Chrome trace_event JSON ("JSON object format"), loadable in
+    Perfetto.  All events share pid/tid 1; instants carry thread
+    scope. *)
+let to_chrome r =
+  let chrome ev =
+    let ts, name, ph, args = render ev in
+    Json.Obj
+      ([ ("name", Json.Str name); ("ph", Json.Str (phase_string ph));
+         ("ts", Json.Int ts); ("pid", Json.Int 1); ("tid", Json.Int 1) ]
+      @ (match ph with I -> [ ("s", Json.Str "t") ] | B | E -> [])
+      @ match args with [] -> [] | a -> [ ("args", Json.Obj a) ])
+  in
+  Json.Obj
+    [ ("traceEvents", Json.Arr (List.map chrome (Ring.events r)));
+      ("displayTimeUnit", Json.Str "ns");
+      ("otherData",
+       Json.Obj
+         [ ("clock", Json.Str "vliw-cycles");
+           ("dropped_events", Json.Int (Ring.dropped r)) ]) ]
+
+(** One {!ev_json} object per line. *)
+let to_jsonl r oc =
+  List.iter
+    (fun ev ->
+      output_string oc (Json.to_string (ev_json ev));
+      output_char oc '\n')
+    (Ring.events r)
 
 (* --- crash dumps ----------------------------------------------------- *)
 
@@ -280,7 +341,7 @@ let dump_json t ~reason =
   Json.Obj
     [ ("reason", Json.Str reason);
       ("events", Json.Arr (List.map ev_json (events t)));
-      ("events_total", Json.Int t.total);
+      ("events_total", Json.Int (total t));
       ("events_dropped", Json.Int (dropped t));
       ("counters",
        opt (fun (v : Monitor.t) -> Json.Obj (counter_fields v.stats)) t.vmm);

@@ -17,16 +17,24 @@
    plus hot single pages; both kinds are worth the superblock
    scheduler's wider window even without cross-page speculation.
 
+   The driver observes events and acts at committed boundaries.  An
+   event only feeds the profile and counts a deopt against its
+   candidate: the monitor emits events in the middle of its own
+   transitions (a store's before the store lands, a strike's deopt
+   before the strike is counted), where a swap would act on a page the
+   monitor is still dropping.  Installs and policy evaluations run at
+   ticks ({!on_tick}).
+
    Regions compile on the execution thread, at the policy evaluation
    that picked them, as DAISY's VMM translates a missing page before
    execution continues: what a run promotes, and when, depends only on
    the code it executes.  The compile works on a snapshot (member
    bytes, entry points); its outcome waits on [pending] until the next
-   committed boundary or event, which re-verifies the member bytes
-   before the swap — a self-modifying store in between simply discards
-   the image.  The swap itself is [Monitor.promote]: table writes
-   consulted only at the next cross-page dispatch, so execution never
-   sees a partial install.
+   committed boundary, which re-verifies the member bytes before the
+   swap — a self-modifying store in between simply discards the image.
+   The swap itself is [Monitor.promote]: table writes consulted only at
+   the next cross-page dispatch, so execution never sees a partial
+   install.
 
    Promoted images persist to the translation cache under a key built
    from the member-page *contents* ([Monitor.region_key]), through the
@@ -44,8 +52,8 @@ type config = {
       (** per-run traversal count an exit edge must reach to
           participate in an SCC candidate *)
   max_pages : int;      (** largest member set worth one image *)
-  check_every : int;    (** committed boundaries / events between
-                            policy evaluations *)
+  check_every : int;    (** committed boundaries between policy
+                            evaluations *)
   max_deopts : int;     (** strikes before a candidate is blacklisted *)
   submit : ((unit -> unit) -> unit) option;
       (** wraps each compile, which must run before [submit] returns
@@ -86,26 +94,22 @@ type t = {
   vmm : Monitor.t;
   profile : Profile.t;
   mutable ticks : int;
-  mutable events : int;
   strikes : (string, int) Hashtbl.t;       (** set key -> deopt strikes *)
   promoted : (int, string) Hashtbl.t;      (** region id -> set key *)
   mutable pending : (snapshot * outcome) list;
       (** compiles of the last evaluation, newest first, installed at
-          the next committed boundary or event *)
+          the next committed boundary *)
   mutable installed : int;     (** images swapped in *)
   mutable rejected_stale : int;
       (** images discarded because member bytes changed under the
           compile, or the monitor refused the swap *)
-  mutable busy : bool;
-      (** an install or a policy evaluation is running ({!exclusive}) *)
 }
 
 let create ?(cfg = default) vmm =
   { cfg; vmm;
     profile = Profile.create ~page_size:vmm.Monitor.tr.params.page_size ();
-    ticks = 0; events = 0; strikes = Hashtbl.create 8;
-    promoted = Hashtbl.create 8; pending = []; installed = 0;
-    rejected_stale = 0; busy = false }
+    ticks = 0; strikes = Hashtbl.create 8; promoted = Hashtbl.create 8;
+    pending = []; installed = 0; rejected_stale = 0 }
 
 (* --- promotion verdicts (also used by `daisy profile --regions`) ---- *)
 
@@ -165,12 +169,7 @@ let eligible t members heat =
   && Array.length members <= t.cfg.max_pages
   && Array.length members > 0
   && upgrade_ok t members
-  && Array.for_all
-       (fun b ->
-         match Hashtbl.find_opt t.vmm.Monitor.page_health b with
-         | Some h -> h.failures = 0 && not h.pinned_interp
-         | None -> true)
-       members
+  && Array.for_all (fun b -> Monitor.page_mode t.vmm b = `Translate) members
 
 (* Candidates, hottest first: inter-page SCCs (the profiler's reason to
    exist), then hot single pages (whose win is the wider window alone).
@@ -309,62 +308,38 @@ let try_install t snap outcome =
         if not cached then Monitor.tcache_persist_region t.vmm r
     end
 
-(* Install the last evaluation's compiles, oldest first.  [pending] is
-   emptied before any install: a swap emits events, and their
-   evaluations queue compiles of their own. *)
+(* Install the last evaluation's compiles, oldest first. *)
 let drain t =
   let ready = List.rev t.pending in
   t.pending <- [];
   List.iter (fun (snap, outcome) -> try_install t snap outcome) ready
 
-(* --- the periodic policy evaluation --------------------------------- *)
-
-(* A pending compile is installed before the candidates are picked, so
-   it is never compiled twice. *)
-let consider t =
-  drain t;
-  (* credit the VLIWs the current page accumulated since its enter —
-     a loop that never crosses pages is otherwise invisible *)
-  Profile.flush t.profile ~vliws_total:t.vmm.Monitor.stats.vliws;
-  List.iter (fun (members, _) -> launch t members) (candidates t)
-
 (* --- wiring ---------------------------------------------------------- *)
 
-(* Run [f t] unless an install or an evaluation is already running.  A
-   swap and a region's cache probe both emit events, which come straight
-   back through [on_event]: a nested evaluation there could launch a
-   candidate whose compile or install is still in flight, and compile
-   it twice.  The nested call is turned away; its counter stays due, so
-   the next event or tick runs it. *)
-let exclusive t f =
-  if not t.busy then begin
-    t.busy <- true;
-    Fun.protect ~finally:(fun () -> t.busy <- false) (fun () -> f t)
-  end
-
+(* Events feed the profile and count deopts; they change no dispatch. *)
 let on_event t (ev : Monitor.event) =
   Profile.feed t.profile ev;
-  (match ev with
+  match ev with
   | Region_deopt { id; _ } -> (
     match Hashtbl.find_opt t.promoted id with
     | None -> ()
     | Some key ->
       Hashtbl.remove t.promoted id;
       strike t key)
-  | _ -> ());
-  t.events <- t.events + 1;
-  if t.pending <> [] then exclusive t drain;
-  if t.events >= t.cfg.check_every && not t.busy then begin
-    t.events <- 0;
-    exclusive t consider
-  end
+  | _ -> ()
 
+(* A committed boundary: install what the last evaluation compiled,
+   then, every [check_every] boundaries, evaluate the policy.  The
+   install comes first, so a pending compile is never launched twice. *)
 let on_tick t ~pc:_ =
+  if t.pending <> [] then drain t;
   t.ticks <- t.ticks + 1;
-  if t.pending <> [] then exclusive t drain;
-  if t.ticks >= t.cfg.check_every && not t.busy then begin
+  if t.ticks >= t.cfg.check_every then begin
     t.ticks <- 0;
-    exclusive t consider
+    (* credit the VLIWs the current page accumulated since its enter —
+       a loop that never crosses pages is otherwise invisible *)
+    Profile.flush t.profile ~vliws_total:t.vmm.Monitor.stats.vliws;
+    List.iter (fun (members, _) -> launch t members) (candidates t)
   end
 
 (** Re-promote from the persistent cache: scan the store directory for
@@ -409,9 +384,9 @@ let warm_start t =
       0 infos
 
 (** Attach the driver: subscribes to the monitor's events (heat +
-    deopt accounting) and committed boundaries (periodic policy
-    evaluation that survives event-silent steady states), then
-    re-promotes cached regions. *)
+    deopt accounting) and committed boundaries (installs, and the
+    periodic policy evaluation that survives event-silent steady
+    states), then re-promotes cached regions. *)
 let attach ?(cfg = default) vmm =
   let t = create ~cfg vmm in
   Monitor.on_event vmm (on_event t);

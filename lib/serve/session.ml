@@ -86,8 +86,7 @@ let rec rm_rf path =
     budget enforced as it leaves — on every exit path.
 
     The session adapts the stack to itself: the cache is [shared]'s
-    directory (the stack's [tcache_dir] does not apply, and its
-    observers, if any, are shared by every session), a checkpoint
+    directory (the stack's [tcache_dir] does not apply), a checkpoint
     directory becomes [<dir>/session-<id>] and is removed as the
     session leaves, and the injector and storage backend are seeded
     from [id].  An explicit [tcache_io] overrides the stack's storage

@@ -446,7 +446,6 @@ type t = {
   mutable spec_seq : int array;
   mutable spec_n : int;
   mutable current_page : int;  (** base of the page we are executing *)
-  mutable invalidated : bool;  (** current page's translation was dropped *)
   (* --- tiered recompilation --- *)
   regions : (int, region) Hashtbl.t;
       (** member tier-1 page base -> its promoted region.  [goto_base]
@@ -471,7 +470,6 @@ type t = {
   itlb : Memsys.Tlb.t;
       (** backs GO_ACROSS_PAGE (Section 3.4): maps base page numbers to
           translated frames; misses charge the micro-interrupt handler *)
-  mutable itlb_miss_cost : int;
   mutable code_budget : int option;
       (** bound on live translated-code bytes; exceeding it casts out
           the least-recently-entered page translations (Section 3.1) *)
@@ -480,7 +478,6 @@ type t = {
   lru : (int, int) Hashtbl.t;  (** page base -> last-entered stamp *)
   mutable lru_tick : int;
   mutable castouts : int;
-  max_episode : int;
   mutable event_hook : (event -> unit) option;
       (** every subscriber, composed by {!on_event} *)
   mutable resume_pc : int;
@@ -488,8 +485,6 @@ type t = {
           on exhausted fuel — the debugger's single-stepping hook *)
   (* --- degradation ladder --- *)
   page_health : (int, health) Hashtbl.t;
-  mutable max_page_failures : int;  (** strikes before the permanent pin *)
-  mutable backoff_base : int;       (** first quarantine length, in cycles *)
   (* --- fault-injection hooks (lib/fault attaches here; every one
      defaults to [None] and costs a single test when unused) --- *)
   mutable translate_hook : (page:int -> entry:int -> unit) option;
@@ -568,7 +563,10 @@ let now t = t.stats.vliws + t.stats.interp_insns
 (* [emit] takes a thunk so the disabled path allocates nothing. *)
 let emit t ev = match t.event_hook with Some h -> h (ev ()) | None -> ()
 
-(** Subscribe [f] to [t]'s events, after every earlier subscriber. *)
+(** Subscribe [f] to [t]'s events, after every earlier subscriber.
+    Events fire mid-transition (the store watcher's before the store
+    lands, a strike's deopt before the strike counts), so [f] records:
+    promotion, deopt and strikes happen at ticks ({!on_tick}). *)
 let on_event t f =
   t.event_hook <-
     Some (match t.event_hook with None -> f | Some g -> fun ev -> g ev; f ev)
@@ -744,12 +742,14 @@ let tcache_lookup t store base =
     (Some key, owner)
   | _ -> (Some key, false)
 
-(* Drop the staged form of a page whose translation just became invalid
-   (self-modifying code, adaptive retranslation, quarantine, cast-out).
-   The identity check in [compiled_for] would catch the staleness
+(* Drop the translation of page [base] (self-modifying code, adaptive
+   retranslation, quarantine, cast-out) and its staged form.  The
+   identity check in [compiled_for] would catch a stale staged form
    anyway, but dropping eagerly keeps the cache from pinning dead
    closure graphs. *)
-let drop_compiled t base = Hashtbl.remove t.compiled base
+let drop_translation t base =
+  Translate.invalidate t.tr base;
+  Hashtbl.remove t.compiled base
 
 (* --- Tier-2 regions ------------------------------------------------
 
@@ -841,17 +841,15 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
       cscratch = C.create_scratch (); compiled = Hashtbl.create 32;
       spec_addr = Array.make 32 0; spec_bytes = Array.make 32 0;
       spec_seq = Array.make 32 0; spec_n = 0;
-      current_page = -1; invalidated = false;
+      current_page = -1;
       regions = Hashtbl.create 4; region_seq = 0; active_region = None;
       promote_pending = false;
       pending_selfmod = false; hierarchy;
       alias_tally = Hashtbl.create 8;
-      itlb = Memsys.Tlb.create ~entries:64 ~assoc:4 (); itlb_miss_cost = 10;
+      itlb = Memsys.Tlb.create ~entries:64 ~assoc:4 ();
       code_budget = None; pinned = Hashtbl.create 4; lru = Hashtbl.create 32;
-      lru_tick = 0; castouts = 0; max_episode = 64; event_hook = None;
-      resume_pc = -1;
-      page_health = Hashtbl.create 8; max_page_failures = 5;
-      backoff_base = 256;
+      lru_tick = 0; castouts = 0; event_hook = None; resume_pc = -1;
+      page_health = Hashtbl.create 8;
       translate_hook = None; install_hook = None; page_check = None;
       boundary_hook = None; prefault_hook = None;
       tcache_persist_hook = None;
@@ -884,11 +882,9 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
         (* the page's own cache entry stays: it is still correct for
            the bytes it was keyed on, and the new bytes key apart *)
         if Translate.translated tr addr then (
-          Translate.invalidate tr addr;
-          drop_compiled t base;
+          drop_translation t base;
           t.stats.code_invalidations <- t.stats.code_invalidations + 1;
-          emit t (fun () -> Code_invalidated { cycle = now t; page = base });
-          if base = t.current_page then t.invalidated <- true));
+          emit t (fun () -> Code_invalidated { cycle = now t; page = base })));
   t
 
 (* Does a store at [addr] hit code of the unit we are executing?  Under
@@ -945,6 +941,8 @@ let alias_check t (s : C.scratch) =
     !ok
   end
 
+let max_episode = 64  (* base instructions per interpretation episode *)
+
 (* Interpret from [start] until the next call, cross-page branch,
    backward branch, sc/rfi, or the episode cap — then return the next
    base address to re-enter translated code at (Section 3.4). *)
@@ -969,7 +967,7 @@ let interpret_episode t start =
     if n > 1 && not (stop_kind || crossed || backward) then go (n - 1)
     else ended_on_stop := stop_kind
   in
-  go t.max_episode;
+  go max_episode;
   emit t (fun () ->
       Interp_end
         { cycle = now t; pc = start; insns = t.stats.interp_insns - insns0;
@@ -1013,6 +1011,9 @@ exception Translate_deadline of float
    happen before any translated code runs, and execution faults
    ({!Vliw.Exec.Error}) are raised before any VLIW write is applied. *)
 
+let max_page_failures = 5  (* strikes before the permanent pin *)
+let backoff_base = 256     (* first quarantine length, in cycles *)
+
 let health t base =
   match Hashtbl.find_opt t.page_health base with
   | Some h -> h
@@ -1031,12 +1032,11 @@ let record_failure t base =
   (match Hashtbl.find_opt t.regions base with
   | Some r -> deopt_region t r ~page:base ~reason:"ladder strike"
   | None -> ());
-  Translate.invalidate t.tr base;
-  drop_compiled t base;
+  drop_translation t base;
   let h = health t base in
   h.failures <- h.failures + 1;
   t.stats.quarantines <- t.stats.quarantines + 1;
-  if h.failures >= t.max_page_failures then begin
+  if h.failures >= max_page_failures then begin
     h.backoff_until <- max_int;
     if not h.pinned_interp then begin
       h.pinned_interp <- true;
@@ -1044,7 +1044,7 @@ let record_failure t base =
       emit t (fun () -> Interp_pinned { cycle = now t; page = base })
     end
   end
-  else h.backoff_until <- now t + (t.backoff_base lsl (h.failures - 1));
+  else h.backoff_until <- now t + (backoff_base lsl (h.failures - 1));
   emit t (fun () ->
       Quarantine
         { cycle = now t; page = base; failures = h.failures;
@@ -1159,15 +1159,11 @@ let page_mode t base =
     unhealthy pages. *)
 let promote t ~members ~(tr : Translate.t) ?(insns = 0) ?(seconds = 0.)
     ?(cached = false) () =
-  let healthy b =
-    match Hashtbl.find_opt t.page_health b with
-    | Some h -> h.failures = 0 && not h.pinned_interp
-    | None -> true
-  in
   if Array.length members = 0 then Error `Empty
   else if Array.exists (fun b -> Hashtbl.mem t.regions b) members then
     Error `Already_promoted
-  else if not (Array.for_all healthy members) then Error `Unhealthy
+  else if not (Array.for_all (fun b -> page_mode t b = `Translate) members)
+  then Error `Unhealthy
   else begin
     t.region_seq <- t.region_seq + 1;
     let set = Hashtbl.create (Array.length members) in
@@ -1236,6 +1232,8 @@ let tcache_persist_region t (r : region) =
       ~key:(region_key t store ~fingerprint ~members)
       ~spec_inhibited:(Translate.load_spec_inhibited r.r_tr xp.base)
 
+let itlb_miss_cost = 10  (* stall cycles of the ITLB miss handler *)
+
 (** Run translated execution starting at base address [entry] until the
     program halts; returns the exit code. *)
 let run t ~entry ~fuel =
@@ -1251,7 +1249,7 @@ let run t ~entry ~fuel =
     let addr = addr land lnot 1 in
     if not (Memsys.Tlb.touch t.itlb (addr / t.tr.params.page_size)) then begin
       stats.itlb_misses <- stats.itlb_misses + 1;
-      stats.stall_cycles <- stats.stall_cycles + t.itlb_miss_cost
+      stats.stall_cycles <- stats.stall_cycles + itlb_miss_cost
     end;
     let base = Translate.page_base t.tr addr in
     match Hashtbl.find_opt t.regions base with
@@ -1355,7 +1353,6 @@ let run t ~entry ~fuel =
         | Some budget -> evict_to budget page.base
         | None -> ());
         t.current_page <- page.base;
-        t.invalidated <- false;
         emit t (fun () ->
             Page_enter
               { cycle = now t; page = page.base; vliws_so_far = stats.vliws });
@@ -1419,8 +1416,7 @@ let run t ~entry ~fuel =
         t.tr.pages;
       if !victim < 0 then continue_ := false
       else begin
-        Translate.invalidate t.tr !victim;
-        drop_compiled t !victim;
+        drop_translation t !victim;
         Memsys.Tlb.flush t.itlb;
         t.castouts <- t.castouts + 1;
         let victim = !victim in
@@ -1536,8 +1532,7 @@ let run t ~entry ~fuel =
              load speculation off) is what gets re-persisted *)
           tcache_evict t t.current_page;
           Translate.inhibit_load_spec t.tr t.current_page;
-          Translate.invalidate t.tr t.current_page;
-          drop_compiled t t.current_page;
+          drop_translation t t.current_page;
           stats.adaptive_retranslations <- stats.adaptive_retranslations + 1;
           emit t (fun () ->
               Retranslate_adaptive { cycle = now t; page = t.current_page })

@@ -532,7 +532,7 @@ let test_composed_stack () =
   let b = Option.get stack.observers in
   let positive what n = Alcotest.(check bool) what true (n > 0) in
   Alcotest.(check (option int)) "verified" (Some 1899) r.exit_code;
-  positive "trace events" (Obs.Trace.total (Option.get b.tracer));
+  positive "trace events" (Obs.Flight.Ring.total (Option.get b.tracer));
   positive "flight events" (Obs.Flight.total (Option.get b.flight));
   positive "checkpoints written" r.stats.checkpoints_written;
   positive "shadow checks" r.stats.shadow_checked;

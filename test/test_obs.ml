@@ -5,7 +5,7 @@
 
 module Json = Obs.Json
 module Metrics = Obs.Metrics
-module Trace = Obs.Trace
+module Ring = Obs.Flight.Ring
 
 (* --- JSON --------------------------------------------------------- *)
 
@@ -79,17 +79,21 @@ let test_metrics_duplicate () =
 
 (* --- Trace ring --------------------------------------------------- *)
 
+let ts ev =
+  let ts, _, _, _ = Obs.Flight.render ev in
+  ts
+
 let test_ring_bound () =
-  let t = Trace.create ~capacity:4 () in
-  for ts = 1 to 10 do
-    Trace.emit t ~ts ~name:"e" ~ph:Trace.I [ ("n", Json.Int ts) ]
+  let t = Ring.create 4 in
+  for cycle = 1 to 10 do
+    Ring.push t (Vmm.Monitor.Syscall_trap { cycle; next = 0 })
   done;
-  Alcotest.(check int) "length" 4 (Trace.length t);
-  Alcotest.(check int) "total" 10 (Trace.total t);
-  Alcotest.(check int) "dropped" 6 (Trace.dropped t);
-  let retained = List.map (fun (e : Trace.ev) -> e.ts) (Trace.to_list t) in
+  Alcotest.(check int) "length" 4 (List.length (Ring.events t));
+  Alcotest.(check int) "total" 10 (Ring.total t);
+  Alcotest.(check int) "dropped" 6 (Ring.dropped t);
+  let retained = List.map ts (Ring.events t) in
   Alcotest.(check (list int)) "keeps the last events" [ 7; 8; 9; 10 ] retained;
-  let j = Json.parse (Json.to_string (Trace.to_chrome t)) in
+  let j = Json.parse (Json.to_string (Obs.Flight.to_chrome t)) in
   let evs =
     Option.bind (Json.member "traceEvents" j) Json.to_list
     |> Option.value ~default:[]
@@ -100,7 +104,7 @@ let test_ring_bound () =
 (* --- Runs with telemetry attached --------------------------------- *)
 
 let run_traced ?metrics ?profile name =
-  let tracer = Trace.create ~capacity:(1 lsl 20) () in
+  let tracer = Ring.create (1 lsl 20) in
   let bridge = Obs.Bridge.create ~tracer ?metrics ?profile () in
   let w = Workloads.Registry.by_name name in
   let r =
@@ -110,20 +114,21 @@ let run_traced ?metrics ?profile name =
 
 let test_translate_balance () =
   let r, tracer = run_traced "compress" in
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped tracer);
+  Alcotest.(check int) "nothing dropped" 0 (Ring.dropped tracer);
   let begins = ref 0 and ends = ref 0 and insns = ref 0 in
-  Trace.iter
-    (fun (e : Trace.ev) ->
-      if e.name = "translate" then
-        match e.ph with
-        | Trace.B -> incr begins
-        | Trace.E ->
+  List.iter
+    (fun ev ->
+      let _, name, ph, args = Obs.Flight.render ev in
+      if name = "translate" then
+        match ph with
+        | Obs.Flight.B -> incr begins
+        | Obs.Flight.E ->
           incr ends;
-          (match Option.bind (List.assoc_opt "insns" e.args) Json.to_int with
+          (match Option.bind (List.assoc_opt "insns" args) Json.to_int with
           | Some n -> insns := !insns + n
           | None -> Alcotest.fail "translate end without insns arg")
         | _ -> ())
-    tracer;
+    (Ring.events tracer);
   Alcotest.(check bool) "translations happened" true (!begins > 0);
   Alcotest.(check int) "balanced begin/end" !begins !ends;
   Alcotest.(check int) "event insns sum to translator totals"

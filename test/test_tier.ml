@@ -3,9 +3,9 @@
    (Run.run diffs registers, memory and console against the reference
    interpreter), a store into a promoted member page must deopt back to
    tier-1 and still verify, a store landing between a compile and its
-   install must void the image, an evaluation re-entered from a
-   region's cache probe must not compile a candidate twice, a
-   persisted region image must
+   install must void the image, events emitted inside a region's cache
+   probe must not compile a candidate twice, no region may go live
+   inside a store or a ladder strike, a persisted region image must
    re-promote on warm start without recompiling, and a hot single page
    later absorbed into a cross-page SCC must be superseded by the wider
    image. *)
@@ -160,10 +160,10 @@ let test_dropped_compile () =
   Alcotest.(check int) "no promotion" 0 vmm.stats.tier2_promotions
 
 (* A region's cache probe emits events from inside the compile, and
-   the driver receives them: at [check_every = 1] every one of them is
-   due for a policy evaluation.  The nested evaluation must not launch
-   the candidate whose compile is still running, so each candidate is
-   compiled once, and the one image installs. *)
+   the driver receives them even at [check_every = 1], where every
+   boundary evaluates the policy.  An event evaluates nothing, so the
+   candidate whose compile is still running is not launched again:
+   each candidate is compiled once, and the one image installs. *)
 let test_probe_reentry_compiles_once () =
   let w = Workloads.Registry.by_name "c_sieve" in
   let dir = fresh_dir () in
@@ -178,6 +178,81 @@ let test_probe_reentry_compiles_once () =
   Alcotest.(check int) "the region probe missed too"
     (r.pages_translated + 1) vmm.stats.tcache_misses;
   ignore (Tcache.Store.clear_dir dir)
+
+(* --- no swap inside a transition --------------------------------------
+
+   The monitor emits events in the middle of its own transitions, and
+   the driver installs only at committed boundaries.  Each test acts
+   once, from a tick subscriber attached after the driver, while a
+   compile is pending, and reads [Monitor.region_of] around the
+   transition. *)
+
+let region_id vmm b =
+  Option.map (fun (r : Monitor.region) -> r.r_id) (Monitor.region_of vmm b)
+
+(* A same-value store into the first member page of a pending compile
+   fires the store watcher, whose events come before the store lands:
+   the compile must not go live inside it. *)
+let test_no_swap_inside_store () =
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.by_name name in
+      let seen = ref None in
+      let r =
+        Run.run w ~instrument:(fun vmm ->
+            let t = Tier.attach vmm in
+            Monitor.on_tick vmm (fun ~pc:_ ->
+                match (!seen, t.Tier.pending) with
+                | None, (snap, _) :: _ ->
+                  let b = snap.Tier.s_members.(0) in
+                  let before = region_id vmm b in
+                  Ppc.Mem.store8 vmm.Monitor.mem b
+                    (Ppc.Mem.load8 vmm.Monitor.mem b);
+                  seen := Some (before, region_id vmm b)
+                | _ -> ()))
+      in
+      Alcotest.(check bool) (name ^ ": verified") true (r.Run.exit_code <> None);
+      match !seen with
+      | None -> Alcotest.failf "%s: no compile was pending" name
+      | Some (before, after) ->
+        Alcotest.(check (option int)) (name ^ ": region_of unchanged") before
+          after)
+    [ "c_sieve"; "compress" ]
+
+(* A ladder strike against a page a live region covers, while a wider
+   compile over it is pending: [record_failure] deopts the region
+   before it counts the strike, and the pending image must not go live
+   over the struck page in between. *)
+let test_no_swap_inside_strike () =
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.by_name name in
+      let seen = ref None in
+      let r =
+        Run.run w ~instrument:(fun vmm ->
+            let t = Tier.attach vmm in
+            Monitor.on_tick vmm (fun ~pc:_ ->
+                if !seen = None then
+                  match
+                    List.find_map
+                      (fun ((snap : Tier.snapshot), _) ->
+                        Array.find_opt
+                          (fun b -> Monitor.region_of vmm b <> None)
+                          snap.s_members)
+                      t.Tier.pending
+                  with
+                  | Some b ->
+                    Monitor.record_failure vmm b;
+                    seen := Some (region_id vmm b)
+                  | None -> ()))
+      in
+      Alcotest.(check bool) (name ^ ": verified") true (r.Run.exit_code <> None);
+      match !seen with
+      | None -> Alcotest.failf "%s: no pending compile covered a region" name
+      | Some after ->
+        Alcotest.(check (option int)) (name ^ ": struck page left unpromoted")
+          None after)
+    [ "compress"; "gcc" ]
 
 (* --- staging a region image fails ------------------------------------ *)
 
@@ -335,7 +410,11 @@ let () =
             test_stale_image_discarded;
           Alcotest.test_case "dropped compile" `Quick test_dropped_compile;
           Alcotest.test_case "probe re-entry compiles once" `Quick
-            test_probe_reentry_compiles_once ] );
+            test_probe_reentry_compiles_once;
+          Alcotest.test_case "no swap inside a store" `Quick
+            test_no_swap_inside_store;
+          Alcotest.test_case "no swap inside a strike" `Quick
+            test_no_swap_inside_strike ] );
       ( "warm",
         [ Alcotest.test_case "repromotes from cache" `Quick
             test_warm_start_repromotes;
