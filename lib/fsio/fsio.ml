@@ -311,13 +311,6 @@ let faults_fired inj =
   inj.n_enospc + inj.n_eio_read + inj.n_eio_write + inj.n_short + inj.n_torn
   + inj.n_readonly
 
-let fault_report inj =
-  Printf.sprintf
-    "storage faults: enospc=%d eio_read=%d eio_write=%d short=%d torn=%d \
-     readonly=%d (durable steps %d)"
-    inj.n_enospc inj.n_eio_read inj.n_eio_write inj.n_short inj.n_torn
-    inj.n_readonly inj.steps
-
 (* Zero-rate classes draw nothing, so adding a class later cannot
    shift the streams of seeds recorded before it existed (the same
    discipline as Fault.Inject). *)

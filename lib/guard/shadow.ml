@@ -64,11 +64,13 @@ let take_snap (vmm : Monitor.t) ~pc =
   { pc0 = pc; machine = Machine.copy vmm.st.m; bytes = Bytes.copy vmm.mem.bytes;
     seq = vmm.mem.seq; console = Mem.output vmm.mem }
 
+(* Every packet re-arms, sampled or not, so a packet that rolled back
+   or faulted leaves nothing armed for the next one's commit. *)
 let arm t ~pc =
-  if t.cfg.sample >= 1.0 || Random.State.float t.rng 1.0 < t.cfg.sample then
-    t.armed <- Some (take_snap t.vmm ~pc)
-
-let abort t = t.armed <- None
+  t.armed <-
+    (if t.cfg.sample >= 1.0 || Random.State.float t.rng 1.0 < t.cfg.sample
+     then Some (take_snap t.vmm ~pc)
+     else None)
 
 (* Does the shadow state match the committed state?  Cheap scalar
    comparisons first.  Two deliberate omissions relative to
@@ -191,7 +193,7 @@ let commit t ~next =
     in
     go 0 ~visited:false)
 
-(** Wire a shadow verifier into [vmm]'s arm/abort/commit hooks.
+(** Wire a shadow verifier into [vmm]'s arm and commit hooks.
     [workload] names the run; a registry workload's name goes into the
     reproducers. *)
 let attach ?workload cfg (vmm : Monitor.t) =
@@ -206,6 +208,5 @@ let attach ?workload cfg (vmm : Monitor.t) =
       armed = None }
   in
   vmm.shadow_arm <- Some (fun ~pc -> arm t ~pc);
-  vmm.shadow_abort <- Some (fun () -> abort t);
   vmm.shadow_commit <- Some (fun ~next -> commit t ~next);
   t

@@ -147,14 +147,6 @@ let rollback_kind_string : Monitor.rollback_kind -> string = function
   | RbTag -> "tag"
   | RbTagged_target -> "tagged_target"
 
-let edge_kind_string : Monitor.edge_kind -> string = function
-  | Etaken -> "taken"
-  | Efall -> "fall"
-  | Elr -> "lr"
-  | Ectr -> "ctr"
-  | Egpr -> "gpr"
-  | Einterp -> "interp"
-
 let render (ev : Monitor.event) :
     int * string * phase * (string * Json.t) list =
   match ev with
@@ -183,7 +175,7 @@ let render (ev : Monitor.event) :
   | Exit_edge { cycle; src; dst; kind } ->
     ( cycle, "exit_edge", I,
       [ ("src", Json.Int src); ("dst", Json.Int dst);
-        ("kind", Json.Str (edge_kind_string kind)) ] )
+        ("kind", Json.Str (Profile.edge_kind_string kind)) ] )
   | Page_enter { cycle; page; vliws_so_far = _ } ->
     (cycle, "page_enter", I, [ ("page", Json.Int page) ])
   | Retranslate_adaptive { cycle; page } ->

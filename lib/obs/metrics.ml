@@ -8,15 +8,11 @@
    (see Bridge), so the disabled cost is zero allocations and one
    [None] test per instrumented site.
 
-   Domain safety: `daisy serve` runs one session per domain and every
-   session updates its own labeled registry, but nothing stops two
-   domains from sharing one (the server's own registry does exactly
-   that), so each primitive is safe on its own: counters and gauges are
+   Domain safety: nothing stops two domains from sharing one registry,
+   so each primitive is safe on its own: counters and gauges are
    atomics, histograms take their own mutex per observation, and the
    registry structure (registration, lookup, export) is guarded by a
-   registry-level mutex.  A [label] names the registry's owner — the
-   serve layer labels each registry with its session id so exports from
-   concurrent sessions stay attributable. *)
+   registry-level mutex. *)
 
 module Counter = struct
   type t = { name : string; help : string; value : int Atomic.t }
@@ -104,9 +100,6 @@ module Histogram = struct
 end
 
 type t = {
-  label : string option;
-      (** who this registry belongs to (e.g. a serve session id);
-          carried into the JSON export *)
   (* reverse creation order; exports re-reverse *)
   mutable counters : Counter.t list;
   mutable gauges : Gauge.t list;
@@ -115,11 +108,9 @@ type t = {
   lock : Mutex.t;  (* guards registration, lookup and export *)
 }
 
-let create ?label () =
-  { label; counters = []; gauges = []; histograms = [];
+let create () =
+  { counters = []; gauges = []; histograms = [];
     names = Hashtbl.create 16; lock = Mutex.create () }
-
-let label t = t.label
 
 let register_locked t name =
   if Hashtbl.mem t.names name then
@@ -175,12 +166,6 @@ let find_counter t name =
   Mutex.unlock t.lock;
   r
 
-let find_gauge t name =
-  Mutex.lock t.lock;
-  let r = List.find_opt (fun (g : Gauge.t) -> g.name = name) t.gauges in
-  Mutex.unlock t.lock;
-  r
-
 (* Exports are in sorted-name order, not creation order: diffs between
    two exports line up, and consumers can binary-search. *)
 let to_json t =
@@ -224,15 +209,10 @@ let to_json t =
           ("count", Json.Int count); ("p50", p50); ("p90", p90);
           ("p99", p99) ] )
   in
-  let base =
+  Json.Obj
     [ ("counters", Json.Obj counters);
       ("gauges", Json.Obj gauges);
       ("histograms",
        Json.Obj
          (by_name (fun (h : Histogram.t) -> h.name) lhistograms
          |> List.map hist)) ]
-  in
-  Json.Obj
-    (match t.label with
-    | Some l -> ("label", Json.Str l) :: base
-    | None -> base)

@@ -24,22 +24,21 @@
    threshold and returns the strongly connected components of the
    surviving graph that actually loop (≥ 2 pages, or a self-edge). *)
 
-type edge_kind = Taken | Fall | Lr | Ctr | Gpr | Interp
+let edge_kind_string : Vmm.Monitor.edge_kind -> string = function
+  | Etaken -> "taken"
+  | Efall -> "fall"
+  | Elr -> "lr"
+  | Ectr -> "ctr"
+  | Egpr -> "gpr"
+  | Einterp -> "interp"
 
-let edge_kind_string = function
-  | Taken -> "taken"
-  | Fall -> "fall"
-  | Lr -> "lr"
-  | Ctr -> "ctr"
-  | Gpr -> "gpr"
-  | Interp -> "interp"
+(* The profile store's codes: fixed, so stored profiles stay readable. *)
+let edge_kind_code : Vmm.Monitor.edge_kind -> int = function
+  | Etaken -> 0 | Efall -> 1 | Elr -> 2 | Ectr -> 3 | Egpr -> 4 | Einterp -> 5
 
-let edge_kind_code = function
-  | Taken -> 0 | Fall -> 1 | Lr -> 2 | Ctr -> 3 | Gpr -> 4 | Interp -> 5
-
-let edge_kind_of_code = function
-  | 0 -> Some Taken | 1 -> Some Fall | 2 -> Some Lr | 3 -> Some Ctr
-  | 4 -> Some Gpr | 5 -> Some Interp | _ -> None
+let edge_kind_of_code : int -> Vmm.Monitor.edge_kind option = function
+  | 0 -> Some Etaken | 1 -> Some Efall | 2 -> Some Elr | 3 -> Some Ectr
+  | 4 -> Some Egpr | 5 -> Some Einterp | _ -> None
 
 type page = {
   base : int;
@@ -54,7 +53,7 @@ type page = {
 type t = {
   page_size : int;
   pages : (int, page) Hashtbl.t;
-  edges : (int * int * edge_kind, int ref) Hashtbl.t;
+  edges : (int * int * Vmm.Monitor.edge_kind, int ref) Hashtbl.t;
   mutable runs : int;        (** runs merged into this profile *)
   (* attribution state: the VMM reports the running VLIW count at every
      page switch, and the VLIWs executed since the last switch are
@@ -112,17 +111,10 @@ let translated t ~page:base ~insns ~bytes =
   p.insns_scheduled <- p.insns_scheduled + insns;
   p.code_bytes <- bytes
 
-let edge t ~src ~dst ~kind =
-  (* materialize both endpoints so a page reached only through edges
-     still appears in the node table *)
-  ignore (page t src);
-  ignore (page t dst);
-  match Hashtbl.find_opt t.edges (src, dst, kind) with
-  | Some c -> incr c
-  | None -> Hashtbl.add t.edges (src, dst, kind) (ref 1)
-
 let edge_n t ~src ~dst ~kind n =
   if n > 0 then begin
+    (* materialize both endpoints so a page reached only through edges
+       still appears in the node table *)
     ignore (page t src);
     ignore (page t dst);
     match Hashtbl.find_opt t.edges (src, dst, kind) with
@@ -135,13 +127,7 @@ let edge_n t ~src ~dst ~kind n =
 let feed t (ev : Vmm.Monitor.event) =
   match ev with
   | Page_enter { page; vliws_so_far; _ } -> enter t ~page ~vliws_so_far
-  | Exit_edge { src; dst; kind; _ } ->
-    let kind =
-      match kind with
-      | Etaken -> Taken | Efall -> Fall | Elr -> Lr | Ectr -> Ctr
-      | Egpr -> Gpr | Einterp -> Interp
-    in
-    edge t ~src ~dst ~kind
+  | Exit_edge { src; dst; kind; _ } -> edge_n t ~src ~dst ~kind 1
   | Interp_end { pc; insns; _ } -> interp t ~pc ~insns
   | _ -> ()
 
@@ -207,7 +193,8 @@ type region = {
   internal_weight : int;       (** traversals of intra-region edges *)
   region_vliws : int;          (** VLIWs + interp insns of member pages *)
   region_entries : int;
-  redges : (int * int * edge_kind * int) list;  (** internal, heaviest first *)
+  redges : (int * int * Vmm.Monitor.edge_kind * int) list;
+      (** internal, heaviest first *)
 }
 
 (* Tarjan's SCC over the thresholded edge graph.  Page graphs are tiny

@@ -5,7 +5,7 @@
    superblock scheduler ({!Baseline.Region}) applied to a hot page or
    inter-page SCC.  This module owns the loop between them:
 
-     observe -> pick candidates -> compile -> verify -> [Monitor.promote]
+     observe -> pick candidates -> compile -> [Monitor.promote]
      -> (on assumption failure the monitor deopts and we take a strike
      against the candidate)
 
@@ -22,24 +22,23 @@
    candidate: the monitor emits events in the middle of its own
    transitions (a store's before the store lands, a strike's deopt
    before the strike is counted), where a swap would act on a page the
-   monitor is still dropping.  Installs and policy evaluations run at
-   ticks ({!on_tick}).
+   monitor is still dropping.  Policy evaluations run at ticks
+   ({!on_tick}).
 
-   Regions compile on the execution thread, at the policy evaluation
-   that picked them, as DAISY's VMM translates a missing page before
-   execution continues: what a run promotes, and when, depends only on
-   the code it executes.  The compile works on a snapshot (member
-   bytes, entry points); its outcome waits on [pending] until the next
-   committed boundary, which re-verifies the member bytes before the
-   swap — a self-modifying store in between simply discards the image.
-   The swap itself is [Monitor.promote]: table writes consulted only at
-   the next cross-page dispatch, so execution never sees a partial
-   install.
+   A region is compiled and swapped in at the boundary whose evaluation
+   picked it, as DAISY's VMM translates a missing page and resumes in
+   the fresh code: no guest instruction runs between the compile and
+   the swap, so the image still describes its member bytes, and what a
+   run promotes, and when, depends only on the code it executes.  The
+   swap itself is [Monitor.promote]: table writes consulted at the next
+   dispatch, so execution never sees a partial install.
 
    Promoted images persist to the translation cache under a key built
-   from the member-page *contents* ([Monitor.region_key]), through the
-   monitor's one cache path, so warm starts re-promote without
-   recompiling ({!warm_start}). *)
+   from the member-page *contents* ([Monitor.region_key]), derived once
+   before the promotion and kept in the region record: a store into a
+   member page deopts the region before the store lands, so the key
+   cannot go stale while the region is live.  Warm starts re-promote
+   from the cache without recompiling ({!warm_start}). *)
 
 module Monitor = Vmm.Monitor
 module Translate = Translator.Translate
@@ -51,14 +50,12 @@ type config = {
   edge_threshold : int;
       (** per-run traversal count an exit edge must reach to
           participate in an SCC candidate *)
-  max_pages : int;      (** largest member set worth one image *)
   check_every : int;    (** committed boundaries between policy
                             evaluations *)
-  max_deopts : int;     (** strikes before a candidate is blacklisted *)
   submit : ((unit -> unit) -> unit) option;
       (** wraps each compile, which must run before [submit] returns
           (a timing span, say); [None] runs it bare.  A job [submit]
-          drops leaves the compile [Failed], a strike against the
+          drops leaves the compile failed, a strike against the
           candidate. *)
 }
 
@@ -70,24 +67,16 @@ type config = {
    100k it captures about half and the end-to-end ILP lands below
    tier-1. *)
 let default =
-  { min_heat = 5_000; edge_threshold = 250; max_pages = 8;
-    check_every = 2_048; max_deopts = 3; submit = None }
+  { min_heat = 5_000; edge_threshold = 250; check_every = 2_048;
+    submit = None }
+
+let max_pages = 8   (* largest member set worth one image *)
+let max_deopts = 3  (* strikes before a candidate is blacklisted *)
 
 (* A candidate's identity is its member set; strikes survive deopt and
    gate re-promotion (each strike doubles the heat bar). *)
 let set_key members =
   String.concat "," (List.map string_of_int (Array.to_list members))
-
-type snapshot = {
-  s_members : int array;       (** sorted tier-1 page bases *)
-  s_bytes : string list;       (** member bytes at snapshot time *)
-  s_entries : int list;        (** observed entry points, sorted *)
-}
-
-type outcome =
-  | Compiled of Baseline.Region.compiled
-  | Cached of Translate.t * Translate.xpage
-  | Failed of string
 
 type t = {
   cfg : config;
@@ -96,20 +85,14 @@ type t = {
   mutable ticks : int;
   strikes : (string, int) Hashtbl.t;       (** set key -> deopt strikes *)
   promoted : (int, string) Hashtbl.t;      (** region id -> set key *)
-  mutable pending : (snapshot * outcome) list;
-      (** compiles of the last evaluation, newest first, installed at
-          the next committed boundary *)
   mutable installed : int;     (** images swapped in *)
-  mutable rejected_stale : int;
-      (** images discarded because member bytes changed under the
-          compile, or the monitor refused the swap *)
 }
 
 let create ?(cfg = default) vmm =
   { cfg; vmm;
     profile = Profile.create ~page_size:vmm.Monitor.tr.params.page_size ();
     ticks = 0; strikes = Hashtbl.create 8; promoted = Hashtbl.create 8;
-    pending = []; installed = 0; rejected_stale = 0 }
+    installed = 0 }
 
 (* --- promotion verdicts (also used by `daisy profile --regions`) ---- *)
 
@@ -118,15 +101,13 @@ let create ?(cfg = default) vmm =
 let verdict ~cfg (r : Profile.region) =
   let heat = r.region_vliws in
   let pages = List.length r.rpages in
-  if pages > cfg.max_pages then
-    Error (Printf.sprintf "spans %d pages > max %d" pages cfg.max_pages)
+  if pages > max_pages then
+    Error (Printf.sprintf "spans %d pages > max %d" pages max_pages)
   else if heat < cfg.min_heat then
     Error (Printf.sprintf "heat %d < min %d" heat cfg.min_heat)
   else Ok heat
 
 (* --- candidate selection ------------------------------------------- *)
-
-let member_bytes t base = Monitor.member_bytes t.vmm base
 
 (* Entry points tier-1 observed for [base]: the offsets registered in
    its xpage.  A member that was only ever interpreted contributes
@@ -140,11 +121,11 @@ let observed_entries t base =
 let strikes t key = Option.value ~default:0 (Hashtbl.find_opt t.strikes key)
 let strike t key = Hashtbl.replace t.strikes key (1 + strikes t key)
 let required_heat t key = t.cfg.min_heat lsl strikes t key
-let blacklisted t key = strikes t key >= t.cfg.max_deopts
+let blacklisted t key = strikes t key >= max_deopts
 
 (* Regions may grow: a candidate that covers an installed region's
    every member plus at least one more is an *upgrade* — the old image
-   is deopted at install time and the wider one takes over (the way a
+   is deopted at install and the wider one takes over (the way a
    hot single page later absorbed into a cross-page SCC should go).
    Anything short of strict growth is ineligible, so {A,B} vs {B,C}
    can never flap. *)
@@ -166,7 +147,7 @@ let eligible t members heat =
   let key = set_key members in
   (not (blacklisted t key))
   && heat >= required_heat t key
-  && Array.length members <= t.cfg.max_pages
+  && Array.length members <= max_pages
   && Array.length members > 0
   && upgrade_ok t members
   && Array.for_all (fun b -> Monitor.page_mode t.vmm b = `Translate) members
@@ -194,125 +175,99 @@ let candidates t =
   in
   List.filter (fun (ms, heat) -> eligible t ms heat) (sccs @ singles)
 
-(* --- compile / cached probe ----------------------------------------- *)
+(* --- compile and install --------------------------------------------- *)
 
-(* Region images are keyed on their member pages' current contents:
-   the image persisted for [members], installed into a fresh region
-   translator, if the store has one.  The probe is the monitor's, so it
-   counts, reports and quarantines like a page's.  [only] skips the
-   probe unless the key is that one. *)
-let cached_image ?only t ~members =
-  match t.vmm.Monitor.tcache with
-  | None -> None
-  | Some store -> (
-    let vmm = t.vmm in
-    let t1 = vmm.Monitor.tr.params in
-    let fingerprint =
-      Baseline.Region.fingerprint ~mem_size:(Ppc.Mem.size vmm.Monitor.mem) t1
-    in
-    let key = Monitor.region_key vmm store ~fingerprint ~members in
-    match only with
-    | Some k when k <> key -> None
-    | _ ->
-      let tr =
-        Baseline.Region.translator ~t1 ~frontend:vmm.Monitor.fe
-          vmm.Monitor.mem ~members
-      in
-      Monitor.tcache_probe vmm store ~fingerprint ~members ~key
-        ~page:members.(0) tr
-      |> Option.map (fun xp -> (tr, xp)))
+(* The region scheduler's cache namespace for this VMM. *)
+let fingerprint t =
+  Baseline.Region.fingerprint ~mem_size:(Ppc.Mem.size t.vmm.Monitor.mem)
+    t.vmm.Monitor.tr.params
 
-(* The persisted image of this exact member-content set, else a fresh
-   compile.  Never raises: a failure is the outcome. *)
-let compile t snap =
+(* The cache key of the image over [members], from their current
+   bytes; [None] without a cache. *)
+let region_key t ~members =
+  Option.map
+    (fun store ->
+      Monitor.region_key t.vmm store ~fingerprint:(fingerprint t) ~members)
+    t.vmm.Monitor.tcache
+
+(* The image the cache holds under [key], installed into a fresh region
+   translator.  The probe is the monitor's, so it counts, reports and
+   quarantines like a page's. *)
+let cached_image t ~members key =
   let vmm = t.vmm in
-  try
-    match cached_image t ~members:snap.s_members with
-    | Some (tr, xp) -> Cached (tr, xp)
-    | None ->
-      Compiled
-        (Baseline.Region.compile ~t1:vmm.Monitor.tr.params
-           ~frontend:vmm.Monitor.fe vmm.Monitor.mem ~members:snap.s_members
-           ~entries:snap.s_entries)
-  with exn -> Failed (Printexc.to_string exn)
+  match (vmm.Monitor.tcache, key) with
+  | Some store, Some key ->
+    let tr =
+      Baseline.Region.translator ~t1:vmm.Monitor.tr.params
+        ~frontend:vmm.Monitor.fe vmm.Monitor.mem ~members
+    in
+    Monitor.tcache_probe vmm store ~fingerprint:(fingerprint t) ~members ~key
+      ~page:members.(0) tr
+    |> Option.map (fun (xp : Translate.xpage) -> (tr, xp))
+  | _ -> None
 
+(* Swap the image [tr] holds in over [members], under [key].  Only an
+   upgrade installs: a live candidate passed that test when it was
+   picked, but warm start's cached images may overlap.  The smaller
+   regions the image absorbs retire first; a fresh image persists. *)
+let install t ~members ?key ~tr ~insns ?seconds ~cached () =
+  if upgrade_ok t members then begin
+    List.iter
+      (fun (r : Monitor.region) ->
+        Monitor.deopt_region t.vmm r ~page:r.r_members.(0)
+          ~reason:"superseded by a larger region")
+      (Array.to_list members
+      |> List.filter_map (Monitor.region_of t.vmm)
+      |> List.sort_uniq (fun (a : Monitor.region) b -> compare a.r_id b.r_id));
+    match
+      Monitor.promote t.vmm ~members ?key ~tr ~insns ?seconds ~cached ()
+    with
+    | Error _ -> ()
+    | Ok r ->
+      t.installed <- t.installed + 1;
+      Hashtbl.replace t.promoted r.Monitor.r_id (set_key members);
+      if not cached then Monitor.tcache_persist_region t.vmm r
+  end
+
+(* Compile [members] and swap the image in, in one step: key it, take
+   the cached image under that key, else compile.  Seeding is
+   best-effort: the image lazily extends at runtime for any address the
+   monitor dispatches into it, and converges to the same shape
+   regardless of the seed, so tier-1's observed entries are simply a
+   head start for the compile. *)
 let launch t members =
-  (* Seeding is best-effort: the image lazily extends at runtime for
-     any address the monitor dispatches into it, and converges to the
-     same shape regardless of the seed, so tier-1's observed entries
-     are simply a head start for the compile. *)
   let entries =
     Array.to_list members
     |> List.concat_map (observed_entries t)
     |> List.sort_uniq compare
   in
   if entries <> [] then begin
-    let snap =
-      { s_members = members;
-        s_bytes = Array.to_list (Array.map (member_bytes t) members);
-        s_entries = entries }
+    let vmm = t.vmm in
+    let image = ref None in
+    let job () =
+      image :=
+        try
+          let key = region_key t ~members in
+          match cached_image t ~members key with
+          | Some (tr, xp) -> Some (key, tr, xp.insns_scheduled, 0., true)
+          | None ->
+            let c =
+              Baseline.Region.compile ~t1:vmm.Monitor.tr.params
+                ~frontend:vmm.Monitor.fe vmm.Monitor.mem ~members ~entries
+            in
+            Some (key, c.c_tr, c.c_insns, c.c_seconds, false)
+        with _ -> None
     in
-    let outcome = ref (Failed "submit dropped the compile") in
-    let job () = outcome := compile t snap in
     (match t.cfg.submit with Some submit -> submit job | None -> job ());
-    t.pending <- (snap, !outcome) :: t.pending
+    match !image with
+    | None ->
+      (* undecodable entry, injected translator fault, dropped submit…:
+         strike the candidate so a deterministic failure can't relaunch
+         forever *)
+      strike t (set_key members)
+    | Some (key, tr, insns, seconds, cached) ->
+      install t ~members ?key ~tr ~insns ~seconds ~cached ()
   end
-
-(* --- install -------------------------------------------------------- *)
-
-let try_install t snap outcome =
-  let key = set_key snap.s_members in
-  match outcome with
-  | Failed _ ->
-    (* undecodable entry, injected translator fault, dropped submit…:
-       strike the candidate so a deterministic failure can't relaunch
-       forever *)
-    strike t key
-  | Compiled _ | Cached _ ->
-    (* the image describes the snapshot's bytes: a store into a member
-       page between the compile and this install voids it *)
-    let fresh =
-      List.for_all2
-        (fun b bytes -> String.equal (member_bytes t b) bytes)
-        (Array.to_list snap.s_members) snap.s_bytes
-    in
-    if not fresh then t.rejected_stale <- t.rejected_stale + 1
-    else begin
-      (* upgrade: retire any smaller regions this image absorbs before
-         the swap — eligibility guaranteed they are strict subsets *)
-      let covering =
-        Array.to_list snap.s_members
-        |> List.filter_map (fun b -> Monitor.region_of t.vmm b)
-        |> List.sort_uniq (fun (a : Monitor.region) b ->
-               compare a.r_id b.r_id)
-      in
-      List.iter
-        (fun (r : Monitor.region) ->
-          Monitor.deopt_region t.vmm r ~page:r.r_members.(0)
-            ~reason:"superseded by a larger region")
-        covering;
-      let tr, insns, seconds, cached =
-        match outcome with
-        | Compiled c -> (c.c_tr, c.c_insns, c.c_seconds, false)
-        | Cached (tr, xp) -> (tr, xp.insns_scheduled, 0., true)
-        | Failed _ -> assert false
-      in
-      match
-        Monitor.promote t.vmm ~members:snap.s_members ~tr ~insns ~seconds
-          ~cached ()
-      with
-      | Error _ -> t.rejected_stale <- t.rejected_stale + 1
-      | Ok r ->
-        t.installed <- t.installed + 1;
-        Hashtbl.replace t.promoted r.Monitor.r_id key;
-        if not cached then Monitor.tcache_persist_region t.vmm r
-    end
-
-(* Install the last evaluation's compiles, oldest first. *)
-let drain t =
-  let ready = List.rev t.pending in
-  t.pending <- [];
-  List.iter (fun (snap, outcome) -> try_install t snap outcome) ready
 
 (* --- wiring ---------------------------------------------------------- *)
 
@@ -328,11 +283,12 @@ let on_event t (ev : Monitor.event) =
       strike t key)
   | _ -> ()
 
-(* A committed boundary: install what the last evaluation compiled,
-   then, every [check_every] boundaries, evaluate the policy.  The
-   install comes first, so a pending compile is never launched twice. *)
+(* A committed boundary: every [check_every] of them, evaluate the
+   policy and compile and swap in each candidate it picks.  Candidates
+   of one evaluation never overlap (SCCs are disjoint, and a single
+   page is never inside a chosen SCC), so one install cannot void
+   another's eligibility. *)
 let on_tick t ~pc:_ =
-  if t.pending <> [] then drain t;
   t.ticks <- t.ticks + 1;
   if t.ticks >= t.cfg.check_every then begin
     t.ticks <- 0;
@@ -349,51 +305,36 @@ let on_tick t ~pc:_ =
     promoted). *)
 let warm_start t =
   match t.vmm.Monitor.tcache with
-  | None -> 0
+  | None -> ()
   | Some store ->
-    let infos =
-      (* widest image first: overlapping cached regions (a run that
-         upgraded leaves both) resolve to the larger one, the smaller
-         fails [promote] with [`Already_promoted] and is skipped *)
-      List.sort
-        (fun (a : Tcache.Store.info) (b : Tcache.Store.info) ->
-          compare (Array.length b.members) (Array.length a.members))
-        (Tcache.Store.list_dir store.Tcache.Store.dir)
-    in
-    List.fold_left
-      (fun n (i : Tcache.Store.info) ->
-        if i.kind <> `Region || i.status <> `Ok then n
-        else begin
-          let members = i.members in
-          (* key recomputed from *current* bytes: a stale image (any
-             member byte changed since it was persisted) simply fails
-             this match and stays on disk for eviction by deopt *)
-          match cached_image ~only:i.key t ~members with
-          | None -> n
-          | Some (tr, xp) -> (
-            match
-              Monitor.promote t.vmm ~members ~tr ~insns:xp.insns_scheduled
-                ~cached:true ()
-            with
-            | Ok r ->
-              t.installed <- t.installed + 1;
-              Hashtbl.replace t.promoted r.Monitor.r_id (set_key members);
-              n + 1
-            | Error _ -> n)
-        end)
-      0 infos
+    (* widest image first: overlapping cached regions (a run that
+       upgraded leaves both) resolve to the larger one, and the
+       smaller is no upgrade over it *)
+    List.sort
+      (fun (a : Tcache.Store.info) (b : Tcache.Store.info) ->
+        compare (Array.length b.members) (Array.length a.members))
+      (Tcache.Store.list_dir store.Tcache.Store.dir)
+    |> List.iter (fun (i : Tcache.Store.info) ->
+           if i.kind = `Region && i.status = `Ok then begin
+             let members = i.members in
+             (* the key from *current* bytes: a stale image (any member
+                byte changed since it was persisted) misses *)
+             let key = region_key t ~members in
+             if key = Some i.key then
+               match cached_image t ~members key with
+               | None -> ()
+               | Some (tr, xp) ->
+                 install t ~members ?key ~tr ~insns:xp.insns_scheduled
+                   ~cached:true ()
+           end)
 
 (** Attach the driver: subscribes to the monitor's events (heat +
-    deopt accounting) and committed boundaries (installs, and the
-    periodic policy evaluation that survives event-silent steady
-    states), then re-promotes cached regions. *)
+    deopt accounting) and committed boundaries (the periodic policy
+    evaluation that survives event-silent steady states, and its
+    swaps), then re-promotes cached regions. *)
 let attach ?(cfg = default) vmm =
   let t = create ~cfg vmm in
   Monitor.on_event vmm (on_event t);
   Monitor.on_tick vmm (on_tick t);
-  ignore (warm_start t);
+  warm_start t;
   t
-
-(** Install what the last evaluation compiled (callers that read stats
-    right after a run that ended before its next boundary). *)
-let finish t = drain t

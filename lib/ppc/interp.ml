@@ -82,10 +82,6 @@ let interrupt (st : Machine.t) ~return_pc vector =
   st.msr <- st.msr land lnot (Machine.Msr.ee lor Machine.Msr.pr);
   st.pc <- vector
 
-(** Deliver an external interrupt (between instructions). *)
-let deliver_external (st : Machine.t) =
-  interrupt st ~return_pc:st.pc Vector.external_
-
 let record_cmp (st : Machine.t) bf lt gt =
   let eq = (not lt) && not gt in
   let v =

@@ -46,7 +46,6 @@ let watch t f =
 
 let size t = t.size
 let output t = Buffer.contents t.out
-let clear_output t = Buffer.clear t.out
 
 let is_mmio addr = addr >= mmio_base && addr < mmio_base + 0x1000
 

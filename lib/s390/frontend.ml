@@ -10,13 +10,5 @@ let s390 : Translator.Frontend.t =
     make_step =
       (fun st mem ->
         let it = Interp.create st mem in
-        fun () ->
-          let stop =
-            match Decode.decode mem st.pc with
-            | Some ((Insn.BALR _ | BCR _ | BC _), _) -> true
-            | Some (RX ((BAL | BCT), _, _, _, _), _) -> true
-            | Some _ | None -> false
-          in
-          Interp.step it;
-          stop);
+        fun () -> Interp.step it);
     target_mask = Insn.amask land lnot 1 }

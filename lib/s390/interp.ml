@@ -136,7 +136,14 @@ let exec (t : t) pc (i : Insn.t) len =
     done);
   st.pc <- !next
 
-(** Execute one instruction; raises {!Illegal} outside the subset and
+(** Does [i] end one of the VMM's interpretation episodes: a call
+    (BALR, BAL) or a branch (BCR, BC, BCT)? *)
+let ends_episode : Insn.t -> bool = function
+  | BALR _ | BCR _ | BC _ | RX ((BAL | BCT), _, _, _, _) -> true
+  | _ -> false
+
+(** Execute one instruction and return whether it ends an
+    interpretation episode; raises {!Illegal} outside the subset and
     {!Ppc.Mem.Halted} on the halt store. *)
 let step (t : t) =
   let pc = t.st.pc in
@@ -145,7 +152,8 @@ let step (t : t) =
   | Some (i, len) ->
     t.icount <- t.icount + 1;
     if not (Hashtbl.mem t.touched pc) then Hashtbl.add t.touched pc ();
-    exec t pc i len
+    exec t pc i len;
+    ends_episode i
 
 (** Run until halt or [fuel] instructions; returns the exit code. *)
 let run (t : t) ~fuel =
@@ -153,7 +161,7 @@ let run (t : t) ~fuel =
     if n <= 0 then None
     else
       match step t with
-      | () -> go (n - 1)
+      | (_ : bool) -> go (n - 1)
       | exception Mem.Halted code -> Some code
   in
   go fuel

@@ -1,12 +1,11 @@
 (* One guest session: a full differentially-verified `Vmm.Run` with its
-   own memory image, VMM, metrics registry and (optionally) checkpoint
-   directory — sharing only the translation-cache directory, through
-   the coordinator's gate/pin discipline.
+   own memory image, VMM and (optionally) checkpoint directory —
+   sharing only the translation-cache directory, through the
+   coordinator's gate/pin discipline.
 
    Isolation inventory: the workload is re-instantiated per session
    (fresh guest memory), `Run.run` creates a fresh Monitor + Machine +
-   translator, the metrics registry is per-session and labeled with the
-   session id, and the checkpoint dir (when given) is
+   translator, and the checkpoint dir (when given) is
    [<root>/session-<id>].  The ONLY shared mutable state is the cache
    directory, and every mutation of it goes through the store's
    directory lock; the only shared in-process state is the coordinator,
@@ -51,7 +50,6 @@ type outcome = {
   seconds : float;  (** wall-clock session latency *)
   result : (Vmm.Run.result, failure) Stdlib.result;
       (** the session never lets an exception escape to the pool *)
-  metrics : Obs.Metrics.t;  (** labeled [session-<id>] *)
   injected : int;  (** faults the session's injector fired, all classes *)
   storage_injected : int;  (** disk faults its storage backend fired *)
 }
@@ -62,9 +60,7 @@ let ok o = Result.is_ok o.result
     shutdown, or its deadline passed while it sat in the queue. *)
 let cancelled ~id ~workload why =
   { id; workload; seconds = 0.;
-    result = Error (Cancelled why);
-    metrics = Obs.Metrics.create ~label:(Printf.sprintf "session-%d" id) ();
-    injected = 0; storage_injected = 0 }
+    result = Error (Cancelled why); injected = 0; storage_injected = 0 }
 
 (** The absolute instant [ms] milliseconds from now: how a request's
     budget becomes a session's [deadline_at] at admission. *)
@@ -104,7 +100,6 @@ let rec rm_rf path =
     and before the stack attaches. *)
 let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
     ~shared ~id name =
-  let metrics = Obs.Metrics.create ~label:(Printf.sprintf "session-%d" id) () in
   let touched : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let touched_lock = Mutex.create () in
   let store = ref None in
@@ -180,10 +175,7 @@ let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
   Option.iter
     (fun (c : Guard.Stack.checkpoint) -> rm_rf c.dir)
     stack.checkpoint;
-  (match result with
-  | Ok r -> Obs.Bridge.record_result metrics r
-  | Error _ -> ());
-  { id; workload = name; seconds; result; metrics;
+  { id; workload = name; seconds; result;
     injected = Option.fold ~none:0 ~some:Fault.Inject.total !inject;
     storage_injected =
       Option.fold ~none:0 ~some:(fun (_, i) -> Fsio.faults_fired i) disk }

@@ -47,9 +47,6 @@ let traditional ?profile () =
   { default with page_size = 1 lsl 22; join_limit = 8; window = 384; profile;
     watch_code = false }
 
-let with_config config t = { t with config }
-let with_page_size page_size t = { t with page_size }
-
 (** A stable, human-readable digest of every parameter that can change
     the translator's output for the same input bytes.  The persistent
     translation cache (lib/tcache) keys entries on this fingerprint, so

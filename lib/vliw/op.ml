@@ -79,10 +79,6 @@ let is_mem = function LoadOp _ | StoreOp _ -> true | _ -> false
 let is_store = function StoreOp _ -> true | _ -> false
 let is_load = function LoadOp _ -> true | _ -> false
 
-let is_commit = function
-  | CommitG _ | CommitCr _ | CommitLr _ | CommitCtr _ | CommitCa _ -> true
-  | _ -> false
-
 (* Stable small-integer codes for the persistent translation cache's
    binary codec (lib/tcache).  On-disk format: append new codes, never
    renumber, and bump the codec version when the shape changes.  The

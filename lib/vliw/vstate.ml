@@ -61,10 +61,6 @@ let get_cr_tagged t (l : Op.loc) =
   if l < 8 then (Ppc.Machine.get_crf t.m l, Clean)
   else (t.crhi.(l - 8), tag_of_code t.crtags.(l - 8))
 
-(** Condition field value, ignoring tags. *)
-let get_cr t (l : Op.loc) =
-  if l < 8 then Ppc.Machine.get_crf t.m l else t.crhi.(l - 8)
-
 let set_gpr t (l : Op.loc) v =
   if l < 32 then t.m.gpr.(l) <- v
   else if l < 64 then (

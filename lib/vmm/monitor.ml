@@ -408,6 +408,10 @@ type region = {
   r_members : int array;           (** sorted member tier-1 page bases *)
   r_set : (int, unit) Hashtbl.t;   (** member bases, for O(1) tests *)
   r_tr : Translate.t;              (** owns the region's single xpage *)
+  r_key : string option;
+      (** its cache key, derived from the member bytes before the
+          promotion; a store into a member deopts the region before the
+          bytes change, so the key holds while the region is live *)
   mutable r_staged : (Translate.xpage * C.page) option;
       (** closure-staged form; regions can't live in [t.compiled]
           because the region xpage's base (0) would collide with a
@@ -543,11 +547,8 @@ type t = {
           May raise to unwind the run. *)
   mutable shadow_arm : (pc:int -> unit) option;
       (** called immediately before a VLIW executes, with its precise
-          entry pc; the shadow verifier snapshots state here when its
-          sampler selects the packet *)
-  mutable shadow_abort : (unit -> unit) option;
-      (** the armed packet did not commit (rollback or execution
-          fault); the shadow snapshot is discarded *)
+          entry pc; the shadow verifier re-arms here for every packet,
+          with a state snapshot when its sampler selects the packet *)
   mutable shadow_commit : (next:int -> int option) option;
       (** the armed packet committed and control is about to move to
           base address [next].  Returns [None] to continue normally, or
@@ -595,9 +596,8 @@ let probe_cache t h kind ~store addr bytes =
    scheduler's fingerprint.  A unit's events and degraded-count sync
    name its [page] (a region's first member).  Every content key is
    computed from the unit's *current* bytes, so each call site must run
-   before those bytes change; a region deopt on the self-modifying-code
-   path qualifies because [Mem.t.on_store] fires before the store
-   lands. *)
+   before those bytes change; a region computes its key once, before
+   its promotion, and keeps it ([r_key]). *)
 
 let member_bytes t base =
   let len = min t.tr.params.page_size (Mem.size t.mem - base) in
@@ -609,8 +609,8 @@ let page_key t store base = Tcache.Store.key store ~base (member_bytes t base)
     the region scheduler's [fingerprint]: the *set* of member-page
     contents plus the member bases, so any byte change in any member
     page — or a different grouping — misses and falls back to a fresh
-    compile.  The one derivation of a region key, for the persist, the
-    probe and the evict alike. *)
+    compile.  Derived once, before a promotion; the region keeps it
+    ([r_key]) for its persist and its evict. *)
 let region_key t store ~fingerprint ~members =
   Tcache.Store.region_key store ~fingerprint ~members
     ~bytes:(Array.to_list (Array.map (member_bytes t) members))
@@ -761,9 +761,7 @@ let drop_translation t base =
 
 (** Demote [r] back to tier-1: unmap every member (only where the
     mapping still points at [r]), drop the staged image, and evict the
-    persistent region entry.  Callers on the self-modifying-code path
-    run before the member bytes change, so the content key still
-    matches the stale entry being evicted. *)
+    persistent region entry under its stored key. *)
 let deopt_region t (r : region) ~page ~reason =
   Array.iter
     (fun b ->
@@ -775,13 +773,7 @@ let deopt_region t (r : region) ~page ~reason =
   (match t.active_region with
   | Some r' when r' == r -> t.active_region <- None
   | _ -> ());
-  (match t.tcache with
-  | Some store ->
-    tcache_evict t r.r_members.(0)
-      ~key:
-        (region_key t store ~fingerprint:(Params.fingerprint r.r_tr.params)
-           ~members:r.r_members)
-  | None -> ());
+  Option.iter (fun key -> tcache_evict t r.r_members.(0) ~key) r.r_key;
   t.stats.tier2_deopts <- t.stats.tier2_deopts + 1;
   emit t (fun () -> Region_deopt { cycle = now t; id = r.r_id; page; reason })
 
@@ -856,7 +848,7 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
       translate_gate = None; translate_release = None; tcache_touch = None;
       translate_budget = None; compile_budget = None; progress_limit = None;
       progress_pc = -1; progress_ticks = 0; tick_hook = None;
-      shadow_arm = None; shadow_abort = None; shadow_commit = None }
+      shadow_arm = None; shadow_commit = None }
   in
   (* feed run-time register values to the translator's guarded inlining
      of indirect branches (Chapter 6) *)
@@ -872,8 +864,7 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
         let base = Translate.page_base tr addr in
         (* a store into any member page of a promoted region fails the
            region's whole-unit assumption: deopt before the bytes
-           change (the region entry is evicted under its still-matching
-           content key) *)
+           change (the region entry is evicted under its stored key) *)
         (match Hashtbl.find_opt t.regions base with
         | Some r ->
           deopt_region t r ~page:base
@@ -1152,12 +1143,13 @@ let page_mode t base =
 (** Swap a compiled region image in.  [tr] is the region's dedicated
     translator (single whole-memory "page", [unit_filter] = the member
     set) holding the already-translated image; [members] are the sorted
-    tier-1 page bases it covers.  Installation is a set of main-thread
-    Hashtbl writes consulted only at the next [goto_base], so in-flight
-    execution never observes a partial swap.  Refused when any member is
-    already promoted or sits on a ladder rung — the interpreter owns
-    unhealthy pages. *)
-let promote t ~members ~(tr : Translate.t) ?(insns = 0) ?(seconds = 0.)
+    tier-1 page bases it covers; [key] is its cache key, which the
+    region keeps for its persist and its evict.  Installation is a set
+    of main-thread Hashtbl writes consulted only at the next
+    [goto_base], so in-flight execution never observes a partial swap.
+    Refused when any member is already promoted or sits on a ladder
+    rung — the interpreter owns unhealthy pages. *)
+let promote t ~members ?key ~(tr : Translate.t) ?(insns = 0) ?(seconds = 0.)
     ?(cached = false) () =
   if Array.length members = 0 then Error `Empty
   else if Array.exists (fun b -> Hashtbl.mem t.regions b) members then
@@ -1170,7 +1162,7 @@ let promote t ~members ~(tr : Translate.t) ?(insns = 0) ?(seconds = 0.)
     Array.iter (fun b -> Hashtbl.replace set b ()) members;
     let r =
       { r_id = t.region_seq; r_members = members; r_set = set; r_tr = tr;
-        r_staged = None; r_aliases = 0 }
+        r_key = key; r_staged = None; r_aliases = 0 }
     in
     Array.iter (fun b -> Hashtbl.replace t.regions b r) members;
     t.promote_pending <- true;
@@ -1218,19 +1210,18 @@ let live_regions t =
     t.regions []
   |> List.sort (fun a b -> compare a.r_id b.r_id)
 
-(** Persist [r]'s image so warm starts come up already promoted. *)
+(** Persist [r]'s image under its key, so warm starts come up already
+    promoted. *)
 let tcache_persist_region t (r : region) =
-  match t.tcache with
+  match r.r_key with
   | None -> ()
-  | Some store ->
-    let fingerprint = Params.fingerprint r.r_tr.params in
-    let members = r.r_members in
+  | Some key ->
     let xp =
       Hashtbl.fold (fun _ p _ -> Some p) r.r_tr.pages None |> Option.get
     in
-    tcache_persist t ~page:members.(0) ~fingerprint ~members xp
-      ~key:(region_key t store ~fingerprint ~members)
-      ~spec_inhibited:(Translate.load_spec_inhibited r.r_tr xp.base)
+    tcache_persist t ~page:r.r_members.(0)
+      ~fingerprint:(Params.fingerprint r.r_tr.params) ~members:r.r_members xp
+      ~key ~spec_inhibited:(Translate.load_spec_inhibited r.r_tr xp.base)
 
 let itlb_miss_cost = 10  (* stall cycles of the ITLB miss handler *)
 
@@ -1452,7 +1443,6 @@ let run t ~entry ~fuel =
     (* malformed VLIW (corruption, translator bug): no write was
        applied, so the precise entry state is intact — quarantine the
        page and redo these instructions by interpretation *)
-    (match t.shadow_abort with Some f -> f () | None -> ());
     stats.exec_faults <- stats.exec_faults + 1;
     emit t (fun () ->
         Exec_fault { cycle = now t; page = t.current_page; pc = precise; reason });
@@ -1466,7 +1456,6 @@ let run t ~entry ~fuel =
      and recovers by interpretation; a region image is demoted and the
      same address re-dispatched under tier-1. *)
   and stage_failed precise exn =
-    (match t.shadow_abort with Some f -> f () | None -> ());
     let page = t.current_page in
     let reason =
       match exn with
@@ -1491,7 +1480,6 @@ let run t ~entry ~fuel =
       record_failure t page;
       recover_at precise
   and rolled_back_at precise (reason : Exec.reason) =
-    (match t.shadow_abort with Some f -> f () | None -> ());
     stats.rollbacks <- stats.rollbacks + 1;
     emit t (fun () ->
         let kind =
@@ -1590,7 +1578,6 @@ let run t ~entry ~fuel =
       | None -> goto_base (v land lnot 1))
     | _ ->
       (* cannot branch on a tagged value: recover precisely *)
-      (match t.shadow_abort with Some f -> f () | None -> ());
       stats.rollbacks <- stats.rollbacks + 1;
       emit t (fun () ->
           Rolled_back { cycle = now t; pc = precise; kind = RbTagged_target });

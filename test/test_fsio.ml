@@ -288,7 +288,7 @@ let sample_profile () =
   let q = Obs.Profile.page p 0x1000 in
   q.entries <- 3;
   q.vliws <- 10;
-  Obs.Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Obs.Profile.Taken 5;
+  Obs.Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Vmm.Monitor.Etaken 5;
   p
 
 let pstore_save_twice ~io dir =

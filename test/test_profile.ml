@@ -48,8 +48,8 @@ let profile_equal a b =
 (* --- generator ----------------------------------------------------- *)
 
 let all_kinds =
-  [ Profile.Taken; Profile.Fall; Profile.Lr; Profile.Ctr; Profile.Gpr;
-    Profile.Interp ]
+  [ Monitor.Etaken; Monitor.Efall; Monitor.Elr; Monitor.Ectr; Monitor.Egpr;
+    Monitor.Einterp ]
 
 let gen_profile : Profile.t QCheck.Gen.t =
   let open QCheck.Gen in
@@ -105,8 +105,8 @@ let sample_profile () =
   Profile.enter p ~page:0x2000 ~vliws_so_far:10;
   Profile.interp p ~pc:0x2004 ~insns:7;
   Profile.translated p ~page:0x1000 ~insns:40 ~bytes:256;
-  Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Profile.Taken 5;
-  Profile.edge_n p ~src:0x2000 ~dst:0x1000 ~kind:Profile.Lr 4;
+  Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Monitor.Etaken 5;
+  Profile.edge_n p ~src:0x2000 ~dst:0x1000 ~kind:Monitor.Elr 4;
   Profile.flush p ~vliws_total:30;
   p
 
@@ -149,12 +149,12 @@ let test_merge_commutes () =
   in
   let ab =
     let a = sample_profile () and b = sample_profile () in
-    Profile.edge_n b ~src:0x3000 ~dst:0x1000 ~kind:Profile.Ctr 9;
+    Profile.edge_n b ~src:0x3000 ~dst:0x1000 ~kind:Monitor.Ectr 9;
     Profile.merge ~into:a b;
     totals a
   and ba =
     let a = sample_profile () and b = sample_profile () in
-    Profile.edge_n b ~src:0x3000 ~dst:0x1000 ~kind:Profile.Ctr 9;
+    Profile.edge_n b ~src:0x3000 ~dst:0x1000 ~kind:Monitor.Ectr 9;
     Profile.merge ~into:b a;
     totals b
   in
@@ -201,11 +201,11 @@ let test_regions_finds_cycle () =
   let p = Profile.create ~page_size:4096 () in
   (* hot 2-cycle A<->B, a hot one-way edge into C (no cycle), and a cold
      2-cycle D<->E below threshold *)
-  Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Profile.Taken 100;
-  Profile.edge_n p ~src:0x2000 ~dst:0x1000 ~kind:Profile.Lr 90;
-  Profile.edge_n p ~src:0x2000 ~dst:0x3000 ~kind:Profile.Fall 80;
-  Profile.edge_n p ~src:0x4000 ~dst:0x5000 ~kind:Profile.Taken 2;
-  Profile.edge_n p ~src:0x5000 ~dst:0x4000 ~kind:Profile.Taken 2;
+  Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Monitor.Etaken 100;
+  Profile.edge_n p ~src:0x2000 ~dst:0x1000 ~kind:Monitor.Elr 90;
+  Profile.edge_n p ~src:0x2000 ~dst:0x3000 ~kind:Monitor.Efall 80;
+  Profile.edge_n p ~src:0x4000 ~dst:0x5000 ~kind:Monitor.Etaken 2;
+  Profile.edge_n p ~src:0x5000 ~dst:0x4000 ~kind:Monitor.Etaken 2;
   match Profile.regions ~threshold:10 p with
   | [ r ] ->
     Alcotest.(check (list int)) "members" [ 0x1000; 0x2000 ] r.Profile.rpages;
@@ -215,8 +215,8 @@ let test_regions_finds_cycle () =
 
 let test_regions_self_loop () =
   let p = Profile.create ~page_size:4096 () in
-  Profile.edge_n p ~src:0x1000 ~dst:0x1000 ~kind:Profile.Gpr 50;
-  Profile.edge_n p ~src:0x2000 ~dst:0x3000 ~kind:Profile.Taken 50;
+  Profile.edge_n p ~src:0x1000 ~dst:0x1000 ~kind:Monitor.Egpr 50;
+  Profile.edge_n p ~src:0x2000 ~dst:0x3000 ~kind:Monitor.Etaken 50;
   match Profile.regions ~threshold:1 p with
   | [ r ] ->
     Alcotest.(check (list int)) "self-loop is a region" [ 0x1000 ]
@@ -239,10 +239,10 @@ let test_regions_single_node_no_edge () =
    drop either one.  Rank order between equals is unspecified; sort. *)
 let test_regions_disjoint_equal_heat () =
   let p = Profile.create ~page_size:4096 () in
-  Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Profile.Taken 40;
-  Profile.edge_n p ~src:0x2000 ~dst:0x1000 ~kind:Profile.Lr 40;
-  Profile.edge_n p ~src:0x7000 ~dst:0x8000 ~kind:Profile.Taken 40;
-  Profile.edge_n p ~src:0x8000 ~dst:0x7000 ~kind:Profile.Lr 40;
+  Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Monitor.Etaken 40;
+  Profile.edge_n p ~src:0x2000 ~dst:0x1000 ~kind:Monitor.Elr 40;
+  Profile.edge_n p ~src:0x7000 ~dst:0x8000 ~kind:Monitor.Etaken 40;
+  Profile.edge_n p ~src:0x8000 ~dst:0x7000 ~kind:Monitor.Elr 40;
   match Profile.regions ~threshold:10 p with
   | [ a; b ] ->
     let members =
@@ -260,8 +260,8 @@ let test_regions_disjoint_equal_heat () =
 let test_regions_threshold_boundary () =
   let build n =
     let p = Profile.create ~page_size:4096 () in
-    Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Profile.Taken n;
-    Profile.edge_n p ~src:0x2000 ~dst:0x1000 ~kind:Profile.Taken n;
+    Profile.edge_n p ~src:0x1000 ~dst:0x2000 ~kind:Monitor.Etaken n;
+    Profile.edge_n p ~src:0x2000 ~dst:0x1000 ~kind:Monitor.Etaken n;
     p
   in
   (match Profile.regions ~threshold:10 (build 10) with

@@ -188,6 +188,30 @@ let test_tm_cli () =
   in
   Alcotest.(check (option int)) "tm + cli path" (Some 42) code
 
+(* The VMM's episode step classifies the instruction it stepped: the
+   calls and branches (BALR, BCR, BC, BAL, BCT) end an episode, every
+   other form does not. *)
+let test_episode_step () =
+  let rr = [ I.LR_; AR; SR; NR; OR_; XR_; CR_; LTR ] in
+  let rx = [ I.L; ST_; A; S; N; O; X; C; LA; LH; STH; STC; IC ] in
+  let forms =
+    [ (I.BALR (14, 0), true); (BCR (0, 14), true); (BC (0, 0, 0, 0x200), true);
+      (RX (BAL, 14, 0, 0, 0x400), true); (RX (BCT, 5, 0, 0, 0x100), true);
+      (SLL (3, 4), false); (SRL (3, 4), false);
+      (SI (MVI, 0x100, 0, 0xAB), false); (SI (CLI, 0x100, 0, 0x20), false);
+      (SI (TM, 0x100, 0, 0x80), false); (MVC (3, 0x180, 0, 0x100, 0), false) ]
+    @ List.map (fun op -> (I.RR (op, 1, 2), false)) rr
+    @ List.map (fun op -> (I.RX (op, 1, 0, 0, 0x100), false)) rx
+  in
+  let mem = Ppc.Mem.create 0x1000 and st = Ppc.Machine.create () in
+  let step = S390.Frontend.s390.make_step st mem in
+  List.iter
+    (fun (i, ends) ->
+      ignore (S390.Encode.store mem 0x800 i);
+      st.pc <- 0x800;
+      Alcotest.(check bool) (I.to_string i) ends (step ()))
+    forms
+
 (* ------------------------------------------------------------------ *)
 (* Differential: S/390 under DAISY                                     *)
 
@@ -522,7 +546,8 @@ let () =
           Alcotest.test_case "mvc overlap" `Quick test_mvc_overlap;
           Alcotest.test_case "bct loop" `Quick test_bct_loop;
           Alcotest.test_case "bal call" `Quick test_bal_call;
-          Alcotest.test_case "tm + cli" `Quick test_tm_cli ] );
+          Alcotest.test_case "tm + cli" `Quick test_tm_cli;
+          Alcotest.test_case "episode step" `Quick test_episode_step ] );
       ( "differential",
         [ Alcotest.test_case "arith loop" `Quick t_diff_arith;
           Alcotest.test_case "memcpy via MVC" `Quick t_diff_memcpy;

@@ -280,8 +280,9 @@ let test_profile_probabilities () =
      each registry workload and the S/390 experiment program under the
      defaults;
    - the entry page of the first 128 seed-1 fuzz programs;
-   - the tier-2 region images promoted while running c_sieve and
-     compress with inline compiles.
+   - the tier-2 region images live at the end of c_sieve's and
+     compress's runs, lazy extensions included, so the boundary at
+     which a region goes live can reorder them.
    A change to the scheduler's data structures must leave it unchanged;
    a change that means to alter translations must re-record it. *)
 
@@ -325,9 +326,8 @@ let oracle_digest () =
       let w = Workloads.Registry.by_name name in
       let mem, entry = Workloads.Wl.instantiate w in
       let vmm = Vmm.Monitor.create mem in
-      let tier = Obs.Tier.attach ~cfg:{ Obs.Tier.default with submit = None } vmm in
+      ignore (Obs.Tier.attach vmm);
       ignore (Vmm.Monitor.run vmm ~entry ~fuel:(2 * w.fuel));
-      Obs.Tier.finish tier;
       Hashtbl.fold (fun _ (r : Vmm.Monitor.region) acc -> r :: acc) vmm.regions []
       |> List.sort_uniq (fun (a : Vmm.Monitor.region) b -> compare a.r_id b.r_id)
       |> List.iter (fun (r : Vmm.Monitor.region) ->
@@ -336,7 +336,7 @@ let oracle_digest () =
 
 let test_byte_identity () =
   Alcotest.(check string) "translation digest"
-    "f995d3c6d8d548c52d0606c5e9f97947" (oracle_digest ())
+    "1d3598d858f8dca98aab1c4e95cab686" (oracle_digest ())
 
 (* The same corpus (64 fuzz pages) under the parameter switches the
    defaults leave off, so the rarely taken scheduler paths — guarded
