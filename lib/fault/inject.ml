@@ -114,7 +114,7 @@ let nodes_of (v : T.t) =
     | T.Branch { taken; fall; _ } -> go taken; go fall
     | T.Exit _ | T.Open -> ()
   in
-  go v.root;
+  go (T.root v);
   !acc
 
 let digest_of (page : Translate.xpage) =
@@ -153,7 +153,8 @@ let corrupt_tree t (page : Translate.xpage) =
     | `Runtime ->
       Hashtbl.iter
         (fun _off id ->
-          if id >= 0 && id < nv then corrupt_node t (Vec.get page.vliws id).root)
+          if id >= 0 && id < nv then
+            corrupt_node t (T.root (Vec.get page.vliws id)))
         page.entries);
     t.n_bitflips <- t.n_bitflips + 1;
     Hashtbl.replace t.corrupted page.base mode
@@ -172,7 +173,7 @@ let corrupt_silently t (page : Translate.xpage) =
     let flipped = ref false in
     let i = ref 0 in
     while (not !flipped) && !i < nv do
-      let root = (Vec.get page.vliws !i).T.root in
+      let root = T.root (Vec.get page.vliws !i) in
       (match root.kind with
       | T.Branch { test; taken; fall } ->
         root.kind <-

@@ -120,6 +120,7 @@ let observed_entries t base =
 
 let strikes t key = Option.value ~default:0 (Hashtbl.find_opt t.strikes key)
 let strike t key = Hashtbl.replace t.strikes key (1 + strikes t key)
+let blacklist t key = Hashtbl.replace t.strikes key max_deopts
 let required_heat t key = t.cfg.min_heat lsl strikes t key
 let blacklisted t key = strikes t key >= max_deopts
 
@@ -271,16 +272,20 @@ let launch t members =
 
 (* --- wiring ---------------------------------------------------------- *)
 
-(* Events feed the profile and count deopts; they change no dispatch. *)
+(* Events feed the profile and count deopts; they change no dispatch.
+   A deopt for frequent aliasing blacklists its candidate at once:
+   compilation is deterministic, so a recompile would be the same image
+   and alias the same way. *)
 let on_event t (ev : Monitor.event) =
   Profile.feed t.profile ev;
   match ev with
-  | Region_deopt { id; _ } -> (
+  | Region_deopt { id; reason; _ } -> (
     match Hashtbl.find_opt t.promoted id with
     | None -> ()
     | Some key ->
       Hashtbl.remove t.promoted id;
-      strike t key)
+      if reason = Monitor.frequent_aliasing then blacklist t key
+      else strike t key)
   | _ -> ()
 
 (* A committed boundary: every [check_every] of them, evaluate the
@@ -298,11 +303,11 @@ let on_tick t ~pc:_ =
     List.iter (fun (members, _) -> launch t members) (candidates t)
   end
 
-(** Re-promote from the persistent cache: scan the store directory for
-    region entries whose member pages currently hold exactly the bytes
-    they were compiled from, and swap each in without compiling.  Run
-    once before execution starts (a warm fleet comes up already
-    promoted). *)
+(** Re-promote from the persistent cache: read the store's region
+    entries (page entries are never opened), and swap in, without
+    compiling, each one whose member pages currently hold exactly the
+    bytes it was compiled from.  Run once before execution starts (a
+    warm fleet comes up already promoted). *)
 let warm_start t =
   match t.vmm.Monitor.tcache with
   | None -> ()
@@ -311,22 +316,18 @@ let warm_start t =
        upgraded leaves both) resolve to the larger one, and the
        smaller is no upgrade over it *)
     List.sort
-      (fun (a : Tcache.Store.info) (b : Tcache.Store.info) ->
-        compare (Array.length b.members) (Array.length a.members))
-      (Tcache.Store.list_dir store.Tcache.Store.dir)
-    |> List.iter (fun (i : Tcache.Store.info) ->
-           if i.kind = `Region && i.status = `Ok then begin
-             let members = i.members in
-             (* the key from *current* bytes: a stale image (any member
-                byte changed since it was persisted) misses *)
-             let key = region_key t ~members in
-             if key = Some i.key then
-               match cached_image t ~members key with
-               | None -> ()
-               | Some (tr, xp) ->
-                 install t ~members ?key ~tr ~insns:xp.insns_scheduled
-                   ~cached:true ()
-           end)
+      (fun (_, a) (_, b) -> compare (Array.length b) (Array.length a))
+      (Tcache.Store.region_entries store)
+    |> List.iter (fun (stored, members) ->
+           (* the key from *current* bytes: a stale image (any member
+              byte changed since it was persisted) misses *)
+           let key = region_key t ~members in
+           if key = Some stored then
+             match cached_image t ~members key with
+             | None -> ()
+             | Some (tr, xp) ->
+               install t ~members ?key ~tr ~insns:xp.insns_scheduled
+                 ~cached:true ())
 
 (** Attach the driver: subscribes to the monitor's events (heat +
     deopt accounting) and committed boundaries (the periodic policy

@@ -5,18 +5,26 @@
    The encoding is a tagged, byte-oriented format — one tag byte per
    variant constructor, zigzag varints for every integer — chosen so an
    entry is compact (a translated page is typically a few KB) and so
-   decoding is a single linear scan with no lookahead.
+   decoding is a linear scan with no lookahead.  Each tree's root is
+   preceded by its byte length, so the scan can step over it.
 
-   Robustness contract: [decode_xpage] either returns a structurally
-   valid page or raises {!Corrupt}; it never crashes on truncated or
-   bit-flipped input and never fabricates an op from an unknown tag.
-   The store wraps every entry in a whole-payload checksum as well, so
-   decode failures here are the second line of defense.
+   Robustness contract, in two stages.  [decode_xpage] reads and checks
+   the whole page eagerly: the geometry, every tree's header fields and
+   the span of its root, the entry table and the trailing bytes; it
+   either returns a page or raises {!Corrupt}, so a truncated prefix
+   never decodes.  A tree's root is decoded the first time it is forced
+   ({!Vliw.Tree.root}, when the tree first stages), and raises
+   {!Corrupt} then unless it is a well-formed node that fills its span
+   exactly.  Neither stage crashes on truncated or bit-flipped input or
+   fabricates an op from an unknown tag.  The store wraps every entry
+   in a whole-payload checksum as well, so decode failures here are the
+   second line of defense.
 
    Versioning: [version] names the shape of everything below.  Any
    change to the tags, the field order, or the enum codes in
-   {!Ppc.Insn} / {!Vliw.Op} must bump it; the store treats a version
-   mismatch as a miss, so stale caches degrade to a normal translate.
+   {!Ppc.Insn} / {!Vliw.Op} must bump it; the store reports an entry of
+   another version as corrupt and sets it aside, so a stale cache
+   degrades to a normal translate and is refilled.
 
    The end of the module holds what every durable store shares: the
    file frame ({!frame}, {!unframe}) and the one reader ({!read}). *)
@@ -27,11 +35,10 @@ module Translate = Translator.Translate
 module Vec = Translator.Vec
 
 (* v2: the store header gained an entry-kind byte (page vs tier-2
-   region image) and, for regions, the member-page base list.  The tree
-   payload encoding itself is unchanged, but v1 headers are one byte
-   shorter, so the bump is load-bearing: a v1 cache degrades to a
-   normal translate instead of misparsing. *)
-let version = 2
+   region image) and, for regions, the member-page base list.
+   v3: each tree writes its root's byte length ahead of the root, and
+   region keys carry [Store.region_prefix]. *)
+let version = 3
 
 exception Corrupt of string
 
@@ -319,7 +326,10 @@ let rec get_node r : T.node =
   in
   { ops; kind }
 
-let put_tree b (t : T.t) =
+(* A tree is its header fields, then its root's byte length, then the
+   root.  [scratch] holds the root while its length is measured; an
+   encoder of many trees passes one buffer for all of them. *)
+let put_tree ?(scratch = Buffer.create 256) b (t : T.t) =
   put_vint b t.id;
   put_vint b t.precise_entry;
   put_bool b t.is_entry;
@@ -328,8 +338,15 @@ let put_tree b (t : T.t) =
   put_vint b t.br;
   put_vint b t.free_gprs;
   put_vint b t.free_crs;
-  put_node b t.root
+  Buffer.clear scratch;
+  put_node scratch (T.root t);
+  put_vint b (Buffer.length scratch);
+  Buffer.add_buffer b scratch
 
+(* The header fields are read now and the root's span is checked to lie
+   inside the input; the root itself is decoded when it is first forced
+   ({!T.root}), and raises {!Corrupt} then unless it fills its span
+   exactly. *)
 let get_tree r : T.t =
   let id = get_vint r in
   let precise_entry = get_vint r in
@@ -339,14 +356,27 @@ let get_tree r : T.t =
   let br = get_vint r in
   let free_gprs = get_vint r in
   let free_crs = get_vint r in
-  { id; precise_entry; is_entry; alu; mem; br; free_gprs; free_crs;
-    root = get_node r }
+  let len = get_vint r in
+  let start = r.pos and s = r.s in
+  if len < 0 || len > String.length s - start then
+    corrupt "root of %d bytes at byte %d overruns the input" len start;
+  r.pos <- start + len;
+  let root =
+    lazy
+      (let rr = { s; pos = start } in
+       let n = get_node rr in
+       if rr.pos <> start + len then
+         corrupt "root of VLIW %d: %d bytes decoded of %d" id (rr.pos - start)
+           len;
+       n)
+  in
+  { id; precise_entry; is_entry; alu; mem; br; free_gprs; free_crs; root }
 
 (* ------------------------------------------------------------------ *)
 (* Pages                                                               *)
 
 let encode_xpage (p : Translate.xpage) =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create 4096 and scratch = Buffer.create 256 in
   put_vint b p.base;
   put_vint b p.psize;
   put_vint b p.code_bytes;
@@ -355,7 +385,7 @@ let encode_xpage (p : Translate.xpage) =
   put_vint b (Vec.length p.vliws);
   Vec.iteri
     (fun i v ->
-      put_tree b v;
+      put_tree ~scratch b v;
       put_vint b (Vec.get p.addrs i);
       put_vint b (Vec.get p.sizes i))
     p.vliws;

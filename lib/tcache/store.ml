@@ -28,18 +28,22 @@
    directory under the same ".dtc" suffix, budget/LRU machinery and
    quarantine path; they differ only in the kind tag, the member-base
    list and the key derivation — a region's key covers the *set* of
-   member pages' contents, so a byte change in any member misses.  The
-   fingerprint stored in a region entry is the *region scheduler's*
-   params fingerprint, not the store's tier-1 one.
+   member pages' contents, so a byte change in any member misses, and
+   starts with [region_prefix], so a warm start finds the region
+   entries by name without opening a page entry.  The fingerprint
+   stored in a region entry is the *region scheduler's* params
+   fingerprint, not the store's tier-1 one.
 
    Storage: all file IO goes through an {!Fsio.t} backend ([Fsio.real]
    unless the caller injects faults).  Entries are installed with
    {!Fsio.commit} — temp write, file fsync, rename, directory fsync —
    so a reader never observes a half-written entry and a killed writer
    leaves only a stray temp file (swept at open).  A truncated,
-   bit-flipped or future-version entry fails the
+   bit-flipped or other-version entry fails the
    magic/version/checksum/decode ladder and reports as [`Corrupt]; the
-   VMM then falls back to a normal translate.
+   VMM then falls back to a normal translate.  A probe checks the whole
+   entry but leaves each tree's body to be decoded when the tree first
+   stages (see {!Codec}).
 
    Degradation: the cache is best-effort, so a *storage fault*
    ([Fsio.Fault]: ENOSPC, EIO, readonly mount) never escapes to the
@@ -194,19 +198,23 @@ let key t ~base bytes =
        (String.concat "\x00"
           [ t.frontend; t.fingerprint; string_of_int base; bytes ]))
 
+(** Region keys start with this prefix.  Page keys are lowercase hex,
+    so the two key spaces never meet, and a directory listing tells a
+    region entry by its name alone. *)
+let region_prefix = "r"
+
 (** The content-addressed key for a tier-2 region image: covers the
     region scheduler's fingerprint, the sorted member bases and every
     member page's exact bytes (in member order), so any byte change in
-    any member — or a different member set — is a miss.  The "R" arm
-    keeps region keys out of the page-key space even for a one-member
-    region over identical inputs. *)
+    any member — or a different member set — is a miss. *)
 let region_key t ~fingerprint ~members ~bytes =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          ([ t.frontend; fingerprint; "R" ]
-          @ Array.to_list (Array.map string_of_int members)
-          @ bytes)))
+  region_prefix
+  ^ Digest.to_hex
+      (Digest.string
+         (String.concat "\x00"
+            ([ t.frontend; fingerprint ]
+            @ Array.to_list (Array.map string_of_int members)
+            @ bytes)))
 
 let path_of t k = Filename.concat t.dir (k ^ ".dtc")
 
@@ -297,6 +305,21 @@ let probe ?fingerprint ?(members = [||]) t ~key:k : probe_result =
        copy if one exists, and let the VMM translate otherwise *)
     note_degraded t;
     from_overlay (`Skipped msg)
+
+(** The region entries in the store's directory, as [(key, members)]:
+    only files named under {!region_prefix} are read, through the
+    store's backend, and an entry that cannot be read or whose frame or
+    header does not parse is left out (a probe of its key reports
+    it). *)
+let region_entries t =
+  Fsio.files_with_suffix t.dir ".dtc"
+  |> List.filter_map (fun f ->
+         let key = Filename.chop_suffix f ".dtc" in
+         if not (String.starts_with ~prefix:region_prefix key) then None
+         else
+           match Codec.read t.io (path_of t key) parse_entry with
+           | `Ok (h, _) when h.h_kind = `Region -> Some (key, h.h_members)
+           | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)

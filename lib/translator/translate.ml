@@ -373,7 +373,7 @@ let open_vliw g p =
   v.free_gprs <- v.free_gprs land lnot p.live_tg;
   v.free_crs <- v.free_crs land lnot p.live_tc;
   Vec.push p.vliws_on v;
-  Vec.push p.tips v.root
+  Vec.push p.tips (T.root v)
 
 let ensure_last g p v =
   while last_index p < v do

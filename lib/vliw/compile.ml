@@ -936,10 +936,10 @@ exception Budget_exceeded of float
 
 exception Stage_error of exn
 (** Raised by a tree's first selection when staging it fails:
-    {!Budget_exceeded}, or whatever escaped compiling the tree.  It
-    carries the cause so that [exec_vliw]'s conversion of escapes into
-    [Exec.Error] never sees it: staging fails before any op of the tree
-    runs, so the VLIW's precise entry state is intact. *)
+    {!Budget_exceeded}, or whatever escaped decoding or compiling the
+    tree.  It carries the cause so that [exec_vliw]'s conversion of
+    escapes into [Exec.Error] never sees it: staging fails before any op
+    of the tree runs, so the VLIW's precise entry state is intact. *)
 
 (* In-range [Tree.Next] exits link to the target's record, staged or
    not; an unstaged target stages on its own first selection. *)
@@ -995,11 +995,13 @@ let rec c_sel (p : page) (prefix : (unit -> unit) list) nprefix store
 (* out-of-range test field: faults like [Vstate.get_cr_tagged] *)
 
 (* Compile [cv]'s path selection into its record, timed against the
-   page's budget.  A tree that fails to stage is left unstaged. *)
+   page's budget.  A tree that fails to stage is left unstaged; that
+   includes a cached tree whose body, decoded here on first use, is
+   malformed. *)
 let stage_tree (p : page) (cv : cvliw) =
   let t0 = Unix.gettimeofday () in
   match
-    let select = c_sel p [] 0 false cv.c_tree.root in
+    let select = c_sel p [] 0 false (Tree.root cv.c_tree) in
     let dt = Unix.gettimeofday () -. t0 in
     (match p.budget () with
     | Some b when dt > b -> raise (Budget_exceeded dt)

@@ -372,7 +372,7 @@ let apply (st : Vstate.t) (mem : Mem.t) = function
 let run (st : Vstate.t) (mem : Mem.t) ?(alias_check = fun (_ : access list) -> true)
     (vliw : Tree.t) : outcome =
   match
-    let ops, exit = select st vliw.root [] in
+    let ops, exit = select st (Tree.root vliw) [] in
     let writes = ref [] and accesses = ref [] and nops = ref 0 in
     List.iter
       (fun (seq, op) ->

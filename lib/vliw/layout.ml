@@ -22,4 +22,4 @@ let rec node_size (n : Tree.node) =
     | Branch { taken; fall; _ } -> 4 + node_size taken + node_size fall
 
 (** Size in bytes of one assembled VLIW. *)
-let size (t : Tree.t) = 4 + node_size t.root
+let size (t : Tree.t) = 4 + node_size (Tree.root t)

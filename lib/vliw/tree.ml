@@ -45,7 +45,10 @@ and kind =
 
 type t = {
   id : int;
-  mutable root : node;
+  root : node Lazy.t;
+      (** the tree body: a plain value for a tree the translator built,
+          decoded on first use for one read from the translation cache
+          (read it through {!root}) *)
   mutable precise_entry : int;
       (** base-architecture address corresponding to the state at entry
           to this VLIW: every earlier base instruction has committed,
@@ -61,8 +64,11 @@ type t = {
 let new_node () = { ops = []; kind = Open }
 
 let create ~id ~precise_entry =
-  { id; root = new_node (); precise_entry; is_entry = false; alu = 0; mem = 0;
-    br = 0; free_gprs = 0xFFFF_FFFF; free_crs = 0xFF }
+  { id; root = Lazy.from_val (new_node ()); precise_entry; is_entry = false;
+    alu = 0; mem = 0; br = 0; free_gprs = 0xFFFF_FFFF; free_crs = 0xFF }
+
+(** The tree's root node, decoding a cached body the first time. *)
+let root t = Lazy.force t.root
 
 (** Append an operation to a tip. *)
 let add_op (tip : node) seq op = tip.ops <- (seq, op) :: tip.ops
@@ -91,7 +97,7 @@ let rec count_node n =
     | Open | Exit _ -> 0
     | Branch { taken; fall; _ } -> count_node taken + count_node fall
 
-let op_count t = count_node t.root
+let op_count t = count_node (root t)
 
 (** All operations in the tree, any order. *)
 let rec node_ops n =
@@ -100,7 +106,7 @@ let rec node_ops n =
     | Open | Exit _ -> []
     | Branch { taken; fall; _ } -> node_ops taken @ node_ops fall
 
-let all_ops t = node_ops t.root
+let all_ops t = node_ops (root t)
 
 let pp_exit ppf = function
   | Next id -> Format.fprintf ppf "b VLIW%d" id
@@ -131,4 +137,4 @@ let rec pp_node indent ppf n =
 let pp ppf t =
   Format.fprintf ppf "VLIW%d:  (entry=0x%x%s)@\n" t.id t.precise_entry
     (if t.is_entry then ", valid-entry" else "");
-  pp_node 2 ppf t.root
+  pp_node 2 ppf (root t)

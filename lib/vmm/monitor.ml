@@ -759,6 +759,10 @@ let drop_translation t base =
    the swap in either direction is atomic with respect to execution:
    no VLIW ever observes a half-installed region. *)
 
+(** The reason a region deopts with when its alias rollbacks reach the
+    limit. *)
+let frequent_aliasing = "frequent aliasing"
+
 (** Demote [r] back to tier-1: unmap every member (only where the
     mapping still points at [r]), drop the staged image, and evict the
     persistent region entry under its stored key. *)
@@ -1452,7 +1456,8 @@ let run t ~entry ~fuel =
   (* The tree at [precise] failed to stage at its first selection,
      before any of its ops ran, so its precise entry state is intact: a
      blown budget is a [Dcompile] deadline, anything else a malformed
-     tree, counted as an execution fault.  Tier-1 takes a ladder strike
+     tree (a cached tree whose body does not decode among them),
+     counted as an execution fault.  Tier-1 takes a ladder strike
      and recovers by interpretation; a region image is demoted and the
      same address re-dispatched under tier-1. *)
   and stage_failed precise exn =
@@ -1500,7 +1505,7 @@ let run t ~entry ~fuel =
            the member pages run unpromoted again *)
         r.r_aliases <- r.r_aliases + 1;
         if r.r_aliases >= 32 then
-          deopt_region t r ~page:t.current_page ~reason:"frequent aliasing"
+          deopt_region t r ~page:t.current_page ~reason:frequent_aliasing
       | None -> ())
     | Ralias ->
       stats.aliases <- stats.aliases + 1;

@@ -115,9 +115,9 @@ let check_equiv ?(setup = fun (_ : Vstate.t) (_ : Ppc.Mem.t) -> ()) ?(alias = tr
 let test_parallel_swap () =
   check_equiv "swap" (fun () ->
       let v = mk () in
-      add v.root (Op.BinI { op = IAdd; rt = 1; ra = 2; imm = 0; spec = false });
-      add v.root (Op.BinI { op = IAdd; rt = 2; ra = 1; imm = 0; spec = false });
-      T.close v.root (T.OffPage 0);
+      add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = 2; imm = 0; spec = false });
+      add (T.root v) (Op.BinI { op = IAdd; rt = 2; ra = 1; imm = 0; spec = false });
+      T.close (T.root v) (T.OffPage 0);
       v)
     ~setup:(fun st _ ->
       st.m.gpr.(1) <- 111;
@@ -129,8 +129,8 @@ let test_branch_path () =
     (fun cr0 ->
       check_equiv (Printf.sprintf "branch cr0=%x" cr0) (fun () ->
           let v = mk () in
-          add v.root (Op.BinI { op = IAdd; rt = 3; ra = Op.zero; imm = 7; spec = false });
-          let t, f = T.split v.root { bit = 2; sense = true } in
+          add (T.root v) (Op.BinI { op = IAdd; rt = 3; ra = Op.zero; imm = 7; spec = false });
+          let t, f = T.split (T.root v) { bit = 2; sense = true } in
           add t (Op.BinI { op = IAdd; rt = 4; ra = Op.zero; imm = 1; spec = false });
           T.close t (T.OffPage 0x2000);
           add f (Op.BinI { op = IAdd; rt = 4; ra = Op.zero; imm = 2; spec = false });
@@ -142,17 +142,17 @@ let test_branch_path () =
 let test_fault_rollback () =
   check_equiv "nonspec faulting load" (fun () ->
       let v = mk () in
-      add v.root
+      add (T.root v)
         (Op.LoadOp { w = Word; alg = false; rt = 1; base = Op.zero;
                      off = OImm 0x10_0000; spec = false; passed = false });
-      T.close v.root (T.Next 1);
+      T.close (T.root v) (T.Next 1);
       v)
 
 let test_store_fault_rollback () =
   check_equiv "out-of-bounds store" (fun () ->
       let v = mk () in
-      add v.root (Op.StoreOp { w = Word; rs = 1; base = Op.zero; off = OImm 0x10_0000 });
-      T.close v.root (T.Next 1);
+      add (T.root v) (Op.StoreOp { w = Word; rs = 1; base = Op.zero; off = OImm 0x10_0000 });
+      T.close (T.root v) (T.Next 1);
       v)
 
 let test_spec_load_tags () =
@@ -160,26 +160,26 @@ let test_spec_load_tags () =
      the tag non-speculatively rolls back in both engines *)
   check_equiv "speculative faulting load" (fun () ->
       let v = mk () in
-      add v.root
+      add (T.root v)
         (Op.LoadOp { w = Word; alg = false; rt = 40; base = Op.zero;
                      off = OImm 0x10_0000; spec = true; passed = false });
-      add v.root (Op.BinI { op = IAdd; rt = 1; ra = 40; imm = 0; spec = false });
-      T.close v.root (T.Next 1);
+      add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = 40; imm = 0; spec = false });
+      T.close (T.root v) (T.Next 1);
       v)
 
 let test_tagged_branch () =
   check_equiv "branch on tagged condition" (fun () ->
       let v = mk () in
-      add v.root
+      add (T.root v)
         (Op.LoadOp { w = Word; alg = false; rt = 40; base = Op.zero;
                      off = OImm 0x10_0000; spec = true; passed = false });
-      add v.root (Op.CmpIOp { signed = true; crt = 9; ra = 40; imm = 0; spec = true });
-      T.close v.root (T.Next 1);
+      add (T.root v) (Op.CmpIOp { signed = true; crt = 9; ra = 40; imm = 0; spec = true });
+      T.close (T.root v) (T.Next 1);
       v);
   (* consuming VLIW: test the pool CR written above *)
   let build () =
     let v = mk () in
-    let t, f = T.split v.root { bit = (9 * 4) + 2; sense = true } in
+    let t, f = T.split (T.root v) { bit = (9 * 4) + 2; sense = true } in
     T.close t (T.OffPage 0);
     T.close f (T.OffPage 4);
     v
@@ -192,54 +192,54 @@ let test_mmio_deferred () =
      sequence register ticks exactly once, in both engines *)
   check_equiv "mmio seq load" (fun () ->
       let v = mk () in
-      add v.root
+      add (T.root v)
         (Op.LoadOp { w = Word; alg = false; rt = 1; base = Op.zero;
                      off = OImm Ppc.Mem.mmio_seq; spec = false; passed = false });
-      T.close v.root (T.Next 1);
+      T.close (T.root v) (T.Next 1);
       v)
 
 let test_mmio_rolled_back () =
   (* ... and when a later op faults, the device is never touched *)
   check_equiv "mmio load + fault" (fun () ->
       let v = mk () in
-      add v.root
+      add (T.root v)
         (Op.LoadOp { w = Word; alg = false; rt = 1; base = Op.zero;
                      off = OImm Ppc.Mem.mmio_seq; spec = false; passed = false });
-      add v.root
+      add (T.root v)
         (Op.LoadOp { w = Word; alg = false; rt = 2; base = Op.zero;
                      off = OImm 0x10_0000; spec = false; passed = false });
-      T.close v.root (T.Next 1);
+      T.close (T.root v) (T.Next 1);
       v)
 
 let test_alias_veto () =
   check_equiv "alias veto" ~alias:false (fun () ->
       let v = mk () in
-      add v.root (Op.StoreOp { w = Word; rs = 1; base = Op.zero; off = OImm 0x100 });
-      T.close v.root (T.Next 1);
+      add (T.root v) (Op.StoreOp { w = Word; rs = 1; base = Op.zero; off = OImm 0x100 });
+      T.close (T.root v) (T.Next 1);
       v)
 
 let test_open_tip () =
   check_equiv "open tip" (fun () ->
       let v = mk () in
-      add v.root (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 5; spec = false });
+      add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 5; spec = false });
       v)
 
 let test_corrupt_loc () =
   (* a corrupted operand location surfaces as the same typed Error *)
   check_equiv "corrupt source loc" (fun () ->
       let v = mk () in
-      add v.root (Op.BinI { op = IAdd; rt = 1; ra = 77; imm = 0; spec = false });
-      T.close v.root (T.Next 1);
+      add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = 77; imm = 0; spec = false });
+      T.close (T.root v) (T.Next 1);
       v)
 
 let test_carry_chain () =
   check_equiv "carry chain" (fun () ->
       let v = mk () in
-      add v.root
+      add (T.root v)
         (Op.Bin { op = Addc; rt = 3; ra = 1; rb = 2; ca = Op.ca_loc; spec = false });
-      add v.root
+      add (T.root v)
         (Op.Bin { op = Adde; rt = 4; ra = 1; rb = 2; ca = Op.ca_loc; spec = false });
-      T.close v.root (T.Next 1);
+      T.close (T.root v) (T.Next 1);
       v)
     ~setup:(fun st _ ->
       st.m.gpr.(1) <- 0xFFFF_FFFF;
@@ -252,9 +252,9 @@ let test_tag_propagates () =
   check_equiv "speculative add, tagged second operand"
     (fun () ->
       let v = mk () in
-      add v.root (Op.Bin { op = Add; rt = 40; ra = 33; rb = 34; ca = Op.ca_loc;
+      add (T.root v) (Op.Bin { op = Add; rt = 40; ra = 33; rb = 34; ca = Op.ca_loc;
                            spec = true });
-      T.close v.root (T.Next 1);
+      T.close (T.root v) (T.Next 1);
       v)
     ~setup:(fun st _ ->
       Vstate.set_gpr st 33 5;
@@ -269,9 +269,9 @@ let test_tagged_commit () =
   check_equiv "commit of a tagged register"
     (fun () ->
       let v = mk () in
-      add v.root (Op.BinI { op = IAdd; rt = 40; ra = Op.zero; imm = 9; spec = true });
-      add v.root (Op.CommitG { arch = 3; src = 35 });
-      T.close v.root (T.Next 1);
+      add (T.root v) (Op.BinI { op = IAdd; rt = 40; ra = Op.zero; imm = 9; spec = true });
+      add (T.root v) (Op.CommitG { arch = 3; src = 35 });
+      T.close (T.root v) (T.Next 1);
       v)
     ~setup:(fun st _ ->
       Vstate.set_gpr st 35 7;
@@ -286,11 +286,11 @@ let test_store_free_skips_alias () =
   check_equiv "store-free VLIW, vetoing alias check" ~alias:false
     (fun () ->
       let v = mk () in
-      add v.root
+      add (T.root v)
         (Op.LoadOp { w = Word; alg = false; rt = 40; base = Op.zero;
                      off = OImm 0x100; spec = true; passed = true });
-      add v.root (Op.BinI { op = IAdd; rt = 1; ra = 2; imm = 1; spec = false });
-      T.close v.root (T.Next 1);
+      add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = 2; imm = 1; spec = false });
+      T.close (T.root v) (T.Next 1);
       v)
     ~setup:(fun st _ -> st.m.gpr.(2) <- 41)
     ~post:(fun o st ->
@@ -392,8 +392,8 @@ let prop_differential =
     (fun (ops, (gpr_tags, cr_tags)) ->
       let build () =
         let v = mk () in
-        List.iter (add v.root) ops;
-        T.close v.root (T.Next 1);
+        List.iter (add (T.root v)) ops;
+        T.close (T.root v) (T.Next 1);
         v
       in
       let fresh () =
@@ -454,9 +454,9 @@ let test_direct_link_patched () =
   let st = Vstate.create (Ppc.Machine.create ()) in
   let mem = Ppc.Mem.create 0x1000 in
   let v0 = mk () in
-  T.close v0.root (T.Next 1);
+  T.close (T.root v0) (T.Next 1);
   let v1 = T.create ~id:1 ~precise_entry:0x1004 in
-  T.close v1.root (T.Next 99);
+  T.close (T.root v1) (T.Next 99);
   let cp = C.stage ~st ~mem ~scratch:(C.create_scratch ()) [| v0; v1 |] in
   let leaf0 = C.exec_vliw cp (C.get cp 0) ~alias_check:(fun _ -> true) in
   (match leaf0.C.exit with
@@ -471,7 +471,7 @@ let test_onpage_memo () =
   let st = Vstate.create (Ppc.Machine.create ()) in
   let mem = Ppc.Mem.create 0x1000 in
   let v = mk () in
-  T.close v.root (T.OnPage 0x40);
+  T.close (T.root v) (T.OnPage 0x40);
   let cp = C.stage ~st ~mem ~scratch:(C.create_scratch ()) [| v |] in
   let leaf = C.exec_vliw cp (C.get cp 0) ~alias_check:(fun _ -> true) in
   match leaf.C.exit with
@@ -495,14 +495,14 @@ let test_stage_on_first_selection () =
   let build () =
     seq := 0;
     let v0 = T.create ~id:0 ~precise_entry:0x1000 in
-    add v0.root (Op.BinI { op = IAdd; rt = 3; ra = Op.zero; imm = 7; spec = false });
-    T.close v0.root (T.Next 1);
+    add (T.root v0) (Op.BinI { op = IAdd; rt = 3; ra = Op.zero; imm = 7; spec = false });
+    T.close (T.root v0) (T.Next 1);
     let v1 = T.create ~id:1 ~precise_entry:0x1004 in
-    add v1.root (Op.BinI { op = IAdd; rt = 4; ra = 3; imm = 1; spec = false });
-    T.close v1.root (T.OffPage 0x2000);
+    add (T.root v1) (Op.BinI { op = IAdd; rt = 4; ra = 3; imm = 1; spec = false });
+    T.close (T.root v1) (T.OffPage 0x2000);
     let v2 = T.create ~id:2 ~precise_entry:0x1008 in
-    add v2.root (Op.BinI { op = IAdd; rt = 5; ra = 4; imm = 1; spec = false });
-    T.close v2.root (T.OffPage 0x3000);
+    add (T.root v2) (Op.BinI { op = IAdd; rt = 5; ra = 4; imm = 1; spec = false });
+    T.close (T.root v2) (T.OffPage 0x3000);
     [| v0; v1; v2 |]
   in
   let fresh () = (Vstate.create (Ppc.Machine.create ()), Ppc.Mem.create 0x2000) in
@@ -541,8 +541,8 @@ let test_stage_failure () =
   let st = Vstate.create (Ppc.Machine.create ()) in
   let mem = Ppc.Mem.create 0x1000 in
   let v = mk () in
-  add v.root (Op.BinI { op = IAdd; rt = 3; ra = Op.zero; imm = 7; spec = false });
-  T.close v.root (T.OffPage 0x2000);
+  add (T.root v) (Op.BinI { op = IAdd; rt = 3; ra = Op.zero; imm = 7; spec = false });
+  T.close (T.root v) (T.OffPage 0x2000);
   let budget = ref (fun () -> raise Boom) in
   let cp =
     C.stage ~budget:(fun () -> !budget ()) ~st ~mem ~scratch:(C.create_scratch ())

@@ -181,7 +181,7 @@ let test_open_tip_raises () =
 
 let test_bad_cr_bit_raises () =
   let v = T.create ~id:0 ~precise_entry:0x1000 in
-  let taken, fall = T.split v.root { bit = 97; sense = true } in
+  let taken, fall = T.split (T.root v) { bit = 97; sense = true } in
   T.close taken (T.OffPage 0x2000);
   T.close fall (T.OffPage 0x3000);
   let st = Vliw.Vstate.create (Ppc.Machine.create ()) in

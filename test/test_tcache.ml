@@ -35,7 +35,15 @@ let fresh_dir =
 let entries_alist h =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
 
+(* A decoded tree's root is a lazy until its first staging, and an
+   unforced lazy never compares equal to a built root: force every root
+   before comparing. *)
+let force_roots (p : Translate.xpage) =
+  Vec.iter (fun v -> ignore (T.root v)) p.vliws
+
 let xpage_equal (a : Translate.xpage) (b : Translate.xpage) =
+  force_roots a;
+  force_roots b;
   a.base = b.base && a.psize = b.psize && a.code_bytes = b.code_bytes
   && a.next_addr = b.next_addr && a.insns_scheduled = b.insns_scheduled
   && Vec.to_list a.vliws = Vec.to_list b.vliws
@@ -46,7 +54,9 @@ let xpage_equal (a : Translate.xpage) (b : Translate.xpage) =
 let roundtrip_tree t =
   let b = Buffer.create 256 in
   Codec.put_tree b t;
-  Codec.get_tree (Codec.reader (Buffer.contents b))
+  let t' = Codec.get_tree (Codec.reader (Buffer.contents b)) in
+  ignore (T.root t');
+  t'
 
 (* --- codec: every constructor once -------------------------------- *)
 
@@ -114,9 +124,9 @@ let test_codec_kitchen_sink () =
               fall = chain (seq + 1) rest } }
   in
   let tree =
-    { T.id = 42; root = chain 0 all_exits; precise_entry = 0x1234;
-      is_entry = true; alu = 5; mem = 2; br = 3; free_gprs = 10;
-      free_crs = 4 }
+    { T.id = 42; root = Lazy.from_val (chain 0 all_exits);
+      precise_entry = 0x1234; is_entry = true; alu = 5; mem = 2; br = 3;
+      free_gprs = 10; free_crs = 4 }
   in
   Alcotest.(check bool) "round-trips" true (roundtrip_tree tree = tree)
 
@@ -198,8 +208,8 @@ let gen_tree : T.t QCheck.Gen.t =
   in
   map2
     (fun root (id, (precise_entry, (is_entry, (alu, (mem, br))))) ->
-      { T.id; root; precise_entry; is_entry; alu; mem; br;
-        free_gprs = alu + 1; free_crs = br + 1 })
+      { T.id; root = Lazy.from_val root; precise_entry; is_entry; alu; mem;
+        br; free_gprs = alu + 1; free_crs = br + 1 })
     (node 4)
     (pair small_nat
        (pair small_nat (pair bool (pair small_nat (pair small_nat small_nat)))))
@@ -217,14 +227,48 @@ let translated_page name =
   let page, _ = Translate.entry tr entry in
   (mem, page)
 
+(* Decoding checks a page's whole structure but no tree's body: every
+   root is still a lazy, decoded when first forced. *)
 let test_codec_real_page () =
   List.iter
     (fun name ->
       let _, page = translated_page name in
       let page' = Codec.decode_xpage (Codec.encode_xpage page) in
+      Alcotest.(check int) (name ^ ": roots decoded with the page") 0
+        (List.length
+           (List.filter
+              (fun (v : T.t) -> Lazy.is_val v.root)
+              (Vec.to_list page'.vliws)));
       Alcotest.(check bool) (name ^ " page round-trips") true
         (xpage_equal page page'))
     [ "wc"; "compress"; "sort" ]
+
+(* A tree's root is decoded when first forced and must fill the span
+   its length names exactly; a span that overruns the input fails
+   eagerly, with the tree's header. *)
+let test_codec_root_span () =
+  let _, page = translated_page "wc" in
+  let t = Vec.get page.vliws 0 in
+  let str f = let b = Buffer.create 256 in f b; Buffer.contents b in
+  let whole = str (fun b -> Codec.put_tree b t) in
+  let root = str (fun b -> Codec.put_node b (T.root t)) in
+  let len = String.length root in
+  let vint n = str (fun b -> Codec.put_vint b n) in
+  let fields =
+    String.sub whole 0 (String.length whole - len - String.length (vint len))
+  in
+  let decode s = Codec.get_tree (Codec.reader s) in
+  let fails_at_force what s =
+    match T.root (decode s) with
+    | _ -> Alcotest.failf "%s: root decoded" what
+    | exception Codec.Corrupt _ -> ()
+  in
+  fails_at_force "span a byte too long"
+    (fields ^ vint (len + 1) ^ root ^ "\x00");
+  fails_at_force "span a byte too short" (fields ^ vint (len - 1) ^ root);
+  match decode (fields ^ vint (len + 1) ^ root) with
+  | _ -> Alcotest.fail "a span past the input decoded"
+  | exception Codec.Corrupt _ -> ()
 
 let test_store_lifecycle () =
   let dir = fresh_dir () in
@@ -419,6 +463,73 @@ let test_warm_survives_corrupt_entry () =
   (* the retranslation was re-persisted, so a third run is all-hit *)
   let third = Vmm.Run.run ~tcache_dir:dir w in
   Alcotest.(check int) "third run all from cache" 0 third.pages_translated;
+  ignore (Store.clear_dir dir)
+
+(* A tree body that does not decode behind a valid checksum fails when
+   the tree first stages, before any of its ops run: wc's entry tree's
+   root is overwritten with 0xFF bytes and the frame's MD5 recomputed.
+   The warm run reports a staging fault, evicts the entry, interprets
+   from the tree's precise entry and still verifies; the retranslation
+   is persisted again, so the next run has no fault. *)
+let test_warm_undecodable_body () =
+  let dir = fresh_dir () in
+  let w = Workloads.Registry.by_name "wc" in
+  ignore (Vmm.Run.run ~tcache_dir:dir w);
+  let mem, entry = Workloads.Wl.instantiate w in
+  let store =
+    Store.open_store ~dir ~frontend:"ppc"
+      ~fingerprint:(Translator.Params.fingerprint Translator.Params.default) ()
+  in
+  let psize = Translator.Params.default.page_size in
+  let base = entry land lnot (psize - 1) in
+  let key = Store.key store ~base (Ppc.Mem.read_string mem base psize) in
+  let path = Filename.concat dir (key ^ ".dtc") in
+  let file = In_channel.with_open_bin path In_channel.input_all in
+  let _, payload = Store.parse_entry file in
+  let page = Codec.decode_xpage payload in
+  let id = Hashtbl.find page.entries (entry - base) in
+  (* the span of tree [id]'s root: it ends where [get_tree] leaves the
+     reader, and is as long as the root's own encoding *)
+  let r = Codec.reader payload in
+  for _ = 1 to 5 do ignore (Codec.get_vint r) done;
+  ignore (Codec.get_count r "vliw");
+  for _ = 0 to id - 1 do
+    ignore (Codec.get_tree r);
+    ignore (Codec.get_vint r);
+    ignore (Codec.get_vint r)
+  done;
+  let tree = Codec.get_tree r in
+  let root = Buffer.create 256 in
+  Codec.put_node root (T.root tree);
+  let len = Buffer.length root in
+  let payload = Bytes.of_string payload in
+  Bytes.fill payload (r.pos - len) len '\xFF';
+  let payload = Bytes.to_string payload in
+  let off = String.length file - String.length payload in
+  let file = Bytes.of_string file in
+  Bytes.blit_string payload 0 file off (String.length payload);
+  Bytes.blit_string (Digest.string payload) 0 file (off - 16) 16;
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc file);
+  (match Store.probe store ~key with
+  | `Hit _ -> ()
+  | _ -> Alcotest.fail "the doctored entry must still probe as a hit");
+  let reasons = ref [] in
+  let warm =
+    Vmm.Run.run ~tcache_dir:dir
+      ~instrument:(fun vmm ->
+        Vmm.Monitor.on_event vmm (function
+          | Vmm.Monitor.Exec_fault { reason; _ } -> reasons := reason :: !reasons
+          | _ -> ()))
+      w
+  in
+  Alcotest.(check (option int)) "warm run verified" (Some 4691) warm.exit_code;
+  Alcotest.(check bool) "execution fault counted" true
+    (warm.stats.exec_faults >= 1);
+  Alcotest.(check bool) "a staging fault" true
+    (List.exists (String.starts_with ~prefix:"staging: ") !reasons);
+  Alcotest.(check bool) "entry evicted" true (warm.stats.tcache_evicts >= 1);
+  let next = Vmm.Run.run ~tcache_dir:dir w in
+  Alcotest.(check int) "next run has no fault" 0 next.stats.exec_faults;
   ignore (Store.clear_dir dir)
 
 (* Load time is wall time: a disk that takes 20 ms per read shows in
@@ -746,6 +857,7 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick
             test_codec_rejects_garbage;
           Alcotest.test_case "real pages" `Quick test_codec_real_page;
+          Alcotest.test_case "root fills its span" `Quick test_codec_root_span;
           QCheck_alcotest.to_alcotest prop_tree_roundtrip ] );
       ( "store",
         [ Alcotest.test_case "lifecycle" `Quick test_store_lifecycle;
@@ -764,6 +876,8 @@ let () =
         [ Alcotest.test_case "registry" `Slow test_warm_start_registry;
           Alcotest.test_case "corrupt entry" `Quick
             test_warm_survives_corrupt_entry;
+          Alcotest.test_case "undecodable tree body" `Quick
+            test_warm_undecodable_body;
           Alcotest.test_case "skipped entry" `Quick test_warm_counts_skipped;
           Alcotest.test_case "hit time is wall time" `Quick
             test_hit_time_is_wall_time;

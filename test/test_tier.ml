@@ -270,6 +270,42 @@ let test_staging_deadline_deopts () =
   Alcotest.(check bool) "deopt names the staging deadline" true
     (List.mem "tier-2 staging deadline" !reasons)
 
+(* A region image is compiled deterministically, so one that deopts for
+   frequent aliasing would alias the same way again: its candidate is
+   blacklisted at the first such deopt.  Without that, lex and sort each
+   promote one member set two or three times, and each image deopts for
+   aliasing. *)
+let test_aliasing_deopt_blacklists () =
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.by_name name in
+      let members = Hashtbl.create 8 and aliased = Hashtbl.create 8 in
+      let r =
+        Run.run w ~instrument:(fun vmm ->
+            ignore (Tier.attach vmm);
+            Monitor.on_event vmm (function
+              | Monitor.Region_promoted { id; _ } ->
+                List.iter
+                  (fun (r : Monitor.region) ->
+                    if r.r_id = id then Hashtbl.replace members id r.r_members)
+                  (Monitor.live_regions vmm)
+              | Monitor.Region_deopt { id; reason; _ }
+                when reason = Monitor.frequent_aliasing ->
+                let set = Hashtbl.find members id in
+                Hashtbl.replace aliased set
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt aliased set))
+              | _ -> ()))
+      in
+      Alcotest.(check bool) (name ^ ": verified") true (r.Run.exit_code <> None);
+      Alcotest.(check bool) (name ^ ": aliased out") true
+        (Hashtbl.length aliased >= 1);
+      Hashtbl.iter
+        (fun _ n ->
+          Alcotest.(check int) (name ^ ": aliasing deopts of one member set")
+            1 n)
+        aliased)
+    [ "lex"; "sort" ]
+
 (* --- warm start ------------------------------------------------------ *)
 
 let test_warm_start_repromotes () =
@@ -319,6 +355,55 @@ let test_warm_start_rejects_stale () =
   let vmm = Monitor.create ~tcache_dir:dir mem in
   let t = Tier.attach ~cfg:eager_cfg vmm in
   Alcotest.(check int) "stale bytes do not re-promote" 0 t.Tier.installed
+
+(* Warm start opens region entries only: next to 64 page entries, the
+   store lists the one region entry (its key under the region prefix),
+   and attaching reads that entry and nothing else through the store's
+   backend, and promotes from it. *)
+let test_warm_start_reads_regions_only () =
+  let w = Workloads.Registry.by_name "c_sieve" in
+  let dir = fresh_dir () in
+  ignore (run_with_tier ~cfg:eager_cfg ~tcache_dir:dir w);
+  let region =
+    match
+      List.filter
+        (fun (i : Tcache.Store.info) -> i.kind = `Region)
+        (Tcache.Store.list_dir dir)
+    with
+    | [ i ] -> i.key
+    | l -> Alcotest.failf "expected 1 region entry, got %d" (List.length l)
+  in
+  let mem, entry = Workloads.Wl.instantiate w in
+  let store =
+    Tcache.Store.open_store ~dir ~frontend:"ppc"
+      ~fingerprint:(Params.fingerprint Params.default) ()
+  in
+  let tr = Translator.Translate.create Params.default mem in
+  let page, _ = Translator.Translate.entry tr entry in
+  for i = 1 to 64 do
+    let key = Tcache.Store.key store ~base:page.base (string_of_int i) in
+    ignore (Tcache.Store.persist store ~key page ~spec_inhibited:false)
+  done;
+  Alcotest.(check (list string)) "listed region entries" [ region ]
+    (List.map fst (Tcache.Store.region_entries store));
+  Alcotest.(check bool) "under the region prefix" true
+    (String.starts_with ~prefix:Tcache.Store.region_prefix region);
+  let reads = ref [] in
+  let io =
+    { Fsio.real with
+      read_file =
+        (fun path ->
+          reads := Filename.basename path :: !reads;
+          Fsio.real.read_file path) }
+  in
+  let vmm = Monitor.create ~tcache_dir:dir ~tcache_io:io mem in
+  let t = Tier.attach ~cfg:eager_cfg vmm in
+  Alcotest.(check int) "promoted from the region entry" 1 t.Tier.installed;
+  Alcotest.(check bool) "read it" true (!reads <> []);
+  List.iter
+    (Alcotest.(check string) "read only the region entry" (region ^ ".dtc"))
+    !reads;
+  ignore (Tcache.Store.clear_dir dir)
 
 (* --- upgrade: a wider SCC supersedes a hot single page --------------- *)
 
@@ -395,7 +480,9 @@ let () =
           Alcotest.test_case "a deopt evicts the region's entry" `Quick
             test_deopt_evicts_entry;
           Alcotest.test_case "staging deadline" `Quick
-            test_staging_deadline_deopts ] );
+            test_staging_deadline_deopts;
+          Alcotest.test_case "an aliasing deopt blacklists" `Quick
+            test_aliasing_deopt_blacklists ] );
       ( "install",
         [ Alcotest.test_case "dropped compile" `Quick test_dropped_compile;
           Alcotest.test_case "probe re-entry compiles once" `Quick
@@ -408,7 +495,9 @@ let () =
         [ Alcotest.test_case "repromotes from cache" `Quick
             test_warm_start_repromotes;
           Alcotest.test_case "content-keyed" `Quick
-            test_warm_start_rejects_stale ] );
+            test_warm_start_rejects_stale;
+          Alcotest.test_case "reads region entries only" `Quick
+            test_warm_start_reads_regions_only ] );
       ( "upgrade",
         [ Alcotest.test_case "SCC absorbs single" `Quick
             test_upgrade_absorbs_single ] );

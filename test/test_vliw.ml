@@ -21,8 +21,8 @@ let add tip op =
 
 let test_split_close () =
   let v = mk () in
-  add v.root (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 5; spec = false });
-  let taken, fall = T.split v.root { bit = 2; sense = true } in
+  add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 5; spec = false });
+  let taken, fall = T.split (T.root v) { bit = 2; sense = true } in
   T.close taken (T.OffPage 0x2000);
   add fall (Op.BinI { op = IAdd; rt = 2; ra = Op.zero; imm = 7; spec = false });
   T.close fall (T.Next 1);
@@ -32,9 +32,9 @@ let test_split_close () =
 let test_size_model () =
   let v = mk () in
   let base = Layout.size v in
-  add v.root (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 1; spec = false });
+  add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 1; spec = false });
   Alcotest.(check int) "op adds 4 bytes" (base + 4) (Layout.size v);
-  let t, f = T.split v.root { bit = 0; sense = true } in
+  let t, f = T.split (T.root v) { bit = 0; sense = true } in
   T.close t (T.OffPage 0);
   T.close f (T.OffPage 0);
   (* split: +4 test, two exits replace the one open tip: +4 *)
@@ -62,9 +62,9 @@ let test_config_fits () =
 let test_parallel_reads () =
   (* swap via parallel semantics: both ops read entry values *)
   let v = mk () in
-  add v.root (Op.BinI { op = IAdd; rt = 1; ra = 2; imm = 0; spec = false });
-  add v.root (Op.BinI { op = IAdd; rt = 2; ra = 1; imm = 0; spec = false });
-  T.close v.root (T.OffPage 0);
+  add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = 2; imm = 0; spec = false });
+  add (T.root v) (Op.BinI { op = IAdd; rt = 2; ra = 1; imm = 0; spec = false });
+  T.close (T.root v) (T.OffPage 0);
   let st = Vstate.create (Ppc.Machine.create ()) in
   st.m.gpr.(1) <- 111;
   st.m.gpr.(2) <- 222;
@@ -77,9 +77,9 @@ let test_parallel_reads () =
 let test_commit_order () =
   (* two commits of the same architected register: later wins *)
   let v = mk () in
-  add v.root (Op.CommitG { arch = 3; src = 32 });
-  add v.root (Op.CommitG { arch = 3; src = 33 });
-  T.close v.root (T.OffPage 0);
+  add (T.root v) (Op.CommitG { arch = 3; src = 32 });
+  add (T.root v) (Op.CommitG { arch = 3; src = 33 });
+  T.close (T.root v) (T.OffPage 0);
   let st = Vstate.create (Ppc.Machine.create ()) in
   Vstate.set_gpr st 32 10;
   Vstate.set_gpr st 33 20;
@@ -89,10 +89,10 @@ let test_commit_order () =
 let test_tag_propagation () =
   (* speculative chain: faulting load -> consumer -> commit raises *)
   let v = mk () in
-  add v.root
+  add (T.root v)
     (Op.LoadOp { w = Word; alg = false; rt = 40; base = Op.zero;
                  off = OImm 0x10_0000; spec = true; passed = false });
-  T.close v.root (T.Next 1);
+  T.close (T.root v) (T.Next 1);
   let st = Vstate.create (Ppc.Machine.create ()) in
   let mem = Ppc.Mem.create 0x1000 in
   (match Exec.run st mem v with
@@ -101,16 +101,16 @@ let test_tag_propagation () =
   Alcotest.(check bool) "tag set" true (Vstate.get st 40 <> (0, Vstate.Clean));
   (* a speculative consumer propagates *)
   let v2 = mk () in
-  add v2.root (Op.BinI { op = IAdd; rt = 41; ra = 40; imm = 1; spec = true });
-  T.close v2.root (T.Next 2);
+  add (T.root v2) (Op.BinI { op = IAdd; rt = 41; ra = 40; imm = 1; spec = true });
+  T.close (T.root v2) (T.Next 2);
   ignore (Exec.run st mem v2);
   (match Vstate.get st 41 with
   | _, Vstate.Tfault _ -> ()
   | _ -> Alcotest.fail "tag must propagate through speculative ops");
   (* committing the tagged value rolls back *)
   let v3 = mk () in
-  add v3.root (Op.CommitG { arch = 5; src = 41 });
-  T.close v3.root (T.Next 3);
+  add (T.root v3) (Op.CommitG { arch = 5; src = 41 });
+  T.close (T.root v3) (T.Next 3);
   match Exec.run st mem v3 with
   | Rollback (Rtag _) -> ()
   | _ -> Alcotest.fail "commit of tagged register must roll back"
@@ -127,12 +127,12 @@ let test_tag_codes () =
 let test_rollback_atomic () =
   (* a VLIW that writes two registers and then faults must change nothing *)
   let v = mk () in
-  add v.root (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 42; spec = false });
-  add v.root (Op.CommitG { arch = 2; src = 35 });
-  add v.root
+  add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 42; spec = false });
+  add (T.root v) (Op.CommitG { arch = 2; src = 35 });
+  add (T.root v)
     (Op.LoadOp { w = Word; alg = false; rt = 3; base = Op.zero;
                  off = OImm 0x10_0000; spec = false; passed = false });
-  T.close v.root (T.Next 1);
+  T.close (T.root v) (T.Next 1);
   let st = Vstate.create (Ppc.Machine.create ()) in
   Vstate.set_gpr st 35 7;
   let snapshot = Ppc.Machine.copy st.m in
@@ -147,8 +147,8 @@ let test_rollback_atomic () =
 let test_carry_extender () =
   (* renamed addc: carry goes to the extender; CommitCa moves it to CA *)
   let v = mk () in
-  add v.root (Op.BinI { op = IAddc; rt = 40; ra = 1; imm = 1; spec = true });
-  T.close v.root (T.Next 1);
+  add (T.root v) (Op.BinI { op = IAddc; rt = 40; ra = 1; imm = 1; spec = true });
+  T.close (T.root v) (T.Next 1);
   let st = Vstate.create (Ppc.Machine.create ()) in
   st.m.gpr.(1) <- 0xFFFF_FFFF;
   let mem = Ppc.Mem.create 0x1000 in
@@ -156,14 +156,14 @@ let test_carry_extender () =
   Alcotest.(check bool) "extender set" true (Vstate.get_ca st 40);
   Alcotest.(check bool) "machine CA untouched" false st.m.xer_ca;
   let v2 = mk () in
-  add v2.root (Op.CommitCa { src = 40 });
-  T.close v2.root (T.Next 2);
+  add (T.root v2) (Op.CommitCa { src = 40 });
+  T.close (T.root v2) (T.Next 2);
   ignore (Exec.run st mem v2);
   Alcotest.(check bool) "CA committed" true st.m.xer_ca
 
 let test_branch_selects_path () =
   let v = mk () in
-  let taken, fall = T.split v.root { bit = Ppc.Insn.Crbit.eq; sense = true } in
+  let taken, fall = T.split (T.root v) { bit = Ppc.Insn.Crbit.eq; sense = true } in
   add taken (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 1; spec = false });
   T.close taken (T.OffPage 0);
   add fall (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 2; spec = false });
@@ -188,17 +188,17 @@ let test_tagged_branch_rolls_back () =
      VLIWs — parallel semantics would otherwise read the clean entry
      value of r40) *)
   let v0 = mk () in
-  add v0.root
+  add (T.root v0)
     (Op.LoadOp { w = Word; alg = false; rt = 40; base = Op.zero;
                  off = OImm 0x10_0000; spec = true; passed = false });
-  T.close v0.root (T.Next 1);
+  T.close (T.root v0) (T.Next 1);
   ignore (Exec.run st mem v0);
   let v1 = mk () in
-  add v1.root (Op.CmpIOp { signed = true; crt = 9; ra = 40; imm = 0; spec = true });
-  T.close v1.root (T.Next 1);
+  add (T.root v1) (Op.CmpIOp { signed = true; crt = 9; ra = 40; imm = 0; spec = true });
+  T.close (T.root v1) (T.Next 1);
   ignore (Exec.run st mem v1);
   let v = mk () in
-  let t, f = T.split v.root { bit = (9 * 4) + 2; sense = true } in
+  let t, f = T.split (T.root v) { bit = (9 * 4) + 2; sense = true } in
   T.close t (T.OffPage 0);
   T.close f (T.OffPage 4);
   match Exec.run st mem v with
@@ -210,21 +210,21 @@ let test_mmio_load_deferred () =
   let st = Vstate.create (Ppc.Machine.create ()) in
   let mem = Ppc.Mem.create 0x1000 in
   let v = mk () in
-  add v.root
+  add (T.root v)
     (Op.LoadOp { w = Word; alg = false; rt = 1; base = Op.zero;
                  off = OImm Ppc.Mem.mmio_seq; spec = false; passed = false });
   (* and a faulting op after it *)
-  add v.root
+  add (T.root v)
     (Op.LoadOp { w = Word; alg = false; rt = 2; base = Op.zero;
                  off = OImm 0x10_0000; spec = false; passed = false });
-  T.close v.root (T.Next 1);
+  T.close (T.root v) (T.Next 1);
   (match Exec.run st mem v with Rollback _ -> () | _ -> Alcotest.fail "rollback");
   Alcotest.(check int) "device untouched on rollback" 0 mem.seq;
   let v2 = mk () in
-  add v2.root
+  add (T.root v2)
     (Op.LoadOp { w = Word; alg = false; rt = 1; base = Op.zero;
                  off = OImm Ppc.Mem.mmio_seq; spec = false; passed = false });
-  T.close v2.root (T.Next 1);
+  T.close (T.root v2) (T.Next 1);
   ignore (Exec.run st mem v2);
   Alcotest.(check int) "device read once" 1 mem.seq;
   Alcotest.(check int) "value delivered" 1 st.m.gpr.(1)
@@ -233,8 +233,8 @@ let test_alias_check_called () =
   let st = Vstate.create (Ppc.Machine.create ()) in
   let mem = Ppc.Mem.create 0x1000 in
   let v = mk () in
-  add v.root (Op.StoreOp { w = Word; rs = 1; base = Op.zero; off = OImm 0x100 });
-  T.close v.root (T.Next 1);
+  add (T.root v) (Op.StoreOp { w = Word; rs = 1; base = Op.zero; off = OImm 0x100 });
+  T.close (T.root v) (T.Next 1);
   let called = ref false in
   (match Exec.run st mem ~alias_check:(fun accs ->
        called := true;
@@ -267,8 +267,8 @@ let prop_rollback_atomicity =
   QCheck.Test.make ~name:"rollback leaves architected state unchanged" ~count:300
     (QCheck.make gen) (fun ops ->
       let v = mk () in
-      List.iteri (fun i op -> T.add_op v.root i op) ops;
-      T.close v.root (T.Next 1);
+      List.iteri (fun i op -> T.add_op (T.root v) i op) ops;
+      T.close (T.root v) (T.Next 1);
       let st = Vstate.create (Ppc.Machine.create ()) in
       for r = 0 to 31 do
         st.m.gpr.(r) <- r * 1234

@@ -339,6 +339,37 @@ let test_extension_keeps_staged_trees () =
   done;
   Alcotest.(check int) "nothing staged twice" staged0 vmm.stats.staged_trees
 
+(* A warm run decodes a cached tree's body when the tree first stages
+   and at no other time: with no injector attached (its digests encode
+   whole pages), the roots forced on the installed pages are exactly
+   the trees staged. *)
+let test_warm_decodes_staged_trees () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "daisy_test_vmm_warm.%d" (Unix.getpid ()))
+  in
+  List.iter
+    (fun (w : Workloads.Wl.t) ->
+      ignore (Tcache.Store.clear_dir dir);
+      ignore (Run.run ~tcache_dir:dir w);
+      let vmm = ref None in
+      let r = Run.run ~tcache_dir:dir ~instrument:(fun v -> vmm := Some v) w in
+      let forced =
+        Hashtbl.fold
+          (fun _ (xp : Translator.Translate.xpage) n ->
+            Translator.Vec.fold
+              (fun n (v : Vliw.Tree.t) ->
+                if Lazy.is_val v.root then n + 1 else n)
+              n xp.vliws)
+          (Option.get !vmm).tr.pages 0
+      in
+      Alcotest.(check int) (w.name ^ ": warm run translated") 0
+        r.pages_translated;
+      Alcotest.(check int) (w.name ^ ": roots forced = trees staged")
+        r.stats.staged_trees forced)
+    Workloads.Registry.all;
+  ignore (Tcache.Store.clear_dir dir)
+
 (* Invalid load/store-with-update forms follow the interpreter, which
    is the specification of "compatible": the base is (rA|0), and for
    lwzu with rA = rD the update wins over the loaded word.  [Run.run]
@@ -492,6 +523,8 @@ let () =
             test_stages_only_trees_that_run;
           Alcotest.test_case "extension keeps staged trees" `Quick
             test_extension_keeps_staged_trees;
+          Alcotest.test_case "warm runs decode only staged trees" `Quick
+            test_warm_decodes_staged_trees;
           Alcotest.test_case "console via syscall" `Quick test_console_via_syscall;
           Alcotest.test_case "hang semantics" `Quick test_hang_semantics;
           Alcotest.test_case "reference out of fuel" `Quick
