@@ -193,8 +193,8 @@ let region_key t ~members =
 
 (* The image the cache holds under [key], installed into a fresh region
    translator.  The probe is the monitor's, so it counts, reports and
-   quarantines like a page's. *)
-let cached_image t ~members key =
+   quarantines like a page's; [checked] is the entry as already read. *)
+let cached_image ?checked t ~members key =
   let vmm = t.vmm in
   match (vmm.Monitor.tcache, key) with
   | Some store, Some key ->
@@ -202,8 +202,8 @@ let cached_image t ~members key =
       Baseline.Region.translator ~t1:vmm.Monitor.tr.params
         ~frontend:vmm.Monitor.fe vmm.Monitor.mem ~members
     in
-    Monitor.tcache_probe vmm store ~fingerprint:(fingerprint t) ~members ~key
-      ~page:members.(0) tr
+    Monitor.tcache_probe vmm store ~fingerprint:(fingerprint t) ~members ?checked
+      ~key ~page:members.(0) tr
     |> Option.map (fun (xp : Translate.xpage) -> (tr, xp))
   | _ -> None
 
@@ -304,10 +304,10 @@ let on_tick t ~pc:_ =
   end
 
 (** Re-promote from the persistent cache: read the store's region
-    entries (page entries are never opened), and swap in, without
-    compiling, each one whose member pages currently hold exactly the
-    bytes it was compiled from.  Run once before execution starts (a
-    warm fleet comes up already promoted). *)
+    entries, each once (page entries are never opened), and swap in,
+    without compiling, each one whose member pages currently hold
+    exactly the bytes it was compiled from.  Run once before execution
+    starts (a warm fleet comes up already promoted). *)
 let warm_start t =
   match t.vmm.Monitor.tcache with
   | None -> ()
@@ -316,14 +316,14 @@ let warm_start t =
        upgraded leaves both) resolve to the larger one, and the
        smaller is no upgrade over it *)
     List.sort
-      (fun (_, a) (_, b) -> compare (Array.length b) (Array.length a))
+      (fun (_, a, _) (_, b, _) -> compare (Array.length b) (Array.length a))
       (Tcache.Store.region_entries store)
-    |> List.iter (fun (stored, members) ->
+    |> List.iter (fun (stored, members, checked) ->
            (* the key from *current* bytes: a stale image (any member
               byte changed since it was persisted) misses *)
            let key = region_key t ~members in
            if key = Some stored then
-             match cached_image t ~members key with
+             match cached_image ~checked t ~members key with
              | None -> ()
              | Some (tr, xp) ->
                install t ~members ?key ~tr ~insns:xp.insns_scheduled

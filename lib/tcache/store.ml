@@ -262,14 +262,20 @@ let parse_entry s =
       { h_kind; h_frontend; h_fingerprint; h_members; h_base; h_psize;
         h_spec_inhibited; h_vliws; h_entries })
 
+(** An entry file whose frame and header are checked: what
+    {!region_entries} read, for {!probe} to take instead of reading the
+    file again. *)
+type checked = header * string
+
 (** Probe for the entry under [key].  By default the entry is a tier-1
     page under the store's own fingerprint; a tier-2 caller names the
     image's [members] and the *region scheduler's* [fingerprint].  The
     entry's kind, member list and fingerprint must all be the ones
     named: the caller derived the key from the same values, so a
     mismatch means a colliding or tampered entry, reported
-    [`Corrupt]. *)
-let probe ?fingerprint ?(members = [||]) t ~key:k : probe_result =
+    [`Corrupt].  [checked], when given, is the entry as already read,
+    and the file is not read again. *)
+let probe ?fingerprint ?(members = [||]) ?checked t ~key:k : probe_result =
   let fingerprint = Option.value fingerprint ~default:t.fingerprint in
   let path = path_of t k in
   (* the copy a degraded install parked, if it is the unit named *)
@@ -279,17 +285,23 @@ let probe ?fingerprint ?(members = [||]) t ~key:k : probe_result =
       `Hit (o.o_page, o.o_si)
     | _ -> otherwise
   in
+  let unit_named ((h, payload) : checked) =
+    if (h.h_kind = `Region) <> (members <> [||]) then
+      Codec.corrupt "entry kind mismatch";
+    if h.h_frontend <> t.frontend || h.h_fingerprint <> fingerprint then
+      Codec.corrupt "fingerprint mismatch";
+    if h.h_members <> members then Codec.corrupt "member mismatch";
+    let page = Codec.decode_xpage payload in
+    if page.base <> h.h_base then Codec.corrupt "base mismatch";
+    (page, h.h_spec_inhibited)
+  in
   match
-    Codec.read t.io path (fun s ->
-        let h, payload = parse_entry s in
-        if (h.h_kind = `Region) <> (members <> [||]) then
-          Codec.corrupt "entry kind mismatch";
-        if h.h_frontend <> t.frontend || h.h_fingerprint <> fingerprint then
-          Codec.corrupt "fingerprint mismatch";
-        if h.h_members <> members then Codec.corrupt "member mismatch";
-        let page = Codec.decode_xpage payload in
-        if page.base <> h.h_base then Codec.corrupt "base mismatch";
-        (page, h.h_spec_inhibited))
+    match checked with
+    | Some c -> (
+      match unit_named c with
+      | v -> `Ok v
+      | exception Codec.Corrupt msg -> `Corrupt msg)
+    | None -> Codec.read t.io path (fun s -> unit_named (parse_entry s))
   with
   | `Ok (page, si) ->
     (* the persistent LRU clock: a hit marks the entry recently used,
@@ -306,11 +318,11 @@ let probe ?fingerprint ?(members = [||]) t ~key:k : probe_result =
     note_degraded t;
     from_overlay (`Skipped msg)
 
-(** The region entries in the store's directory, as [(key, members)]:
-    only files named under {!region_prefix} are read, through the
-    store's backend, and an entry that cannot be read or whose frame or
-    header does not parse is left out (a probe of its key reports
-    it). *)
+(** The region entries in the store's directory, as [(key, members,
+    checked)]: only files named under {!region_prefix} are read, each
+    once, through the store's backend, and an entry that cannot be read
+    or whose frame or header does not parse is left out (a probe of its
+    key reports it).  [probe ~checked] takes the entry from there. *)
 let region_entries t =
   Fsio.files_with_suffix t.dir ".dtc"
   |> List.filter_map (fun f ->
@@ -318,7 +330,8 @@ let region_entries t =
          if not (String.starts_with ~prefix:region_prefix key) then None
          else
            match Codec.read t.io (path_of t key) parse_entry with
-           | `Ok (h, _) when h.h_kind = `Region -> Some (key, h.h_members)
+           | `Ok ((h, _) as checked) when h.h_kind = `Region ->
+             Some (key, h.h_members, checked)
            | _ -> None)
 
 (* ------------------------------------------------------------------ *)

@@ -24,6 +24,12 @@
      state and pick the path, then the path's ops evaluate against
      entry state, then writes apply in program order) is preserved
      exactly;
+   - a tree none of whose paths reads a pool location after writing it,
+     or writes one twice, stores its pool results (r32-r63, their tags
+     and extender bits, cr8-cr15) straight into [Vstate] as its ops run,
+     and buffers only the rest; every read still sees the entry value,
+     and the pool is dead at every recovery point, so a rollback need
+     not undo those writes ({!pool_in_place});
    - each leaf records whether its path has a store; a store-free path
      skips the alias check, whose verdict it could not change;
    - tree exits are direct-linked: [Tree.Next id] becomes a direct
@@ -32,10 +38,13 @@
      use, so steady-state intra-page execution never touches a
      [Hashtbl].
 
-   Rollback and precise-exception semantics are bit-identical to
-   [Exec.run]: the same [Exec.Roll] reasons, the same conversion of
+   Rollback and precise-exception semantics are those of [Exec.run]:
+   the same [Exec.Roll] reasons, the same conversion of
    [Invalid_argument]/[Failure] escapes into [Exec.Error], the same
-   deferral of I/O-space loads to the apply phase.  Exception tags are
+   deferral of I/O-space loads to the apply phase, and architected
+   state and memory untouched by a rolled-back VLIW.  Pool state after
+   a rollback is dead: the monitor clears it before anything runs
+   again ([Vstate.clear_nonarch]).  Exception tags are
    handled in [Vstate]'s coded form (0 = clean), so executing a VLIW
    writes no boxed value and allocates nothing.
 
@@ -301,23 +310,58 @@ let cr_kind ~spec (crt : Op.loc) =
 
 let cr_index (crt : Op.loc) = if Op.is_nonarch_cr crt then crt - 8 else crt
 
-(* the closure-read ops push their result with the accumulated tag *)
-let result (s : scratch) ~spec (rt : Op.loc) : int -> unit =
-  let kind = dest_kind ~spec rt and i = dest_index rt in
-  fun v -> push_wt s kind i v s.tag
+(* The pool slot an op of a tree staged with [in_place] writes directly,
+   or -1 when its destination is pushed to the scratch buffer. *)
+let gpr_slot ~in_place (rt : Op.loc) =
+  if in_place && Op.is_nonarch_gpr rt then rt - 32 else -1
 
-let gpr_write s rt = result s ~spec:false rt
+let cr_slot ~in_place (crt : Op.loc) =
+  if in_place && Op.is_nonarch_cr crt then crt - 8 else -1
 
-let cr_result (s : scratch) ~spec (crt : Op.loc) : int -> unit =
-  let kind = cr_kind ~spec crt and i = cr_index crt in
-  fun v -> push_wt s kind i v s.tag
+(* The closure-read ops write their result with the accumulated tag: a
+   pool slot in place, anything else pushed.  A non-speculative result
+   is clean, as [k_gpr_pool] and [k_cr_pool] apply it. *)
+let result (st : Vstate.t) (s : scratch) ~in_place ~spec (rt : Op.loc) : int -> unit =
+  let i = gpr_slot ~in_place rt in
+  if i >= 0 then
+    let hi = st.hi and tags = st.tags in
+    if spec then fun v ->
+      Array.unsafe_set hi i v;
+      Array.unsafe_set tags i s.tag
+    else fun v ->
+      Array.unsafe_set hi i v;
+      Array.unsafe_set tags i 0
+  else
+    let kind = dest_kind ~spec rt and i = dest_index rt in
+    fun v -> push_wt s kind i v s.tag
 
-let cr_write s crt = cr_result s ~spec:false crt
+let gpr_write st s ~in_place rt = result st s ~in_place ~spec:false rt
+
+let cr_result (st : Vstate.t) (s : scratch) ~in_place ~spec (crt : Op.loc) :
+    int -> unit =
+  let i = cr_slot ~in_place crt in
+  if i >= 0 then
+    let crhi = st.crhi and crtags = st.crtags in
+    if spec then fun v ->
+      Array.unsafe_set crhi i (v land 0xF);
+      Array.unsafe_set crtags i s.tag
+    else fun v ->
+      Array.unsafe_set crhi i (v land 0xF);
+      Array.unsafe_set crtags i 0
+  else
+    let kind = cr_kind ~spec crt and i = cr_index crt in
+    fun v -> push_wt s kind i v s.tag
+
+let cr_write st s ~in_place crt = cr_result st s ~in_place ~spec:false crt
 
 (* [Exec.carry_writes]: carry goes to the machine CA for architected
    destinations, to the extender bit for pool destinations. *)
-let carry_write (s : scratch) (rt : Op.loc) : bool -> unit =
-  if Op.is_nonarch_gpr rt then
+let carry_write (st : Vstate.t) (s : scratch) ~in_place (rt : Op.loc) : bool -> unit =
+  let i = gpr_slot ~in_place rt in
+  if i >= 0 then
+    let ext = st.ext in
+    fun c -> Array.unsafe_set ext i c
+  else if Op.is_nonarch_gpr rt then
     let i = rt - 32 in
     fun c -> push_w s k_ext i (if c then 1 else 0)
   else fun c -> push_w s k_ca 0 (if c then 1 else 0)
@@ -328,11 +372,23 @@ let carry_write (s : scratch) (rt : Op.loc) : bool -> unit =
    masks, widths and destination classes are all resolved here; the
    returned closure only reads values, computes, and pushes writes. *)
 
+(* The outcomes of a load that stay buffered in either write form: an
+   I/O-space address defers the load to apply (or tags a speculative
+   one), and a fault tags a speculative load or rolls the VLIW back. *)
+let tmmio = Vstate.code_of_tag Vstate.Tmmio
+
+let load_mmio s ~spec k_mmio rt addr =
+  if spec then push_wt s k_tagged_any rt 0 tmmio else push_w s k_mmio rt addr
+
+let load_fault s ~spec rt addr =
+  if spec then push_wt s k_tagged_any rt 0 (Vstate.code_of_tag (Vstate.Tfault addr))
+  else raise (Exec.Roll (Exec.Rfault { addr; write = false }))
+
 (* The load proper, shared by every address shape: [addr] is computed
-   and the op's tag from its address operands is in [s.tag]. *)
-let c_load (mem : Mem.t) (s : scratch) seq ~(w : Insn.width) ~alg ~rt ~spec
-    ~passed : int -> unit =
-  let kind = dest_kind ~spec rt and di = dest_index rt in
+   and the op's tag from its address operands is in [s.tag] (clean for
+   a non-speculative load, which rolled back on a tagged operand). *)
+let c_load (st : Vstate.t) (mem : Mem.t) (s : scratch) seq ~in_place
+    ~(w : Insn.width) ~alg ~rt ~spec ~passed : int -> unit =
   let bytes = Mem.width_bytes w in
   let fload =
     match w with
@@ -344,33 +400,44 @@ let c_load (mem : Mem.t) (s : scratch) seq ~(w : Insn.width) ~alg ~rt ~spec
     match w with Insn.Byte -> k_mmio8 | Half -> k_mmio16 | Word -> k_mmio32
   in
   let alg_half = alg && w = Insn.Half in
-  let tmmio = Vstate.code_of_tag Vstate.Tmmio in
-  fun addr ->
-    if Mem.is_mmio addr then
-      if spec then push_wt s k_tagged_any rt 0 tmmio
-      else push_w s k_mmio rt addr
-    else begin
-      match fload mem addr with
-      | v ->
-        let v =
-          if alg_half then u32 (s32 ((v land 0xFFFF) lsl 16) asr 16) else v
-        in
-        push_wt s kind di v s.tag;
-        push_access s addr bytes seq passed false
-      | exception Mem.Data_fault _ ->
-        if spec then
-          push_wt s k_tagged_any rt 0 (Vstate.code_of_tag (Vstate.Tfault addr))
-        else raise (Exec.Roll (Exec.Rfault { addr; write = false }))
-    end
+  let pi = gpr_slot ~in_place rt in
+  if pi >= 0 then
+    let hi = st.hi and tags = st.tags in
+    fun addr ->
+      if Mem.is_mmio addr then load_mmio s ~spec k_mmio rt addr
+      else begin
+        match fload mem addr with
+        | v ->
+          Array.unsafe_set hi pi
+            (if alg_half then u32 (s32 ((v land 0xFFFF) lsl 16) asr 16) else v);
+          Array.unsafe_set tags pi s.tag;
+          push_access s addr bytes seq passed false
+        | exception Mem.Data_fault _ -> load_fault s ~spec rt addr
+      end
+  else
+    let kind = dest_kind ~spec rt and di = dest_index rt in
+    fun addr ->
+      if Mem.is_mmio addr then load_mmio s ~spec k_mmio rt addr
+      else begin
+        match fload mem addr with
+        | v ->
+          let v =
+            if alg_half then u32 (s32 ((v land 0xFFFF) lsl 16) asr 16) else v
+          in
+          push_wt s kind di v s.tag;
+          push_access s addr bytes seq passed false
+        | exception Mem.Data_fault _ -> load_fault s ~spec rt addr
+      end
 
 (* Every op shape, reading its operands through the [c_rd] closures. *)
-let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
-    unit -> unit =
+let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) ~in_place seq
+    (op : Op.t) : unit -> unit =
   let clean () = s.tag <- 0 in
   match op with
   | Bin { op; rt; ra; rb; ca; spec } -> (
     let fa = c_rd st s ~spec ra and fb = c_rd st s ~spec rb in
-    let res = result s ~spec rt and carry = carry_write s rt in
+    let res = result st s ~in_place ~spec rt
+    and carry = carry_write st s ~in_place rt in
     match op with
     | Insn.Add ->
       fun () ->
@@ -448,7 +515,8 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
         res (u32 (-s32 a)))
   | BinI { op; rt; ra; imm; spec } -> (
     let fa = c_rd st s ~spec ra in
-    let res = result s ~spec rt and carry = carry_write s rt in
+    let res = result st s ~in_place ~spec rt
+    and carry = carry_write st s ~in_place rt in
     match op with
     | Op.IAdd -> fun () -> clean (); res (u32 (fa () + imm))
     | IAddc ->
@@ -464,7 +532,8 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
     | IXor -> fun () -> clean (); res (fa () lxor imm))
   | Logic { op; rt; ra; rb; spec } -> (
     let fa = c_rd st s ~spec ra and fb = c_rd st s ~spec rb in
-    let res = result s ~spec rt and carry = carry_write s rt in
+    let res = result st s ~in_place ~spec rt
+    and carry = carry_write st s ~in_place rt in
     match op with
     | Insn.And_ ->
       fun () ->
@@ -539,14 +608,15 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
         end)
   | Un { op; rt; ra; spec } ->
     let fa = c_rd st s ~spec ra in
-    let res = result s ~spec rt in
+    let res = result st s ~in_place ~spec rt in
     let f = Interp.alu_x1 op in
     fun () ->
       clean ();
       res (f (fa ()))
   | SrawiOp { rt; ra; sh; spec } ->
     let fa = c_rd st s ~spec ra in
-    let res = result s ~spec rt and carry = carry_write s rt in
+    let res = result st s ~in_place ~spec rt
+    and carry = carry_write st s ~in_place rt in
     let lmask = if sh = 0 then 0 else (1 lsl sh) - 1 in
     fun () ->
       clean ();
@@ -556,14 +626,14 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       carry c
   | RlwinmOp { rt; ra; sh; mb; me; spec } ->
     let fa = c_rd st s ~spec ra in
-    let res = result s ~spec rt in
+    let res = result st s ~in_place ~spec rt in
     let mask = Interp.mask_mb_me mb me in
     fun () ->
       clean ();
       res (Interp.rotl32 (fa ()) sh land mask)
   | CmpOp { signed; crt; ra; rb; spec } ->
     let fa = c_rd st s ~spec ra and fb = c_rd st s ~spec rb in
-    let res = cr_result s ~spec crt in
+    let res = cr_result st s ~in_place ~spec crt in
     let m = st.m in
     if signed then fun () ->
       clean ();
@@ -577,7 +647,7 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       res (Exec.cmp_bits m.xer_so (a < b) (a > b))
   | CmpIOp { signed; crt; ra; imm; spec } ->
     let fa = c_rd st s ~spec ra in
-    let res = cr_result s ~spec crt in
+    let res = cr_result st s ~in_place ~spec crt in
     let m = st.m in
     let b = if signed then u32 imm else imm in
     if signed then fun () ->
@@ -600,7 +670,7 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
           let o = fo () in
           u32 (b + o)
     in
-    let load = c_load mem s seq ~w ~alg ~rt ~spec ~passed in
+    let load = c_load st mem s seq ~in_place ~w ~alg ~rt ~spec ~passed in
     fun () ->
       clean ();
       load (faddr ())
@@ -650,7 +720,7 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       if old < 0 then fun () -> 0 else c_rd_cr st s ~spec old
     in
     let fld = bt / 4 and pos = 3 - (bt mod 4) in
-    let res = cr_result s ~spec fld in
+    let res = cr_result st s ~in_place ~spec fld in
     fun () ->
       clean ();
       let a = fba () in
@@ -660,14 +730,14 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       res (prev land lnot (1 lsl pos) lor (v lsl pos))
   | McrfOp { dst; src; spec } ->
     let fsrc = c_rd_cr st s ~spec src in
-    let res = cr_result s ~spec dst in
+    let res = cr_result st s ~in_place ~spec dst in
     fun () ->
       clean ();
       res (fsrc ())
   | MfcrOp { rt; srcs } ->
     let n = Array.length srcs in
     let fs = Array.init (min 8 n) (fun f -> c_rd_cr st s ~spec:false srcs.(f)) in
-    let gw = gpr_write s rt in
+    let gw = gpr_write st s ~in_place rt in
     if n < 8 then fun () ->
       (* mirror [Exec]: read the fields that exist (their tags can roll
          back first), then fault on the out-of-range [srcs.(f)] *)
@@ -684,13 +754,13 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       gw !v
   | CrSetOp { crt; rs; pos } ->
     let frs = c_rd st s ~spec:false rs in
-    let cw = cr_write s crt in
+    let cw = cr_write st s ~in_place crt in
     let sh = 4 * (7 - pos) in
     fun () ->
       clean ();
       cw ((frs () lsr sh) land 0xF)
   | GetXer { rt } ->
-    let gw = gpr_write s rt in
+    let gw = gpr_write st s ~in_place rt in
     let m = st.m in
     fun () -> gw (Machine.get_xer m)
   | SetXer { rs } ->
@@ -699,7 +769,7 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       clean ();
       push_w s k_xer 0 (frs ())
   | GetSpr { rt; spr } ->
-    let gw = gpr_write s rt in
+    let gw = gpr_write st s ~in_place rt in
     let m = st.m in
     (match spr with
     | Op.Xer -> fun () -> gw (Machine.get_xer m)
@@ -717,7 +787,7 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       clean ();
       push_w s k_spr code (frs ())
   | GetMsr { rt } ->
-    let gw = gpr_write s rt in
+    let gw = gpr_write st s ~in_place rt in
     let m = st.m in
     fun () -> gw m.msr
   | SetMsr { rs } ->
@@ -727,13 +797,13 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       push_w s k_msr 0 (frs () land 0xFFFF)
   | CommitG { arch; src } ->
     let fsrc = c_rd st s ~spec:false src in
-    let gw = gpr_write s arch in
+    let gw = gpr_write st s ~in_place arch in
     fun () ->
       clean ();
       gw (fsrc ())
   | CommitCr { arch; src } ->
     let fsrc = c_rd_cr st s ~spec:false src in
-    let cw = cr_write s arch in
+    let cw = cr_write st s ~in_place arch in
     fun () ->
       clean ();
       cw (fsrc ())
@@ -752,15 +822,17 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
     fun () -> push_w s k_ca 0 (if fca () then 1 else 0)
 
 (* The hot shapes (about 80% of executed ops) read array operands and
-   push straight into the scratch buffers: no [clean], reader or result
-   closure calls.  Any operand without an array form sends the whole op
-   to [c_closures]. *)
-let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
+   write straight into a pool slot or the scratch buffers: no [clean],
+   reader or result closure calls.  Any operand without an array form
+   sends the whole op to [c_closures].  A commit's destination is
+   architected, so it always pushes. *)
+let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) ~in_place seq (op : Op.t) :
     unit -> unit =
+  let hi = st.hi and ptags = st.tags in
   match op with
   | CommitG { arch; src } -> (
     match operand st src with
-    | None -> c_closures st mem s seq op
+    | None -> c_closures st mem s ~in_place seq op
     | Some { vals; tags; ix } ->
       let kind = dest_kind ~spec:false arch and di = dest_index arch in
       fun () ->
@@ -768,40 +840,71 @@ let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
         if c <> 0 then rtag c;
         push_w s kind di (Array.unsafe_get vals ix))
   | BinI { op = IAdd; rt; ra; imm; spec } -> (
+    let pi = gpr_slot ~in_place rt in
     let kind = dest_kind ~spec rt and di = dest_index rt in
     if ra = Op.zero then
       (* a constant: the literal specialisation *)
       let v = u32 imm in
-      fun () -> push_wt s kind di v 0
+      if pi >= 0 then fun () ->
+        Array.unsafe_set hi pi v;
+        Array.unsafe_set ptags pi 0
+      else fun () -> push_wt s kind di v 0
     else
       match operand st ra with
-      | None -> c_closures st mem s seq op
+      | None -> c_closures st mem s ~in_place seq op
       | Some { vals; tags; ix } ->
-        fun () ->
+        if pi >= 0 then fun () ->
+          let c = tag1 spec (Array.unsafe_get tags ix) in
+          Array.unsafe_set hi pi (u32 (Array.unsafe_get vals ix + imm));
+          Array.unsafe_set ptags pi c
+        else fun () ->
           let c = tag1 spec (Array.unsafe_get tags ix) in
           push_wt s kind di (u32 (Array.unsafe_get vals ix + imm)) c)
   | Bin { op = (Insn.Add | Subf) as bop; rt; ra; rb; spec; _ } -> (
     match (operand st ra, operand st rb) with
     | Some { vals = va; tags = ta; ix = ia }, Some { vals = vb; tags = tb; ix = ib } ->
+      let pi = gpr_slot ~in_place rt in
       let kind = dest_kind ~spec rt and di = dest_index rt in
-      if bop = Insn.Add then fun () ->
+      if bop = Insn.Add then
+        if pi >= 0 then fun () ->
+          let c = tag2 spec (Array.unsafe_get ta ia) (Array.unsafe_get tb ib) in
+          Array.unsafe_set hi pi (u32 (Array.unsafe_get va ia + Array.unsafe_get vb ib));
+          Array.unsafe_set ptags pi c
+        else fun () ->
+          let c = tag2 spec (Array.unsafe_get ta ia) (Array.unsafe_get tb ib) in
+          push_wt s kind di (u32 (Array.unsafe_get va ia + Array.unsafe_get vb ib)) c
+      else if pi >= 0 then fun () ->
         let c = tag2 spec (Array.unsafe_get ta ia) (Array.unsafe_get tb ib) in
-        push_wt s kind di (u32 (Array.unsafe_get va ia + Array.unsafe_get vb ib)) c
+        Array.unsafe_set hi pi (u32 (Array.unsafe_get vb ib - Array.unsafe_get va ia));
+        Array.unsafe_set ptags pi c
       else fun () ->
         let c = tag2 spec (Array.unsafe_get ta ia) (Array.unsafe_get tb ib) in
         push_wt s kind di (u32 (Array.unsafe_get vb ib - Array.unsafe_get va ia)) c
-    | _ -> c_closures st mem s seq op)
+    | _ -> c_closures st mem s ~in_place seq op)
   | CmpIOp { signed; crt; ra; imm; spec } -> (
     match operand st ra with
-    | None -> c_closures st mem s seq op
+    | None -> c_closures st mem s ~in_place seq op
     | Some { vals; tags; ix } ->
-      let kind = cr_kind ~spec crt and di = cr_index crt and m = st.m in
+      let m = st.m and pi = cr_slot ~in_place crt in
+      (* compare bits are a 4-bit field: [k_cr_pool]'s mask keeps them *)
+      let crhi = st.crhi and crtags = st.crtags in
+      let kind = cr_kind ~spec crt and di = cr_index crt in
       if signed then
         let b = s32 (u32 imm) in
-        fun () ->
+        if pi >= 0 then fun () ->
+          let c = tag1 spec (Array.unsafe_get tags ix) in
+          let a = s32 (Array.unsafe_get vals ix) in
+          Array.unsafe_set crhi pi (Exec.cmp_bits m.xer_so (a < b) (a > b));
+          Array.unsafe_set crtags pi c
+        else fun () ->
           let c = tag1 spec (Array.unsafe_get tags ix) in
           let a = s32 (Array.unsafe_get vals ix) in
           push_wt s kind di (Exec.cmp_bits m.xer_so (a < b) (a > b)) c
+      else if pi >= 0 then fun () ->
+        let c = tag1 spec (Array.unsafe_get tags ix) in
+        let a = Array.unsafe_get vals ix in
+        Array.unsafe_set crhi pi (Exec.cmp_bits m.xer_so (a < imm) (a > imm));
+        Array.unsafe_set crtags pi c
       else fun () ->
         let c = tag1 spec (Array.unsafe_get tags ix) in
         let a = Array.unsafe_get vals ix in
@@ -809,20 +912,20 @@ let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
   | LoadOp { w; alg; rt; base; off; spec; passed } -> (
     match (operand st base, off) with
     | Some { vals = vb; tags = tb; ix = ib }, Op.OImm i ->
-      let load = c_load mem s seq ~w ~alg ~rt ~spec ~passed in
+      let load = c_load st mem s seq ~in_place ~w ~alg ~rt ~spec ~passed in
       fun () ->
         s.tag <- tag1 spec (Array.unsafe_get tb ib);
         load (u32 (Array.unsafe_get vb ib + i))
     | Some { vals = vb; tags = tb; ix = ib }, OReg r -> (
       match operand st r with
-      | None -> c_closures st mem s seq op
+      | None -> c_closures st mem s ~in_place seq op
       | Some { vals = vo; tags = to_; ix = io } ->
-        let load = c_load mem s seq ~w ~alg ~rt ~spec ~passed in
+        let load = c_load st mem s seq ~in_place ~w ~alg ~rt ~spec ~passed in
         fun () ->
           s.tag <- tag2 spec (Array.unsafe_get tb ib) (Array.unsafe_get to_ io);
           load (u32 (Array.unsafe_get vb ib + Array.unsafe_get vo io)))
-    | None, _ -> c_closures st mem s seq op)
-  | _ -> c_closures st mem s seq op
+    | None, _ -> c_closures st mem s ~in_place seq op)
+  | _ -> c_closures st mem s ~in_place seq op
 
 (* ------------------------------------------------------------------ *)
 (* Apply phase: commit the scratch writes in program order.  Mirrors
@@ -952,16 +1055,54 @@ let c_exit (p : page) (e : Tree.exit) : cexit =
   | Indirect (l, k) -> Cindirect (l, k)
   | Trap tr -> Ctrap tr
 
+(* The write-form check, bottom-up.  [touched n] is the set of pool
+   locations the ops of [n] and of every node below it read or write,
+   or -1 when one of those ops writes a location that an op after it on
+   some path reads or writes.  Every op below a node shares a path with
+   each op of the node, so one union per node stands for all its paths.
+   A node's ops are stored newest first, the order this walk wants; it
+   allocates nothing. *)
+let rec touched (n : Tree.node) =
+  let below =
+    match n.kind with
+    | Tree.Branch { taken; fall; _ } ->
+      let t = touched taken in
+      if t < 0 then t
+      else
+        let f = touched fall in
+        if f < 0 then f else t lor f
+    | Open | Exit _ -> 0
+  in
+  ops_touched below n.ops
+
+and ops_touched later = function
+  | [] -> later
+  | (_, op) :: older ->
+    let w = Op.pool_writes op in
+    if later < 0 || w land later <> 0 then -1
+    else ops_touched (later lor w lor Op.pool_reads op) older
+
+(** Can [t] write its pool results in place?  Yes when no root-to-leaf
+    path reads a pool location after an earlier op of the path wrote
+    it, and none writes one twice: every op then reads the entry value
+    it would read from a buffered tree, and each location's one write is
+    its last.  Branch tests read entry state before any op runs.  An
+    extender bit counts as its register, which can only reject more
+    trees. *)
+let pool_in_place (t : Tree.t) = touched (Tree.root t) >= 0
+
 (* Compile path selection from [node] down, with [prefix] the compiled
    ops of the path above it and [store] whether that path has a store.
    Mirrors [Exec.select]: tests read entry state only, ops collect in
    program order, an open tip is a structural error, a tagged pool test
    rolls the VLIW back. *)
-let rec c_sel (p : page) (prefix : (unit -> unit) list) nprefix store
+let rec c_sel (p : page) ~in_place (prefix : (unit -> unit) list) nprefix store
     (n : Tree.node) : unit -> cleaf =
   let st = p.st in
   let ops = Tree.ops_in_order n in
-  let cops = List.map (fun (seq, op) -> c_op st p.mem p.scratch seq op) ops in
+  let cops =
+    List.map (fun (seq, op) -> c_op st p.mem p.scratch ~in_place seq op) ops
+  in
   let prefix = prefix @ cops in
   let nprefix = nprefix + List.length cops in
   let store = store || List.exists (fun (_, op) -> Op.is_store op) ops in
@@ -974,8 +1115,8 @@ let rec c_sel (p : page) (prefix : (unit -> unit) list) nprefix store
     in
     fun () -> leaf
   | Branch { test; taken; fall } ->
-    let ftaken = c_sel p prefix nprefix store taken in
-    let ffall = c_sel p prefix nprefix store fall in
+    let ftaken = c_sel p ~in_place prefix nprefix store taken in
+    let ffall = c_sel p ~in_place prefix nprefix store fall in
     let fld = test.bit / 4 and sh = 3 - (test.bit mod 4) in
     let sense = test.sense in
     if fld < 8 then
@@ -994,15 +1135,18 @@ let rec c_sel (p : page) (prefix : (unit -> unit) list) nprefix store
     else fun () -> invalid_arg "index out of bounds"
 (* out-of-range test field: faults like [Vstate.get_cr_tagged] *)
 
-(* Compile [cv]'s path selection into its record, timed against the
-   page's budget.  A tree that fails to stage is left unstaged; that
-   includes a cached tree whose body, decoded here on first use, is
-   malformed. *)
+(* Compile [cv]'s path selection into its record, in place when the
+   tree passes {!pool_in_place}, timed on the monotonic clock against
+   the page's budget.  A tree that fails to stage is left unstaged;
+   that includes a cached tree whose body, decoded here on first use,
+   is malformed. *)
 let stage_tree (p : page) (cv : cvliw) =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   match
-    let select = c_sel p [] 0 false (Tree.root cv.c_tree) in
-    let dt = Unix.gettimeofday () -. t0 in
+    let root = Tree.root cv.c_tree in
+    let in_place = touched root >= 0 in
+    let select = c_sel p ~in_place [] 0 false root in
+    let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
     (match p.budget () with
     | Some b when dt > b -> raise (Budget_exceeded dt)
     | _ -> ());
@@ -1034,9 +1178,9 @@ let extend (p : page) (trees : Tree.t array) =
 
 (** A staged page over [trees] whose trees are not compiled yet: each
     compiles on its first selection, in [exec_vliw].  [budget], when
-    given, bounds the wall time one tree's staging may take; a tree
-    that overruns it raises {!Stage_error} ({!Budget_exceeded}) instead
-    of letting a pathological tree stall the whole run. *)
+    given, bounds the time one tree's staging may take; a tree that
+    overruns it raises {!Stage_error} ({!Budget_exceeded}) instead of
+    letting a pathological tree stall the whole run. *)
 let stage ?(budget = fun () -> None) ?(on_stage = fun _ _ -> ()) ~(st : Vstate.t)
     ~(mem : Mem.t) ~(scratch : scratch) (trees : Tree.t array) : page =
   let p = { vliws = [||]; n_staged = 0; scratch; st; mem; budget; on_stage } in
@@ -1052,13 +1196,18 @@ let get (p : page) id = p.vliws.(id)
 
 (** Execute one staged VLIW.  Semantics are those of [Exec.run]: select
     a path against entry state, evaluate its ops against entry state
-    into the scratch buffers, run the alias check if the path has a
-    store, then apply all writes in program order — or raise
-    [Exec.Roll] with no state change.  [Invalid_argument]/[Failure] escapes from the
+    (an in-place tree writing its pool results as it goes, every other
+    write into the scratch buffers), run the alias check if the path
+    has a store, then apply the buffered writes in program order — or
+    raise [Exec.Roll].  [Invalid_argument]/[Failure] escapes from the
     select/evaluate phase surface as [Exec.Error], exactly as in the
-    interpretive engine.  A tree not yet staged stages first, and a
-    failure there raises {!Stage_error} before any op runs.  Returns
-    the selected leaf; its accesses are in the scratch buffers. *)
+    interpretive engine.  On [Exec.Roll] and [Exec.Error], architected
+    state and memory are untouched; pool state may hold writes of the
+    abandoned path, and is dead: the monitor clears it
+    ([Vstate.clear_nonarch]) before any VLIW runs again.  A tree not
+    yet staged stages first, and a failure there raises {!Stage_error}
+    before any op runs.  Returns the selected leaf; its accesses are in
+    the scratch buffers. *)
 let exec_vliw (p : page) (cv : cvliw) ~(alias_check : scratch -> bool) : cleaf =
   let s = p.scratch in
   s.w_n <- 0;

@@ -79,6 +79,51 @@ let is_mem = function LoadOp _ | StoreOp _ -> true | _ -> false
 let is_store = function StoreOp _ -> true | _ -> false
 let is_load = function LoadOp _ -> true | _ -> false
 
+(* Pool locations as bits of one int: bit [i] is r(32+i), its value,
+   exception tag and carry extender bit together, and bit [32+j] is
+   cr(8+j) with its tag.  Every other location has no bit. *)
+let gpr_bit l = if is_nonarch_gpr l then 1 lsl (l - 32) else 0
+let cr_bit l = if is_nonarch_cr l then 1 lsl (l + 24) else 0
+
+let rec cr_bits (srcs : loc array) i acc =
+  if i < 0 then acc else cr_bits srcs (i - 1) (acc lor cr_bit srcs.(i))
+
+let off_bit = function OImm _ -> 0 | OReg r -> gpr_bit r
+
+(** The pool locations [op] reads, as a mask of {!gpr_bit}s and
+    {!cr_bit}s. *)
+let pool_reads = function
+  | Bin { op; ra; rb; ca; _ } ->
+    gpr_bit ra lor gpr_bit rb
+    lor (match op with Ppc.Insn.Adde -> gpr_bit ca | _ -> 0)
+  | BinI { ra; _ } | Un { ra; _ } | SrawiOp { ra; _ } | RlwinmOp { ra; _ }
+  | CmpIOp { ra; _ } ->
+    gpr_bit ra
+  | Logic { ra; rb; _ } | CmpOp { ra; rb; _ } -> gpr_bit ra lor gpr_bit rb
+  | LoadOp { base; off; _ } -> gpr_bit base lor off_bit off
+  | StoreOp { rs; base; off; _ } -> gpr_bit rs lor gpr_bit base lor off_bit off
+  | CropOp { ba; bb; old; _ } -> cr_bit (ba / 4) lor cr_bit (bb / 4) lor cr_bit old
+  | McrfOp { src; _ } | CommitCr { src; _ } -> cr_bit src
+  | MfcrOp { srcs; _ } -> cr_bits srcs (Array.length srcs - 1) 0
+  | CrSetOp { rs; _ } | SetXer { rs } | SetSpr { rs; _ } | SetMsr { rs } -> gpr_bit rs
+  | CommitG { src; _ } | CommitLr { src } | CommitCtr { src } | CommitCa { src } ->
+    gpr_bit src
+  | GetXer _ | GetSpr _ | GetMsr _ -> 0
+
+(** The pool locations [op] writes, as {!pool_reads} reads them. *)
+let pool_writes = function
+  | Bin { rt; _ } | BinI { rt; _ } | Logic { rt; _ } | Un { rt; _ }
+  | SrawiOp { rt; _ } | RlwinmOp { rt; _ } | LoadOp { rt; _ } | MfcrOp { rt; _ }
+  | GetXer { rt } | GetSpr { rt; _ } | GetMsr { rt } | CommitG { arch = rt; _ } ->
+    gpr_bit rt
+  | CmpOp { crt; _ } | CmpIOp { crt; _ } | CrSetOp { crt; _ }
+  | McrfOp { dst = crt; _ } | CommitCr { arch = crt; _ } ->
+    cr_bit crt
+  | CropOp { bt; _ } -> cr_bit (bt / 4)
+  | StoreOp _ | SetXer _ | SetSpr _ | SetMsr _ | CommitLr _ | CommitCtr _
+  | CommitCa _ ->
+    0
+
 (* Stable small-integer codes for the persistent translation cache's
    binary codec (lib/tcache).  On-disk format: append new codes, never
    renumber, and bump the codec version when the shape changes.  The

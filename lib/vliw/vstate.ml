@@ -88,8 +88,13 @@ let set_cr_tag t (l : Op.loc) tag =
   if l >= 8 && l < 16 then t.crtags.(l - 8) <- code_of_tag tag
   else invalid_arg "Vstate.set_cr_tag"
 
-(** Reset all non-architected state (used when entering fresh groups is
-    not required — tags and pool values never survive recovery). *)
+(** Reset all non-architected state: pool values, extender bits, tags
+    and pool condition fields.  Recovery runs it before interpreting, so
+    tags and pool values never survive recovery, and nothing a
+    rolled-back VLIW wrote into the pool in place is left behind. *)
 let clear_nonarch t =
+  Array.fill t.hi 0 32 0;
+  Array.fill t.ext 0 32 false;
   Array.fill t.tags 0 32 0;
+  Array.fill t.crhi 0 8 0;
   Array.fill t.crtags 0 8 0

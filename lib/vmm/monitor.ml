@@ -639,9 +639,10 @@ let tcache_sync_degraded t store base =
     is also *quarantined* — set aside on disk — so under a shared cache
     one poisoned file costs one retranslation by the gate winner
     instead of a corrupt-parse per session per probe, and the winner's
-    persist heals the key. *)
-let tcache_probe ?fingerprint ?members t store ~key ~page tr =
-  let t0 = Unix.gettimeofday () in
+    persist heals the key.  [checked] is the entry as the caller
+    already read it ({!Tcache.Store.probe}). *)
+let tcache_probe ?fingerprint ?members ?checked t store ~key ~page tr =
+  let t0 = Monotonic_clock.now () in
   let corrupt reason =
     t.stats.tcache_corrupt <- t.stats.tcache_corrupt + 1;
     emit t (fun () -> Tcache_corrupt { cycle = now t; page; reason });
@@ -652,9 +653,9 @@ let tcache_probe ?fingerprint ?members t store ~key ~page tr =
     None
   in
   let hit =
-    match Tcache.Store.probe ?fingerprint ?members store ~key with
+    match Tcache.Store.probe ?fingerprint ?members ?checked store ~key with
     | `Hit (xp, spec_inhibited) when xp.base = Translate.page_base tr page ->
-      let seconds = Unix.gettimeofday () -. t0 in
+      let seconds = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
       Translate.install tr ~spec_inhibited xp;
       t.stats.tcache_hits <- t.stats.tcache_hits + 1;
       emit t (fun () ->
@@ -1297,11 +1298,13 @@ let run t ~entry ~fuel =
            | None -> ());
            emit t (fun () ->
                Translate_begin { cycle = now t; page = base; entry = addr });
-           let tb0 = Unix.gettimeofday () in
+           let tb0 = Monotonic_clock.now () in
            let res = Translate.entry t.tr addr in
            (match t.translate_budget with
            | Some b ->
-             let dt = Unix.gettimeofday () -. tb0 in
+             let dt =
+               Int64.to_float (Int64.sub (Monotonic_clock.now ()) tb0) *. 1e-9
+             in
              if dt > b then raise (Translate_deadline dt)
            | None -> ());
            emit t (fun () ->

@@ -75,6 +75,20 @@ let outcome_str = function
 
 let outcome_t = Alcotest.testable (fun fmt o -> Fmt.string fmt (outcome_str o)) ( = )
 
+(* A rolled-back or faulting VLIW leaves architected state and memory
+   untouched, but an in-place tree may leave pool writes behind: the
+   pool is dead there, and the monitor clears it before anything runs
+   again.  Pool state is compared after that clear. *)
+let recover (o : outcome) (st : Vstate.t) =
+  match o with ORoll _ | OError _ -> Vstate.clear_nonarch st | ODone _ -> ()
+
+let pool_clean (st : Vstate.t) =
+  Array.for_all (( = ) 0) st.hi
+  && Array.for_all not st.ext
+  && Array.for_all (( = ) 0) st.tags
+  && Array.for_all (( = ) 0) st.crhi
+  && Array.for_all (( = ) 0) st.crtags
+
 (* Run one tree under both engines from identical initial states and
    require the same outcome and the same final machine, pool, memory,
    device and console state.  [post] then checks the staged engine's
@@ -97,6 +111,8 @@ let check_equiv ?(setup = fun (_ : Vstate.t) (_ : Ppc.Mem.t) -> ()) ?(alias = tr
     (name ^ ": architected state")
     true
     (Ppc.Machine.equal ist.m cst.m);
+  recover oi ist;
+  recover oc cst;
   Alcotest.(check bool) (name ^ ": pool") true (ist.hi = cst.hi && ist.ext = cst.ext);
   Alcotest.(check bool)
     (name ^ ": cr pool")
@@ -279,8 +295,8 @@ let test_tagged_commit () =
     ~post:(fun o st ->
       Alcotest.check outcome_t "rolls back on the tag"
         (ORoll (Exec.Rtag (Vstate.Tfault 0x1234))) o;
-      Alcotest.(check bool) "pool untouched" true
-        (Vstate.get st 40 = (0, Vstate.Clean) && st.m.gpr.(3) = 0))
+      Alcotest.(check int) "r3 untouched" 0 st.m.gpr.(3);
+      Alcotest.(check bool) "pool clean after the clear" true (pool_clean st))
 
 let test_store_free_skips_alias () =
   check_equiv "store-free VLIW, vetoing alias check" ~alias:false
@@ -296,6 +312,30 @@ let test_store_free_skips_alias () =
     ~post:(fun o st ->
       Alcotest.(check bool) "completes" true (match o with ODone _ -> true | _ -> false);
       Alcotest.(check int) "written" 42 st.m.gpr.(1))
+
+(* The translator's read-after-write shape (seen in seed-1 fuzz trees):
+   [r4=r38; s.ori r38,r0,0; cmplwi cr14,r38,59940].  The commit and the
+   compare must both see r38's entry value, so the tree may not write
+   r38 in place before the compare reads it: the check rejects it, and
+   it stages buffered. *)
+let test_pool_raw () =
+  let build () =
+    let v = mk () in
+    add (T.root v) (Op.CommitG { arch = 4; src = 38 });
+    add (T.root v) (Op.BinI { op = IOr; rt = 38; ra = 0; imm = 0; spec = true });
+    add (T.root v)
+      (Op.CmpIOp { signed = false; crt = 14; ra = 38; imm = 59940; spec = true });
+    T.close (T.root v) (T.Next 1);
+    v
+  in
+  Alcotest.(check bool) "rejected by the check" false (C.pool_in_place (build ()));
+  check_equiv "pool read after write" build
+    ~setup:(fun st _ -> Vstate.set_gpr st 38 100_000)
+    ~post:(fun o st ->
+      Alcotest.(check bool) "completes" true (match o with ODone _ -> true | _ -> false);
+      Alcotest.(check int) "commit saw the entry value" 100_000 st.m.gpr.(4);
+      Alcotest.(check int) "compare saw the entry value (gt)" 4 st.crhi.(6);
+      Alcotest.(check int) "r38 written" 0 st.hi.(6))
 
 (* ------------------------------------------------------------------ *)
 (* qcheck differential: random straight-line VLIWs                     *)
@@ -417,6 +457,8 @@ let prop_differential =
         C.stage ~st:cst ~mem:cmem ~scratch:(C.create_scratch ()) [| build () |]
       in
       let oc = run_compiled cp (C.get cp 0) in
+      recover oi ist;
+      recover oc cst;
       let ok =
         oi = oc
         && Ppc.Machine.equal ist.m cst.m
@@ -445,6 +487,212 @@ let prop_differential =
         | _ -> ())
       end;
       ok)
+
+(* ------------------------------------------------------------------ *)
+(* Op-shape conformance: every [Op.t] constructor in each staged form  *)
+
+(* Where a GPR-space operand comes from.  [Arch], [Pool] and [Zero] have
+   the array form the hot shapes read; [Tagged] is a pool register
+   carrying an exception tag; [Spr] (LR for the first operand, CTR for
+   the second) has none, so the op stages through the closure fallback. *)
+type src = Arch | Pool | Tagged | Zero | Spr
+
+(* Operand [k] (0 or 1) of each kind.  [table_setup] gives r3/r35/r37/LR
+   the first value and r4/r36/r38/CTR the second, and tags r37 and r38. *)
+let src_loc k = function
+  | Arch -> 3 + k
+  | Pool -> 35 + k
+  | Tagged -> 37 + k
+  | Zero -> Op.zero
+  | Spr -> if k = 0 then Op.lr_loc else Op.ctr_loc
+
+let srcs1 = [ Arch; Pool; Tagged; Zero; Spr ]
+
+let srcs2 =
+  [ (Arch, Arch); (Arch, Pool); (Pool, Arch); (Pool, Pool); (Tagged, Arch);
+    (Arch, Tagged); (Zero, Pool); (Pool, Zero); (Spr, Arch); (Arch, Spr) ]
+
+(* condition-field sources: architected cr1, pool cr9, tagged pool cr10 *)
+let cr_srcs = [ 1; 9; 10 ]
+
+(* architected and pool destinations *)
+let gpr_dsts = [ 6; 40 ]
+let cr_dsts = [ 2; 12 ]
+let specs = [ false; true ]
+let operand_values = [ 0; 1; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF ]
+
+let table_setup a b (st : Vstate.t) (mem : Ppc.Mem.t) =
+  let m = st.m in
+  m.gpr.(3) <- a;
+  m.gpr.(4) <- b;
+  st.hi.(3) <- a;
+  st.hi.(4) <- b;
+  st.hi.(5) <- a;
+  st.hi.(6) <- b;
+  Vstate.set_tag st 37 (Vstate.Tfault 0x10_0000);
+  Vstate.set_tag st 38 Vstate.Tmmio;
+  m.lr <- a;
+  m.ctr <- b;
+  m.xer_ca <- a land 1 = 1;
+  m.xer_so <- b land 1 = 1;
+  st.ext.(3) <- b land 1 = 1;
+  st.ext.(5) <- true;
+  m.cr <- a lxor (b lsr 3);
+  st.crhi.(1) <- a land 0xF;
+  st.crhi.(2) <- b land 0xF;
+  Vstate.set_cr_tag st 10 Vstate.Tmmio;
+  m.srr0 <- a;
+  m.srr1 <- b;
+  m.dar <- a lxor b;
+  m.dsisr <- 0x4200_0000;
+  m.sprg0 <- a + 1;
+  m.sprg1 <- b + 2;
+  m.msr <- a land 0xFFFF;
+  for i = 0 to 7 do
+    Ppc.Mem.store32 mem (4 * i) ((0x8765_4321 * (i + 1)) land 0xFFFF_FFFF)
+  done
+
+(* Every case: a label, the op, and whether it reads a second value. *)
+let table_cases () =
+  let cases = ref [] in
+  let case ?(two = false) op = cases := (Op.to_string op, op, two) :: !cases in
+  let all l f = List.iter f l in
+  let s0 = src_loc 0 and s1 = src_loc 1 in
+  let xo =
+    Ppc.Insn.[ Add; Addc; Adde; Subf; Subfc; Mullw; Mulhw; Mulhwu; Divw; Divwu; Neg ]
+  in
+  all xo (fun op ->
+      all srcs2 (fun (a, b) ->
+          all specs (fun spec ->
+              all gpr_dsts (fun rt ->
+                  all (if op = Adde then [ Op.ca_loc; 35; 37 ] else [ Op.ca_loc ])
+                    (fun ca ->
+                      case ~two:true
+                        (Op.Bin { op; rt; ra = s0 a; rb = s1 b; ca; spec }))))));
+  all Op.[ IAdd; IAddc; IMul; IAnd; IOr; IXor ] (fun op ->
+      all srcs1 (fun a ->
+          all [ 0; 1; -1; 0x7FFF; 0xFFFF_0000 ] (fun imm ->
+              all specs (fun spec ->
+                  all gpr_dsts (fun rt ->
+                      case (Op.BinI { op; rt; ra = s0 a; imm; spec }))))));
+  let xs = Ppc.Insn.[ And_; Or_; Xor_; Nand; Nor; Andc; Eqv; Slw; Srw; Sraw ] in
+  all xs (fun op ->
+      all srcs2 (fun (a, b) ->
+          all specs (fun spec ->
+              all gpr_dsts (fun rt ->
+                  case ~two:true (Op.Logic { op; rt; ra = s0 a; rb = s1 b; spec })))));
+  all srcs1 (fun a ->
+      all specs (fun spec ->
+          all gpr_dsts (fun rt ->
+              let ra = s0 a in
+              all Ppc.Insn.[ Cntlzw; Extsb; Extsh ] (fun op ->
+                  case (Op.Un { op; rt; ra; spec }));
+              all [ 0; 1; 31 ] (fun sh -> case (Op.SrawiOp { rt; ra; sh; spec }));
+              all [ (0, 0, 31); (1, 0, 30); (31, 16, 8) ] (fun (sh, mb, me) ->
+                  case (Op.RlwinmOp { rt; ra; sh; mb; me; spec }))));
+      all specs (fun spec ->
+          all cr_dsts (fun crt ->
+              all [ true; false ] (fun signed ->
+                  all [ 0; 1; -1; 0x7FFF ] (fun imm ->
+                      case (Op.CmpIOp { signed; crt; ra = s0 a; imm; spec }))))));
+  all srcs2 (fun (a, b) ->
+      all specs (fun spec ->
+          all cr_dsts (fun crt ->
+              all [ true; false ] (fun signed ->
+                  case ~two:true
+                    (Op.CmpOp { signed; crt; ra = s0 a; rb = s1 b; spec })))));
+  let offs =
+    Op.[ OImm 4; OImm Ppc.Mem.mmio_seq; OReg 4; OReg 36; OReg 38; OReg Op.ctr_loc ]
+  in
+  (* a speculative load tags its destination, which must be a pool
+     register: the tag of an architected one does not exist *)
+  all Ppc.Insn.[ (Byte, false); (Half, false); (Half, true); (Word, false) ]
+    (fun (w, alg) ->
+      all srcs1 (fun base ->
+          all offs (fun off ->
+              all [ (false, 6); (false, 40); (true, 40) ] (fun (spec, rt) ->
+                  case ~two:true
+                    (Op.LoadOp { w; alg; rt; base = s0 base; off; spec;
+                                 passed = spec })))));
+  all Ppc.Insn.[ Byte; Half; Word ] (fun w ->
+      all srcs1 (fun rs ->
+          all srcs1 (fun base ->
+              all Op.[ OImm 8; OReg 4 ] (fun off ->
+                  case ~two:true (Op.StoreOp { w; rs = s0 rs; base = s1 base; off })))));
+  all Ppc.Insn.[ Crand; Cror; Crxor; Crnand; Crnor; Crandc; Creqv; Crorc ] (fun op ->
+      all cr_srcs (fun fa ->
+          all [ 1; 9 ] (fun fb ->
+              all specs (fun spec ->
+                  all cr_dsts (fun fld ->
+                      all [ Op.zero; fld ] (fun old ->
+                          case ~two:true
+                            (Op.CropOp { op; bt = (4 * fld) + 1; ba = (4 * fa) + 2;
+                                         bb = (4 * fb) + 3; old; spec })))))));
+  all cr_srcs (fun src ->
+      all cr_dsts (fun dst ->
+          all specs (fun spec -> case (Op.McrfOp { dst; src; spec }));
+          case (Op.CommitCr { arch = dst; src })));
+  all gpr_dsts (fun rt ->
+      all
+        [ Array.init 8 Fun.id; [| 0; 9; 2; 3; 4; 5; 6; 7 |];
+          [| 0; 1; 10; 3; 4; 5; 6; 7 |]; Array.init 7 Fun.id ]
+        (fun srcs -> case ~two:true (Op.MfcrOp { rt; srcs }));
+      case (Op.GetXer { rt });
+      case (Op.GetMsr { rt });
+      all Op.[ Xer; Srr0; Srr1; Dar; Dsisr; Sprg0; Sprg1; Msr ] (fun spr ->
+          case ~two:true (Op.GetSpr { rt; spr })));
+  all srcs1 (fun rs ->
+      let rs = s0 rs in
+      all cr_dsts (fun crt ->
+          all [ 0; 7 ] (fun pos -> case (Op.CrSetOp { crt; rs; pos })));
+      case (Op.SetXer { rs });
+      case (Op.SetMsr { rs });
+      all Op.[ Xer; Srr0; Srr1; Dar; Dsisr; Sprg0; Sprg1; Msr ] (fun spr ->
+          case (Op.SetSpr { spr; rs }));
+      all gpr_dsts (fun arch -> case (Op.CommitG { arch; src = rs }));
+      case (Op.CommitLr { src = rs });
+      case (Op.CommitCtr { src = rs }));
+  all [ Op.ca_loc; 35; 37 ] (fun src -> case (Op.CommitCa { src }));
+  List.rev !cases
+
+(* Each case against [Exec.run], for every operand value (every pair
+   when the op reads two), in both write forms: alone on its tree, which
+   stages in place, and followed by a pool read after a write (r63,
+   which no case touches), which stages the whole tree buffered. *)
+let test_conformance () =
+  let n = ref 0 in
+  List.iter
+    (fun (label, op, two) ->
+      let build ~in_place () =
+        let v = mk () in
+        add (T.root v) op;
+        if not in_place then begin
+          add (T.root v)
+            (Op.BinI { op = IAdd; rt = 63; ra = Op.zero; imm = 9; spec = false });
+          add (T.root v)
+            (Op.BinI { op = IAdd; rt = 62; ra = 63; imm = 1; spec = false })
+        end;
+        T.close (T.root v) (T.Next 1);
+        v
+      in
+      List.iter
+        (fun in_place ->
+          Alcotest.(check bool) (label ^ ": write form") in_place
+            (C.pool_in_place (build ~in_place ()));
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  incr n;
+                  check_equiv ~setup:(table_setup a b)
+                    (Printf.sprintf "%s [%x %x]%s" label a b
+                       (if in_place then "" else " buffered"))
+                    (build ~in_place))
+                (if two then operand_values else [ a lxor 0x5A5A ]))
+            operand_values)
+        [ true; false ])
+    (table_cases ());
+  Alcotest.(check int) "cases run" 106_450 !n
 
 (* ------------------------------------------------------------------ *)
 (* Direct linking                                                      *)
@@ -566,6 +814,106 @@ let test_stage_failure () =
   Alcotest.(check int) "then executed" 7 st.m.gpr.(3)
 
 (* ------------------------------------------------------------------ *)
+(* The in-place licence on real translations                           *)
+
+(* P4: on every path from an entry tree of [p], following [Next] exits,
+   each pool location is written before it is read.  An op and a branch
+   test read the state at their VLIW's entry; an [Indirect] exit reads
+   it after the VLIW's writes.  Returns the reads of a location no
+   earlier VLIW of the path wrote.  Paths are memoized on (tree, written
+   set), so the walk is linear in the states reached.  An extender bit
+   counts as its register, as in [Op.pool_reads]. *)
+let p4_violations (p : Translator.Translate.xpage) =
+  let module Vec = Translator.Vec in
+  let seen = Hashtbl.create 64 and bad = ref 0 in
+  let n = Vec.length p.vliws in
+  let rec tree id written =
+    if id >= 0 && id < n && not (Hashtbl.mem seen (id, written)) then begin
+      Hashtbl.add seen (id, written) ();
+      node written written (T.root (Vec.get p.vliws id))
+    end
+  and node entry acc (nd : T.node) =
+    let acc =
+      List.fold_left
+        (fun acc (_, op) ->
+          if Op.pool_reads op land lnot entry <> 0 then incr bad;
+          acc lor Op.pool_writes op)
+        acc nd.ops
+    in
+    match nd.kind with
+    | T.Open | Exit (OnPage _ | OffPage _ | Trap _) -> ()
+    | Exit (Next id) -> tree id acc
+    | Exit (Indirect (l, _)) -> if Op.gpr_bit l land lnot acc <> 0 then incr bad
+    | Branch { test; taken; fall } ->
+      if Op.cr_bit (test.bit / 4) land lnot entry <> 0 then incr bad;
+      node entry acc taken;
+      node entry acc fall
+  in
+  Hashtbl.iter (fun _ id -> tree id 0) p.entries;
+  !bad
+
+(* Every page image a run installs, each once: [add] sees every
+   translation and extension, and the tier-2 region images live at the
+   end of the run. *)
+let run_pages ?(tier2 = false) (w : Workloads.Wl.t) =
+  let pages = ref [] in
+  let mem, entry = Workloads.Wl.instantiate w in
+  let vmm = Vmm.Monitor.create mem in
+  vmm.install_hook <-
+    Some (fun p -> if not (List.memq p !pages) then pages := p :: !pages);
+  if tier2 then ignore (Obs.Tier.attach vmm);
+  ignore (Vmm.Monitor.run vmm ~entry ~fuel:(2 * w.fuel));
+  Hashtbl.iter
+    (fun _ (r : Vmm.Monitor.region) ->
+      Hashtbl.iter (fun _ p -> pages := p :: !pages) r.r_tr.pages)
+    vmm.regions;
+  !pages
+
+let trees_of pages =
+  List.concat_map
+    (fun (p : Translator.Translate.xpage) ->
+      Translator.Vec.fold (fun acc t -> t :: acc) [] p.vliws)
+    pages
+
+let test_licence_registry () =
+  let pages =
+    List.concat_map (fun w -> run_pages w) Workloads.Registry.all
+    @ List.concat_map
+        (fun name -> run_pages ~tier2:true (Workloads.Registry.by_name name))
+        [ "c_sieve"; "compress" ]
+  in
+  Alcotest.(check int) "P4 violations" 0
+    (List.fold_left (fun n p -> n + p4_violations p) 0 pages);
+  List.iter
+    (fun (t : T.t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "tree %d at %x passes the in-place check" t.id t.precise_entry)
+        true (C.pool_in_place t))
+    (trees_of pages)
+
+(* The pages of seed 1's first 256 fuzz programs, the generator
+   bench/perf's code workloads draw from.  P4 holds on every page; a
+   few trees read a pool register their path wrote, so the translator
+   does reach the buffered form. *)
+let test_licence_fuzz () =
+  let pages =
+    List.concat_map
+      (fun index ->
+        let rng = Random.State.make [| 1; index; 0 |] in
+        let slots = Fault.Fuzz.gen_slots rng ~insns:96 ~allow_raw:true in
+        run_pages (Fault.Fuzz.wl_of ~seed:1 ~index ~fuel:20_000 slots))
+      (List.init 256 Fun.id)
+  in
+  Alcotest.(check int) "P4 violations" 0
+    (List.fold_left (fun n p -> n + p4_violations p) 0 pages);
+  let trees = trees_of pages in
+  let fresh = List.length (List.filter C.pool_in_place trees) in
+  Printf.printf "in place: %d of %d trees on %d pages\n" fresh (List.length trees)
+    (List.length pages);
+  Alcotest.(check bool) "most trees in place" true (fresh * 100 > 99 * List.length trees);
+  Alcotest.(check bool) "some buffered" true (fresh < List.length trees)
+
+(* ------------------------------------------------------------------ *)
 (* Whole programs through the verified harness                         *)
 
 let test_fuzz_clean () =
@@ -596,13 +944,19 @@ let () =
           Alcotest.test_case "tagged commit" `Quick test_tagged_commit;
           Alcotest.test_case "store-free skips alias" `Quick
             test_store_free_skips_alias;
-          QCheck_alcotest.to_alcotest prop_differential ] );
+          Alcotest.test_case "pool read after write" `Quick test_pool_raw;
+          QCheck_alcotest.to_alcotest prop_differential;
+          Alcotest.test_case "op-shape conformance" `Quick test_conformance ] );
       ( "linking",
         [ Alcotest.test_case "Next direct-linked" `Quick test_direct_link_patched;
           Alcotest.test_case "OnPage memoized" `Quick test_onpage_memo;
           Alcotest.test_case "staged on first selection" `Quick
             test_stage_on_first_selection;
           Alcotest.test_case "staging failure" `Quick test_stage_failure ] );
+      ( "licence",
+        [ Alcotest.test_case "registry: P4 and in-place check" `Quick
+            test_licence_registry;
+          Alcotest.test_case "fuzz corpus: P4" `Quick test_licence_fuzz ] );
       ( "programs",
         [ Alcotest.test_case "fuzz corpus, clean" `Slow test_fuzz_clean;
           Alcotest.test_case "fuzz corpus, cocktail" `Slow test_fuzz_cocktail ] )

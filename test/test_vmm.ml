@@ -213,6 +213,40 @@ let test_no_alloc_per_vliw () =
   let long = words 400_000 in
   Alcotest.(check (float 0.)) "minor words" short long
 
+(* Recovery clears every non-architected location, so whatever a
+   rolled-back VLIW wrote into the pool in place is gone before anything
+   runs again: at the start of every interpretation episode of sort
+   (2,311 alias rollbacks) and of a fault-cocktail fuzz corpus, the pool
+   values, extender bits, tags, pool condition fields and their tags
+   are all zero. *)
+let test_recovery_clears_pool () =
+  let episodes = ref 0 and dirty = ref 0 in
+  let watch (vmm : Vmm.Monitor.t) =
+    let st = vmm.st in
+    Vmm.Monitor.on_event vmm (function
+      | Vmm.Monitor.Interp_begin _ ->
+        incr episodes;
+        if
+          not
+            (Array.for_all (( = ) 0) st.hi
+            && Array.for_all not st.ext
+            && Array.for_all (( = ) 0) st.tags
+            && Array.for_all (( = ) 0) st.crhi
+            && Array.for_all (( = ) 0) st.crtags)
+        then incr dirty
+      | _ -> ())
+  in
+  let r = Run.run ~instrument:watch (Workloads.Registry.by_name "sort") in
+  Alcotest.(check int) "sort: alias rollbacks" 2311 r.stats.rollbacks;
+  Alcotest.(check int) "sort: episodes seen" r.stats.interp_episodes !episodes;
+  let s =
+    Fault.Fuzz.fuzz ~faults:Fault.Inject.cocktail ~attach_extra:watch ~seed:2
+      ~pages:60 ()
+  in
+  Alcotest.(check int) "cocktail corpus mismatches" 0 s.mismatched;
+  Alcotest.(check bool) "episodes" true (!episodes > r.stats.interp_episodes);
+  Alcotest.(check int) "episodes entered with a dirty pool" 0 !dirty
+
 let test_console_via_syscall () =
   (* a program printing through sc/putchar, run under DAISY *)
   let open Ppc in
@@ -516,6 +550,8 @@ let () =
             test_translation_work_is_bounded;
           Alcotest.test_case "cast-out pool" `Quick test_castout_pool;
           Alcotest.test_case "itlb" `Quick test_itlb_counts;
+          Alcotest.test_case "recovery clears the pool" `Quick
+            test_recovery_clears_pool;
           Alcotest.test_case "no allocation per VLIW" `Quick
             test_no_alloc_per_vliw;
           Alcotest.test_case "counter table" `Quick test_counter_table;
