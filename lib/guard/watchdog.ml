@@ -43,18 +43,20 @@ let none =
 
 exception Expired of float
 (** raised at a commit boundary once [session_s] wall-clock seconds
-    have elapsed since [attach] (or the caller's [t0]); carries the
+    have elapsed since [attach], on the monotonic clock; carries the
     elapsed seconds.  The run's state is precise but the run is over —
     this is a cancellation, not a ladder event. *)
 
-let attach ?t0 cfg (vmm : Vmm.Monitor.t) =
+let attach cfg (vmm : Vmm.Monitor.t) =
   vmm.translate_budget <- cfg.translate_s;
   vmm.compile_budget <- cfg.compile_s;
   vmm.progress_limit <- cfg.progress;
   match cfg.session_s with
   | None -> ()
   | Some budget ->
-    let t0 = match t0 with Some t -> t | None -> Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     Vmm.Monitor.on_tick vmm (fun ~pc:_ ->
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let elapsed =
+          Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+        in
         if elapsed > budget then raise (Expired elapsed))

@@ -78,7 +78,7 @@ let run ?stack ?deadline_ms ?(first_id = 0) ~pool ~shared ~sessions workloads =
   let out : Session.outcome option array = Array.make sessions None in
   let sheds = ref 0 and retries = ref 0 in
   let before = Shared.stats shared in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   for i = 0 to sessions - 1 do
     let id = first_id + i and workload = wl.(i mod Array.length wl) in
     let cancel () =
@@ -103,7 +103,9 @@ let run ?stack ?deadline_ms ?(first_id = 0) ~pool ~shared ~sessions workloads =
     | Error _ -> cancel ()
   done;
   Pool.drain pool;
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let wall_seconds =
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+  in
   let after = Shared.stats shared in
   let outcomes =
     Array.to_list out

@@ -141,7 +141,7 @@ let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
     in
     inject := Guard.Stack.attach ~id ~workload:name { stack with watchdog } vmm
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let result =
     if
       match deadline_at with
@@ -163,7 +163,7 @@ let run ?(stack = Guard.Stack.default) ?deadline_at ?instrument ?tcache_io
       | exception Guard.Watchdog.Expired s -> Error (Deadline s)
       | exception e -> Error (Crash (Printexc.to_string e))
   in
-  let seconds = Unix.gettimeofday () -. t0 in
+  let seconds = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
   (* leave: drop this session's pins, apply the capacity budget now
      that its hot set no longer needs protection, remove its
      checkpoints.  Best-effort each, and unconditional — a crashed or

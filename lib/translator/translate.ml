@@ -52,6 +52,12 @@ type t = {
   mem : Mem.t;
   fe : Frontend.t;
   pages : (int, xpage) Hashtbl.t;
+  ro : Bytes.t;
+      (** the per-unit read-only bit (Section 3.2): byte [i] is 1 while
+          [pages] holds the page at [i lsl ro_shift], for every page of
+          memory.  Guest stores test it; addresses past memory fall back
+          to [pages]. *)
+  ro_shift : int;  (** log2 of the page size *)
   load_spec_off : (int, unit) Hashtbl.t;
       (** pages retranslated with load speculation inhibited (adaptive
           aliasing response) *)
@@ -70,13 +76,26 @@ type t = {
   totals : totals;
 }
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
 let create ?(frontend = Frontend.ppc) params mem =
+  let ro_shift = log2 params.Params.page_size in
+  let npages = (Mem.size mem + params.page_size - 1) lsr ro_shift in
   { params; mem; fe = frontend; pages = Hashtbl.create 64;
+    ro = Bytes.make npages '\000'; ro_shift;
     load_spec_off = Hashtbl.create 4; guard_hint = None; unit_filter = None;
     totals = { pages = 0; groups = 0; insns = 0; vliws_made = 0;
                code_bytes = 0; entry_points = 0; invalidations = 0 } }
 
 let page_base t addr = addr land lnot (t.params.page_size - 1)
+
+(* Bring the read-only byte of the page holding [addr] in line with
+   [pages], after a change to [pages] at [addr]. *)
+let sync_ro t addr =
+  let i = addr lsr t.ro_shift in
+  if i < Bytes.length t.ro then
+    Bytes.unsafe_set t.ro i
+      (if Hashtbl.mem t.pages (i lsl t.ro_shift) then '\001' else '\000')
 
 let page_of t addr =
   let base = page_base t addr in
@@ -91,6 +110,7 @@ let page_of t addr =
         insns_scheduled = 0 }
     in
     Hashtbl.add t.pages base p;
+    sync_ro t base;
     t.totals.pages <- t.totals.pages + 1;
     p
 
@@ -106,9 +126,14 @@ let invalidate t addr =
   let base = page_base t addr in
   if Hashtbl.mem t.pages base then (
     Hashtbl.remove t.pages base;
+    sync_ro t base;
     t.totals.invalidations <- t.totals.invalidations + 1)
 
-let translated t addr = Hashtbl.mem t.pages (page_base t addr)
+(** Does [addr]'s page have a translation?  Every guest store asks. *)
+let translated t addr =
+  let i = addr lsr t.ro_shift in
+  if i < Bytes.length t.ro then Bytes.unsafe_get t.ro i <> '\000'
+  else Hashtbl.mem t.pages (page_base t addr)
 
 (** Was [addr]'s page marked to inhibit load speculation? *)
 let load_spec_inhibited t addr = Hashtbl.mem t.load_spec_off (page_base t addr)
@@ -121,6 +146,7 @@ let load_spec_inhibited t addr = Hashtbl.mem t.load_spec_off (page_base t addr)
     reproduces the cached shape. *)
 let install t ?(spec_inhibited = false) (page : xpage) =
   Hashtbl.replace t.pages page.base page;
+  sync_ro t page.base;
   if spec_inhibited then Hashtbl.replace t.load_spec_off page.base ()
 
 (** Does [addr] already have a valid translated entry point?  (Unlike

@@ -100,29 +100,27 @@ let create_scratch () =
   }
 
 (* Write-kind codes.  The apply loop switches on these; the operand
-   class of every destination was resolved at compile time. *)
+   class of every destination was resolved at compile time, and a
+   destination outside every class never reaches the buffers. *)
 let k_gpr_arch = 0 (* gpr.(a) <- b *)
 let k_gpr_pool = 1 (* hi.(a) <- b, tag cleared *)
 let k_lr = 2
 let k_ctr = 3
 let k_tagged = 4 (* pool: hi.(a) <- b, tag from w_tag *)
-let k_tagged_any = 5 (* raw loc via Vstate setters (corrupt-loc path) *)
-let k_ext = 6 (* ext.(a) <- b<>0 *)
-let k_ca = 7
-let k_cr_arch = 8 (* Machine.set_crf a b *)
-let k_cr_pool = 9 (* crhi.(a) <- b land 0xF, tag cleared *)
-let k_crtagged = 10
-let k_set_gpr = 11 (* raw loc via Vstate.set_gpr (corrupt-loc path) *)
-let k_set_cr = 12 (* raw loc via Vstate.set_cr (corrupt-loc path) *)
-let k_xer = 13
-let k_msr = 14
-let k_spr = 15 (* a = Op.spr_code *)
-let k_store8 = 16 (* a = addr, b = value *)
-let k_store16 = 17
-let k_store32 = 18
-let k_mmio8 = 19 (* a = dest loc, b = addr: deferred I/O-space load *)
-let k_mmio16 = 20
-let k_mmio32 = 21
+let k_ext = 5 (* ext.(a) <- b<>0 *)
+let k_ca = 6
+let k_cr_arch = 7 (* Machine.set_crf a b *)
+let k_cr_pool = 8 (* crhi.(a) <- b land 0xF, tag cleared *)
+let k_crtagged = 9
+let k_xer = 10
+let k_msr = 11
+let k_spr = 12 (* a = Op.spr_code *)
+let k_store8 = 13 (* a = addr, b = value *)
+let k_store16 = 14
+let k_store32 = 15
+let k_mmio8 = 16 (* a = dest loc, b = addr: deferred I/O-space load *)
+let k_mmio16 = 17
+let k_mmio32 = 18
 
 let grow_writes s =
   let n = Array.length s.w_kind in
@@ -289,24 +287,25 @@ let[@inline] tag2 spec c c2 = tag1 spec (if c <> 0 then c else c2)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled write destinations, classified as [Exec.result_writes] and
-   [cr_writes] do: a speculative pool destination gets the op's tag, and
-   a location outside every class goes through the [Vstate] setter
-   (which raises for it, as the interpretive apply does).  The index is
-   the pool slot for pool destinations, else the location itself. *)
+   [cr_writes] do: a speculative pool destination gets the op's tag.
+   The index is the pool slot for pool destinations, else the location
+   itself.  A location outside every class ([Vstate.gpr_dest],
+   [Vstate.cr_dest]) is refused: its op's closure raises the setter's
+   [Invalid_argument] once its operands are read, as [Exec.check_write]
+   does after [Exec.eval_op], so no write of the VLIW applies.  The
+   kinds below are for destinations that passed that test. *)
 
 let dest_kind ~spec (rt : Op.loc) =
   if Op.is_nonarch_gpr rt then if spec then k_tagged else k_gpr_pool
-  else if 0 <= rt && rt < 32 then k_gpr_arch
   else if rt = Op.lr_loc then k_lr
   else if rt = Op.ctr_loc then k_ctr
-  else k_set_gpr
+  else k_gpr_arch
 
 let dest_index (rt : Op.loc) = if Op.is_nonarch_gpr rt then rt - 32 else rt
 
 let cr_kind ~spec (crt : Op.loc) =
   if Op.is_nonarch_cr crt then if spec then k_crtagged else k_cr_pool
-  else if crt < 8 then k_cr_arch
-  else k_set_cr
+  else k_cr_arch
 
 let cr_index (crt : Op.loc) = if Op.is_nonarch_cr crt then crt - 8 else crt
 
@@ -331,6 +330,7 @@ let result (st : Vstate.t) (s : scratch) ~in_place ~spec (rt : Op.loc) : int -> 
     else fun v ->
       Array.unsafe_set hi i v;
       Array.unsafe_set tags i 0
+  else if not (Vstate.gpr_dest rt) then fun _ -> Vstate.refuse_gpr ()
   else
     let kind = dest_kind ~spec rt and i = dest_index rt in
     fun v -> push_wt s kind i v s.tag
@@ -348,6 +348,7 @@ let cr_result (st : Vstate.t) (s : scratch) ~in_place ~spec (crt : Op.loc) :
     else fun v ->
       Array.unsafe_set crhi i (v land 0xF);
       Array.unsafe_set crtags i 0
+  else if not (Vstate.cr_dest crt) then fun _ -> Vstate.refuse_cr ()
   else
     let kind = cr_kind ~spec crt and i = cr_index crt in
     fun v -> push_wt s kind i v s.tag
@@ -374,14 +375,20 @@ let carry_write (st : Vstate.t) (s : scratch) ~in_place (rt : Op.loc) : bool -> 
 
 (* The outcomes of a load that stay buffered in either write form: an
    I/O-space address defers the load to apply (or tags a speculative
-   one), and a fault tags a speculative load or rolls the VLIW back. *)
+   one), and a fault tags a speculative load or rolls the VLIW back.
+   Only a pool register has a tag: [Vstate.set_tag] refuses any other
+   destination of a speculative load on these outcomes. *)
 let tmmio = Vstate.code_of_tag Vstate.Tmmio
 
+let tag_dest s rt c =
+  if Op.is_nonarch_gpr rt then push_wt s k_tagged (rt - 32) 0 c
+  else Vstate.refuse_tag ()
+
 let load_mmio s ~spec k_mmio rt addr =
-  if spec then push_wt s k_tagged_any rt 0 tmmio else push_w s k_mmio rt addr
+  if spec then tag_dest s rt tmmio else push_w s k_mmio rt addr
 
 let load_fault s ~spec rt addr =
-  if spec then push_wt s k_tagged_any rt 0 (Vstate.code_of_tag (Vstate.Tfault addr))
+  if spec then tag_dest s rt (Vstate.code_of_tag (Vstate.Tfault addr))
   else raise (Exec.Roll (Exec.Rfault { addr; write = false }))
 
 (* The load proper, shared by every address shape: [addr] is computed
@@ -412,6 +419,17 @@ let c_load (st : Vstate.t) (mem : Mem.t) (s : scratch) seq ~in_place
             (if alg_half then u32 (s32 ((v land 0xFFFF) lsl 16) asr 16) else v);
           Array.unsafe_set tags pi s.tag;
           push_access s addr bytes seq passed false
+        | exception Mem.Data_fault _ -> load_fault s ~spec rt addr
+      end
+  else if not (Vstate.gpr_dest rt) then
+    (* refused: a speculative load's tag is refused first, a
+       non-speculative fault rolls back, every other outcome raises *)
+    fun addr ->
+      if Mem.is_mmio addr then
+        if spec then Vstate.refuse_tag () else Vstate.refuse_gpr ()
+      else begin
+        match fload mem addr with
+        | _ -> Vstate.refuse_gpr ()
         | exception Mem.Data_fault _ -> load_fault s ~spec rt addr
       end
   else
@@ -823,13 +841,18 @@ let c_closures (st : Vstate.t) (mem : Mem.t) (s : scratch) ~in_place seq
 
 (* The hot shapes (about 80% of executed ops) read array operands and
    write straight into a pool slot or the scratch buffers: no [clean],
-   reader or result closure calls.  Any operand without an array form
-   sends the whole op to [c_closures].  A commit's destination is
-   architected, so it always pushes. *)
+   reader or result closure calls.  Any operand without an array form,
+   or a refused destination, sends the whole op to [c_closures].  A
+   commit's destination is architected, so it always pushes. *)
 let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) ~in_place seq (op : Op.t) :
     unit -> unit =
   let hi = st.hi and ptags = st.tags in
   match op with
+  | (CommitG { arch = rt; _ } | BinI { rt; _ } | Bin { rt; _ })
+    when not (Vstate.gpr_dest rt) ->
+    c_closures st mem s ~in_place seq op
+  | CmpIOp { crt; _ } when not (Vstate.cr_dest crt) ->
+    c_closures st mem s ~in_place seq op
   | CommitG { arch; src } -> (
     match operand st src with
     | None -> c_closures st mem s ~in_place seq op
@@ -946,23 +969,18 @@ let apply (st : Vstate.t) (mem : Mem.t) (s : scratch) =
     | 4 (* k_tagged *) ->
       st.hi.(a) <- b;
       st.tags.(a) <- s.w_tag.(i)
-    | 5 (* k_tagged_any *) ->
-      Vstate.set_gpr st a b;
-      Vstate.set_tag st a (Vstate.tag_of_code s.w_tag.(i))
-    | 6 (* k_ext *) -> st.ext.(a) <- b <> 0
-    | 7 (* k_ca *) -> m.xer_ca <- b <> 0
-    | 8 (* k_cr_arch *) -> Machine.set_crf m a b
-    | 9 (* k_cr_pool *) ->
+    | 5 (* k_ext *) -> st.ext.(a) <- b <> 0
+    | 6 (* k_ca *) -> m.xer_ca <- b <> 0
+    | 7 (* k_cr_arch *) -> Machine.set_crf m a b
+    | 8 (* k_cr_pool *) ->
       st.crhi.(a) <- b land 0xF;
       st.crtags.(a) <- 0
-    | 10 (* k_crtagged *) ->
+    | 9 (* k_crtagged *) ->
       st.crhi.(a) <- b land 0xF;
       st.crtags.(a) <- s.w_tag.(i)
-    | 11 (* k_set_gpr *) -> Vstate.set_gpr st a b
-    | 12 (* k_set_cr *) -> Vstate.set_cr st a b
-    | 13 (* k_xer *) -> Machine.set_xer m b
-    | 14 (* k_msr *) -> m.msr <- b
-    | 15 (* k_spr *) -> (
+    | 10 (* k_xer *) -> Machine.set_xer m b
+    | 11 (* k_msr *) -> m.msr <- b
+    | 12 (* k_spr *) -> (
       match a with
       | 0 -> Machine.set_xer m b
       | 1 -> m.srr0 <- b
@@ -972,12 +990,12 @@ let apply (st : Vstate.t) (mem : Mem.t) (s : scratch) =
       | 5 -> m.sprg0 <- b
       | 6 -> m.sprg1 <- b
       | _ -> m.msr <- b)
-    | 16 (* k_store8 *) -> Mem.store8 mem a b
-    | 17 (* k_store16 *) -> Mem.store16 mem a b
-    | 18 (* k_store32 *) -> Mem.store32 mem a b
-    | 19 (* k_mmio8 *) -> Vstate.set_gpr st a (Mem.load8 mem b)
-    | 20 (* k_mmio16 *) -> Vstate.set_gpr st a (Mem.load16 mem b)
-    | 21 (* k_mmio32 *) -> Vstate.set_gpr st a (Mem.load32 mem b)
+    | 13 (* k_store8 *) -> Mem.store8 mem a b
+    | 14 (* k_store16 *) -> Mem.store16 mem a b
+    | 15 (* k_store32 *) -> Mem.store32 mem a b
+    | 16 (* k_mmio8 *) -> Vstate.set_gpr st a (Mem.load8 mem b)
+    | 17 (* k_mmio16 *) -> Vstate.set_gpr st a (Mem.load16 mem b)
+    | 18 (* k_mmio32 *) -> Vstate.set_gpr st a (Mem.load32 mem b)
     | _ -> assert false
   done
 

@@ -330,6 +330,18 @@ let eval_op (st : Vstate.t) (mem : Mem.t) seq (op : Op.t) :
     ([ Wctr (rd st ~spec:false tag src) ], None)
   | CommitCa { src } -> ([ Wca (Vstate.get_ca st src) ], None)
 
+(* A write whose destination its [Vstate] setter refuses raises that
+   setter's [Invalid_argument] as soon as its op has evaluated, so the
+   VLIW stops before any write applies; the other kinds name valid
+   locations by construction. *)
+let check_write = function
+  | Wgpr (l, _) | Wmmio_load (l, _, _) ->
+    if not (Vstate.gpr_dest l) then Vstate.refuse_gpr ()
+  | Wtagged (l, _, _) -> if not (Op.is_nonarch_gpr l) then Vstate.refuse_tag ()
+  | Wcr (l, _) -> if not (Vstate.cr_dest l) then Vstate.refuse_cr ()
+  | Wext _ | Wcrtagged _ | Wca _ | Wlr _ | Wctr _ | Wxer _ | Wspr _ | Wmsr _
+  | Wstore _ -> ()
+
 let apply (st : Vstate.t) (mem : Mem.t) = function
   | Wgpr (l, v) -> Vstate.set_gpr st l v
   | Wtagged (l, v, tag) ->
@@ -378,6 +390,7 @@ let run (st : Vstate.t) (mem : Mem.t) ?(alias_check = fun (_ : access list) -> t
       (fun (seq, op) ->
         incr nops;
         let ws, acc = eval_op st mem seq op in
+        List.iter check_write ws;
         writes := ws :: !writes;
         match acc with Some a -> accesses := a :: !accesses | None -> ())
       ops;

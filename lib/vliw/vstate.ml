@@ -61,28 +61,46 @@ let get_cr_tagged t (l : Op.loc) =
   if l < 8 then (Ppc.Machine.get_crf t.m l, Clean)
   else (t.crhi.(l - 8), tag_of_code t.crtags.(l - 8))
 
+(* The destinations the setters take.  Each refuses every other
+   location with its own [Invalid_argument]; the engines raise the same
+   at the op that names such a destination, before any write of its
+   VLIW applies ({!Exec.check_write}). *)
+
+(** [set_gpr] takes r0..r63, LR and CTR. *)
+let gpr_dest (l : Op.loc) = (0 <= l && l < 64) || l = Op.lr_loc || l = Op.ctr_loc
+
+(** [set_cr] takes cr0..cr15. *)
+let cr_dest (l : Op.loc) = 0 <= l && l < 16
+
+let refuse_gpr () = invalid_arg "Vstate.set_gpr"
+let refuse_tag () = invalid_arg "Vstate.set_tag"
+let refuse_cr () = invalid_arg "Vstate.set_cr"
+
 let set_gpr t (l : Op.loc) v =
-  if l < 32 then t.m.gpr.(l) <- v
+  if l < 0 then refuse_gpr ()
+  else if l < 32 then t.m.gpr.(l) <- v
   else if l < 64 then (
     t.hi.(l - 32) <- v;
     t.tags.(l - 32) <- 0)
   else if l = Op.lr_loc then t.m.lr <- v
   else if l = Op.ctr_loc then t.m.ctr <- v
-  else invalid_arg "Vstate.set_gpr"
+  else refuse_gpr ()
 
 let set_ext t (l : Op.loc) b =
   if l >= 32 && l < 64 then t.ext.(l - 32) <- b
   else invalid_arg "Vstate.set_ext"
 
 let set_tag t (l : Op.loc) tag =
-  if l >= 32 && l < 64 then t.tags.(l - 32) <- code_of_tag tag
-  else invalid_arg "Vstate.set_tag"
+  if Op.is_nonarch_gpr l then t.tags.(l - 32) <- code_of_tag tag
+  else refuse_tag ()
 
 let set_cr t (l : Op.loc) v =
-  if l < 8 then Ppc.Machine.set_crf t.m l v
-  else (
+  if l < 0 then refuse_cr ()
+  else if l < 8 then Ppc.Machine.set_crf t.m l v
+  else if l < 16 then (
     t.crhi.(l - 8) <- v land 0xF;
     t.crtags.(l - 8) <- 0)
+  else refuse_cr ()
 
 let set_cr_tag t (l : Op.loc) tag =
   if l >= 8 && l < 16 then t.crtags.(l - 8) <- code_of_tag tag

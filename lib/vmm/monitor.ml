@@ -863,18 +863,21 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
         if r < 32 then m.gpr.(r)
         else if r = Translator.Res.lr then m.lr
         else m.ctr);
-  (* the per-unit read-only bit: stores into translated pages invalidate *)
+  (* the per-unit read-only bit: stores into translated pages
+     invalidate.  Every guest store runs this, so the common case (no
+     region, page not translated) costs a length and a byte read. *)
   if params.watch_code then
     Mem.watch mem (fun addr _n ->
         let base = Translate.page_base tr addr in
         (* a store into any member page of a promoted region fails the
            region's whole-unit assumption: deopt before the bytes
            change (the region entry is evicted under its stored key) *)
-        (match Hashtbl.find_opt t.regions base with
-        | Some r ->
-          deopt_region t r ~page:base
-            ~reason:"self-modifying code in member page"
-        | None -> ());
+        (if Hashtbl.length t.regions > 0 then
+           match Hashtbl.find_opt t.regions base with
+           | Some r ->
+             deopt_region t r ~page:base
+               ~reason:"self-modifying code in member page"
+           | None -> ());
         (* the page's own cache entry stays: it is still correct for
            the bytes it was keyed on, and the new bytes key apart *)
         if Translate.translated tr addr then (

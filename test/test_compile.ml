@@ -248,6 +248,23 @@ let test_corrupt_loc () =
       T.close (T.root v) (T.Next 1);
       v)
 
+(* A destination outside every class, late in a VLIW: both engines
+   refuse it when its op evaluates, so neither the architected write
+   nor the store before it lands. *)
+let test_refused_after_writes () =
+  check_equiv "refused destination after writes"
+    (fun () ->
+      let v = mk () in
+      add (T.root v) (Op.BinI { op = IAdd; rt = 1; ra = Op.zero; imm = 5; spec = false });
+      add (T.root v) (Op.StoreOp { w = Word; rs = 2; base = Op.zero; off = OImm 0x100 });
+      add (T.root v) (Op.CommitG { arch = 70; src = 2 });
+      T.close (T.root v) (T.Next 1);
+      v)
+    ~setup:(fun st _ -> st.m.gpr.(2) <- 9)
+    ~post:(fun o st ->
+      Alcotest.check outcome_t "refused" (OError "Invalid_argument: Vstate.set_gpr") o;
+      Alcotest.(check int) "r1 unwritten" 0 st.m.gpr.(1))
+
 let test_carry_chain () =
   check_equiv "carry chain" (fun () ->
       let v = mk () in
@@ -655,11 +672,70 @@ let table_cases () =
   all [ Op.ca_loc; 35; 37 ] (fun src -> case (Op.CommitCa { src }));
   List.rev !cases
 
+(* Destinations outside every class, which both engines refuse with
+   an [Exec.Error] before any write of the VLIW applies: a speculative
+   load into an architected register, refused on its I/O-space and
+   fault outcomes (the only ones that would tag it), and raw locations
+   outside every class (r70, the zero register, cr20, cr-1) in every
+   op shape that writes one, hot and closure forms alike.  Tagged sources still
+   roll back first, as the operand reads come before the write. *)
+let refused_cases () =
+  let cases = ref [] in
+  let case ?(two = false) op = cases := (Op.to_string op, op, two) :: !cases in
+  let all l f = List.iter f l in
+  let s0 = src_loc 0 and s1 = src_loc 1 in
+  let offs =
+    Op.[ OImm 4; OImm Ppc.Mem.mmio_seq; OReg 4; OReg 36; OReg 38; OReg Op.ctr_loc ]
+  in
+  all Ppc.Insn.[ (Byte, false); (Half, true); (Word, false) ] (fun (w, alg) ->
+      all srcs1 (fun base ->
+          all offs (fun off ->
+              all [ (true, 6); (false, 70); (true, 70) ] (fun (spec, rt) ->
+                  case ~two:true
+                    (Op.LoadOp { w; alg; rt; base = s0 base; off; spec;
+                                 passed = spec })))));
+  all specs (fun spec ->
+      all srcs1 (fun a ->
+          let ra = s0 a in
+          all [ 70; Op.zero ] (fun rt ->
+              case (Op.BinI { op = IAdd; rt; ra; imm = 1; spec }));
+          case (Op.BinI { op = IAddc; rt = 70; ra; imm = -1; spec });
+          case (Op.Un { op = Cntlzw; rt = 70; ra; spec });
+          case (Op.SrawiOp { rt = 70; ra; sh = 1; spec });
+          case (Op.RlwinmOp { rt = 70; ra; sh = 1; mb = 0; me = 31; spec });
+          all [ 20; -1 ] (fun crt ->
+              case (Op.CmpIOp { signed = true; crt; ra; imm = 1; spec })));
+      all srcs2 (fun (a, b) ->
+          let ra = s0 a and rb = s1 b in
+          all Ppc.Insn.[ Add; Subf; Addc ] (fun op ->
+              case ~two:true (Op.Bin { op; rt = 70; ra; rb; ca = Op.ca_loc; spec }));
+          case ~two:true (Op.Logic { op = And_; rt = 70; ra; rb; spec });
+          all [ 20; -1 ] (fun crt ->
+              case ~two:true (Op.CmpOp { signed = false; crt; ra; rb; spec })));
+      all cr_srcs (fun src ->
+          all [ 20; -1 ] (fun dst -> case (Op.McrfOp { dst; src; spec }));
+          case ~two:true
+            (Op.CropOp { op = Cror; bt = (4 * 20) + 1; ba = 4 * src; bb = 6;
+                         old = Op.zero; spec })));
+  all srcs1 (fun rs ->
+      let rs = s0 rs in
+      case (Op.CommitG { arch = 70; src = rs });
+      all [ 20; -1 ] (fun crt -> case (Op.CrSetOp { crt; rs; pos = 7 })));
+  all cr_srcs (fun src ->
+      all [ 20; -1 ] (fun arch -> case (Op.CommitCr { arch; src })));
+  case ~two:true (Op.MfcrOp { rt = 70; srcs = Array.init 8 Fun.id });
+  case (Op.GetXer { rt = 70 });
+  case (Op.GetMsr { rt = 70 });
+  case ~two:true (Op.GetSpr { rt = 70; spr = Srr0 });
+  List.rev !cases
+
 (* Each case against [Exec.run], for every operand value (every pair
    when the op reads two), in both write forms: alone on its tree, which
    stages in place, and followed by a pool read after a write (r63,
-   which no case touches), which stages the whole tree buffered. *)
-let test_conformance () =
+   which no case touches), which stages the whole tree buffered.
+   [post] gets each run's setup, then [check_equiv]'s arguments.
+   Returns the number of runs. *)
+let run_table ?(post = fun _ (_ : outcome) (_ : Vstate.t) -> ()) cases =
   let n = ref 0 in
   List.iter
     (fun (label, op, two) ->
@@ -684,15 +760,42 @@ let test_conformance () =
               List.iter
                 (fun b ->
                   incr n;
-                  check_equiv ~setup:(table_setup a b)
+                  let setup = table_setup a b in
+                  check_equiv ~setup ~post:(post setup)
                     (Printf.sprintf "%s [%x %x]%s" label a b
                        (if in_place then "" else " buffered"))
                     (build ~in_place))
                 (if two then operand_values else [ a lxor 0x5A5A ]))
             operand_values)
         [ true; false ])
-    (table_cases ());
-  Alcotest.(check int) "cases run" 106_450 !n
+    cases;
+  !n
+
+let test_conformance () =
+  Alcotest.(check int) "cases run" 106_450 (run_table (table_cases ()))
+
+(* The refused rows: both engines agree (outcome and every piece of
+   state, as above), and a refusal leaves the architected state as the
+   setup made it. *)
+let test_conformance_refused () =
+  let errors = ref 0 and rolls = ref 0 and dones = ref 0 in
+  let post setup o (st : Vstate.t) =
+    match o with
+    | OError _ ->
+      incr errors;
+      let fresh = Vstate.create (Ppc.Machine.create ()) in
+      setup fresh (Ppc.Mem.create 0x2000);
+      Alcotest.(check bool) "refusal leaves architected state" true
+        (Ppc.Machine.equal fresh.m st.m)
+    | ORoll _ -> incr rolls
+    | ODone _ -> incr dones
+  in
+  Alcotest.(check int) "cases run" 21_050 (run_table ~post (refused_cases ()));
+  (* the rest roll back on a tagged source or, for a speculative load
+     into r6 at an ordinary address, complete *)
+  Alcotest.(check int) "refused" 15_726 !errors;
+  Alcotest.(check int) "rolled back" 3_902 !rolls;
+  Alcotest.(check int) "completed" 1_422 !dones
 
 (* ------------------------------------------------------------------ *)
 (* Direct linking                                                      *)
@@ -939,6 +1042,8 @@ let () =
           Alcotest.test_case "alias veto" `Quick test_alias_veto;
           Alcotest.test_case "open tip" `Quick test_open_tip;
           Alcotest.test_case "corrupt loc" `Quick test_corrupt_loc;
+          Alcotest.test_case "refused destination after writes" `Quick
+            test_refused_after_writes;
           Alcotest.test_case "carry chain" `Quick test_carry_chain;
           Alcotest.test_case "tag propagates" `Quick test_tag_propagates;
           Alcotest.test_case "tagged commit" `Quick test_tagged_commit;
@@ -946,7 +1051,9 @@ let () =
             test_store_free_skips_alias;
           Alcotest.test_case "pool read after write" `Quick test_pool_raw;
           QCheck_alcotest.to_alcotest prop_differential;
-          Alcotest.test_case "op-shape conformance" `Quick test_conformance ] );
+          Alcotest.test_case "op-shape conformance" `Quick test_conformance;
+          Alcotest.test_case "op-shape conformance, refused destinations" `Quick
+            test_conformance_refused ] );
       ( "linking",
         [ Alcotest.test_case "Next direct-linked" `Quick test_direct_link_patched;
           Alcotest.test_case "OnPage memoized" `Quick test_onpage_memo;

@@ -210,6 +210,50 @@ let test_invalidate () =
   let _ = Translate.entry tr entry in
   Alcotest.(check bool) "retranslated" true (Translate.translated tr entry)
 
+(* [translated] reads a byte per page of memory, the per-unit
+   read-only bit; it must agree with the page table after every change
+   to it — translation, in-place extension, invalidation, install —
+   and past the end of memory, where it reads the table. *)
+let test_read_only_bit () =
+  let size = 0x40000 in
+  let mem = Mem.create size in
+  let a = Asm.create () in
+  build_random_program 4 a;
+  let labels = Asm.assemble a mem in
+  let tr = Translate.create Params.default mem in
+  let ps = Params.default.page_size in
+  let far = size + (4 * ps) in
+  let agree what =
+    for i = 0 to (far / ps) + 2 do
+      let addr = (i * ps) + 12 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: page %d" what i)
+        (Hashtbl.mem tr.pages (Translate.page_base tr addr))
+        (Translate.translated tr addr)
+    done
+  in
+  agree "fresh";
+  let entry = Hashtbl.find labels "main" in
+  let page, _ = Translate.entry tr entry in
+  agree "translated";
+  let n = Vec.length page.vliws in
+  let rec fresh addr = if Translate.has_entry tr addr then fresh (addr + 4) else addr in
+  let page', _ = Translate.entry tr (fresh entry) in
+  Alcotest.(check bool) "extended in place" true (page' == page && Vec.length page.vliws > n);
+  agree "extended";
+  Translate.invalidate tr entry;
+  Alcotest.(check bool) "dropped" false (Translate.translated tr entry);
+  agree "invalidated";
+  Translate.install tr page;
+  Alcotest.(check bool) "installed" true (Translate.translated tr entry);
+  agree "installed";
+  Translate.install tr { page with base = far };
+  Alcotest.(check bool) "past memory" true (Translate.translated tr (far + 12));
+  agree "installed past memory";
+  Translate.invalidate tr far;
+  Alcotest.(check bool) "dropped past memory" false (Translate.translated tr far);
+  agree "invalidated past memory"
+
 let test_join_limit_bounds_code () =
   (* higher join limits may only grow the translation *)
   let size k =
@@ -412,6 +456,7 @@ let () =
             (test_invariants_config Vliw.Config.figure_5_1.(0));
           Alcotest.test_case "layout addresses" `Quick test_layout_addresses;
           Alcotest.test_case "invalidate" `Quick test_invalidate;
+          Alcotest.test_case "read-only bit" `Quick test_read_only_bit;
           Alcotest.test_case "join limit vs code size" `Quick
             test_join_limit_bounds_code;
           Alcotest.test_case "profile probabilities" `Quick

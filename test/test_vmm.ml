@@ -474,6 +474,38 @@ let test_counter_table () =
   Alcotest.(check int) "names are unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* A page whose entry trees carry an op with a destination outside
+   every class — a speculative I/O-space load, which would tag the
+   architected r5, or a commit to r70 — faults when the op evaluates:
+   the VLIW writes nothing, the ladder takes a strike and interprets,
+   and the run ends as the reference does instead of raising.  Only the
+   first page installed is altered, so the retranslation is clean. *)
+let test_refused_destination () =
+  let module Op = Vliw.Op in
+  List.iter
+    (fun (what, op) ->
+      let first = ref true in
+      let instrument (vmm : Vmm.Monitor.t) =
+        vmm.install_hook <-
+          Some
+            (fun (p : Translator.Translate.xpage) ->
+              if !first then begin
+                first := false;
+                Hashtbl.iter
+                  (fun _ id ->
+                    let root = Vliw.Tree.root (Translator.Vec.get p.vliws id) in
+                    root.ops <- (0, op) :: root.ops)
+                  p.entries
+              end)
+      in
+      let r = Run.run ~instrument (Workloads.Registry.by_name "wc") in
+      Alcotest.(check (option int)) (what ^ ": exit code") (Some 4691) r.exit_code;
+      Alcotest.(check bool) (what ^ ": exec faults") true (r.stats.exec_faults >= 1))
+    [ ( "speculative load into r5",
+        Op.LoadOp { w = Word; alg = false; rt = 5; base = Op.zero;
+                    off = OImm Ppc.Mem.mmio_seq; spec = true; passed = false } );
+      ("commit to r70", Op.CommitG { arch = 70; src = 3 }) ]
+
 (* A cracking that cannot be placed even in a fresh VLIW: [lmw r0]
    through a temporary base needs 33 renamed registers, one more than
    the pool.  The group that starts with it must trap to the
@@ -564,7 +596,9 @@ let () =
           Alcotest.test_case "console via syscall" `Quick test_console_via_syscall;
           Alcotest.test_case "hang semantics" `Quick test_hang_semantics;
           Alcotest.test_case "reference out of fuel" `Quick
-            test_reference_out_of_fuel ] );
+            test_reference_out_of_fuel;
+          Alcotest.test_case "refused destination is an exec fault" `Quick
+            test_refused_destination ] );
       ( "update forms",
         [ Alcotest.test_case "lwzu rA = 0" `Quick (update_form lwzu_ra0);
           Alcotest.test_case "stwu rA = 0" `Quick (update_form stwu_ra0);
